@@ -67,9 +67,9 @@ fn run_size(n_spines: usize, n_leaves: usize) -> String {
             handle_signals: false,
             debug_ops: false,
             sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-            loop_mode: rzen_serve::LoopMode::Threads,
             shards: 0,
             idle_timeout: None,
+            ..ServerConfig::default()
         },
         Model::parse(&base_text).expect("model"),
     )

@@ -8,15 +8,11 @@
 //! [`rzen_obs::Histogram`]; before every sweep, the server's verdicts
 //! are checked identical to the engine batch path on the same query set.
 //!
-//! Two modes:
+//! Two modes, one sweep, each run verdict-gated against batch:
 //!
-//! - default: sweeps both connection layers (thread-per-connection,
-//!   then the epoll reactor) and prints the 8-client comparison — the
-//!   reactor's acceptance gate is p99 no worse and qps no lower than
-//!   the thread baseline. Writes `results/serve_throughput.csv` with a
-//!   leading `mode` column.
-//! - `shard-sweep`: sweeps the epoll reactor at 1/2/4 engine shards,
-//!   each verdict-gated against batch. Writes
+//! - default: the server at its default two shards. Writes
+//!   `results/serve_throughput.csv`.
+//! - `shard-sweep`: 1/2/4 engine shards. Writes
 //!   `results/serve_shard_scaling.csv`. On a single-core host the
 //!   scaling columns are flat — see KNOWN_FAILURES.md.
 
@@ -29,7 +25,7 @@ use std::time::{Duration, Instant};
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend, Verdict};
 use rzen_net::spec::Spec;
 use rzen_obs::Histogram;
-use rzen_serve::{start, LoopMode, Model, ServerConfig, ServerHandle};
+use rzen_serve::{start, Model, ServerConfig, ServerHandle};
 
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -51,13 +47,19 @@ fn main() {
     );
 
     if shard_sweep {
-        run_shard_sweep(&text, &requests, per_client);
+        run_sweeps(
+            &text,
+            &requests,
+            per_client,
+            &[1, 2, 4],
+            "serve_shard_scaling.csv",
+        );
     } else {
-        run_throughput(&text, &requests, per_client);
+        run_sweeps(&text, &requests, per_client, &[2], "serve_throughput.csv");
     }
 }
 
-fn serve(text: &str, mode: LoopMode, shards: usize) -> ServerHandle {
+fn serve(text: &str, shards: usize) -> ServerHandle {
     start(
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -69,9 +71,9 @@ fn serve(text: &str, mode: LoopMode, shards: usize) -> ServerHandle {
             handle_signals: false,
             debug_ops: false,
             sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-            loop_mode: mode,
             shards,
             idle_timeout: None,
+            ..ServerConfig::default()
         },
         Model::parse(text).expect("parse"),
     )
@@ -119,62 +121,18 @@ fn sweep(addr: SocketAddr, requests: &Arc<Vec<(String, Query)>>, per_client: usi
     out
 }
 
-/// Default mode: thread baseline, then the epoll reactor, then the
-/// 8-client acceptance comparison.
-fn run_throughput(text: &str, requests: &Arc<Vec<(String, Query)>>, per_client: usize) {
+/// One client-count sweep per shard count, each verdict-gated against
+/// the batch path, written to `csv`.
+fn run_sweeps(
+    text: &str,
+    requests: &Arc<Vec<(String, Query)>>,
+    per_client: usize,
+    shard_counts: &[usize],
+    csv: &str,
+) {
     let mut rows = Vec::new();
-    let mut at8 = Vec::new();
-    for (name, mode) in [("threads", LoopMode::Threads), ("epoll", LoopMode::Epoll)] {
-        let handle = serve(text, mode, 0);
-        let addr = handle.addr();
-        println!("[{name}] server on {addr}");
-        verify_against_batch(addr, requests);
-        for s in sweep(addr, requests, per_client) {
-            println!(
-                "[{name}] clients={:<2} requests={:<5} qps={:>8.0} p50={:>6}us p99={:>6}us shed={}",
-                s.clients, s.total, s.qps, s.p50, s.p99, s.shed
-            );
-            if s.clients == 8 {
-                at8.push(s);
-            }
-            rows.push(format!(
-                "{name},{},{},{:.1},{},{},{}",
-                s.clients, s.total, s.qps, s.p50, s.p99, s.shed
-            ));
-        }
-        handle.shutdown();
-        handle.join();
-    }
-
-    // The reactor's bar: at 8 clients it must not regress the thread
-    // baseline on either axis. Printed, not asserted — on a loaded or
-    // single-core host the numbers carry noise (KNOWN_FAILURES.md §3).
-    let (t8, e8) = (at8[0], at8[1]);
-    let verdict = if e8.qps >= t8.qps && e8.p99 <= t8.p99 {
-        "PASS"
-    } else {
-        "FAIL"
-    };
-    println!(
-        "epoll vs threads @8 clients: qps {:.0} vs {:.0}, p99 {}us vs {}us -> {verdict}",
-        e8.qps, t8.qps, e8.p99, t8.p99
-    );
-
-    let path = rzen_bench::write_csv(
-        "serve_throughput.csv",
-        "mode,clients,requests,qps,p50_us,p99_us,shed",
-        &rows,
-    )
-    .expect("write csv");
-    println!("wrote {}", path.display());
-}
-
-/// `shard-sweep` mode: the epoll reactor at 1/2/4 engine shards, each
-/// run verdict-gated against the batch path.
-fn run_shard_sweep(text: &str, requests: &Arc<Vec<(String, Query)>>, per_client: usize) {
-    let mut rows = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let handle = serve(text, LoopMode::Epoll, shards);
+    for &shards in shard_counts {
+        let handle = serve(text, shards);
         let addr = handle.addr();
         println!("[shards={shards}] server on {addr}");
         verify_against_batch(addr, requests);
@@ -191,12 +149,8 @@ fn run_shard_sweep(text: &str, requests: &Arc<Vec<(String, Query)>>, per_client:
         handle.shutdown();
         handle.join();
     }
-    let path = rzen_bench::write_csv(
-        "serve_shard_scaling.csv",
-        "shards,clients,requests,qps,p50_us,p99_us,shed",
-        &rows,
-    )
-    .expect("write csv");
+    let path = rzen_bench::write_csv(csv, "shards,clients,requests,qps,p50_us,p99_us,shed", &rows)
+        .expect("write csv");
     println!("wrote {}", path.display());
 }
 

@@ -121,9 +121,9 @@ fn main() {
             handle_signals: false,
             debug_ops: false,
             sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-            loop_mode: rzen_serve::LoopMode::Threads,
             shards: 0,
             idle_timeout: None,
+            ..ServerConfig::default()
         },
         model,
     )

@@ -48,7 +48,7 @@ fn usage_text() -> String {
         "                       [--stats-json FILE] [--verdicts-json FILE] [--metrics]",
         "                       [--profile-out FILE] [--sample-hz N]",
         "       rzen-cli serve SPEC [--addr HOST:PORT] [--jobs N] [--backlog N]",
-        "                       [--loop epoll|threads] [--shards N] [--idle-timeout-ms MS]",
+        "                       [--shards N] [--idle-timeout-ms MS]",
         "                       [--timeout-ms MS] [--sessions on|off] [--backend ...]",
         "                       [--flight-recorder-size N] [--sample-hz N]",
         "       rzen-cli --version | --help",
@@ -65,9 +65,7 @@ fn usage_text() -> String {
         "                     stacks (or a flamegraph SVG when FILE ends in .svg)",
         "  --sample-hz N      profiler sample rate (default 99; /debug/profile too)",
         "  --flight-recorder-size N  ring capacity of the serve flight recorder",
-        "  --loop epoll|threads  connection layer: one epoll reactor + engine shards,",
-        "                     or thread-per-connection (default epoll where supported)",
-        "  --shards N         engine shards for --loop epoll (default: --jobs)",
+        "  --shards N         engine shards behind the serve reactor (default: --jobs)",
         "  --idle-timeout-ms MS  close client connections silent for MS milliseconds",
         "  serve answers NDJSON queries on a TCP socket, plus HTTP GET /healthz,",
         "  GET /metrics (Prometheus format), GET /debug/requests|slow|trace?ms=N,",
@@ -592,9 +590,6 @@ fn run_serve(spec_text: &str, flags: &[String]) {
     let mut cfg = rzen_serve::ServerConfig {
         addr: "127.0.0.1:7878".to_string(),
         handle_signals: true,
-        // The CLI prefers the reactor; `start` falls back to threads on
-        // platforms where the raw epoll syscalls aren't wired up.
-        loop_mode: rzen_serve::LoopMode::Epoll,
         ..Default::default()
     };
     let mut i = 0;
@@ -656,17 +651,6 @@ fn run_serve(spec_text: &str, flags: &[String]) {
                     "smt" => rzen_engine::QueryBackend::Smt,
                     "portfolio" => rzen_engine::QueryBackend::Portfolio,
                     other => fail(&format!("unknown backend {other:?} (bdd|smt|portfolio)")),
-                };
-                i += 2;
-            }
-            "--loop" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--loop needs epoll|threads"));
-                cfg.loop_mode = match v.as_str() {
-                    "epoll" => rzen_serve::LoopMode::Epoll,
-                    "threads" => rzen_serve::LoopMode::Threads,
-                    other => fail(&format!("bad --loop {other:?} (epoll|threads)")),
                 };
                 i += 2;
             }

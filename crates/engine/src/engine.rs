@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use rzen::{Backend, Budget, FindOutcome, SessionStats, SolverSession};
 
 use crate::cache::{DeltaCacheStats, ResultCache};
-use crate::inflight::{Admission, InflightTable};
 use crate::query::{Query, QueryBackend, RunOutput, Verdict};
 use crate::stats::{BatchReport, EngineStats, QueryResult};
 
@@ -51,7 +50,6 @@ impl Default for EngineConfig {
 pub struct Engine {
     cfg: EngineConfig,
     cache: Mutex<ResultCache>,
-    inflight: Arc<InflightTable>,
     /// Total entries across shard-owned caches (sharded serve mode only;
     /// the shared `cache` keeps its own count). Signed so transient
     /// decrement-before-increment interleavings can dip below zero
@@ -139,7 +137,6 @@ impl Engine {
         Engine {
             cfg,
             cache: Mutex::new(ResultCache::new()),
-            inflight: Arc::new(InflightTable::default()),
             shard_entries: AtomicI64::new(0),
             cache_log: CacheLog {
                 entries: Mutex::new(Vec::new()),
@@ -155,10 +152,12 @@ impl Engine {
         &self.cfg
     }
 
-    /// Drop every cached verdict. A serving layer calls this when the
-    /// model is hot-swapped: entries for the old model are keyed by the
-    /// old network and could never be *served* wrongly, but they would
-    /// pin its memory for the life of the process.
+    /// Drop every verdict in the shared cache (the one `run_batch` and
+    /// [`Engine::run_one`] use; shards are cleared through
+    /// [`Engine::push_cache_clear`]). For a caller that replaces its
+    /// model: entries for the old model are keyed by the old network and
+    /// could never be *served* wrongly, but they would pin its memory for
+    /// the life of the process.
     pub fn clear_cache(&self) {
         let mut cache = self.cache.lock().unwrap();
         cache.clear();
@@ -202,25 +201,6 @@ impl Engine {
         rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
             .set(cache.len() as i64);
         stats
-    }
-
-    /// Admit a query for serving: the first arrival of a query leads (and
-    /// must execute it, then [`crate::LeadGuard::publish`] the result);
-    /// identical concurrent arrivals join and wait for the leader's
-    /// verdict. The coalescing key is the full query — which embeds the
-    /// model, so queries over different models never coalesce — compared
-    /// structurally within its fingerprint bucket. `req_id` is the
-    /// arriving request's own id: a leader stamps it on the in-flight
-    /// entry so joiners can record whose execution they rode
-    /// ([`crate::JoinHandle::leader_id`]).
-    pub fn admit(&self, query: &Query, req_id: u64) -> Admission {
-        self.inflight.admit(query.fingerprint(), query, req_id)
-    }
-
-    /// Number of distinct queries currently in flight (admitted leaders
-    /// that have not yet published).
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Solve every query, distributing them over `jobs` workers. Results

@@ -58,12 +58,10 @@
 
 mod cache;
 mod engine;
-mod inflight;
 mod query;
 mod stats;
 
 pub use cache::DeltaCacheStats;
 pub use engine::{CachePending, Engine, EngineConfig, EngineShard, ServeWorker};
-pub use inflight::{Admission, JoinHandle, Joined, LeadGuard};
 pub use query::{Query, QueryBackend, Verdict, Witness};
 pub use stats::{BatchReport, EngineStats, QueryResult};

@@ -1,18 +1,19 @@
-//! rzen-loop: zero-dependency epoll reactor primitives.
+//! rzen-loop: zero-dependency reactor primitives.
 //!
-//! The serve tier's event-loop backend is built from four pieces, all
-//! std-only with raw syscalls where std has no surface:
+//! The serve tier's event loop is built from four pieces, all std-only
+//! with raw syscalls or `extern "C"` where std has no surface:
 //!
-//! * [`sys`] — direct `epoll_create1`/`epoll_ctl`/`epoll_wait` and
-//!   `pipe2` via per-architecture inline-asm syscalls (no libc crate).
+//! * [`sys`] — the readiness poller and pipe behind one surface: raw
+//!   inline-asm `epoll`/`pipe2` on Linux x86-64/aarch64, `poll(2)` on
+//!   every other Unix (no libc crate either way).
 //! * [`ring`] — bounded lock-free SPSC rings carrying jobs to shards and
 //!   completions back.
 //! * [`framing`] — incremental NDJSON line and HTTP/1.1 decoders plus a
 //!   bounded outbound [`framing::WriteBuf`], all safe against single-byte
 //!   delivery.
 //! * [`Doorbell`] — a nonblocking self-pipe shards ring to wake the
-//!   reactor when completions land (the eventfd pattern, done with
-//!   `pipe2` so one primitive covers every kernel we target).
+//!   reactor when completions land (the eventfd pattern, done with a
+//!   pipe so one primitive covers every kernel we target).
 
 #![warn(missing_docs)]
 
@@ -22,11 +23,6 @@ pub mod sys;
 
 use std::io;
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
-
-/// Whether the epoll backend can run on this target. When false,
-/// [`Doorbell::new`] and [`sys::Epoll::new`] return `Unsupported` and the
-/// server falls back to its thread-per-connection mode.
-pub const SUPPORTED: bool = sys::SUPPORTED;
 
 /// A wakeup channel built on a nonblocking pipe. Any thread may [`ring`]
 /// it; the reactor registers [`read_fd`] for EPOLLIN and [`drain`]s on
@@ -78,9 +74,6 @@ mod tests {
 
     #[test]
     fn doorbell_rings_coalesce_and_drain() {
-        if !SUPPORTED {
-            return;
-        }
         let bell = Doorbell::new().unwrap();
         for _ in 0..10 {
             bell.ring();

@@ -1,4 +1,4 @@
-//! The epoll connection layer: one reactor thread multiplexing every
+//! The connection layer: one reactor thread multiplexing every
 //! connection, shared-nothing engine shards behind SPSC rings.
 //!
 //! ## Shape
@@ -7,12 +7,14 @@
 //! state machines ([`rzen_loop::framing`]): it accepts nonblocking,
 //! sniffs NDJSON-vs-HTTP on the first bytes, parses incrementally across
 //! partial reads, and keeps per-connection bounded write buffers that
-//! re-arm `EPOLLOUT` until drained. No client can block it: reads and
-//! writes never wait, slow consumers pause their connection's reads once
-//! its write buffer passes a high-water mark, and blocking HTTP
+//! re-arm write interest until drained. No client can block it: reads
+//! and writes never wait, slow consumers pause their connection's reads
+//! once its write buffer passes a high-water mark, and blocking HTTP
 //! endpoints (`/debug/trace`, `/debug/profile`, `POST /model`,
 //! `POST /delta`) run on offload threads that report back through the
-//! doorbell pipe.
+//! doorbell pipe. Readiness comes from [`rzen_loop::sys::Epoll`] — raw
+//! epoll on Linux, `poll(2)` on every other Unix, one level-triggered
+//! contract — so these state machines are the only ones there are.
 //!
 //! ## Shards
 //!
@@ -28,16 +30,53 @@
 //! delta sweep) travel through the engine's cache log and are replayed
 //! by each shard at its next catch-up point.
 //!
-//! ## Semantics parity
+//! ## Admission, coalescing and shedding
 //!
-//! Admission order matches the threads layer: coalesce-join first (a
-//! joiner consumes no shard slot), then shed against the routed shard's
-//! outstanding cap (`1 + ceil(backlog / shards)`), then admit with the
-//! budget already ticking. Responses on a connection are written in
-//! request order regardless of completion order. Drain answers new
-//! requests `shutting_down`, waits for every admitted job and offload,
-//! flushes what clients will take (with a bounded grace for those that
-//! won't), then retires the shards.
+//! Each NDJSON line is admitted on the reactor thread, in this order:
+//!
+//! 1. The model pointer is captured and the request id minted, so a hot
+//!    swap between admission and execution cannot change what the
+//!    request computes against. Parse and endpoint-resolution failures
+//!    and drain refusals are answered here without touching a shard.
+//! 2. The per-request [`rzen::Budget`] is minted — from the request's
+//!    `timeout_ms` or the server default — so time spent waiting in a
+//!    ring counts against the deadline. A request that expires in the
+//!    ring still runs: the solvers see the spent budget at their first
+//!    poll and it degrades to a `timeout` verdict, while a result-cache
+//!    hit can still answer it for free.
+//! 3. **Join before shed.** A `reach`/`drops` identical (same
+//!    fingerprint, structurally equal — the query embeds the model, so
+//!    different models never match) to one already in flight joins that
+//!    leader's group and consumes no shard slot at all, however loaded
+//!    the shards are. A joiner waits at most its *own* deadline (a timer
+//!    heap), then answers `timeout` without disturbing the leader. When
+//!    the leader completes, its verdict fans out to every waiter
+//!    (`"coalesced":true`); a leader that panicked releases them with
+//!    `overloaded`. Groups live on the reactor thread only — no locks,
+//!    and a group exists only while its leader holds a shard slot, so a
+//!    shed leader can never strand a joiner.
+//! 4. Everything else is routed (fingerprint affinity for queries,
+//!    round-robin otherwise) and admitted against that shard's cap,
+//!    `1 + ceil(backlog / shards)` outstanding jobs; past it the request
+//!    is shed at once with an explicit `overloaded` — the client is
+//!    never left hanging. `backlog = 0` still admits one job per shard.
+//!
+//! ## Response order
+//!
+//! Requests pipelined on one connection are admitted concurrently and
+//! may complete in any order; each takes a sequence slot at admission
+//! and responses are moved to the write buffer strictly in slot order,
+//! so a client reads answers in the order it asked.
+//!
+//! ## Drain
+//!
+//! Shutdown (SIGTERM/ctrl-c via [`crate::signal`], or
+//! [`crate::ServerHandle::shutdown`]) deregisters the listener and marks
+//! the server draining: lines that still arrive are answered
+//! `shutting_down`. The reactor keeps running until every admitted job
+//! and every offload has been answered, flushes what clients will take
+//! (force-closing those that won't after a 5 s grace), closes the
+//! connections, then stops and joins the shards.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -95,7 +134,7 @@ impl EpollCtl {
     }
 }
 
-/// Start the epoll server. Returns the bound address, the control
+/// Start the server. Returns the bound address, the control
 /// surface, and the reactor thread handle.
 pub(crate) fn start(
     cfg: ServerConfig,
@@ -105,8 +144,7 @@ pub(crate) fn start(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     // Fail fast, before any thread exists: if the kernel won't give us
-    // an epoll instance or a pipe there is nothing to fall back to here
-    // (`server::start` already gated on `rzen_loop::SUPPORTED`).
+    // a poller or a pipe there is nothing to fall back to.
     let epoll = Epoll::new()?;
     let doorbell = Arc::new(Doorbell::new()?);
 
@@ -147,8 +185,7 @@ struct JobTicket {
     /// Response slot on the connection (responses flush in `seq` order).
     seq: u64,
     ctx: rzen_obs::RequestCtx,
-    /// Admission time: flight latency includes ring wait, like the
-    /// threads layer's queue wait.
+    /// Admission time: flight latency includes ring wait.
     started: Instant,
     start_us: u64,
     /// Client correlation id.
@@ -339,8 +376,7 @@ fn update_interest(epoll: &Epoll, conn: &mut Conn) {
 }
 
 /// Metrics + flight record for one finished request; runs on every
-/// path, connection-alive or not, exactly like the threads layer's
-/// outer wrapper.
+/// path — error responses included, connection alive or not.
 fn finalize(t: &JobTicket, meta: &RespMeta, leader: u64) {
     observe_latency(t.started);
     if meta.verdict.is_serve_error() {
@@ -397,10 +433,7 @@ struct Reactor {
 impl Reactor {
     fn new(ctl: Arc<EpollCtl>, epoll: Epoll, shard_count: usize) -> Reactor {
         let backlog = ctl.shared.cfg.backlog;
-        // Same total capacity discipline as the threads layer (`jobs`
-        // executors + `backlog` queued), divided per shard. `jobs=1,
-        // backlog=0` still admits one job per shard, so the threads
-        // layer's shed tests hold verbatim.
+        // One executing job plus this shard's share of the backlog.
         let per_shard_cap = 1 + backlog.div_ceil(shard_count);
         let stop_shards = Arc::new(AtomicBool::new(false));
         let mut shards = Vec::with_capacity(shard_count);
@@ -681,8 +714,7 @@ impl Reactor {
     }
 
     fn pump_http(&mut self, conn: &mut Conn) -> bool {
-        // One request per connection (`Connection: close`), same as the
-        // threads layer's shim.
+        // One request per connection (`Connection: close`).
         if conn.http_busy || conn.close_after_flush {
             return true;
         }
@@ -738,9 +770,8 @@ impl Reactor {
         let head = method == "HEAD";
         match (method.as_str(), path.as_str()) {
             ("POST", "/model") | ("POST", "/delta") => {
-                // Same body validation as the blocking shim's
-                // `read_post_body` (the decoder already rejected bodies
-                // past the 16 MiB cap).
+                // The decoder already rejected bodies past the 16 MiB
+                // cap; an absent or empty one is just as unusable.
                 if req.content_length.unwrap_or(0) == 0 {
                     self.http_finish(
                         conn,
@@ -758,9 +789,9 @@ impl Reactor {
                 let wake = self.shard_wake.clone();
                 self.offload(conn, head, move || {
                     if is_model {
-                        answer_model_post(&shared, &text, Some(&wake))
+                        answer_model_post(&shared, &text, &wake)
                     } else {
-                        answer_delta_post(&shared, &text, Some(&wake))
+                        answer_delta_post(&shared, &text, &wake)
                     }
                 });
             }
@@ -826,9 +857,8 @@ impl Reactor {
         }
     }
 
-    /// Admit one NDJSON request line: the reactor-side mirror of the
-    /// threads layer's `handle_request` + `handle_request_inner`, except
-    /// nothing here ever blocks — in-flight work parks in `pending[seq]`
+    /// Admit one NDJSON request line (the module docs give the order).
+    /// Nothing here ever blocks — in-flight work parks in `pending[seq]`
     /// and the answer arrives through the shard's done ring.
     fn admit_line(&mut self, conn: &mut Conn, line: &str) {
         let trimmed = line.trim();
@@ -896,7 +926,7 @@ impl Reactor {
             return;
         }
         // The budget starts at admission so ring wait consumes the
-        // deadline, exactly like queue wait in the threads layer.
+        // deadline.
         let budget = match req
             .timeout_ms
             .map(Duration::from_millis)
@@ -1134,8 +1164,8 @@ impl Reactor {
                         },
                     )
                 }
-                // The leader panicked without a verdict; waiters get the
-                // same release a dropped LeadGuard gives them.
+                // The leader panicked without a verdict; release the
+                // waiters rather than hang them.
                 None => (
                     proto::error_response(w.id, w.ctx.id, "overloaded"),
                     RespMeta {
@@ -1296,8 +1326,10 @@ fn shard_loop(
             thread::park_timeout(Duration::from_millis(10));
             continue;
         };
-        // A full model swap quiesces this shard's sessions, exactly like
-        // a threads-layer worker. Deltas never bump the epoch.
+        // A full model swap quiesces this shard's sessions: the old
+        // solver (and its runner threads) retires between jobs, and a
+        // fresh one starts cold. Deltas never bump the epoch — warm
+        // sessions stay warm across them by design.
         let now = shared.session_epoch.load(Ordering::SeqCst);
         if now != epoch {
             epoch = now;

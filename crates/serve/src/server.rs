@@ -1,88 +1,54 @@
-//! The server: accept loop, bounded admission queue, worker pool with
-//! warm solver sessions, in-flight coalescing, model hot-swap, and
-//! graceful drain.
-//!
-//! ## Threads
-//!
-//! One nonblocking accept thread, one thread per connection (requests on
-//! a connection are answered in order), and `jobs` worker threads pulling
-//! from one bounded queue. Workers own the solver state: each holds an
-//! [`rzen_engine::ServeWorker`] — with sessions enabled, persistent
-//! per-backend solver threads that stay warm across requests.
-//!
-//! ## Admission
-//!
-//! A request is admitted by reserving a slot in a
-//! [`std::sync::mpsc::sync_channel`] bounded at `backlog`; a full queue
-//! sheds the request with an explicit `overloaded` response — the client
-//! is never left hanging. The per-request [`rzen::Budget`] is created at
-//! admission, so time spent queued counts against the deadline and a
-//! request that expires in the queue degrades to a `timeout` verdict
-//! instead of wasting solver time.
-//!
-//! ## Coalescing
-//!
-//! Identical concurrent queries coalesce through the engine's in-flight
-//! table ([`rzen_engine::Engine::admit`]): the first arrival leads and
-//! occupies a queue slot; identical arrivals while it runs join, wait on
-//! the leader's verdict, and consume no queue slot at all. If the leader
-//! is shed, joiners are released with `overloaded` rather than hanging.
+//! The server's transport-independent half: configuration, the loaded
+//! model, the state shared between the reactor, its shards and its
+//! offload threads, the [`ServerHandle`], and everything an endpoint
+//! *answers* — the HTTP control plane (`/healthz`, `/metrics`,
+//! `/debug/*`, `POST /model`, `POST /delta`) and the non-query ops
+//! (`hsa`, `paths`, `sleep`). Sockets, framing, admission, coalescing,
+//! response ordering and drain all live in [`crate::eloop`], the one
+//! connection layer; nothing in this module reads or writes a socket.
 //!
 //! ## Hot swap and deltas
 //!
-//! `POST /model` re-parses a spec off the connection thread, then swaps
-//! the shared model pointer atomically, clears the engine's result
-//! cache, and quiesces worker sessions. Requests admitted before the
-//! swap keep their `Arc` to the old model and finish against it;
-//! requests admitted after see only the new one. There is no window
-//! where a request observes half of each. Re-posting a spec whose
+//! `POST /model` re-parses a spec on an offload thread, then swaps the
+//! shared model pointer atomically, queues a cache clear for every shard
+//! and bumps the session epoch so shard sessions rebuild. Requests
+//! admitted before the swap keep their `Arc` to the old model and finish
+//! against it; requests admitted after see only the new one. There is no
+//! window where a request observes half of each. Re-posting a spec whose
 //! composite fingerprint matches the running model is a no-op
-//! (`"swapped":false`): cache and sessions stay warm.
+//! (`"swapped":false`): caches and sessions stay warm.
 //!
 //! `POST /delta` applies an NDJSON sequence of [`rzen_delta::DeltaOp`]s
 //! to a clone of the running spec and publishes the patched model with
-//! the same pointer-store atomicity — but instead of clearing the cache
-//! it runs the engine's dependency-aware sweep, evicting only entries
+//! the same pointer-store atomicity — but instead of clearing the caches
+//! it queues the engine's dependency-aware sweep, evicting only entries
 //! whose cone of influence an op touched, and leaves every warm session
 //! alone. Model mutations are serialized by `Shared::swap`; `/healthz`
 //! reports the composite fingerprint and the mutation generation.
-//!
-//! ## Drain
-//!
-//! Shutdown (SIGTERM/ctrl-c via [`crate::signal`], or
-//! [`ServerHandle::shutdown`]) stops the accept loop, marks the server
-//! draining (new requests answered `shutting_down`), waits for every
-//! admitted job to finish and be answered, unblocks and joins the
-//! connection threads, then retires the workers.
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rzen::Budget;
-use rzen_engine::{
-    Admission, Engine, EngineConfig, Joined, LeadGuard, Query, QueryBackend, QueryResult,
-    ServeWorker, Verdict,
-};
+use rzen_engine::{Engine, QueryBackend};
 use rzen_net::spec::{self, Spec};
 
-use crate::proto::{self, Body, Op};
+use crate::proto::{self, Body};
 use crate::signal;
 
-/// Which connection layer drives the server.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Vestigial: there is one connection layer (the reactor in
+/// [`crate::eloop`]), so this selects nothing. The type and its one
+/// variant stay only because the benchmark harness
+/// (`perfbench/src/run.rs`, frozen under `BENCHMARK.json` `paths`) builds
+/// [`ServerConfig`] as a struct literal naming `LoopMode::Epoll`; remove
+/// both once a benchmark PR drops the field there.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
 pub enum LoopMode {
-    /// Thread-per-connection over blocking sockets (the original layer).
-    Threads,
-    /// One epoll reactor thread multiplexing every connection, with
-    /// shared-nothing engine shards behind SPSC rings (`rzen-loop`).
-    /// Falls back to [`LoopMode::Threads`] on targets without the raw
-    /// epoll backend.
+    /// The reactor.
     Epoll,
 }
 
@@ -91,14 +57,15 @@ pub enum LoopMode {
 pub struct ServerConfig {
     /// Bind address (`host:port`; port 0 picks a free one).
     pub addr: String,
-    /// Worker threads (concurrent query executions).
+    /// Engine shards when `shards` is 0 (concurrent query executions).
     pub jobs: usize,
-    /// Admitted-but-not-yet-running jobs beyond the workers; a request
-    /// arriving past this bound is shed with `overloaded`.
+    /// Admitted-but-not-yet-running jobs beyond the executing ones,
+    /// divided across the shards; a request arriving past its shard's
+    /// share is shed with `overloaded`.
     pub backlog: usize,
     /// Default per-request deadline; `None` = unlimited.
     pub timeout: Option<Duration>,
-    /// Keep warm per-worker solver sessions.
+    /// Keep warm per-shard solver sessions.
     pub sessions: bool,
     /// Backend selection for engine queries.
     pub backend: QueryBackend,
@@ -109,10 +76,10 @@ pub struct ServerConfig {
     pub debug_ops: bool,
     /// Sampler wake rate for `/debug/profile` captures, in Hz.
     pub sample_hz: u32,
-    /// Connection layer: thread-per-connection or the epoll reactor.
+    /// Selects nothing; see [`LoopMode`].
+    #[doc(hidden)]
     pub loop_mode: LoopMode,
-    /// Engine shards behind the epoll reactor; 0 means "same as `jobs`".
-    /// Ignored in [`LoopMode::Threads`].
+    /// Engine shards behind the reactor; 0 means "same as `jobs`".
     pub shards: usize,
     /// Close connections with no traffic for this long; `None` disables
     /// reaping. Connections with work in flight are never reaped.
@@ -131,7 +98,7 @@ impl Default for ServerConfig {
             handle_signals: false,
             debug_ops: false,
             sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-            loop_mode: LoopMode::Threads,
+            loop_mode: LoopMode::Epoll,
             shards: 0,
             idle_timeout: None,
         }
@@ -178,38 +145,20 @@ pub(crate) struct Shared {
     /// `/healthz` and in mutation responses so a client can tell which
     /// model lineage answered.
     pub(crate) generation: AtomicU64,
-    /// Bumped when worker sessions must be rebuilt (full model swap).
+    /// Bumped when shard sessions must be rebuilt (full model swap).
     /// Deltas leave it alone: session caches key on hash-consed
     /// expression ids, so unchanged sub-circuits stay warm and changed
     /// ones get new ids — nothing stale can be served.
     pub(crate) session_epoch: AtomicU64,
-    /// The admission queue sender; `None` once the drain retired it
-    /// (always `None` in epoll mode — the reactor routes to shard rings).
-    jobs_tx: Mutex<Option<mpsc::SyncSender<Job>>>,
     /// Stop accepting connections.
     pub(crate) shutdown: AtomicBool,
     /// Stop admitting requests (drain phase).
     pub(crate) draining: AtomicBool,
     /// Jobs admitted (queued or running) and not yet answered.
     pub(crate) admitted: AtomicUsize,
-    /// Connection threads currently processing a request (from read to
-    /// response-write completion). The drain waits for this to hit zero
-    /// before closing sockets, so an in-flight verdict is never lost to
-    /// a socket shutdown racing its own write.
-    busy_conns: AtomicUsize,
-    /// Socket clones for unblocking connection readers at drain, keyed by
-    /// connection id. An entry lives exactly as long as its connection
-    /// thread: [`handle_conn`]'s scope guard removes it when the client
-    /// goes away, so connection churn (every `/healthz` scrape opens a
-    /// fresh socket) does not accumulate dead file descriptors. Unused
-    /// in epoll mode (the reactor owns its connections outright).
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Connection id allocator for [`Shared::conns`] keys.
-    conn_seq: AtomicU64,
 }
 
 impl Shared {
-    /// Assemble the shared state for either connection layer.
     pub(crate) fn new(cfg: ServerConfig, model: Model, engine: Engine) -> Shared {
         Shared {
             cfg,
@@ -218,18 +167,14 @@ impl Shared {
             swap: Mutex::new(()),
             generation: AtomicU64::new(0),
             session_epoch: AtomicU64::new(0),
-            jobs_tx: Mutex::new(None),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             admitted: AtomicUsize::new(0),
-            busy_conns: AtomicUsize::new(0),
-            conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
         }
     }
 }
 
-/// The `serve.open_connections` gauge, shared by both connection layers.
+/// The `serve.open_connections` gauge.
 pub(crate) fn open_conns_gauge() -> &'static rzen_obs::Gauge {
     rzen_obs::gauge!(
         "serve.open_connections",
@@ -237,21 +182,7 @@ pub(crate) fn open_conns_gauge() -> &'static rzen_obs::Gauge {
     )
 }
 
-/// Removes this connection's socket clone from [`Shared::conns`] when the
-/// connection thread exits — on any path, including a panic.
-struct ConnGuard {
-    shared: Arc<Shared>,
-    id: u64,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.shared.conns.lock().unwrap().remove(&self.id);
-        open_conns_gauge().add(-1);
-    }
-}
-
-/// Handles for nudging epoll-mode shard threads: a cache transition
+/// Handles for nudging the shard threads: a cache transition
 /// queued on the engine's cache log is only applied when a shard passes
 /// its catch-up point, and a shard with an empty job ring parks — the
 /// unpark gets it there promptly instead of at its next park timeout.
@@ -269,13 +200,13 @@ impl ShardWake {
 }
 
 /// How a finished job classified itself, for the flight record and the
-/// error counters kept by the connection thread's outer wrapper.
+/// error counters the reactor keeps when it finalizes the request.
 #[derive(Clone, Copy)]
 pub(crate) struct RespMeta {
     pub(crate) verdict: rzen_obs::VerdictClass,
     pub(crate) backend: rzen_obs::BackendClass,
     pub(crate) flags: u8,
-    /// Heap bytes/allocations the worker spent on this job, measured as
+    /// Heap bytes/allocations the shard spent on this job, measured as
     /// a delta of its thread tally around execution. Zero unless
     /// profiling was enabled while the job ran.
     pub(crate) alloc_bytes: u64,
@@ -294,71 +225,12 @@ impl Default for RespMeta {
     }
 }
 
-/// One admitted unit of work, executed on a worker thread.
-struct Job {
-    work: Work,
-    budget: Budget,
-    /// Request identity minted at admission; rides the worker's spans.
-    ctx: rzen_obs::RequestCtx,
-    /// The rendered response line (plus its classification) goes back to
-    /// the connection thread.
-    reply: mpsc::Sender<(String, RespMeta)>,
-}
-
-enum Work {
-    /// An engine query led by this request (joiners wait on the guard).
-    Query {
-        id: Option<u64>,
-        op: &'static str,
-        query: Box<Query>,
-        guard: LeadGuard,
-    },
-    /// Exact reachable-set size (header-space transformers).
-    Hsa {
-        id: Option<u64>,
-        src: (usize, u8),
-        dst: (usize, u8),
-        model: Arc<Model>,
-    },
-    /// Simple-path count.
-    Paths {
-        id: Option<u64>,
-        src: (usize, u8),
-        dst: (usize, u8),
-        model: Arc<Model>,
-    },
-    /// Debug: hold the worker.
-    Sleep { id: Option<u64>, ms: u64 },
-}
-
-impl Work {
-    /// The client correlation id, for answering on the panic path.
-    fn id(&self) -> Option<u64> {
-        match self {
-            Work::Query { id, .. }
-            | Work::Hsa { id, .. }
-            | Work::Paths { id, .. }
-            | Work::Sleep { id, .. } => *id,
-        }
-    }
-}
-
 /// A running server. Dropping the handle does **not** stop the server;
 /// call [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
     addr: SocketAddr,
-    inner: HandleInner,
-}
-
-enum HandleInner {
-    Threads {
-        shared: Arc<Shared>,
-        accept: thread::JoinHandle<()>,
-    },
-    Epoll {
-        ctl: Arc<crate::eloop::EpollCtl>,
-        reactor: thread::JoinHandle<()>,
-    },
+    ctl: Arc<crate::eloop::EpollCtl>,
+    reactor: thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
@@ -369,313 +241,44 @@ impl ServerHandle {
 
     /// Jobs admitted and not yet answered (queued + running).
     pub fn inflight(&self) -> usize {
-        self.shared().admitted.load(Ordering::SeqCst)
+        self.ctl.shared.admitted.load(Ordering::SeqCst)
     }
 
     /// Live connections currently tracked. Closed connections are
     /// removed as they go, so this must not grow with connection churn —
     /// tests assert on it to catch fd leaks.
     pub fn open_conns(&self) -> usize {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => shared.conns.lock().unwrap().len(),
-            HandleInner::Epoll { ctl, .. } => ctl.open_conns(),
-        }
+        self.ctl.open_conns()
     }
 
     /// Begin graceful shutdown: stop accepting, drain in-flight work,
     /// answer stragglers `shutting_down`. Returns immediately.
     pub fn shutdown(&self) {
-        self.shared().shutdown.store(true, Ordering::SeqCst);
-        if let HandleInner::Epoll { ctl, .. } = &self.inner {
-            // The reactor may be parked in epoll_wait; the doorbell gets
-            // it to the shutdown check immediately.
-            ctl.doorbell.ring();
-        }
+        self.ctl.shared.shutdown.store(true, Ordering::SeqCst);
+        // The reactor may be parked in its wait; the doorbell gets it to
+        // the shutdown check immediately.
+        self.ctl.doorbell.ring();
     }
 
     /// Wait for the drain to complete and every thread to retire.
     pub fn join(self) {
-        match self.inner {
-            HandleInner::Threads { accept, .. } => {
-                let _ = accept.join();
-            }
-            HandleInner::Epoll { reactor, .. } => {
-                let _ = reactor.join();
-            }
-        }
-    }
-
-    fn shared(&self) -> &Shared {
-        match &self.inner {
-            HandleInner::Threads { shared, .. } => shared,
-            HandleInner::Epoll { ctl, .. } => &ctl.shared,
-        }
+        let _ = self.reactor.join();
     }
 }
 
 /// Start a server for `model` under `cfg`. Returns once the listener is
-/// bound and the workers are up; queries are answerable immediately.
+/// bound and the shards are up; queries are answerable immediately.
 pub fn start(cfg: ServerConfig, model: Model) -> io::Result<ServerHandle> {
     if cfg.handle_signals {
         signal::install();
     }
-    if cfg.loop_mode == LoopMode::Epoll && rzen_loop::SUPPORTED {
-        let (addr, ctl, reactor) = crate::eloop::start(cfg, model)?;
-        return Ok(ServerHandle {
-            addr,
-            inner: HandleInner::Epoll { ctl, reactor },
-        });
-    }
-    let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-
-    let engine = Engine::new(EngineConfig {
-        jobs: cfg.jobs,
-        backend: cfg.backend,
-        timeout: cfg.timeout,
-        cache: true,
-        sessions: cfg.sessions,
-    });
-    let (tx, rx) = mpsc::sync_channel::<Job>(cfg.backlog);
-    let jobs = cfg.jobs.max(1);
-    let shared = Arc::new(Shared::new(cfg, model, engine));
-    *shared.jobs_tx.lock().unwrap() = Some(tx);
-
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(jobs);
-    for w in 0..jobs {
-        let shared = shared.clone();
-        let rx = rx.clone();
-        workers.push(thread::spawn(move || worker_loop(shared, rx, w)));
-    }
-
-    let accept = {
-        let shared = shared.clone();
-        thread::spawn(move || accept_loop(listener, shared, workers))
-    };
-    Ok(ServerHandle {
-        addr,
-        inner: HandleInner::Threads { shared, accept },
-    })
+    let (addr, ctl, reactor) = crate::eloop::start(cfg, model)?;
+    Ok(ServerHandle { addr, ctl, reactor })
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, workers: Vec<thread::JoinHandle<()>>) {
-    let _span = rzen_obs::span!("serve.accept");
-    let mut conn_threads: Vec<thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst)
-            || (shared.cfg.handle_signals && signal::triggered())
-        {
-            break;
-        }
-        // Reap retired connection threads so the handle list tracks live
-        // connections, not the connection count since boot.
-        let mut i = 0;
-        while i < conn_threads.len() {
-            if conn_threads[i].is_finished() {
-                let _ = conn_threads.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                rzen_obs::counter!("serve.connections", "TCP connections accepted").inc();
-                open_conns_gauge().add(1);
-                // Request/response lines are tiny; Nagle + delayed ACK
-                // would add ~40ms to every exchange.
-                let _ = stream.set_nodelay(true);
-                let id = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().insert(id, clone);
-                }
-                let shared = shared.clone();
-                conn_threads.push(thread::spawn(move || {
-                    let _guard = ConnGuard {
-                        shared: shared.clone(),
-                        id,
-                    };
-                    handle_conn(stream, shared);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(3));
-            }
-            Err(_) => {
-                // EMFILE, ECONNABORTED, EINTR, ...: all transient for a
-                // listener. Shedding one accept must not kill the server;
-                // back off and retry — shutdown is still the only exit.
-                rzen_obs::counter!("serve.accept_errors", "transient accept() failures").inc();
-                thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    drain(&shared, conn_threads, workers);
-}
-
-/// The drain sequence; see the module docs. Runs on the accept thread.
-fn drain(
-    shared: &Arc<Shared>,
-    conns: Vec<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-) {
-    let _span = rzen_obs::span!("serve.drain");
-    shared.draining.store(true, Ordering::SeqCst);
-    // Every admitted job gets solved, answered, *and written back* before
-    // sockets close: `admitted` covers queued/running jobs, `busy_conns`
-    // covers the response write itself.
-    while shared.admitted.load(Ordering::SeqCst) > 0 || shared.busy_conns.load(Ordering::SeqCst) > 0
-    {
-        thread::sleep(Duration::from_millis(2));
-    }
-    // Unblock connection threads parked in read_line, then join them. A
-    // request racing the draining flag is still answered: its job was
-    // admitted before its socket shut down, and workers are still up.
-    for (_, s) in shared.conns.lock().unwrap().drain() {
-        let _ = s.shutdown(Shutdown::Both);
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-    while shared.admitted.load(Ordering::SeqCst) > 0 {
-        thread::sleep(Duration::from_millis(2));
-    }
-    // All senders gone -> workers' recv errors out and they retire.
-    shared.jobs_tx.lock().unwrap().take();
-    for h in workers {
-        let _ = h.join();
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<mpsc::Receiver<Job>>>, w: usize) {
-    let _span = rzen_obs::span!("serve.worker", "worker" => w as u64);
-    let mut epoch = shared.session_epoch.load(Ordering::SeqCst);
-    let mut solver = shared.engine.serve_worker();
-    loop {
-        // Hold the receiver lock only while waiting; execution happens
-        // with it released so other workers can pick up jobs.
-        let job = match rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => break,
-        };
-        let Ok(job) = job else { break };
-        // A full model swap quiesces this worker's sessions: the old
-        // solver (and its runner threads) retires between jobs, and a
-        // fresh one starts cold. Deltas never bump the epoch — warm
-        // sessions stay warm across them by design.
-        let now = shared.session_epoch.load(Ordering::SeqCst);
-        if now != epoch {
-            epoch = now;
-            solver = shared.engine.serve_worker();
-            rzen_obs::counter!(
-                "serve.session_rebuilds",
-                "worker sessions quiesced and rebuilt by full model swaps"
-            )
-            .inc();
-        }
-        run_job(&shared, &solver, job);
-        shared.admitted.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Execute one admitted job and answer its connection. Never unwinds:
-/// engine queries catch panics internally, and `hsa`/`paths` run under
-/// [`catch_unwind`] here — a panicking analysis answers an `error`
-/// response and releases its queue slot instead of killing the worker
-/// (which would leak an `admitted` count and wedge the drain forever).
-fn run_job(shared: &Arc<Shared>, solver: &ServeWorker, job: Job) {
-    let Job {
-        work,
-        budget,
-        ctx,
-        reply,
-    } = job;
-    let _span = rzen_obs::span!("serve.job", "req" => ctx.id);
-    let id = work.id();
-    let (alloc_bytes0, alloc_count0) = rzen_obs::profile::thread_alloc_stats();
-    let mut resp = catch_unwind(AssertUnwindSafe(|| {
-        run_work(shared, solver, work, budget, ctx)
-    }))
-    .unwrap_or_else(|_| {
-        // The panic may have left the thread-local transformer arena
-        // half-built; reset it so the next job on this worker starts
-        // clean. A dropped LeadGuard already released any joiners.
-        rzen::reset_ctx();
-        rzen_obs::counter!("serve.job_panics", "jobs that panicked during execution").inc();
-        (
-            proto::error_response(id, ctx.id, "internal: analysis panicked"),
-            RespMeta {
-                verdict: rzen_obs::VerdictClass::Error,
-                ..RespMeta::default()
-            },
-        )
-    });
-    let (alloc_bytes1, alloc_count1) = rzen_obs::profile::thread_alloc_stats();
-    resp.1.alloc_bytes = alloc_bytes1.saturating_sub(alloc_bytes0);
-    resp.1.alloc_count = alloc_count1.saturating_sub(alloc_count0);
-    // A gone connection is not an error: the verdict was still published
-    // to any coalesced joiners inside run_work.
-    let _ = reply.send(resp);
-}
-
-fn run_work(
-    shared: &Arc<Shared>,
-    solver: &ServeWorker,
-    work: Work,
-    budget: Budget,
-    ctx: rzen_obs::RequestCtx,
-) -> (String, RespMeta) {
-    let started = Instant::now();
-    match work {
-        Work::Query {
-            id,
-            op,
-            query,
-            guard,
-        } => {
-            // An exhausted budget (the request aged out in the queue)
-            // still runs: the solvers observe it at their first poll and
-            // the request degrades to `timeout` — while a result-cache
-            // hit can still answer it for free.
-            let result = shared.engine.run_one(&query, budget, solver, ctx);
-            let resp = proto::verdict_response(id, ctx.id, op, &result, false);
-            let mut flags = 0u8;
-            if result.cache_hit {
-                flags |= rzen_obs::flight::FLAG_CACHE_HIT;
-            }
-            if result.session.is_some() {
-                flags |= rzen_obs::flight::FLAG_SESSION;
-            }
-            let meta = RespMeta {
-                verdict: result.verdict.class(),
-                backend: result.backend_class(),
-                flags,
-                ..RespMeta::default()
-            };
-            guard.publish(&result);
-            (resp, meta)
-        }
-        Work::Hsa {
-            id,
-            src,
-            dst,
-            model,
-        } => do_hsa(id, ctx.id, src, dst, &model, started),
-        Work::Paths {
-            id,
-            src,
-            dst,
-            model,
-        } => do_paths(id, ctx.id, src, dst, &model, started),
-        Work::Sleep { id, ms } => do_sleep(id, ctx.id, ms, started),
-    }
-}
-
-/// Exact reachable-set size (header-space transformers), shared by the
-/// worker pool and the epoll shard loop. HSA builds transformer sets in
-/// the thread-local context; reset on both sides so engine queries on
-/// this thread never see a foreign arena.
+/// Exact reachable-set size (header-space transformers). HSA builds
+/// transformer sets in the thread-local context; reset on both sides so
+/// engine queries on this shard thread never see a foreign arena.
 pub(crate) fn do_hsa(
     id: Option<u64>,
     req_id: u64,
@@ -701,7 +304,7 @@ pub(crate) fn do_hsa(
     (b.line(), RespMeta::default())
 }
 
-/// Simple-path count, shared by the worker pool and the shard loop.
+/// Simple-path count.
 pub(crate) fn do_paths(
     id: Option<u64>,
     req_id: u64,
@@ -734,351 +337,11 @@ pub(crate) fn do_sleep(
     (b.line(), RespMeta::default())
 }
 
-/// Was this read error the per-read idle timer firing (vs. a real error)?
-/// The kind differs by platform: `WouldBlock` on Unix, `TimedOut` on
-/// Windows.
-fn is_read_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 pub(crate) fn idle_reaped_counter() -> &'static rzen_obs::Counter {
     rzen_obs::counter!(
         "serve.idle_reaped",
         "idle connections closed by --idle-timeout-ms"
     )
-}
-
-fn handle_conn(stream: TcpStream, shared: Arc<Shared>) {
-    let _span = rzen_obs::span!("serve.conn");
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // Idle reaping in threads mode rides the socket's own read timer:
-    // the thread only ever blocks in read_line *between* requests (work
-    // in flight keeps it out of the read), so a timed-out read is
-    // precisely an idle connection.
-    if let Some(idle) = shared.cfg.idle_timeout {
-        let _ = read_half.set_read_timeout(Some(idle));
-    }
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return,
-        Err(e) => {
-            if is_read_timeout(&e) && shared.cfg.idle_timeout.is_some() {
-                idle_reaped_counter().inc();
-            }
-            return;
-        }
-        Ok(_) => {}
-    }
-    // One listener, two protocols: an HTTP request line is unmistakable,
-    // everything else is the NDJSON query stream.
-    if line.starts_with("GET ") || line.starts_with("POST ") || line.starts_with("HEAD ") {
-        handle_http(&mut reader, &mut writer, &line, &shared);
-        return;
-    }
-    loop {
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            // Busy spans the whole request, response write included, so
-            // the drain cannot close this socket under the write.
-            shared.busy_conns.fetch_add(1, Ordering::SeqCst);
-            let resp = handle_request(trimmed, &shared);
-            let write = writer.write_all(resp.as_bytes());
-            shared.busy_conns.fetch_sub(1, Ordering::SeqCst);
-            if write.is_err() {
-                break;
-            }
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Err(e) => {
-                if is_read_timeout(&e) && shared.cfg.idle_timeout.is_some() {
-                    idle_reaped_counter().inc();
-                    let _ = writer.shutdown(Shutdown::Both);
-                }
-                break;
-            }
-            Ok(_) => {}
-        }
-    }
-}
-
-/// Everything the outer wrapper knows about a request by the time it
-/// answers — the raw material of its flight record.
-#[derive(Default)]
-struct ReqMeta {
-    op: rzen_obs::flight::SmallStr,
-    src: rzen_obs::flight::SmallStr,
-    dst: rzen_obs::flight::SmallStr,
-    /// Leader's request id when this request coalesced (0 otherwise).
-    leader: u64,
-    resp: RespMeta,
-}
-
-/// Answer one NDJSON request line (blocking until the verdict).
-///
-/// This outer wrapper owns everything that must happen on *every* path,
-/// error responses included: minting the [`rzen_obs::RequestCtx`],
-/// stamping the request span, the latency histogram, the
-/// `serve.errors_total{kind=...}` counter, and the flight record. The
-/// inner function only computes the response and classifies it.
-fn handle_request(line: &str, shared: &Arc<Shared>) -> String {
-    let started = Instant::now();
-    let start_us = rzen_obs::flight::now_us();
-    rzen_obs::counter!("serve.requests", "query requests received").inc();
-    // The model pointer is captured here, before admission: a hot swap
-    // between admission and execution must not change what this request
-    // computes against. The request id is minted in the same breath so
-    // the record carries exactly the model identity it ran under.
-    let model = shared.model.read().unwrap().clone();
-    let ctx =
-        rzen_obs::RequestCtx::mint(model.fingerprint, shared.generation.load(Ordering::SeqCst));
-    let _span = rzen_obs::span!("serve.request", "req" => ctx.id);
-    let mut meta = ReqMeta::default();
-    let resp = handle_request_inner(line, shared, model, ctx, started, &mut meta);
-    observe_latency(started);
-    if meta.resp.verdict.is_serve_error() {
-        rzen_obs::metrics::registry()
-            .counter_with(
-                "serve.errors_total",
-                "failed serve responses by failure kind",
-                &[("kind", meta.resp.verdict.as_str())],
-            )
-            .inc();
-    }
-    rzen_obs::flight::record(rzen_obs::RequestRecord {
-        id: ctx.id,
-        start_us,
-        latency_us: started.elapsed().as_micros() as u64,
-        model: ctx.model,
-        generation: ctx.generation,
-        leader: meta.leader,
-        op: meta.op,
-        src: meta.src,
-        dst: meta.dst,
-        verdict: meta.resp.verdict,
-        backend: meta.resp.backend,
-        flags: meta.resp.flags,
-        alloc_bytes: meta.resp.alloc_bytes,
-        alloc_count: meta.resp.alloc_count,
-        shard: ctx.shard,
-    });
-    resp
-}
-
-fn handle_request_inner(
-    line: &str,
-    shared: &Arc<Shared>,
-    model: Arc<Model>,
-    ctx: rzen_obs::RequestCtx,
-    started: Instant,
-    meta: &mut ReqMeta,
-) -> String {
-    use rzen_obs::flight::SmallStr;
-    use rzen_obs::VerdictClass;
-    let req = match proto::parse_request(line, shared.cfg.debug_ops) {
-        Ok(r) => r,
-        Err(e) => {
-            rzen_obs::counter!("serve.bad_requests", "malformed request lines").inc();
-            meta.resp.verdict = VerdictClass::BadRequest;
-            return proto::error_response(None, ctx.id, &e);
-        }
-    };
-    meta.op = SmallStr::new(req.op.name());
-    match &req.op {
-        Op::Reach { src, dst }
-        | Op::Drops { src, dst }
-        | Op::Hsa { src, dst }
-        | Op::Paths { src, dst } => {
-            meta.src = SmallStr::new(src);
-            meta.dst = SmallStr::new(dst);
-        }
-        Op::Sleep { .. } => {}
-    }
-    if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
-        meta.resp.verdict = VerdictClass::ShuttingDown;
-        return proto::error_response(req.id, ctx.id, "shutting_down");
-    }
-    // The budget starts at admission so queue wait consumes the deadline.
-    let budget = match req
-        .timeout_ms
-        .map(Duration::from_millis)
-        .or(shared.cfg.timeout)
-    {
-        Some(t) => Budget::with_timeout(t),
-        None => Budget::unlimited(),
-    };
-    let id = req.id;
-    let op_name = req.op.name();
-
-    let resolve = |s: &str| model.spec.endpoint(s);
-    let work = match &req.op {
-        Op::Reach { src, dst } | Op::Drops { src, dst } => {
-            let (src, dst) = match (resolve(src), resolve(dst)) {
-                (Ok(s), Ok(d)) => (s, d),
-                (Err(e), _) | (_, Err(e)) => {
-                    meta.resp.verdict = VerdictClass::ResolveFailed;
-                    return proto::error_response(id, ctx.id, &e);
-                }
-            };
-            let query = if matches!(req.op, Op::Reach { .. }) {
-                Query::Reach {
-                    net: model.spec.net.clone(),
-                    src,
-                    dst,
-                }
-            } else {
-                Query::Drops {
-                    net: model.spec.net.clone(),
-                    src,
-                    dst,
-                }
-            };
-            // Coalesce before consuming a queue slot: joiners ride the
-            // leader's execution for free.
-            match shared.engine.admit(&query, ctx.id) {
-                Admission::Join(join) => {
-                    rzen_obs::counter!(
-                        "serve.coalesced",
-                        "requests answered by joining an identical in-flight query"
-                    )
-                    .inc();
-                    meta.resp.flags |= rzen_obs::flight::FLAG_COALESCED;
-                    meta.leader = join.leader_id();
-                    // The wait is bounded by *this* request's deadline: a
-                    // short-budget joiner riding a long-budget leader must
-                    // degrade to its own `timeout`, not wait the leader out.
-                    return match join.wait_deadline(budget.deadline()) {
-                        Joined::Verdict(result) => {
-                            meta.resp.verdict = result.verdict.class();
-                            meta.resp.backend = result.backend_class();
-                            if result.cache_hit {
-                                meta.resp.flags |= rzen_obs::flight::FLAG_CACHE_HIT;
-                            }
-                            proto::verdict_response(id, ctx.id, op_name, &result, true)
-                        }
-                        // The leader was shed (or died) without a verdict.
-                        Joined::LeaderLost => {
-                            meta.resp.verdict = VerdictClass::Overloaded;
-                            proto::error_response(id, ctx.id, "overloaded")
-                        }
-                        Joined::Expired => {
-                            rzen_obs::counter!(
-                                "serve.join_timeouts",
-                                "joiners whose own deadline passed before the leader published"
-                            )
-                            .inc();
-                            meta.resp.verdict = VerdictClass::Timeout;
-                            let timed_out = QueryResult {
-                                index: 0,
-                                kind: op_name,
-                                verdict: Verdict::Timeout,
-                                latency: started.elapsed(),
-                                winner: None,
-                                cache_hit: false,
-                                sat_stats: None,
-                                bdd_stats: None,
-                                session: None,
-                            };
-                            proto::verdict_response(id, ctx.id, op_name, &timed_out, true)
-                        }
-                    };
-                }
-                Admission::Lead(guard) => Work::Query {
-                    id,
-                    op: op_name,
-                    query: Box::new(query),
-                    guard,
-                },
-            }
-        }
-        Op::Hsa { src, dst } => {
-            let (src, dst) = match (resolve(src), resolve(dst)) {
-                (Ok(s), Ok(d)) => (s, d),
-                (Err(e), _) | (_, Err(e)) => {
-                    meta.resp.verdict = VerdictClass::ResolveFailed;
-                    return proto::error_response(id, ctx.id, &e);
-                }
-            };
-            Work::Hsa {
-                id,
-                src,
-                dst,
-                model,
-            }
-        }
-        Op::Paths { src, dst } => {
-            let (src, dst) = match (resolve(src), resolve(dst)) {
-                (Ok(s), Ok(d)) => (s, d),
-                (Err(e), _) | (_, Err(e)) => {
-                    meta.resp.verdict = VerdictClass::ResolveFailed;
-                    return proto::error_response(id, ctx.id, &e);
-                }
-            };
-            Work::Paths {
-                id,
-                src,
-                dst,
-                model,
-            }
-        }
-        Op::Sleep { ms } => Work::Sleep { id, ms: *ms },
-    };
-
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        work,
-        budget,
-        ctx,
-        reply: reply_tx,
-    };
-    let tx = shared.jobs_tx.lock().unwrap().clone();
-    let Some(tx) = tx else {
-        meta.resp.verdict = VerdictClass::ShuttingDown;
-        return proto::error_response(id, ctx.id, "shutting_down");
-    };
-    // Reserve the in-flight slot before the send so the drain never
-    // observes zero while a job sits in the queue.
-    shared.admitted.fetch_add(1, Ordering::SeqCst);
-    match tx.try_send(job) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(job)) => {
-            shared.admitted.fetch_sub(1, Ordering::SeqCst);
-            rzen_obs::counter!(
-                "serve.overloaded",
-                "requests shed by the full admission queue"
-            )
-            .inc();
-            // Dropping the job drops any LeadGuard inside: joiners wake
-            // with `None` and get their own `overloaded`.
-            drop(job);
-            meta.resp.verdict = VerdictClass::Overloaded;
-            return proto::error_response(id, ctx.id, "overloaded");
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            shared.admitted.fetch_sub(1, Ordering::SeqCst);
-            meta.resp.verdict = VerdictClass::ShuttingDown;
-            return proto::error_response(id, ctx.id, "shutting_down");
-        }
-    }
-    match reply_rx.recv() {
-        Ok((resp, rmeta)) => {
-            meta.resp = rmeta;
-            resp
-        }
-        Err(_) => {
-            meta.resp.verdict = VerdictClass::WorkerLost;
-            proto::error_response(id, ctx.id, "internal: worker lost the reply")
-        }
-    }
 }
 
 pub(crate) fn observe_latency(started: Instant) {
@@ -1089,87 +352,8 @@ pub(crate) fn observe_latency(started: Instant) {
     .observe(started.elapsed().as_micros() as u64);
 }
 
-/// The HTTP/1.1 shim: health, metrics, and model hot-swap. One request
-/// per connection (`Connection: close`).
-fn handle_http(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    request_line: &str,
-    shared: &Arc<Shared>,
-) {
-    let _span = rzen_obs::span!("serve.http");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    // `/debug/trace?ms=250` style targets: route on the path, keep the
-    // query string for the handler.
-    let (path, query) = target.split_once('?').unwrap_or((target, ""));
-
-    // Headers are read under a fixed byte budget so a client streaming
-    // header lines forever cannot pin this thread or its memory; past
-    // the cap the request is answered with 431 and the connection
-    // closed, per RFC 6585.
-    const MAX_HEADER_BYTES: u64 = 8 << 10;
-    let mut remaining = MAX_HEADER_BYTES;
-    let mut content_length = 0usize;
-    loop {
-        if remaining == 0 {
-            header_cap_exceeded(writer);
-            return;
-        }
-        let mut line = String::new();
-        match reader.by_ref().take(remaining).read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => remaining -= n as u64,
-        }
-        if !line.ends_with('\n') {
-            if remaining == 0 {
-                // The budget ran out mid-line — cap, not EOF.
-                header_cap_exceeded(writer);
-                return;
-            }
-            break;
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
-        }
-    }
-
-    // HEAD gets the same status line and headers as GET — Content-Length
-    // included — but no body, as HTTP requires.
-    let head = method == "HEAD";
-    let answer = match (method, path) {
-        ("POST", "/model") => {
-            let Some(text) = read_post_body(reader, writer, content_length) else {
-                return;
-            };
-            answer_model_post(shared, &text, None)
-        }
-        ("POST", "/delta") => {
-            let Some(text) = read_post_body(reader, writer, content_length) else {
-                return;
-            };
-            answer_delta_post(shared, &text, None)
-        }
-        _ => answer_http_get(method, path, query, shared),
-    };
-    http_respond(
-        writer,
-        answer.status,
-        answer.content_type,
-        &answer.body,
-        head,
-    );
-    let _ = writer.flush();
-    let _ = writer.shutdown(Shutdown::Both);
-}
-
-/// One rendered HTTP response, transport-agnostic: the blocking shim and
-/// the epoll reactor both turn this into bytes on the wire.
+/// One rendered HTTP response; the reactor turns it into bytes on the
+/// wire with [`render_http`].
 pub(crate) struct HttpAnswer {
     pub(crate) status: u16,
     pub(crate) content_type: &'static str,
@@ -1193,7 +377,7 @@ impl HttpAnswer {
 }
 
 /// Route a bodyless (GET/HEAD) request. POSTs carry bodies and are
-/// dispatched by the callers, which own body transport.
+/// dispatched by the reactor, which owns body transport.
 ///
 /// Beware: `/debug/trace` and `/debug/profile` *block for their capture
 /// window* — the reactor must call this from an offload thread, never
@@ -1281,16 +465,11 @@ pub(crate) fn answer_http_get(
     }
 }
 
-/// `POST /model`: hot-swap the running model. With `wake` (epoll mode)
-/// the cache transition is queued on the engine's cache log for the
-/// shards to replay; without it (threads mode) the shared cache is
-/// cleared inline. Either way the pointer swap itself is atomic and
-/// in-flight requests finish against the `Arc` they captured.
-pub(crate) fn answer_model_post(
-    shared: &Shared,
-    text: &str,
-    wake: Option<&ShardWake>,
-) -> HttpAnswer {
+/// `POST /model`: hot-swap the running model. The cache transition is
+/// queued on the engine's cache log for the shards to replay; the pointer
+/// swap itself is atomic and in-flight requests finish against the `Arc`
+/// they captured.
+pub(crate) fn answer_model_post(shared: &Shared, text: &str, wake: &ShardWake) -> HttpAnswer {
     let model = match Model::parse(text) {
         Ok(m) => m,
         Err(e) => return HttpAnswer::error(400, &e),
@@ -1318,18 +497,13 @@ pub(crate) fn answer_model_post(
     }
     let model = Arc::new(model);
     *shared.model.write().unwrap() = model.clone();
-    match wake {
-        None => shared.engine.clear_cache(),
-        Some(w) => {
-            // Shards own their caches; queue the clear on the cache log
-            // and nudge them. No need to wait for the replay: cache
-            // entries key on the full query (model included), so a shard
-            // that has not swept yet can never serve a stale verdict —
-            // the sweep reclaims memory, it does not gate correctness.
-            shared.engine.push_cache_clear();
-            w.wake_all();
-        }
-    }
+    // Shards own their caches; queue the clear on the cache log and
+    // nudge them. No need to wait for the replay: cache entries key on
+    // the full query (model included), so a shard that has not swept yet
+    // can never serve a stale verdict — the sweep reclaims memory, it
+    // does not gate correctness.
+    shared.engine.push_cache_clear();
+    wake.wake_all();
     // Sessions rebuilt: the whole model may have changed.
     shared.session_epoch.fetch_add(1, Ordering::SeqCst);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1344,14 +518,9 @@ pub(crate) fn answer_model_post(
 }
 
 /// `POST /delta`: patch the running model and run the dependency-aware
-/// cache sweep. With `wake` (epoll mode) the sweep is queued for every
-/// shard and awaited (bounded) so the response still reports real
-/// evicted/retained counts; without it the shared cache is swept inline.
-pub(crate) fn answer_delta_post(
-    shared: &Shared,
-    text: &str,
-    wake: Option<&ShardWake>,
-) -> HttpAnswer {
+/// cache sweep, queued for every shard and awaited (bounded) so the
+/// response reports real evicted/retained counts.
+pub(crate) fn answer_delta_post(shared: &Shared, text: &str, wake: &ShardWake) -> HttpAnswer {
     let ops = match rzen_delta::parse_ops(text) {
         Ok(ops) if ops.is_empty() => return HttpAnswer::error(400, "empty delta"),
         Ok(ops) => ops,
@@ -1374,25 +543,17 @@ pub(crate) fn answer_delta_post(
     // whose cone of influence an op touched are evicted, the rest are
     // re-keyed and stay warm. Sessions are not quiesced at all (see
     // `Shared::session_epoch`).
-    let stats = match wake {
-        None => shared
+    let pending =
+        shared
             .engine
-            .apply_delta(&current.spec.net, &model.spec.net, &applied.steps),
-        Some(w) => {
-            let pending =
-                shared
-                    .engine
-                    .push_cache_delta(&current.spec.net, &model.spec.net, &applied.steps);
-            w.wake_all();
-            // Bounded wait: a shard wedged in a pathological solve
-            // should delay the delta *response*, not wedge it forever.
-            // The sweep itself still completes at that shard's next
-            // catch-up point.
-            shared
-                .engine
-                .await_cache_delta(&pending, Duration::from_secs(5))
-        }
-    };
+            .push_cache_delta(&current.spec.net, &model.spec.net, &applied.steps);
+    wake.wake_all();
+    // Bounded wait: a shard wedged in a pathological solve should delay
+    // the delta *response*, not wedge it forever. The sweep itself still
+    // completes at that shard's next catch-up point.
+    let stats = shared
+        .engine
+        .await_cache_delta(&pending, Duration::from_secs(5));
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
     let mut b = Body::new();
@@ -1405,51 +566,6 @@ pub(crate) fn answer_delta_post(
         .num("evicted", stats.evicted as u64)
         .num("retained", stats.retained as u64);
     HttpAnswer::json(200, b.document())
-}
-
-/// Read and validate a POST body (spec text or NDJSON delta), answering
-/// the 400 itself and returning `None` when the request is unusable.
-fn read_post_body(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-    content_length: usize,
-) -> Option<String> {
-    const MAX_BODY: usize = 16 << 20;
-    let reject = |writer: &mut TcpStream, msg: &str| {
-        let mut b = Body::new();
-        b.str("error", msg);
-        http_respond(writer, 400, "application/json", &b.document(), false);
-    };
-    if content_length == 0 || content_length > MAX_BODY {
-        reject(writer, "body missing or oversized");
-        return None;
-    }
-    let mut body = vec![0u8; content_length];
-    if reader.read_exact(&mut body).is_err() {
-        reject(writer, "truncated body");
-        return None;
-    }
-    match String::from_utf8(body) {
-        Ok(text) => Some(text),
-        Err(_) => {
-            reject(writer, "body is not utf-8");
-            None
-        }
-    }
-}
-
-/// Answer 431 and close: the client exceeded the header byte budget.
-fn header_cap_exceeded(writer: &mut TcpStream) {
-    rzen_obs::counter!(
-        "serve.header_cap_exceeded",
-        "HTTP requests rejected for oversized headers (431)"
-    )
-    .inc();
-    let mut b = Body::new();
-    b.str("error", "request header fields too large");
-    http_respond(writer, 431, "application/json", &b.document(), false);
-    let _ = writer.flush();
-    let _ = writer.shutdown(Shutdown::Both);
 }
 
 /// Longest `/debug/trace` / `/debug/profile` capture window a client can
@@ -1561,11 +677,6 @@ pub(crate) fn render_http(status: u16, content_type: &str, body: &str, head: boo
         body.len(),
         if head { "" } else { body }
     )
-}
-
-/// Write one HTTP response to a blocking socket (threads mode).
-fn http_respond(writer: &mut TcpStream, status: u16, content_type: &str, body: &str, head: bool) {
-    let _ = writer.write_all(render_http(status, content_type, body, head).as_bytes());
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use rzen_delta::composite_fingerprint;
 use rzen_engine::{DeltaCacheStats, Engine, EngineConfig, Query, QueryBackend, Verdict};
 use rzen_net::spec::{self, Spec};
 use rzen_obs::json::{parse, Value};
-use rzen_serve::{start, LoopMode, Model, ServerConfig};
+use rzen_serve::{start, Model, ServerConfig};
 
 fn specs_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs")
@@ -292,7 +292,7 @@ fn warm_session_state_survives_a_delta() {
 
 const REACH: &str = "{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}";
 
-fn cfg(sessions: bool, mode: LoopMode) -> ServerConfig {
+fn cfg(sessions: bool) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs: 1,
@@ -303,9 +303,9 @@ fn cfg(sessions: bool, mode: LoopMode) -> ServerConfig {
         handle_signals: false,
         debug_ops: false,
         sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-        loop_mode: mode,
         shards: 0,
         idle_timeout: None,
+        ..ServerConfig::default()
     }
 }
 
@@ -372,17 +372,8 @@ fn healthz(addr: SocketAddr) -> Value {
 
 #[test]
 fn post_delta_flips_verdicts_and_advances_the_generation() {
-    post_delta_flips_verdicts(LoopMode::Threads);
-}
-
-#[test]
-fn post_delta_flips_verdicts_and_advances_the_generation_epoll() {
-    post_delta_flips_verdicts(LoopMode::Epoll);
-}
-
-fn post_delta_flips_verdicts(mode: LoopMode) {
     let fig3 = fig3_text();
-    let handle = start(cfg(true, mode), Model::parse(&fig3).unwrap()).unwrap();
+    let handle = start(cfg(true), Model::parse(&fig3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let before = parse(&request(addr, REACH)).unwrap();
@@ -463,17 +454,8 @@ fn post_delta_flips_verdicts(mode: LoopMode) {
 
 #[test]
 fn equal_fingerprint_model_post_is_a_noop_that_keeps_the_cache() {
-    noop_model_post_keeps_cache(LoopMode::Threads);
-}
-
-#[test]
-fn equal_fingerprint_model_post_is_a_noop_that_keeps_the_cache_epoll() {
-    noop_model_post_keeps_cache(LoopMode::Epoll);
-}
-
-fn noop_model_post_keeps_cache(mode: LoopMode) {
     let fig3 = fig3_text();
-    let handle = start(cfg(false, mode), Model::parse(&fig3).unwrap()).unwrap();
+    let handle = start(cfg(false), Model::parse(&fig3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let miss = parse(&request(addr, REACH)).unwrap();

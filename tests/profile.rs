@@ -187,9 +187,9 @@ fn cfg() -> ServerConfig {
         handle_signals: false,
         debug_ops: true,
         sample_hz: 1_499,
-        loop_mode: rzen_serve::LoopMode::Epoll,
         shards: 0,
         idle_timeout: None,
+        ..ServerConfig::default()
     }
 }
 

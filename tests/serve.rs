@@ -2,11 +2,6 @@
 //! model hot-swap, and drain-under-load. The server runs in-process on a
 //! kernel-assigned port; the tests speak the real wire protocols (NDJSON
 //! and the HTTP shim) over real sockets.
-//!
-//! Every behavioral test runs twice — once against the original
-//! thread-per-connection layer and once against the epoll reactor
-//! (`LoopMode::Epoll`) — because the two layers promise the *same*
-//! serving semantics behind the same handle.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,12 +10,12 @@ use std::time::{Duration, Instant};
 
 use rzen_engine::QueryBackend;
 use rzen_obs::json::{parse, Value};
-use rzen_serve::{start, LoopMode, Model, ServerConfig};
+use rzen_serve::{start, Model, ServerConfig};
 
 const FIG3: &str = include_str!("../specs/fig3.net");
 const REACH: &str = "{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}";
 
-fn cfg(mode: LoopMode, jobs: usize, backlog: usize) -> ServerConfig {
+fn cfg(jobs: usize, backlog: usize) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         jobs,
@@ -31,25 +26,10 @@ fn cfg(mode: LoopMode, jobs: usize, backlog: usize) -> ServerConfig {
         handle_signals: false,
         debug_ops: true,
         sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
-        loop_mode: mode,
         shards: 0,
         idle_timeout: None,
+        ..ServerConfig::default()
     }
-}
-
-/// Generate a `_threads` and an `_epoll` test from one `fn(LoopMode)`
-/// body: the contract under test is identical across connection layers.
-macro_rules! both_modes {
-    ($threads:ident, $epoll:ident, $body:ident) => {
-        #[test]
-        fn $threads() {
-            $body(LoopMode::Threads);
-        }
-        #[test]
-        fn $epoll() {
-            $body(LoopMode::Epoll);
-        }
-    };
 }
 
 /// One-shot NDJSON request: connect, send one line, read one line.
@@ -105,8 +85,9 @@ fn field<'v>(v: &'v Value, key: &str) -> &'v Value {
         .unwrap_or_else(|| panic!("response missing {key:?}: {v:?}"))
 }
 
-fn identical_concurrent_queries_coalesce(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn identical_concurrent_queries_coalesce_onto_one_execution() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Occupy the single worker so the N identical queries below are all
@@ -146,14 +127,9 @@ fn identical_concurrent_queries_coalesce(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    identical_concurrent_queries_coalesce_onto_one_execution,
-    identical_concurrent_queries_coalesce_onto_one_execution_epoll,
-    identical_concurrent_queries_coalesce
-);
-
-fn connection_churn_does_not_accumulate(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn connection_churn_does_not_accumulate_tracked_sockets() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Every request and health scrape below opens and closes its own
@@ -183,14 +159,9 @@ fn connection_churn_does_not_accumulate(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    connection_churn_does_not_accumulate_tracked_sockets,
-    connection_churn_does_not_accumulate_tracked_sockets_epoll,
-    connection_churn_does_not_accumulate
-);
-
-fn joiner_respects_its_own_deadline(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn joiner_respects_its_own_deadline_not_the_leaders() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Occupy the single worker, then queue a leader with the default
@@ -227,14 +198,9 @@ fn joiner_respects_its_own_deadline(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    joiner_respects_its_own_deadline_not_the_leaders,
-    joiner_respects_its_own_deadline_not_the_leaders_epoll,
-    joiner_respects_its_own_deadline
-);
-
-fn head_requests_get_headers_only(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn head_requests_get_headers_without_a_body() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     for path in ["/healthz", "/metrics"] {
@@ -276,16 +242,11 @@ fn head_requests_get_headers_only(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    head_requests_get_headers_without_a_body,
-    head_requests_get_headers_without_a_body_epoll,
-    head_requests_get_headers_only
-);
-
-fn full_backlog_sheds(mode: LoopMode) {
+#[test]
+fn full_backlog_sheds_with_explicit_overloaded() {
     // One worker, zero backlog: anything arriving while the worker is
     // busy must be shed immediately, never queued or hung.
-    let handle = start(cfg(mode, 1, 0), Model::parse(FIG3).unwrap()).unwrap();
+    let handle = start(cfg(1, 0), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let blocker = thread::spawn(move || request(addr, "{\"id\":1,\"op\":\"sleep\",\"ms\":900}"));
@@ -311,14 +272,50 @@ fn full_backlog_sheds(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    full_backlog_sheds_with_explicit_overloaded,
-    full_backlog_sheds_with_explicit_overloaded_epoll,
-    full_backlog_sheds
-);
+#[test]
+fn identical_queries_behind_a_shed_leader_are_shed_not_stranded() {
+    // One shard, zero backlog, shard busy: the first of two identical
+    // pipelined queries would lead a coalesce group, but it is shed. The
+    // second must not be parked behind a leader that will never run.
+    let handle = start(cfg(1, 0), Model::parse(FIG3).unwrap()).unwrap();
+    let addr = handle.addr();
 
-fn model_hot_swap_is_atomic(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+    let blocker = thread::spawn(move || request(addr, "{\"op\":\"sleep\",\"ms\":700}"));
+    thread::sleep(Duration::from_millis(150));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let started = Instant::now();
+    stream
+        .write_all(format!("{REACH}\n{REACH}\n").as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = parse(line.trim()).unwrap();
+        assert_eq!(field(&resp, "error").as_str(), Some("overloaded"));
+    }
+    assert!(
+        started.elapsed() < Duration::from_millis(400),
+        "both are shed at once, neither waits for the busy shard"
+    );
+    blocker.join().unwrap();
+
+    // No group was left behind: the same query now leads and is solved.
+    let after = parse(&request(addr, REACH)).unwrap();
+    assert_eq!(field(&after, "verdict").as_str(), Some("sat"));
+    assert_eq!(field(&after, "coalesced").as_bool(), Some(false));
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn model_hot_swap_is_atomic_and_correct() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let before = parse(&request(addr, REACH)).unwrap();
@@ -377,14 +374,9 @@ fn model_hot_swap_is_atomic(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    model_hot_swap_is_atomic_and_correct,
-    model_hot_swap_is_atomic_and_correct_epoll,
-    model_hot_swap_is_atomic
-);
-
-fn shutdown_drains_inflight_work(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn shutdown_drains_inflight_work_before_exiting() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let started = Instant::now();
@@ -411,14 +403,9 @@ fn shutdown_drains_inflight_work(mode: LoopMode) {
     );
 }
 
-both_modes!(
-    shutdown_drains_inflight_work_before_exiting,
-    shutdown_drains_inflight_work_before_exiting_epoll,
-    shutdown_drains_inflight_work
-);
-
-fn requests_during_drain_are_refused(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn requests_during_drain_are_answered_shutting_down() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Hold the worker with the first request, land the shutdown
@@ -453,24 +440,13 @@ fn requests_during_drain_are_refused(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    requests_during_drain_are_answered_shutting_down,
-    requests_during_drain_are_answered_shutting_down_epoll,
-    requests_during_drain_are_refused
-);
-
-fn flight_recorder_follows_requests(mode: LoopMode) {
-    let handle = start(cfg(mode, 2, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn flight_recorder_follows_a_request_end_to_end() {
+    let handle = start(cfg(2, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
-    // A few fast queries, then one deliberately slow request: the sleep
-    // dominates every latency seen so far. The duration differs per
-    // loop mode because the slow table is process-global — the later
-    // (epoll) run must out-sleep the earlier (threads) run to lead it.
-    let slow_ms: u64 = match mode {
-        LoopMode::Threads => 150,
-        LoopMode::Epoll => 170,
-    };
+    // A few fast queries, then one deliberately slow request.
+    let slow_ms: u64 = 170;
     let mut reach_req = 0;
     for _ in 0..3 {
         let r = parse(&request(addr, REACH)).unwrap();
@@ -510,46 +486,63 @@ fn flight_recorder_follows_requests(mode: LoopMode) {
     assert_eq!(field(reach, "dst").as_str(), Some("u3:2"));
     assert_eq!(field(reach, "verdict").as_str(), Some("sat"));
 
-    // The slow table ranks the sleep first: nothing else slept as long.
+    // The slow table holds the sleep, slowest first. It need not lead:
+    // the table is process-global and concurrent tests sleep too.
     let (status, body) = http_get(addr, "/debug/slow");
     assert!(status.contains("200"), "{status}");
     let Value::Arr(slow_records) = parse(&body).expect("valid JSON") else {
         panic!("/debug/slow must be a JSON array");
     };
-    assert_eq!(
-        field(&slow_records[0], "req").as_u64(),
-        Some(slow_req),
-        "the slowest request must lead the slow table: {body}"
+    assert!(
+        slow_records
+            .iter()
+            .any(|r| field(r, "req").as_u64() == Some(slow_req)),
+        "the slow request must be in the slow table: {body}"
+    );
+    let latencies: Vec<u64> = slow_records
+        .iter()
+        .map(|r| field(r, "latency_us").as_u64().unwrap())
+        .collect();
+    assert!(
+        latencies.windows(2).all(|w| w[0] >= w[1]),
+        "the slow table must be ordered slowest first: {body}"
     );
 
     handle.shutdown();
     handle.join();
 }
 
-both_modes!(
-    flight_recorder_follows_a_request_end_to_end,
-    flight_recorder_follows_a_request_end_to_end_epoll,
-    flight_recorder_follows_requests
-);
-
-fn debug_trace_capture_carries_request_ids(mode: LoopMode) {
-    let handle = start(cfg(mode, 2, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn debug_trace_capture_carries_request_ids_through_the_stack() {
+    let handle = start(cfg(2, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
-    // Keep queries flowing while the capture window is open. Alternating
-    // directions defeats the result cache often enough that backend
-    // spans land inside the window.
+    // Keep queries flowing while the capture window is open, and never
+    // ask the same one twice: each iteration first moves the transit
+    // hop's ACL to a port range no earlier iteration used (the query
+    // embeds the model), so every request is a result-cache miss that
+    // reaches `engine.backend`, whenever the window happens to open.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let driver = {
         let stop = stop.clone();
         thread::spawn(move || {
-            let pairs = [("u1:1", "u3:2"), ("u3:2", "u1:1"), ("u2:1", "u1:1")];
-            let mut i = 0usize;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let (src, dst) = pairs[i % pairs.len()];
-                let line = format!("{{\"op\":\"reach\",\"src\":\"{src}\",\"dst\":\"{dst}\"}}");
-                let _ = request(addr, &line);
-                i += 1;
+            for port in 1u32.. {
+                if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    break;
+                }
+                let delta = format!(
+                    "{{\"op\":\"set-acl\",\"device\":\"u2\",\"intf\":1,\"dir\":\"in\",\"acl\":\"deny-dport {port} {port}\"}}"
+                );
+                let (status, body) = http(
+                    addr,
+                    &format!(
+                        "POST /delta HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{delta}",
+                        delta.len()
+                    ),
+                );
+                assert!(status.contains("200"), "{status} {body}");
+                let resp = parse(&request(addr, REACH)).unwrap();
+                assert_eq!(field(&resp, "cache_hit").as_bool(), Some(false));
             }
         })
     };
@@ -577,14 +570,9 @@ fn debug_trace_capture_carries_request_ids(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    debug_trace_capture_carries_request_ids_through_the_stack,
-    debug_trace_capture_carries_request_ids_through_the_stack_epoll,
-    debug_trace_capture_carries_request_ids
-);
-
-fn debug_trace_window_is_validated(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn debug_trace_window_is_validated_and_clamped() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Malformed windows are a client error, not a silent default.
@@ -609,14 +597,9 @@ fn debug_trace_window_is_validated(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    debug_trace_window_is_validated_and_clamped,
-    debug_trace_window_is_validated_and_clamped_epoll,
-    debug_trace_window_is_validated
-);
-
-fn oversized_http_headers_get_431(mode: LoopMode) {
-    let handle = start(cfg(mode, 1, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn oversized_http_headers_are_answered_with_431() {
+    let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // 16 KiB of header lines: double the server's budget.
@@ -640,15 +623,10 @@ fn oversized_http_headers_get_431(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    oversized_http_headers_are_answered_with_431,
-    oversized_http_headers_are_answered_with_431_epoll,
-    oversized_http_headers_get_431
-);
-
-fn serve_errors_are_counted_by_kind(mode: LoopMode) {
+#[test]
+fn serve_errors_are_counted_by_kind_in_prometheus_metrics() {
     // One worker, zero backlog: easy to provoke `overloaded`.
-    let handle = start(cfg(mode, 1, 0), Model::parse(FIG3).unwrap()).unwrap();
+    let handle = start(cfg(1, 0), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     let blocker = thread::spawn(move || request(addr, "{\"op\":\"sleep\",\"ms\":700}"));
@@ -684,16 +662,11 @@ fn serve_errors_are_counted_by_kind(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    serve_errors_are_counted_by_kind_in_prometheus_metrics,
-    serve_errors_are_counted_by_kind_in_prometheus_metrics_epoll,
-    serve_errors_are_counted_by_kind
-);
-
 // ------------------------------------------------- slow-client torture --
 
-fn slow_clients_cannot_wedge_or_corrupt(mode: LoopMode) {
-    let handle = start(cfg(mode, 2, 16), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn slow_clients_cannot_wedge_a_worker_or_corrupt_framing() {
+    let handle = start(cfg(2, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // NDJSON plane, dripped: the request arrives one byte at a time with
@@ -764,14 +737,9 @@ fn slow_clients_cannot_wedge_or_corrupt(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    slow_clients_cannot_wedge_a_worker_or_corrupt_framing,
-    slow_clients_cannot_wedge_a_worker_or_corrupt_framing_epoll,
-    slow_clients_cannot_wedge_or_corrupt
-);
-
-fn pipelined_framing_survives_single_byte_reads(mode: LoopMode) {
-    let handle = start(cfg(mode, 2, 32), Model::parse(FIG3).unwrap()).unwrap();
+#[test]
+fn pipelined_responses_keep_request_order_under_single_byte_reads() {
+    let handle = start(cfg(2, 32), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
     // Eight pipelined requests whose execution times *decrease*: in the
@@ -828,16 +796,11 @@ fn pipelined_framing_survives_single_byte_reads(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    pipelined_responses_keep_request_order_under_single_byte_reads,
-    pipelined_responses_keep_request_order_under_single_byte_reads_epoll,
-    pipelined_framing_survives_single_byte_reads
-);
-
 // ---------------------------------------------------------- idle reaping --
 
-fn idle_connections_are_reaped(mode: LoopMode) {
-    let mut c = cfg(mode, 1, 16);
+#[test]
+fn idle_connections_are_reaped_after_the_timeout() {
+    let mut c = cfg(1, 16);
     c.idle_timeout = Some(Duration::from_millis(200));
     let handle = start(c, Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
@@ -877,17 +840,11 @@ fn idle_connections_are_reaped(mode: LoopMode) {
     handle.join();
 }
 
-both_modes!(
-    idle_connections_are_reaped_after_the_timeout,
-    idle_connections_are_reaped_after_the_timeout_epoll,
-    idle_connections_are_reaped
-);
-
 // ------------------------------------------------- loop observability --
 
 #[test]
-fn epoll_metrics_expose_loop_and_shard_series() {
-    let mut c = cfg(LoopMode::Epoll, 2, 16);
+fn metrics_expose_loop_and_shard_series() {
+    let mut c = cfg(2, 16);
     c.shards = 2;
     let handle = start(c, Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
