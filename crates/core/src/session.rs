@@ -286,25 +286,8 @@ impl SmtSession {
             for sym in self.cache.values() {
                 freeze_symval(&mut self.alg.solver, sym);
             }
-            let dbg = std::env::var_os("RZEN_QUIESCE_DEBUG").is_some();
-            let t0 = std::time::Instant::now();
             alive = self.alg.solver.inprocess();
             self.inprocess_created = self.alg.solver.stats.vars_created;
-            if dbg {
-                let s = &self.alg.solver.stats;
-                eprintln!(
-                    "quiesce[{}]: {:.1}ms cache={} live_walk={} elim={} sub={} str={} vars={} arena={}K",
-                    self.retired,
-                    t0.elapsed().as_secs_f64() * 1e3,
-                    self.cache.len(),
-                    live.len(),
-                    s.eliminated_vars - before.eliminated_vars,
-                    s.subsumed - before.subsumed,
-                    s.strengthened - before.strengthened,
-                    self.alg.solver.num_vars(),
-                    self.alg.solver.arena_bytes() / 1024,
-                );
-            }
         }
         // A session formula is satisfiable with all activations off; the
         // only way simplification can derive UNSAT is a corrupted session.

@@ -1,6 +1,7 @@
-//! The batch engine: a worker pool over queries, a backend portfolio per
-//! query, a full-query result cache, and (optionally) long-lived
-//! per-worker solver sessions with fingerprint-affinity dispatch.
+//! The batch engine: a worker pool over queries, persistent per-backend
+//! runner threads behind each worker (a portfolio is two of them), a
+//! full-query result cache, and (optionally) long-lived solver sessions
+//! on the runners with fingerprint-affinity claim order.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,8 +19,9 @@ use crate::stats::{BatchReport, EngineStats, QueryResult};
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads for the batch (each query runs on one worker;
-    /// portfolio adds its own two solver threads per query).
+    /// Worker threads for the batch. Each worker owns one persistent
+    /// runner thread per backend (two for the portfolio) for the whole
+    /// batch and waits on them, so `jobs` bounds the queries in flight.
     pub jobs: usize,
     /// Backend selection per query.
     pub backend: QueryBackend,
@@ -27,9 +29,10 @@ pub struct EngineConfig {
     pub timeout: Option<Duration>,
     /// Enable the structural result cache.
     pub cache: bool,
-    /// Keep long-lived solver sessions per worker (incremental SAT with
-    /// activation literals, a shared BDD manager, and a cross-query
-    /// bitblast cache), with same-model queries routed to the same worker.
+    /// Keep a long-lived solver session on each runner (incremental SAT
+    /// with activation literals, a shared BDD manager, and a cross-query
+    /// bitblast cache), with same-model queries claimed by the same
+    /// worker. Off, a runner solves every query in a fresh context.
     pub sessions: bool,
 }
 
@@ -186,18 +189,8 @@ impl Engine {
         steps: &[rzen_net::topology::DeltaStep],
     ) -> DeltaCacheStats {
         let mut cache = self.cache.lock().unwrap();
-        let stats = cache.sweep_delta(old_net, new_net, steps);
+        let stats = sweep_counted(&mut cache, old_net, new_net, steps);
         rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
-        rzen_obs::counter!(
-            "engine.cache.delta_evicted",
-            "cache entries evicted by delta cone-of-influence sweeps"
-        )
-        .add(stats.evicted as u64);
-        rzen_obs::counter!(
-            "engine.cache.delta_retained",
-            "cache entries kept warm (re-keyed) across delta sweeps"
-        )
-        .add(stats.retained as u64);
         rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
             .set(cache.len() as i64);
         stats
@@ -205,7 +198,7 @@ impl Engine {
 
     /// Solve every query, distributing them over `jobs` workers. Results
     /// come back in input order regardless of completion order. Queries
-    /// always run on spawned workers — never on the calling thread — so
+    /// always run on spawned threads — never on the calling thread — so
     /// the caller's thread-local `Zen` context is left untouched.
     pub fn run_batch(&self, queries: &[Query]) -> BatchReport {
         // The idle path must be free: no worker spawn, no span, and a
@@ -217,93 +210,41 @@ impl Engine {
                 stats: EngineStats::aggregate(&[], Duration::ZERO),
             };
         }
-        if self.cfg.sessions {
-            return self.run_batch_sessions(queries);
-        }
         let started = Instant::now();
         let _span = rzen_obs::span!("engine.batch", "queries" => queries.len() as u64, "jobs" => self.cfg.jobs as u64);
         let n = queries.len();
-        let slots: Vec<Mutex<Option<QueryResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.cfg.jobs.max(1).min(n.max(1));
-
-        thread::scope(|s| {
-            let next = &next;
-            let slots = &slots;
-            for w in 0..workers {
-                s.spawn(move || {
-                    let _span = rzen_obs::span!("engine.worker", "worker" => w as u64);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let ctx = rzen_obs::RequestCtx::mint(queries[i].model_fingerprint(), 0);
-                        let start_us = rzen_obs::flight::now_us();
-                        let alloc0 = rzen_obs::profile::thread_alloc_stats();
-                        let result =
-                            self.solve_one(i, &queries[i], self.request_budget(), ctx.id, None);
-                        record_flight(&ctx, start_us, alloc0, &queries[i], &result);
-                        *slots[i].lock().unwrap() = Some(result);
-                    }
-                });
-            }
-        });
-
-        let results = collect_results(slots, queries);
-        let stats = EngineStats::aggregate(&results, started.elapsed());
-        BatchReport { results, stats }
-    }
-
-    /// Session-mode batch: partition queries by model fingerprint so that
-    /// queries sharing an ACL/route-map/topology land on the same worker
-    /// (maximizing session reuse), then give each worker persistent
-    /// backend runner threads holding a [`SolverSession`] each.
-    fn run_batch_sessions(&self, queries: &[Query]) -> BatchReport {
-        let started = Instant::now();
-        let _span = rzen_obs::span!("engine.batch", "queries" => queries.len() as u64, "jobs" => self.cfg.jobs as u64);
-        let n = queries.len();
-        let workers = self.cfg.jobs.max(1).min(n.max(1));
-
-        // Fingerprint-affinity dispatch: each new model group goes to the
-        // currently least-loaded worker; members follow their group.
-        let mut group_worker: HashMap<u64, usize> = HashMap::new();
-        let mut load = vec![0usize; workers];
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for (i, q) in queries.iter().enumerate() {
-            let w = *group_worker
-                .entry(q.model_fingerprint())
-                .or_insert_with(|| (0..workers).min_by_key(|&w| load[w]).unwrap_or(0));
-            load[w] += 1;
-            buckets[w].push(i);
-        }
+        let workers = self.cfg.jobs.max(1).min(n);
+        // The claim order is the only thing the mode decides. Fresh
+        // workers share one queue (whoever is free takes the next query:
+        // nothing carries over, so balance is all that matters); session
+        // workers each drain the model groups routed to them, so queries
+        // sharing an ACL/route-map/topology meet the same warm sessions.
+        let claims: Vec<Arc<ClaimQueue>> = if self.cfg.sessions {
+            affinity_buckets(queries, workers)
+                .into_iter()
+                .map(|bucket| Arc::new(ClaimQueue::new(bucket)))
+                .collect()
+        } else {
+            let shared = Arc::new(ClaimQueue::new((0..n).collect()));
+            vec![shared; workers]
+        };
 
         let slots: Vec<Mutex<Option<QueryResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         thread::scope(|s| {
             let slots = &slots;
-            for (w, bucket) in buckets.iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
+            for (w, claims) in claims.iter().enumerate() {
                 s.spawn(move || {
                     let _span = rzen_obs::span!("engine.worker", "worker" => w as u64);
-                    let runners = SessionRunners::spawn(self.cfg.backend);
-                    for &i in bucket {
+                    let worker = self.serve_worker();
+                    while let Some(i) = claims.claim() {
                         let ctx = rzen_obs::RequestCtx::mint(queries[i].model_fingerprint(), 0);
                         let start_us = rzen_obs::flight::now_us();
                         let alloc0 = rzen_obs::profile::thread_alloc_stats();
-                        let result = self.solve_one_session(
-                            i,
-                            &queries[i],
-                            &runners.txs,
-                            self.request_budget(),
-                            ctx.id,
-                            None,
-                        );
+                        let budget = self.request_budget();
+                        let result = self.solve(i, &queries[i], &worker, budget, ctx.id, None);
                         record_flight(&ctx, start_us, alloc0, &queries[i], &result);
                         *slots[i].lock().unwrap() = Some(result);
                     }
-                    runners.shutdown();
                 });
             }
         });
@@ -357,10 +298,19 @@ impl Engine {
         }
     }
 
-    fn solve_one(
+    /// The one way a query reaches a backend: consult the cache, hand the
+    /// query to every runner of `worker` (one per backend) under one
+    /// shared budget, stamp latency the moment a decisive reply lands and
+    /// cancel the rest, then drain the losers (for their substrate stats)
+    /// before moving on, so persistent sessions stay in lock-step. If no
+    /// reply is decisive the query comes back `Cancelled` — mapped to
+    /// `Timeout`/`Cancelled` by whether the deadline passed — unless a
+    /// runner panicked, which is the more actionable signal.
+    fn solve(
         &self,
         index: usize,
         query: &Query,
+        worker: &ServeWorker,
         budget: Budget,
         req: u64,
         shard: Option<&mut EngineShard>,
@@ -373,58 +323,38 @@ impl Engine {
             return hit;
         }
 
-        let solved = match self.cfg.backend {
-            QueryBackend::Bdd => run_fresh(query, Backend::Bdd, &budget, started, req),
-            QueryBackend::Smt => run_fresh(query, Backend::Smt, &budget, started, req),
-            QueryBackend::Portfolio => run_portfolio(query, &budget, started, req),
-        };
-        self.finish(index, query, fingerprint, solved, &budget, started, shard)
-    }
-
-    /// Session-mode solve: hand the query to every runner of this worker
-    /// (one per backend), record latency the moment a decisive reply
-    /// lands, then drain the loser before moving on so the sessions stay
-    /// in lock-step.
-    fn solve_one_session(
-        &self,
-        index: usize,
-        query: &Query,
-        runners: &[mpsc::Sender<SessionJob>],
-        budget: Budget,
-        req: u64,
-        shard: Option<&mut EngineShard>,
-    ) -> QueryResult {
-        let started = Instant::now();
-        let _span = rzen_obs::span!("engine.query", "req" => req, "index" => index as u64);
-        rzen_obs::counter!("engine.queries", "queries dispatched to workers").inc();
-        let fingerprint = query.fingerprint();
-        if let Some(hit) = self.cache_lookup(index, query, fingerprint, started, shard.as_deref()) {
-            return hit;
-        }
-
-        let (reply_tx, reply_rx) = mpsc::channel::<SessionReply>();
+        let runners = &worker.runners;
+        let _race = (runners.len() > 1).then(|| rzen_obs::span!("engine.race", "req" => req));
+        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
         let mut error: Option<String> = None;
         for tx in runners {
-            let job = SessionJob {
+            let job = Job {
                 query: query.clone(),
                 budget: budget.clone(),
                 reply: reply_tx.clone(),
                 req,
             };
             if tx.send(job).is_err() {
-                error.get_or_insert_with(|| "session runner unavailable".to_string());
+                error.get_or_insert_with(|| "backend runner unavailable".to_string());
             }
         }
         drop(reply_tx);
 
-        let mut winner: Option<(Backend, RunOutput)> = None;
-        let mut decided = None;
-        let mut sat_stats = None;
-        let mut bdd_stats = None;
-        let mut last: Option<RunOutput> = None;
-        let mut session_total = SessionStats::default();
+        let mut solved = Solved {
+            outcome: Ok(FindOutcome::Cancelled),
+            winner: None,
+            sat_stats: None,
+            bdd_stats: None,
+            decided: None,
+            session: None,
+        };
         for reply in reply_rx.iter() {
-            session_total.absorb(&reply.session);
+            if let Some(moved) = &reply.session {
+                solved
+                    .session
+                    .get_or_insert_with(SessionStats::default)
+                    .absorb(moved);
+            }
             let out = match reply.output {
                 Ok(out) => out,
                 Err(msg) => {
@@ -432,47 +362,24 @@ impl Engine {
                     continue;
                 }
             };
-            if out.sat_stats.is_some() {
-                sat_stats = out.sat_stats;
-            }
-            if out.bdd_stats.is_some() {
-                bdd_stats = out.bdd_stats;
-            }
-            if winner.is_none() && !matches!(out.outcome, FindOutcome::Cancelled) {
+            solved.sat_stats = out.sat_stats.or(solved.sat_stats);
+            solved.bdd_stats = out.bdd_stats.or(solved.bdd_stats);
+            let bdd = u64::from(reply.backend == Backend::Bdd);
+            if solved.winner.is_none() && !matches!(out.outcome, FindOutcome::Cancelled) {
+                // First decisive verdict wins: stop the other solver and
+                // stamp the latency *now*, before the loser's teardown.
                 budget.cancel();
-                decided = Some(started.elapsed());
-                rzen_obs::trace::instant1(
-                    "engine.race.decisive",
-                    "bdd",
-                    u64::from(reply.backend == Backend::Bdd),
-                );
-                winner = Some((reply.backend, out));
+                solved.decided = Some(started.elapsed());
+                rzen_obs::trace::instant1("engine.race.decisive", "bdd", bdd);
+                solved.winner = Some(reply.backend);
+                solved.outcome = Ok(out.outcome);
             } else {
-                last = Some(out);
+                rzen_obs::trace::instant1("engine.race.loser", "bdd", bdd);
             }
         }
-
-        let solved = match winner {
-            Some((backend, out)) => Solved {
-                outcome: Ok(out.outcome),
-                winner: Some(backend),
-                sat_stats,
-                bdd_stats,
-                decided,
-                session: Some(session_total),
-            },
-            None => Solved {
-                outcome: match error {
-                    Some(msg) => Err(msg),
-                    None => Ok(last.map(|o| o.outcome).unwrap_or(FindOutcome::Cancelled)),
-                },
-                winner: None,
-                sat_stats,
-                bdd_stats,
-                decided: None,
-                session: Some(session_total),
-            },
-        };
+        if let (None, Some(msg)) = (solved.winner, error) {
+            solved.outcome = Err(msg);
+        }
         self.finish(index, query, fingerprint, solved, &budget, started, shard)
     }
 
@@ -562,18 +469,26 @@ impl Engine {
             session: solved.session,
         }
     }
-    /// Create a serving worker for the calling thread: the single-query
-    /// counterpart of a batch worker. With `cfg.sessions` it owns
-    /// persistent per-backend [`SolverSession`] runner threads (warm
-    /// across every query it serves); without, it is a cheap token that
-    /// marks the thread as dedicated to solving.
+
+    /// Create a worker: one persistent runner thread per configured
+    /// backend (two for the portfolio), on which every query handed to it
+    /// is solved — warm across all of them when `cfg.sessions` is set.
+    /// Batch workers and serving threads each own one.
     pub fn serve_worker(&self) -> ServeWorker {
-        ServeWorker {
-            runners: self
-                .cfg
-                .sessions
-                .then(|| SessionRunners::spawn(self.cfg.backend)),
-        }
+        let backends: &[Backend] = match self.cfg.backend {
+            QueryBackend::Bdd => &[Backend::Bdd],
+            QueryBackend::Smt => &[Backend::Smt],
+            QueryBackend::Portfolio => &[Backend::Bdd, Backend::Smt],
+        };
+        let sessions = self.cfg.sessions;
+        let (runners, handles) = backends
+            .iter()
+            .map(|&backend| {
+                let (tx, rx) = mpsc::channel::<Job>();
+                (tx, thread::spawn(move || runner(backend, sessions, rx)))
+            })
+            .unzip();
+        ServeWorker { runners, handles }
     }
 
     /// Solve one query with an explicit per-request budget (a serving
@@ -582,9 +497,9 @@ impl Engine {
     /// request identity minted at serve admission; its id rides every
     /// span on the solve path. The serve layer owns the flight record for
     /// the request (it knows the endpoints and the full wall latency), so
-    /// this method does not write one. Must be called from a thread with
-    /// no live `Zen` handles — in fresh mode the query rebuilds its model
-    /// in (and resets) the thread-local context.
+    /// this method does not write one. The solve runs on `worker`'s
+    /// runner threads, so the caller's thread-local `Zen` context is
+    /// never touched.
     pub fn run_one(
         &self,
         query: &Query,
@@ -592,10 +507,7 @@ impl Engine {
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
-        match &worker.runners {
-            Some(runners) => self.solve_one_session(0, query, &runners.txs, budget, ctx.id, None),
-            None => self.solve_one(0, query, budget, ctx.id, None),
-        }
+        self.solve(0, query, worker, budget, ctx.id, None)
     }
 
     /// Declare how many shards will replay the cache log. Must be called
@@ -628,12 +540,7 @@ impl Engine {
         ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
         self.shard_catch_up(shard);
-        match &worker.runners {
-            Some(runners) => {
-                self.solve_one_session(0, query, &runners.txs, budget, ctx.id, Some(shard))
-            }
-            None => self.solve_one(0, query, budget, ctx.id, Some(shard)),
-        }
+        self.solve(0, query, worker, budget, ctx.id, Some(shard))
     }
 
     /// Bring `shard` up to date with the cache log. One relaxed/acquire
@@ -663,22 +570,12 @@ impl Engine {
                     new_net,
                     steps,
                 } => {
-                    let stats = shard.cache.sweep_delta(old_net, new_net, steps);
+                    let stats = sweep_counted(&mut shard.cache, old_net, new_net, steps);
                     entry.evicted.fetch_add(stats.evicted, Ordering::Relaxed);
                     entry.retained.fetch_add(stats.retained, Ordering::Relaxed);
                     entry
                         .unaffected
                         .fetch_add(stats.unaffected, Ordering::Relaxed);
-                    rzen_obs::counter!(
-                        "engine.cache.delta_evicted",
-                        "cache entries evicted by delta cone-of-influence sweeps"
-                    )
-                    .add(stats.evicted as u64);
-                    rzen_obs::counter!(
-                        "engine.cache.delta_retained",
-                        "cache entries kept warm (re-keyed) across delta sweeps"
-                    )
-                    .add(stats.retained as u64);
                     self.shard_entries
                         .fetch_sub(stats.evicted as i64, Ordering::Relaxed);
                 }
@@ -783,18 +680,85 @@ impl Engine {
     }
 }
 
-/// A long-lived serving worker: per-thread solver state for
-/// [`Engine::run_one`]. Dropping it joins any session runner threads.
+/// A long-lived worker: the runner threads [`Engine::run_one`] and the
+/// batch workers solve on, alive for as long as it is. Dropping it joins
+/// them.
 pub struct ServeWorker {
-    runners: Option<SessionRunners>,
+    runners: Vec<mpsc::Sender<Job>>,
+    handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl Drop for ServeWorker {
     fn drop(&mut self) {
-        if let Some(runners) = self.runners.take() {
-            runners.shutdown();
+        // Hanging up is the shutdown signal: a runner leaves its loop
+        // once its queue is closed and drained. `Drop` must not panic,
+        // so a runner that died outside its per-job guard is ignored.
+        self.runners.clear();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
         }
     }
+}
+
+/// Sweep one result cache for a model delta, counting what it evicted
+/// and kept warm.
+fn sweep_counted(
+    cache: &mut ResultCache,
+    old_net: &rzen_net::topology::Network,
+    new_net: &rzen_net::topology::Network,
+    steps: &[rzen_net::topology::DeltaStep],
+) -> DeltaCacheStats {
+    let stats = cache.sweep_delta(old_net, new_net, steps);
+    rzen_obs::counter!(
+        "engine.cache.delta_evicted",
+        "cache entries evicted by delta cone-of-influence sweeps"
+    )
+    .add(stats.evicted as u64);
+    rzen_obs::counter!(
+        "engine.cache.delta_retained",
+        "cache entries kept warm (re-keyed) across delta sweeps"
+    )
+    .add(stats.retained as u64);
+    stats
+}
+
+/// Query indices that the workers sharing this queue claim in order.
+struct ClaimQueue {
+    order: Vec<usize>,
+    next: AtomicUsize,
+}
+
+impl ClaimQueue {
+    fn new(order: Vec<usize>) -> ClaimQueue {
+        ClaimQueue {
+            order,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    fn claim(&self) -> Option<usize> {
+        self.order
+            .get(self.next.fetch_add(1, Ordering::SeqCst))
+            .copied()
+    }
+}
+
+/// Fingerprint-affinity claim order: each new model group goes to the
+/// currently least-loaded worker; members follow their group. Workers
+/// left without a group get no bucket.
+fn affinity_buckets(queries: &[Query], workers: usize) -> Vec<Vec<usize>> {
+    let mut group_worker: HashMap<u64, usize> = HashMap::new();
+    let mut load = vec![0usize; workers];
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    for (i, q) in queries.iter().enumerate() {
+        let w = *group_worker
+            .entry(q.model_fingerprint())
+            .or_insert_with(|| (0..workers).min_by_key(|&w| load[w]).unwrap_or(0));
+        load[w] += 1;
+        buckets[w].push(i);
+    }
+    buckets.retain(|bucket| !bucket.is_empty());
+    buckets
 }
 
 /// Unwrap the slot vector; a missing slot (worker died outside the
@@ -833,14 +797,7 @@ fn record_flight(
     query: &Query,
     result: &QueryResult,
 ) {
-    use rzen_obs::flight::{self, SmallStr, FLAG_CACHE_HIT, FLAG_SESSION};
-    let mut flags = 0u8;
-    if result.cache_hit {
-        flags |= FLAG_CACHE_HIT;
-    }
-    if result.session.is_some() {
-        flags |= FLAG_SESSION;
-    }
+    use rzen_obs::flight::{self, SmallStr};
     let alloc1 = rzen_obs::profile::thread_alloc_stats();
     flight::record(rzen_obs::RequestRecord {
         id: ctx.id,
@@ -854,7 +811,7 @@ fn record_flight(
         dst: SmallStr::default(),
         verdict: result.verdict.class(),
         backend: result.backend_class(),
-        flags,
+        flags: result.flight_flags(),
         alloc_bytes: alloc1.0.saturating_sub(alloc0.0),
         alloc_count: alloc1.1.saturating_sub(alloc0.1),
         shard: ctx.shard,
@@ -872,217 +829,59 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn decisive_winner(outcome: &FindOutcome<crate::Witness>, b: Backend) -> Option<Backend> {
-    match outcome {
-        FindOutcome::Cancelled => None,
-        _ => Some(b),
-    }
-}
-
-/// One backend, fresh context, with the per-query panic guard.
-fn run_fresh(
-    query: &Query,
-    backend: Backend,
-    budget: &Budget,
-    started: Instant,
-    req: u64,
-) -> Solved {
-    let _span = rzen_obs::span!("engine.backend", "req" => req, "bdd" => u64::from(backend == Backend::Bdd));
-    match catch_unwind(AssertUnwindSafe(|| query.run_backend(backend, budget))) {
-        Ok(out) => Solved {
-            winner: decisive_winner(&out.outcome, backend),
-            // Single backend: nothing drains after the verdict, so
-            // decision time is simply completion time.
-            decided: Some(started.elapsed()),
-            outcome: Ok(out.outcome),
-            sat_stats: out.sat_stats,
-            bdd_stats: out.bdd_stats,
-            session: None,
-        },
-        Err(p) => Solved {
-            outcome: Err(panic_message(p)),
-            winner: None,
-            sat_stats: None,
-            bdd_stats: None,
-            decided: None,
-            session: None,
-        },
-    }
-}
-
-/// Race the two backends on cloned query data under one shared budget.
-/// The first decisive verdict cancels the other solver and stamps the
-/// query's latency; the loser then drains (for its substrate stats)
-/// without inflating it. If neither is decisive (deadline hit both), the
-/// query comes back `Cancelled` and the caller maps it to
-/// `Timeout`/`Cancelled` by whether the deadline passed; a panic on both
-/// sides surfaces as an error.
-fn run_portfolio(query: &Query, budget: &Budget, started: Instant, req: u64) -> Solved {
-    let _span = rzen_obs::span!("engine.race", "req" => req);
-    let (tx, rx) = mpsc::channel::<(Backend, Result<RunOutput, String>)>();
-    thread::scope(|s| {
-        for backend in [Backend::Bdd, Backend::Smt] {
-            let tx = tx.clone();
-            let budget = budget.clone();
-            let query = query.clone();
-            s.spawn(move || {
-                let _span = rzen_obs::span!("engine.backend", "req" => req, "bdd" => u64::from(backend == Backend::Bdd));
-                let out = catch_unwind(AssertUnwindSafe(|| query.run_backend(backend, &budget)))
-                    .map_err(panic_message);
-                // The receiver may have already returned; a closed channel
-                // just means the race was decided without us.
-                let _ = tx.send((backend, out));
-            });
-        }
-        drop(tx);
-
-        let mut winner: Option<(Backend, RunOutput)> = None;
-        let mut decided = None;
-        let mut sat_stats = None;
-        let mut bdd_stats = None;
-        let mut last: Option<RunOutput> = None;
-        let mut error: Option<String> = None;
-        for (backend, res) in rx.iter() {
-            let out = match res {
-                Ok(out) => out,
-                Err(msg) => {
-                    error.get_or_insert(msg);
-                    continue;
-                }
-            };
-            if out.sat_stats.is_some() {
-                sat_stats = out.sat_stats;
-            }
-            if out.bdd_stats.is_some() {
-                bdd_stats = out.bdd_stats;
-            }
-            if winner.is_none() && !matches!(out.outcome, FindOutcome::Cancelled) {
-                // First decisive verdict wins: stop the other solver and
-                // stamp the latency *now*, before the loser's teardown.
-                budget.cancel();
-                decided = Some(started.elapsed());
-                rzen_obs::trace::instant1(
-                    "engine.race.decisive",
-                    "bdd",
-                    u64::from(backend == Backend::Bdd),
-                );
-                winner = Some((backend, out));
-            } else {
-                rzen_obs::trace::instant1(
-                    "engine.race.loser",
-                    "bdd",
-                    u64::from(backend == Backend::Bdd),
-                );
-                last = Some(out);
-            }
-        }
-
-        match winner {
-            Some((backend, out)) => Solved {
-                outcome: Ok(out.outcome),
-                winner: Some(backend),
-                sat_stats,
-                bdd_stats,
-                decided,
-                session: None,
-            },
-            None => Solved {
-                outcome: match error {
-                    // A panic is the more actionable signal than the
-                    // other side's cancellation.
-                    Some(msg) => Err(msg),
-                    None => Ok(last.map(|o| o.outcome).unwrap_or(FindOutcome::Cancelled)),
-                },
-                winner: None,
-                sat_stats,
-                bdd_stats,
-                decided: None,
-                session: None,
-            },
-        }
-    })
-}
-
-/// One query handed to a session runner, with its reply channel.
-struct SessionJob {
+/// One query handed to a runner, with its reply channel.
+struct Job {
     query: Query,
     budget: Budget,
-    reply: mpsc::Sender<SessionReply>,
+    reply: mpsc::Sender<Reply>,
     /// Request id of the query, stamped on the runner's per-job span.
     req: u64,
 }
 
-/// A runner's answer: the raw output (or panic message) plus the session
-/// counters this query moved.
-struct SessionReply {
+/// A runner's answer: the raw output (or panic message) plus, from a
+/// runner that keeps a session, the session counters this query moved.
+struct Reply {
     backend: Backend,
     output: Result<RunOutput, String>,
-    session: SessionStats,
+    session: Option<SessionStats>,
 }
 
-/// The persistent backend threads owned by one session-mode worker: one
-/// per backend (two for the portfolio), each holding a [`SolverSession`]
-/// for the worker's whole bucket.
-struct SessionRunners {
-    txs: Vec<mpsc::Sender<SessionJob>>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl SessionRunners {
-    fn spawn(backend: QueryBackend) -> SessionRunners {
-        let backends: &[Backend] = match backend {
-            QueryBackend::Bdd => &[Backend::Bdd],
-            QueryBackend::Smt => &[Backend::Smt],
-            QueryBackend::Portfolio => &[Backend::Bdd, Backend::Smt],
-        };
-        let mut txs = Vec::with_capacity(backends.len());
-        let mut handles = Vec::with_capacity(backends.len());
-        for &b in backends {
-            let (tx, rx) = mpsc::channel::<SessionJob>();
-            txs.push(tx);
-            handles.push(thread::spawn(move || session_runner(b, rx)));
-        }
-        SessionRunners { txs, handles }
-    }
-
-    fn shutdown(self) {
-        drop(self.txs);
-        for h in self.handles {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A session runner: owns one [`SolverSession`] (and this thread's `Zen`
-/// context) for its whole lifetime, solving jobs in arrival order. A
-/// panicking query is answered with its panic message, and the session
-/// *and* context are rebuilt from scratch — a half-built session (e.g. a
-/// variable order that lost levels mid-extension) could be unsound, and a
-/// fresh one merely loses cached work.
-fn session_runner(backend: Backend, rx: mpsc::Receiver<SessionJob>) {
+/// A runner: owns this thread's `Zen` context — and, with `sessions`, one
+/// [`SolverSession`] — for its whole lifetime, solving jobs in arrival
+/// order. Without a session every job starts from a reset context and
+/// nothing carries over. A panicking query is answered with its panic
+/// message, and the context *and* session are rebuilt from scratch — a
+/// half-built session (e.g. a variable order that lost levels
+/// mid-extension) could be unsound, and a fresh one merely loses cached
+/// work.
+fn runner(backend: Backend, sessions: bool, rx: mpsc::Receiver<Job>) {
     let _span = rzen_obs::span!("engine.session", "bdd" => u64::from(backend == Backend::Bdd));
     rzen::reset_ctx();
-    let mut session = SolverSession::new(backend);
+    let mut session = sessions.then(|| SolverSession::new(backend));
     while let Ok(job) = rx.recv() {
-        let before = session.stats();
+        let before = session.as_ref().map(SolverSession::stats);
         let job_span = rzen_obs::span!("engine.backend", "req" => job.req, "bdd" => u64::from(backend == Backend::Bdd));
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            job.query.run_in_session(&mut session, &job.budget)
+        let out = catch_unwind(AssertUnwindSafe(|| match &mut session {
+            Some(session) => job.query.run_in_session(session, &job.budget),
+            None => job.query.run_backend(backend, &job.budget),
         }));
         drop(job_span);
         let reply = match out {
-            Ok(output) => SessionReply {
+            Ok(output) => Reply {
                 backend,
                 output: Ok(output),
-                session: session.stats().delta_since(&before),
+                session: session
+                    .as_ref()
+                    .zip(before)
+                    .map(|(s, before)| s.stats().delta_since(&before)),
             },
             Err(p) => {
                 rzen::reset_ctx();
-                session = SolverSession::new(backend);
-                SessionReply {
+                session = sessions.then(|| SolverSession::new(backend));
+                Reply {
                     backend,
                     output: Err(panic_message(p)),
-                    session: SessionStats::default(),
+                    session: sessions.then(SessionStats::default),
                 }
             }
         };

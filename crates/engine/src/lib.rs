@@ -8,18 +8,22 @@
 //!
 //! `Zen<T>` handles index a thread-local arena and cannot cross threads,
 //! so the engine's unit of work — [`Query`] — carries only plain model
-//! data (`Send + Clone + Hash`). Each worker rebuilds the symbolic model
-//! in its own context per query, which costs microseconds against solve
-//! times in the milliseconds and keeps the workers fully independent.
+//! data (`Send + Clone + Hash`). Each worker owns one persistent runner
+//! thread per backend, and a runner rebuilds the symbolic model in its own
+//! context per query, which costs microseconds against solve times in the
+//! milliseconds and keeps the workers fully independent. Batch and serve
+//! reach a backend the same way; nothing is ever solved on the caller's
+//! thread.
 //!
 //! ## Portfolio + cancellation
 //!
-//! With [`QueryBackend::Portfolio`], each query runs both backends on two
-//! threads sharing one [`rzen::Budget`]. The first decisive verdict raises
-//! the budget's flag; the other solver observes it at its next poll point
-//! (BDD: the hash-consing choke point; SAT: conflict/decision boundaries)
-//! and unwinds. A wall-clock timeout uses the same mechanism and degrades
-//! the single query to [`Verdict::Timeout`] without wedging the batch.
+//! With [`QueryBackend::Portfolio`], a worker has two runners and each
+//! query goes to both under one [`rzen::Budget`]. The first decisive
+//! verdict raises the budget's flag; the other solver observes it at its
+//! next poll point (BDD: the hash-consing choke point; SAT:
+//! conflict/decision boundaries) and unwinds. A wall-clock timeout uses
+//! the same mechanism and degrades the single query to
+//! [`Verdict::Timeout`] without wedging the batch.
 //!
 //! ## Caching
 //!
@@ -32,11 +36,12 @@
 //!
 //! ## Sessions
 //!
-//! With `EngineConfig { sessions: true, .. }` each worker keeps long-lived
-//! solver state — one incremental SAT solver, one BDD manager, and a
-//! cross-query bitblast cache — and the batch is partitioned by *model
-//! fingerprint* so queries over the same ACL/route-map/topology land on
-//! the same worker and reuse each other's work. See [`rzen::session`].
+//! With `EngineConfig { sessions: true, .. }` each runner keeps long-lived
+//! solver state — an incremental SAT solver or a BDD manager, and a
+//! cross-query bitblast cache — instead of resetting per query, and batch
+//! workers claim queries by *model fingerprint* so queries over the same
+//! ACL/route-map/topology land on the same worker and reuse each other's
+//! work. See [`rzen::session`].
 //!
 //! ## Example
 //!

@@ -197,7 +197,7 @@ impl Query {
 
     /// Run one backend on the calling thread, rebuilding the model in the
     /// thread-local context. The context is reset first, so call this only
-    /// from a thread with no live `Zen` handles (the engine's workers).
+    /// from a thread with no live `Zen` handles (the engine's runners).
     pub(crate) fn run_backend(&self, backend: rzen::Backend, budget: &Budget) -> RunOutput {
         rzen::reset_ctx();
         self.run_with(RunMode::Fresh(backend), budget)

@@ -46,6 +46,20 @@ impl QueryResult {
             None => rzen_obs::BackendClass::None,
         }
     }
+
+    /// The flight-recorder flag bits this result sets: served from the
+    /// cache, solved through a warm session.
+    pub fn flight_flags(&self) -> u8 {
+        use rzen_obs::flight::{FLAG_CACHE_HIT, FLAG_SESSION};
+        let mut flags = 0;
+        if self.cache_hit {
+            flags |= FLAG_CACHE_HIT;
+        }
+        if self.session.is_some() {
+            flags |= FLAG_SESSION;
+        }
+        flags
+    }
 }
 
 /// Everything [`crate::Engine::run_batch`] returns.

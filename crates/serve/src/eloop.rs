@@ -95,7 +95,7 @@ use rzen_loop::framing::{HttpDecoder, HttpError, HttpRequest, LineDecoder, Write
 use rzen_loop::ring::{spsc, Consumer, Producer};
 use rzen_loop::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rzen_loop::Doorbell;
-use rzen_obs::flight::{SmallStr, FLAG_CACHE_HIT, FLAG_COALESCED, FLAG_SESSION};
+use rzen_obs::flight::{SmallStr, FLAG_CACHE_HIT, FLAG_COALESCED};
 use rzen_obs::VerdictClass;
 
 use crate::proto::{self, Op};
@@ -1392,17 +1392,10 @@ fn execute_job(
                 .engine
                 .run_one_sharded(eshard, &query, budget, solver, t.ctx);
             let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
-            let mut flags = 0u8;
-            if result.cache_hit {
-                flags |= FLAG_CACHE_HIT;
-            }
-            if result.session.is_some() {
-                flags |= FLAG_SESSION;
-            }
             let meta = RespMeta {
                 verdict: result.verdict.class(),
                 backend: result.backend_class(),
-                flags,
+                flags: result.flight_flags(),
                 ..RespMeta::default()
             };
             // Only a coalesce leader's verdict is needed back in full.

@@ -67,6 +67,29 @@ fn verdict_kind(v: &Verdict) -> &'static str {
     }
 }
 
+/// Every way a query can reach a backend: runner keeps a session or not,
+/// crossed with which runners the worker owns.
+fn solve_modes() -> impl Iterator<Item = (bool, QueryBackend)> {
+    [false, true].into_iter().flat_map(|sessions| {
+        [
+            QueryBackend::Bdd,
+            QueryBackend::Smt,
+            QueryBackend::Portfolio,
+        ]
+        .into_iter()
+        .map(move |backend| (sessions, backend))
+    })
+}
+
+/// Out of bounds for the 3-device fabric, so path enumeration panics.
+fn poison_query() -> Query {
+    Query::Reach {
+        net: spine_leaf(1, 2),
+        src: (99, 99),
+        dst: (0, 99),
+    }
+}
+
 #[test]
 fn portfolio_agrees_with_each_sequential_backend() {
     let queries = mixed_queries();
@@ -173,36 +196,43 @@ fn expired_timeout_degrades_to_timeout_without_wedging_the_batch() {
     })
     .run_batch(&queries);
 
-    let engine = Engine::new(EngineConfig {
-        jobs: 4,
-        backend: QueryBackend::Portfolio,
-        timeout: Some(Duration::ZERO),
-        cache: true,
-        sessions: false,
-    });
-    let report = engine.run_batch(&queries);
-    assert_eq!(report.results.len(), queries.len(), "batch must complete");
-    for r in &report.results {
-        // Queries small enough to be decided during compilation (constant
-        // folding, empty path sets) may legitimately finish before the
-        // first budget poll — but a decisive verdict must never be WRONG.
-        match &r.verdict {
-            Verdict::Timeout => {}
-            Verdict::Sat(w) => {
-                assert_eq!(verdict_kind(&truth.results[r.index].verdict), "sat");
-                assert!(
-                    queries[r.index].check_witness(w),
-                    "timeout race gave a bogus witness"
-                );
+    for (sessions, backend) in solve_modes() {
+        let engine = Engine::new(EngineConfig {
+            jobs: 4,
+            backend,
+            timeout: Some(Duration::ZERO),
+            cache: true,
+            sessions,
+        });
+        let mode = format!("sessions={sessions} backend={backend:?}");
+        let report = engine.run_batch(&queries);
+        assert_eq!(report.results.len(), queries.len(), "{mode}: must complete");
+        for r in &report.results {
+            // Queries small enough to be decided during compilation
+            // (constant folding, empty path sets) may legitimately finish
+            // before the first budget poll — but a decisive verdict must
+            // never be WRONG.
+            match &r.verdict {
+                Verdict::Timeout => {}
+                Verdict::Sat(w) => {
+                    assert_eq!(verdict_kind(&truth.results[r.index].verdict), "sat");
+                    assert!(
+                        queries[r.index].check_witness(w),
+                        "{mode}: timeout race gave a bogus witness"
+                    );
+                }
+                Verdict::Unsat => {
+                    assert_eq!(verdict_kind(&truth.results[r.index].verdict), "unsat");
+                }
+                Verdict::Cancelled => panic!("{mode}: expired deadline should map to Timeout"),
+                Verdict::Error(e) => panic!("{mode}: no query in this batch panics: {e}"),
             }
-            Verdict::Unsat => {
-                assert_eq!(verdict_kind(&truth.results[r.index].verdict), "unsat");
-            }
-            Verdict::Cancelled => panic!("expired deadline should map to Timeout"),
-            Verdict::Error(e) => panic!("no query in this batch panics: {e}"),
         }
+        assert!(
+            report.stats.timeout > 0,
+            "{mode}: heavy queries must time out"
+        );
     }
-    assert!(report.stats.timeout > 0, "heavy queries must time out");
 }
 
 #[test]
@@ -260,17 +290,44 @@ fn duplicate_queries_in_one_batch_share_the_cache() {
 
 #[test]
 fn engine_does_not_disturb_the_callers_context() {
-    // Building a symbolic expression, then running a batch, then using the
-    // expression must work: workers reset only their own thread contexts.
+    // Building a symbolic expression, then solving — a batch, or one
+    // query through a worker the test thread itself holds — then using
+    // the expression must work: only runner threads ever reset a context.
     let x = Zen::<u8>::symbolic(2);
     let expr = x.eq(Zen::val(42u8));
-    let engine = Engine::new(EngineConfig::default());
     let acl = random_acl(30, 3);
     let last = acl.rules.len() as u16;
-    engine.run_batch(&[Query::AclFind {
+    let q = Query::AclFind {
         acl,
         target_line: last,
-    }]);
+    };
+    for (sessions, backend) in solve_modes() {
+        let engine = Engine::new(EngineConfig {
+            backend,
+            sessions,
+            ..EngineConfig::default()
+        });
+        let mode = format!("sessions={sessions} backend={backend:?}");
+        let batch = engine.run_batch(std::slice::from_ref(&q));
+        assert!(
+            matches!(batch.results[0].verdict, Verdict::Sat(_)),
+            "{mode}"
+        );
+
+        // `run_one` on the calling thread, including across a poisoned
+        // query: the runner that panicked must be rebuilt, not lost.
+        engine.clear_cache();
+        let worker = engine.serve_worker();
+        let one = |q: &Query| {
+            let ctx = rzen_obs::RequestCtx::mint(q.model_fingerprint(), 0);
+            engine.run_one(q, Budget::unlimited(), &worker, ctx).verdict
+        };
+        assert!(matches!(one(&poison_query()), Verdict::Error(_)), "{mode}");
+        assert!(
+            matches!(one(&q), Verdict::Sat(_)),
+            "{mode}: the runner must survive a poisoned query"
+        );
+    }
     // The caller's handles are still alive and solvable.
     let f = ZenFunction::new(move |_: Zen<u8>| expr);
     assert!(f.find(|_, r| r, &FindOptions::bdd()).is_some());
@@ -309,45 +366,46 @@ fn per_backend_stats_are_populated() {
 #[test]
 fn poisoned_query_does_not_abort_the_batch() {
     // Regression: a panic inside one query used to unwind its worker and
-    // abort the whole batch at slot collection. Device index 99 is out of
-    // bounds for this 3-device fabric, so path enumeration panics.
+    // abort the whole batch at slot collection.
     let mut queries = mixed_queries();
-    let poison = Query::Reach {
-        net: spine_leaf(1, 2),
-        src: (99, 99),
-        dst: (0, 99),
-    };
+    let poison = poison_query();
     let idx = queries.len() / 2;
     queries.insert(idx, poison.clone());
-    let engine = Engine::new(EngineConfig {
-        jobs: 4,
-        backend: QueryBackend::Portfolio,
-        timeout: None,
-        cache: true,
-        sessions: false,
-    });
-    let report = engine.run_batch(&queries);
-    assert_eq!(report.results.len(), queries.len(), "batch must complete");
-    assert!(
-        matches!(report.results[idx].verdict, Verdict::Error(_)),
-        "the poisoned query must surface as an error, got {:?}",
-        report.results[idx].verdict
-    );
-    assert_eq!(report.stats.errors, 1);
-    for (i, r) in report.results.iter().enumerate() {
-        if i == idx {
-            continue;
-        }
+    for (sessions, backend) in solve_modes() {
+        let engine = Engine::new(EngineConfig {
+            jobs: 4,
+            backend,
+            timeout: None,
+            cache: true,
+            sessions,
+        });
+        let mode = format!("sessions={sessions} backend={backend:?}");
+        let report = engine.run_batch(&queries);
+        assert_eq!(report.results.len(), queries.len(), "{mode}: must complete");
         assert!(
-            matches!(r.verdict, Verdict::Sat(_) | Verdict::Unsat),
-            "query {i} must still be decided despite the poisoned neighbor"
+            matches!(report.results[idx].verdict, Verdict::Error(_)),
+            "{mode}: the poisoned query must surface as an error, got {:?}",
+            report.results[idx].verdict
         );
+        assert_eq!(report.stats.errors, 1, "{mode}");
+        for (i, r) in report.results.iter().enumerate() {
+            if i == idx {
+                continue;
+            }
+            assert!(
+                matches!(r.verdict, Verdict::Sat(_) | Verdict::Unsat),
+                "{mode}: query {i} must still be decided despite the poisoned neighbor"
+            );
+        }
+        // Errors are never cached: a rerun re-executes (and re-fails) the
+        // poisoned query instead of replaying a bogus cached verdict.
+        let rerun = engine.run_batch(std::slice::from_ref(&poison));
+        assert!(
+            matches!(rerun.results[0].verdict, Verdict::Error(_)),
+            "{mode}"
+        );
+        assert!(!rerun.results[0].cache_hit, "{mode}");
     }
-    // Errors are never cached: a rerun re-executes (and re-fails) the
-    // poisoned query instead of replaying a bogus cached verdict.
-    let rerun = engine.run_batch(std::slice::from_ref(&poison));
-    assert!(matches!(rerun.results[0].verdict, Verdict::Error(_)));
-    assert!(!rerun.results[0].cache_hit);
 }
 
 #[test]
