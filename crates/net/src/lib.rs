@@ -11,8 +11,8 @@
 //! Shapeshifter) on top of those shared models.
 //!
 //! Modules whose line counts reproduce the paper's Table 2 mark their
-//! semantic core with `ZEN-LOC-BEGIN`/`ZEN-LOC-END` comments; the
-//! `table2` binary in `rzen-bench` counts them.
+//! semantic core with `ZEN-LOC-BEGIN`/`ZEN-LOC-END` comments;
+//! `rzen-repro table2` counts them.
 
 #![warn(missing_docs)]
 

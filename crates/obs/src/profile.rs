@@ -42,8 +42,7 @@
 //! While profiling is enabled, span push/pop writes two words under a
 //! seqlock in a thread-local slot, and the sampler's cost is bounded by
 //! the sample rate times the live thread count — independent of request
-//! throughput. The serve overhead study (`results/serve_overhead.csv`)
-//! holds the 99 Hz profiling arm within a few percent of baseline.
+//! throughput.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};

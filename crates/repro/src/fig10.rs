@@ -9,22 +9,18 @@
 //! analysis), for Zen-BDD and Zen-SMT ("Batfish currently does not
 //! support verification of route maps").
 //!
-//! Usage:
-//!   cargo run --release -p rzen-bench --bin fig10 -- acl \[reps\]
-//!   cargo run --release -p rzen-bench --bin fig10 -- routemap \[reps\]
-//!   cargo run --release -p rzen-bench --bin fig10 -- all \[reps\]
-//!
 //! Emits CSV on stdout and into results/fig10_{acl,routemap}.csv.
 
 use rzen::{FindOptions, Zen, ZenFunction};
 use rzen_baselines::AclVerifier;
-use rzen_bench::{mean_ms, write_csv};
 use rzen_net::gen::{random_acl, random_route_map};
+
+use crate::{mean_ms, write_csv};
 
 const ACL_SIZES: [usize; 7] = [1000, 2500, 5000, 7500, 10000, 12500, 15000];
 const RM_SIZES: [usize; 5] = [20, 40, 60, 80, 100];
 
-fn acl_series(reps: usize) {
+pub(crate) fn acl_series(reps: usize) {
     println!("# Fig. 10 (left): ACL verification — find a packet matching the last line");
     let header = "lines,zen_bdd_ms,zen_smt_ms,baseline_ms";
     println!("{header}");
@@ -59,11 +55,10 @@ fn acl_series(reps: usize) {
         println!("{row}");
         rows.push(row);
     }
-    let path = write_csv("fig10_acl.csv", header, &rows).expect("write csv");
-    eprintln!("wrote {}", path.display());
+    write_csv("fig10_acl.csv", header, &rows);
 }
 
-fn routemap_series(reps: usize) {
+pub(crate) fn routemap_series(reps: usize) {
     println!("# Fig. 10 (right): route-map verification — find an announcement deciding at the last clause");
     let header = "clauses,zen_bdd_ms,zen_smt_ms";
     println!("{header}");
@@ -98,27 +93,5 @@ fn routemap_series(reps: usize) {
         println!("{row}");
         rows.push(row);
     }
-    let path = write_csv("fig10_routemap.csv", header, &rows).expect("write csv");
-    eprintln!("wrote {}", path.display());
-}
-
-fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let reps: usize = std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(3);
-    match mode.as_str() {
-        "acl" => acl_series(reps),
-        "routemap" => routemap_series(reps),
-        "all" => {
-            acl_series(reps);
-            println!();
-            routemap_series(reps);
-        }
-        other => {
-            eprintln!("unknown mode {other}; use acl | routemap | all");
-            std::process::exit(2);
-        }
-    }
+    write_csv("fig10_routemap.csv", header, &rows);
 }

@@ -5,8 +5,6 @@
 //! models, and the checkmark is printed only if the analysis produced a
 //! verified-correct result. The other columns reproduce the paper's
 //! claims about prior IVLs for context.
-//!
-//! Usage: cargo run --release -p rzen-bench --bin table1
 
 use rzen::{FindOptions, TransformerSpace, Zen};
 use rzen_net::acl::{Acl, AclRule};
@@ -138,32 +136,21 @@ fn check_shapeshifter() -> bool {
         && unknown.contains(&(1, shapeshifter::Verdict::Unknown))
 }
 
-fn main() {
+/// Print the table; `true` iff every Zen checkmark was earned.
+pub(crate) fn run() -> bool {
     // (analysis, [Rosette, Kaplan, Boogie, NV] from the paper's Table 1,
     // live Zen check)
-    type Row = (&'static str, [bool; 4], Box<dyn Fn() -> bool>);
-    let rows: Vec<Row> = vec![
-        ("HSA", [false, false, false, true], Box::new(check_hsa)),
-        ("AP", [false, false, false, false], Box::new(check_ap)),
-        (
-            "Anteater",
-            [true, true, true, false],
-            Box::new(check_anteater),
-        ),
-        (
-            "Minesweeper",
-            [true, true, true, true],
-            Box::new(check_minesweeper),
-        ),
-        (
-            "Bonsai",
-            [false, false, false, false],
-            Box::new(check_bonsai),
-        ),
+    type Row = (&'static str, [bool; 4], fn() -> bool);
+    let rows: [Row; 6] = [
+        ("HSA", [false, false, false, true], check_hsa),
+        ("AP", [false, false, false, false], check_ap),
+        ("Anteater", [true, true, true, false], check_anteater),
+        ("Minesweeper", [true, true, true, true], check_minesweeper),
+        ("Bonsai", [false, false, false, false], check_bonsai),
         (
             "Shapeshifter",
             [false, false, false, true],
-            Box::new(check_shapeshifter),
+            check_shapeshifter,
         ),
     ];
     println!("Table 1: which IVLs can express example network analyses");
@@ -175,7 +162,7 @@ fn main() {
     let mark = |b: bool| if b { "✓" } else { "✗" };
     let mut all = true;
     for (name, prior, check) in rows {
-        let (ok, ms) = rzen_bench::time_ms(check);
+        let (ok, ms) = crate::time_ms(check);
         all &= ok;
         println!(
             "{:<14} {:^8} {:^8} {:^8} {:^6} {:^6} ({ms:.0} ms)",
@@ -196,5 +183,5 @@ fn main() {
             "SOME ANALYSES FAILED ✗"
         }
     );
-    std::process::exit(if all { 0 } else { 1 });
+    all
 }

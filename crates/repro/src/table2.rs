@@ -4,12 +4,8 @@
 //!
 //! The counts are measured from the actual sources: each component's
 //! semantic core is delimited by `ZEN-LOC-BEGIN(<name>)` /
-//! `ZEN-LOC-END(<name>)` markers in `rzen-net`, and this binary counts
+//! `ZEN-LOC-END(<name>)` markers in `rzen-net`, and this module counts
 //! the non-blank, non-comment, non-attribute lines in between.
-//!
-//! Usage: cargo run --release -p rzen-bench --bin table2
-
-use std::path::PathBuf;
 
 struct Component {
     name: &'static str,
@@ -79,18 +75,15 @@ fn count_marked(src: &str, marker: &str) -> u32 {
     count
 }
 
-fn net_src_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../net/src")
-}
-
-fn main() {
+/// Print the table; `true` iff every component is within 2x of the paper.
+pub(crate) fn run() -> bool {
     println!("Table 2: lines of code to express common network functionality");
     println!("(measured from this repository's sources; paper numbers for reference)\n");
     println!(
         "{:<24} {:>12} {:>11}   Existing systems",
         "Network Component", "rzen lines", "paper Zen"
     );
-    let dir = net_src_dir();
+    let dir = crate::workspace_root().join("crates/net/src");
     let mut ok = true;
     for c in COMPONENTS {
         let mut lines = 0;
@@ -121,5 +114,5 @@ fn main() {
             "SOME COMPONENTS OUT OF BAND ✗"
         }
     );
-    std::process::exit(if ok { 0 } else { 1 });
+    ok
 }

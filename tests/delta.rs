@@ -1,8 +1,9 @@
 //! Delta subsystem integration tests: differential correctness of scripted
 //! deltas against a fresh parse of the equivalent full spec (for every
 //! checked-in spec), cone-of-influence eviction precision, session-state
-//! survival across deltas, and the serve layer's `POST /delta` and no-op
-//! `POST /model` behavior over real sockets.
+//! survival across deltas, the serve layer's `POST /delta` and no-op
+//! `POST /model` behavior over real sockets, and served == batch verdict
+//! equivalence at one and two shards.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,6 +13,7 @@ use std::time::Duration;
 use rzen::Budget;
 use rzen_delta::composite_fingerprint;
 use rzen_engine::{DeltaCacheStats, Engine, EngineConfig, Query, QueryBackend, Verdict};
+use rzen_net::gen::spine_leaf;
 use rzen_net::spec::{self, Spec};
 use rzen_obs::json::{parse, Value};
 use rzen_serve::{start, Model, ServerConfig};
@@ -85,6 +87,20 @@ fn all_pairs(spec: &Spec) -> Vec<Query> {
     }
     queries
 }
+
+/// The NDJSON request line that asks a server for `q` (reach/drops only).
+fn wire_line(spec: &Spec, q: &Query) -> String {
+    let (Query::Reach { src, dst, .. } | Query::Drops { src, dst, .. }) = q else {
+        unreachable!("all_pairs builds reach and drops only");
+    };
+    let (kind, s, d) = (q.kind(), spec.endpoint_name(*src), spec.endpoint_name(*dst));
+    format!("{{\"op\":\"{kind}\",\"src\":\"{s}\",\"dst\":\"{d}\"}}")
+}
+
+/// Fence off leaf1's hosts in a `gen::spine_leaf` fabric: all-pairs
+/// verdicts become a mix of sat and unsat.
+const FENCE_LEAF1: &str =
+    "{\"op\":\"set-acl\",\"device\":\"leaf1\",\"intf\":99,\"dir\":\"in\",\"acl\":\"deny\"}";
 
 fn engine(cache: bool) -> Engine {
     Engine::new(EngineConfig {
@@ -430,6 +446,44 @@ fn post_delta_flips_verdicts_and_advances_the_generation() {
         "each accepted mutation advances the generation exactly once"
     );
 
+    // A delta is an optimisation of a full swap, never a different
+    // answer: on a fabric, one leaf's ACL change posted as a delta must
+    // leave every all-pairs verdict equal to posting the patched spec
+    // whole, while re-solving strictly fewer of them (only the pairs
+    // through that leaf; a swap clears the cache).
+    let base = Spec::from_network(spine_leaf(2, 3)).unwrap();
+    let mut patched = base.clone();
+    rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let post = |path: &str, body: &str| {
+        let (status, resp) = http_post(addr, path, body);
+        assert!(status.contains("200"), "POST {path}: {status} {resp}");
+    };
+    // Every all-pairs verdict, and how many were solved rather than
+    // served from the result cache.
+    let ask_all = || -> (Vec<String>, usize) {
+        let (mut verdicts, mut solved) = (Vec::new(), 0);
+        for q in all_pairs(&base) {
+            let resp = parse(&request(addr, &wire_line(&base, &q))).unwrap();
+            verdicts.push(field(&resp, "verdict").as_str().unwrap().to_string());
+            solved += (field(&resp, "cache_hit").as_bool() != Some(true)) as usize;
+        }
+        (verdicts, solved)
+    };
+    post("/model", &spec::serialize(&base).unwrap());
+    ask_all();
+    post("/delta", FENCE_LEAF1);
+    let (via_delta, solved_after_delta) = ask_all();
+    post("/model", &spec::serialize(&base).unwrap());
+    ask_all();
+    post("/model", &spec::serialize(&patched).unwrap());
+    let (via_swap, solved_after_swap) = ask_all();
+    assert_eq!(via_delta, via_swap);
+    assert!(via_swap.iter().any(|v| v == "unsat") && via_swap.iter().any(|v| v == "sat"));
+    assert!(
+        0 < solved_after_delta && solved_after_delta < solved_after_swap,
+        "delta re-solved {solved_after_delta}, full swap {solved_after_swap}"
+    );
+
     // Cache observability rides along: the delta-eviction counters and
     // the entries gauge are live in /metrics (Prometheus names: dots
     // become underscores, counters gain `_total`).
@@ -496,4 +550,36 @@ fn equal_fingerprint_model_post_is_a_noop_that_keeps_the_cache() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// The server is a second way to ask the engine the same questions: at
+/// any shard count, every verdict must be the one `Engine::run_batch`
+/// (what `rzen-cli batch` prints) gives for the same query. Lives here,
+/// not in `tests/serve.rs`: its solver load at start-up starved that
+/// binary's 400 ms trace-capture test about one run in twenty.
+#[test]
+fn served_verdicts_equal_the_batch_path_at_every_shard_count() {
+    let mut spec = Spec::from_network(spine_leaf(2, 4)).unwrap();
+    rzen_delta::apply_all(&mut spec, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let queries = all_pairs(&spec);
+    let report = engine(true).run_batch(&queries);
+    // Mixed, so an answer from another model or pair shows as a mismatch.
+    assert!(report.stats.sat > 0 && report.stats.unsat > 0);
+
+    for shards in [1, 2] {
+        let mut c = cfg(false);
+        c.shards = shards;
+        let handle = start(c, Model::from_spec(spec.clone())).unwrap();
+        for (q, batch) in queries.iter().zip(&report.results) {
+            let line = wire_line(&spec, q);
+            let served = parse(&request(handle.addr(), &line)).unwrap();
+            assert_eq!(
+                field(&served, "verdict").as_str(),
+                Some(verdict_kind(&batch.verdict)),
+                "shards={shards}: {line}"
+            );
+        }
+        handle.shutdown();
+        handle.join();
+    }
 }
