@@ -29,6 +29,11 @@ pub enum SymVal<B> {
     Bv(Vec<B>),
     /// A struct, one entry per field.
     Struct(Vec<Rc<SymVal<B>>>),
+    /// A struct-sorted conditional `c ? t : f` whose fields nobody has read
+    /// yet. `GetField` pushes its projection through and muxes only the
+    /// field asked for; `Eq` and [`BitCompiler::compile`]'s returned root
+    /// force it, so values handed out of the compiler never contain one.
+    Mux(B, Rc<SymVal<B>>, Rc<SymVal<B>>),
 }
 
 impl<B: Clone> SymVal<B> {
@@ -48,14 +53,6 @@ impl<B: Clone> SymVal<B> {
         }
     }
 
-    /// The fields, for `Struct` values.
-    pub fn as_struct(&self) -> &[Rc<SymVal<B>>] {
-        match self {
-            SymVal::Struct(fs) => fs,
-            _ => panic!("expected Struct SymVal"),
-        }
-    }
-
     /// Flatten to a single bit list (field order; bitvectors MSB-first so
     /// the flattened layout matches the variable-ordering convention).
     pub fn flatten(&self, out: &mut Vec<B>) {
@@ -65,6 +62,33 @@ impl<B: Clone> SymVal<B> {
             SymVal::Struct(fs) => {
                 for f in fs {
                     f.flatten(out);
+                }
+            }
+            SymVal::Mux(..) => panic!("flatten over a pending Mux"),
+        }
+    }
+
+    /// Call `f` on every bit reachable from `roots`, pending muxes'
+    /// conditions and arms included. Shared nodes are visited once and the
+    /// walk is iterative: a session cache holds `If` chains as deep as a
+    /// rule list is long, each entry pointing into the next.
+    pub fn for_each_bit<'a>(roots: impl Iterator<Item = &'a Rc<Self>>, mut f: impl FnMut(&B))
+    where
+        B: 'a,
+    {
+        let mut seen = rzen_bdd::FastHashSet::default();
+        let mut stack: Vec<&Rc<Self>> = roots.collect();
+        while let Some(v) = stack.pop() {
+            if !seen.insert(Rc::as_ptr(v)) {
+                continue;
+            }
+            match &**v {
+                SymVal::Bool(b) => f(b),
+                SymVal::Bv(bits) => bits.iter().for_each(&mut f),
+                SymVal::Struct(fs) => stack.extend(fs),
+                SymVal::Mux(c, t, e) => {
+                    f(c);
+                    stack.extend([t, e]);
                 }
             }
         }
@@ -84,7 +108,15 @@ pub struct BitCompiler<'a, A: BoolAlg> {
     /// sessions exploit exactly that to age out interior circuit nodes.
     touched: Vec<u32>,
     seed_hits: u64,
+    /// Projections already pushed through a pending [`SymVal::Mux`], keyed
+    /// by (node address, field); the node rides along so the address
+    /// cannot be reused while the entry lives. Per compiler, not per
+    /// session: an interrupted BDD compile leaves garbage handles here.
+    projected: Projections<A::B>,
 }
+
+/// (node address, field) → (the node, kept alive; its projected field).
+type Projections<B> = FastHashMap<(*const SymVal<B>, usize), (Rc<SymVal<B>>, Rc<SymVal<B>>)>;
 
 impl<'a, A: BoolAlg> BitCompiler<'a, A> {
     /// Create a compiler over the given algebra.
@@ -104,6 +136,7 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
             inserted: FastHashMap::default(),
             touched: Vec::new(),
             seed_hits: 0,
+            projected: FastHashMap::default(),
         }
     }
 
@@ -143,7 +176,8 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
         self.alg
     }
 
-    /// Compile `root` (and everything it references).
+    /// Compile `root` (and everything it references). The returned value
+    /// contains no pending [`SymVal::Mux`].
     pub fn compile(&mut self, ctx: &Context, root: ExprId) -> Rc<SymVal<A::B>> {
         let _span = rzen_obs::span!("bitblast.compile", "root" => root.0);
         let cached_before = self.cache.len();
@@ -186,7 +220,8 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
         }
         rzen_obs::counter!("bitblast.exprs", "IR expressions lowered to circuits")
             .add((self.cache.len() - cached_before) as u64);
-        self.cache[&root.0].clone()
+        let v = self.get(root);
+        self.force(&v)
     }
 
     fn get(&self, e: ExprId) -> Rc<SymVal<A::B>> {
@@ -242,6 +277,7 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
             }
             Expr::Eq(a, b) => {
                 let (a, b) = (self.get(*a), self.get(*b));
+                let (a, b) = (self.force(&a), self.force(&b));
                 let mut fa = Vec::new();
                 let mut fb = Vec::new();
                 a.flatten(&mut fa);
@@ -274,7 +310,7 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
             }
             Expr::GetField(a, idx) => {
                 let a = self.get(*a);
-                a.as_struct()[*idx as usize].clone()
+                self.project(&a, *idx as usize)
             }
             Expr::Cast(a, to) => {
                 let from = ctx.sort_of(*a);
@@ -318,17 +354,73 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
                     .collect();
                 Rc::new(SymVal::Bv(bits))
             }
-            (SymVal::Struct(ta), SymVal::Struct(fb)) => {
-                debug_assert_eq!(ta.len(), fb.len());
-                let fields = ta
-                    .iter()
-                    .zip(fb)
-                    .map(|(x, y)| self.mux(c.clone(), x, y))
-                    .collect();
-                Rc::new(SymVal::Struct(fields))
+            // Struct-shaped arms: most readers want one field (`is_some`
+            // of an `Option<Packet>`), so nothing is muxed until asked.
+            (SymVal::Struct(_) | SymVal::Mux(..), SymVal::Struct(_) | SymVal::Mux(..)) => {
+                Rc::new(SymVal::Mux(c, t.clone(), f.clone()))
             }
             _ => panic!("mux over mismatched shapes"),
         }
+    }
+
+    /// Field `idx` of a struct-shaped value: the field itself, or the mux
+    /// of that field alone through every pending [`SymVal::Mux`] above it.
+    /// Iterative and memoised per node — `If` chains over structs are as
+    /// deep as a route map is long, and shared.
+    fn project(&mut self, root: &Rc<SymVal<A::B>>, idx: usize) -> Rc<SymVal<A::B>> {
+        let mut parents = Vec::new();
+        let mut v = root.clone();
+        loop {
+            if let Some(r) = self.projection(&v, idx) {
+                match parents.pop() {
+                    Some(parent) => v = parent,
+                    None => return r,
+                }
+                continue;
+            }
+            let SymVal::Mux(c, t, f) = &*v else {
+                unreachable!("projection of a struct is immediate")
+            };
+            match (self.projection(t, idx), self.projection(f, idx)) {
+                (Some(a), Some(b)) => {
+                    let r = self.mux(c.clone(), &a, &b);
+                    self.projected.insert((Rc::as_ptr(&v), idx), (v.clone(), r));
+                }
+                (a, _) => {
+                    let arm = if a.is_none() { t } else { f }.clone();
+                    parents.push(std::mem::replace(&mut v, arm));
+                }
+            }
+        }
+    }
+
+    /// [`BitCompiler::project`]'s answer where no mux needs building.
+    fn projection(&self, v: &Rc<SymVal<A::B>>, idx: usize) -> Option<Rc<SymVal<A::B>>> {
+        match &**v {
+            SymVal::Struct(fs) => Some(fs[idx].clone()),
+            SymVal::Mux(..) => Some(self.projected.get(&(Rc::as_ptr(v), idx))?.1.clone()),
+            _ => panic!("projection of a non-struct"),
+        }
+    }
+
+    /// `v` with every pending mux inside it built, field by field.
+    /// Recursion follows struct nesting only; chains go through
+    /// [`BitCompiler::project`].
+    fn force(&mut self, v: &Rc<SymVal<A::B>>) -> Rc<SymVal<A::B>> {
+        let mut shape = v;
+        while let SymVal::Mux(_, t, _) = &**shape {
+            shape = t;
+        }
+        let SymVal::Struct(fs) = &**shape else {
+            return v.clone();
+        };
+        let fields = (0..fs.len())
+            .map(|i| {
+                let field = self.project(v, i);
+                self.force(&field)
+            })
+            .collect();
+        Rc::new(SymVal::Struct(fields))
     }
 
     fn bv_op(&mut self, op: Bv2, sort: Sort, a: &[A::B], b: &[A::B]) -> Vec<A::B> {

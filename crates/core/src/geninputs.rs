@@ -13,7 +13,7 @@ use rzen_sat::Lit;
 
 use crate::backend::bitblast::BitCompiler;
 use crate::backend::interp::eval;
-use crate::backend::smt::{CLit, CnfAlg};
+use crate::backend::smt::{CLit, CnfAlg, NEG, POS};
 use crate::ctx::with_ctx;
 use crate::function::{FindOptions, ZenFunction};
 use crate::ir::{Expr, ExprId};
@@ -78,6 +78,13 @@ pub fn generate_inputs<A: ZenType, R: ZenType>(
             }
         }
     });
+    // Paths assume their conditions both ways: the solver needs each
+    // one's definition in both polarities.
+    for b in cond_lits.values() {
+        if let CLit::L(l) = *b {
+            alg.require(l, POS | NEG);
+        }
+    }
 
     let mut results: Vec<A> = Vec::new();
     let mut seen: Vec<Value> = Vec::new();
@@ -91,7 +98,10 @@ pub fn generate_inputs<A: ZenType, R: ZenType>(
             match cond_lits[&c.0] {
                 CLit::T => infeasible |= !want,
                 CLit::F => infeasible |= want,
-                CLit::L(l) => assumptions.push(if want { l } else { !l }),
+                CLit::L(l) => {
+                    let l = alg.solver_lit(l).expect("required above");
+                    assumptions.push(if want { l } else { !l })
+                }
             }
         }
         if infeasible {

@@ -9,9 +9,11 @@
 //! * **Bitblast cache** — compiled circuit nodes are kept across queries,
 //!   keyed by hash-consed [`ExprId`]. Identical sub-DAGs (the model
 //!   encoding shared by an all-pairs batch) bit-blast once per session.
-//! * **SAT session** — one [`CnfAlg`]/[`rzen_sat::Solver`] pair lives for
-//!   the whole session. Each query's root constraint is guarded by a
-//!   fresh activation literal `a` (`¬a ∨ root` plus the assumption `a`),
+//! * **SAT session** — one [`CnfAlg`] (gate table and [`rzen_sat::Solver`])
+//!   lives for the whole session, so a gate an earlier query built or
+//!   emitted is found by structural hash and costs nothing again. Each
+//!   query requires its root's cone, guards the root by a fresh
+//!   activation literal `a` (`¬a ∨ root` plus the assumption `a`), is
 //!   solved with `solve_limited(&[a])`, and retired by permanently
 //!   asserting `¬a`, which makes the query's guard clause vacuous while
 //!   every learnt clause — implied by the monotone clause database alone —
@@ -37,7 +39,7 @@ use rzen_sat::{Lit, SolveStatus, Stats};
 use crate::backend::bdd::{env_from_levels, BddAlg};
 use crate::backend::bitblast::{children, BitCompiler, SymVal};
 use crate::backend::ordering::{extend_order, VarOrder};
-use crate::backend::smt::{extract_env, CLit, CnfAlg};
+use crate::backend::smt::{extract_env, flush_gate_counts, CLit, CnfAlg, GLit, POS};
 use crate::backend::SolveOutcome;
 use crate::budget::Budget;
 use crate::ctx::Context;
@@ -122,6 +124,15 @@ impl SolverSession {
         self.stats
     }
 
+    /// The SAT session's footprint — (gates in the table, solver variables
+    /// in use) — once an SMT query ran. A long session must see both
+    /// plateau.
+    pub fn smt_footprint(&self) -> Option<(usize, usize)> {
+        let alg = &self.smt.as_ref()?.alg;
+        let vars = alg.solver.num_vars() - alg.solver.num_free_vars();
+        Some((alg.live_gates(), vars))
+    }
+
     /// The cached symbolic input for `key`, creating it with `mk` on first
     /// use.
     pub(crate) fn input_for(&mut self, key: (TypeId, u16), mk: impl FnOnce() -> ExprId) -> ExprId {
@@ -142,12 +153,10 @@ impl SolverSession {
         rzen_obs::counter!("session.queries", "queries solved through solver sessions").inc();
         match self.backend {
             Backend::Smt => {
-                let (o, s) = self.smt.get_or_insert_with(SmtSession::new).solve(
-                    ctx,
-                    root,
-                    budget,
-                    &mut self.stats,
-                );
+                let smt = self.smt.get_or_insert_with(SmtSession::new);
+                let (built, emitted) = (smt.alg.gates_built, smt.alg.gates_emitted);
+                let (o, s) = smt.solve(ctx, root, budget, &mut self.stats);
+                flush_gate_counts(smt.alg.gates_built - built, smt.alg.gates_emitted - emitted);
                 (o, Some(s), None)
             }
             Backend::Bdd => {
@@ -164,8 +173,8 @@ impl SolverSession {
     }
 }
 
-/// Persistent SAT backend state: one CNF environment and one CDCL solver
-/// for the whole session.
+/// Persistent SAT backend state: one gate table, one CDCL solver and one
+/// bitblast cache for the whole session.
 struct SmtSession {
     alg: CnfAlg,
     cache: FastHashMap<u32, Rc<SymVal<CLit>>>,
@@ -183,6 +192,11 @@ struct SmtSession {
     /// recycling the variable count plateaus even while queries keep
     /// compiling fresh circuitry.
     inprocess_created: u64,
+    /// `retired` at the last inprocessing pass: the bitblast cache keeps
+    /// what some query touched since then. (A fixed age of a query or two
+    /// evicts a model between two of its own queries once passes recur
+    /// and queries over several models interleave.)
+    last_pass: u64,
 }
 
 /// Inprocess when at least this many variables were created since the
@@ -192,18 +206,13 @@ struct SmtSession {
 /// while a quiet stretch of cache-hit queries needs no pass at all.
 const MIN_INPROCESS_GROWTH: u64 = 2048;
 
-/// At inprocessing points, evict cache entries no query touched within
-/// this many retires. Eviction unfreezes the entry's literal, making the
-/// circuitry reachable only through it eligible for variable elimination.
-const CACHE_EVICT_AGE: u64 = 1;
-
 impl SmtSession {
     fn new() -> SmtSession {
         let mut alg = CnfAlg::new();
         // Long-lived session: eliminated variables' indices are recycled
         // so the per-variable arrays stay sized to the live formula, not
         // to everything ever compiled. Sound here because the session
-        // only reads model values of frozen (varmap/cache) variables.
+        // only reads model values of frozen (input-bit) variables.
         alg.solver.set_recycle_eliminated(true);
         SmtSession {
             alg,
@@ -211,6 +220,7 @@ impl SmtSession {
             last_touch: FastHashMap::default(),
             retired: 0,
             inprocess_created: 0,
+            last_pass: 0,
         }
     }
 
@@ -223,24 +233,26 @@ impl SmtSession {
     /// entries and runs subsumption + bounded variable elimination with
     /// the session interface frozen.
     ///
-    /// Frozen set = every variable the outside world can still mention:
-    /// model-extraction literals (`varmap`) and every literal held by the
-    /// bitblast cache (future queries re-use those as compiled circuit
-    /// outputs). It is recomputed from scratch each time, so evicting a
-    /// cache entry *unfreezes* its literal. Unfrozen variables are exactly
-    /// the Tseitin gates of circuitry no future query can reference —
-    /// elimination then erases a retired query's dead cone entirely (every
+    /// Frozen set = the emitted input bits (models are read off them) and
+    /// every emitted literal the bitblast cache holds (future queries
+    /// re-use those as compiled circuit outputs). It is recomputed from
+    /// scratch each time, so evicting a cache entry *unfreezes* its
+    /// literal. Elimination then erases a retired query's dead cone (every
     /// resolvent of an unconstrained gate definition is a tautology),
-    /// which is what keeps per-query search cost flat over a long session
-    /// instead of growing with everything ever compiled.
+    /// which keeps per-query search cost flat over a long session. An
+    /// unfrozen gate may still be mentioned again — the structural hash
+    /// finds it — which is why eliminated gates are un-emitted right after
+    /// the pass: the next user emits a fresh copy.
     fn quiesce(&mut self, ctx: &Context) {
         let _span = rzen_obs::span!("session.smt.quiesce");
         self.retired += 1;
         let before = self.alg.solver.stats;
         let mut alive = self.alg.solver.simplify();
         // Growth-based trigger: inprocess once the variables created since
-        // the last pass rival the live formula (dead weight ≈ live work),
-        // with an absolute floor so tiny models don't churn.
+        // the last pass rival what that pass left alive (dead weight ≈
+        // live work), with an absolute floor so tiny models don't churn.
+        // `live` counts the newcomers too, hence the subtraction — without
+        // it a session inprocessed exactly once in its life.
         let nv = self.alg.solver.num_vars() as u64;
         let live = nv.saturating_sub(self.alg.solver.num_free_vars() as u64);
         let grown = self
@@ -249,18 +261,18 @@ impl SmtSession {
             .stats
             .vars_created
             .saturating_sub(self.inprocess_created);
-        if alive && grown >= live.max(MIN_INPROCESS_GROWTH) {
+        if alive && grown >= live.saturating_sub(grown).max(MIN_INPROCESS_GROWTH) {
             // Evict cache entries not *reachable* (in the expression DAG)
-            // from an entry some query touched within CACHE_EVICT_AGE
-            // retires. Recency alone would be wrong-footed here: a cache
-            // hit never descends into the node's children, so the hot
+            // from an entry some query touched since the previous pass.
+            // Recency alone would be wrong-footed here: a cache hit never
+            // descends into the node's children, so the hot
             // model's interior is never touched — but it is still live,
             // and unfreezing it would make BVE re-dissolve the whole model
             // every pass. Reachability keeps the hot closure frozen while
             // retired queries' predicate cones (unreachable from any hot
             // root) age out. An evicted entry is only a recompile on a
             // future miss, never a soundness issue.
-            let horizon = self.retired.saturating_sub(CACHE_EVICT_AGE);
+            let horizon = std::mem::replace(&mut self.last_pass, self.retired);
             let mut live: FastHashMap<u32, ()> = FastHashMap::default();
             let mut stack: Vec<ExprId> = self
                 .last_touch
@@ -278,15 +290,26 @@ impl SmtSession {
             let cache = &self.cache;
             self.last_touch.retain(|k, _| cache.contains_key(k));
 
+            // (a) Gates no retained entry can reach go too, so the table
+            // plateaus with the cache; (b) what the outside world can
+            // still mention — input bits and cached literals, where
+            // emitted — is frozen; (c) whatever elimination took anyway
+            // is un-emitted before any `new_var` can recycle its index.
+            let mut held: Vec<GLit> = Vec::new();
+            SymVal::for_each_bit(self.cache.values(), |b| {
+                if let CLit::L(l) = b {
+                    held.push(*l);
+                }
+            });
+            self.alg.sweep(held.iter().copied());
             self.alg.solver.clear_frozen();
-            let interface: Vec<Lit> = self.alg.var_bits().map(|(_, _, l)| l).collect();
-            for l in interface {
+            let inputs = self.alg.var_bits().map(|(_, _, l)| l);
+            let cached = held.iter().filter_map(|&l| self.alg.solver_lit(l));
+            for l in inputs.chain(cached).collect::<Vec<Lit>>() {
                 self.alg.solver.set_frozen(l.var(), true);
             }
-            for sym in self.cache.values() {
-                freeze_symval(&mut self.alg.solver, sym);
-            }
             alive = self.alg.solver.inprocess();
+            self.alg.unemit_eliminated();
             self.inprocess_created = self.alg.solver.stats.vars_created;
         }
         // A session formula is satisfiable with all activations off; the
@@ -341,8 +364,8 @@ impl SmtSession {
         match b {
             CLit::F => (SolveOutcome::Unsat, delta(&self.alg.solver)),
             CLit::T | CLit::L(_) => {
-                // Tseitin compilation is linear and not interrupted; honor
-                // a budget that expired during it before searching.
+                // Gate building is linear and not interrupted; honor a
+                // budget that expired during it before searching.
                 if budget.is_exhausted() {
                     return (SolveOutcome::Cancelled, delta(&self.alg.solver));
                 }
@@ -351,6 +374,7 @@ impl SmtSession {
                 // clause database for the next one.
                 let activation = match b {
                     CLit::L(l) => {
+                        let l = self.alg.require(l, POS);
                         let a = Lit::pos(self.alg.solver.new_var());
                         self.alg.solver.add_clause(&[!a, l]);
                         Some(a)
@@ -380,30 +404,6 @@ impl SmtSession {
                 }
                 self.quiesce(ctx);
                 (outcome, stats)
-            }
-        }
-    }
-}
-
-/// Freeze every SAT variable referenced by a cached compiled circuit
-/// value: those literals are the session's reuse currency and must
-/// survive variable elimination.
-fn freeze_symval(solver: &mut rzen_sat::Solver, sym: &SymVal<CLit>) {
-    fn freeze(solver: &mut rzen_sat::Solver, b: &CLit) {
-        if let CLit::L(l) = b {
-            solver.set_frozen(l.var(), true);
-        }
-    }
-    match sym {
-        SymVal::Bool(b) => freeze(solver, b),
-        SymVal::Bv(bits) => {
-            for b in bits {
-                freeze(solver, b);
-            }
-        }
-        SymVal::Struct(fields) => {
-            for f in fields {
-                freeze_symval(solver, f);
             }
         }
     }

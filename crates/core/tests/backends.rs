@@ -5,7 +5,18 @@
 //! invariant.
 
 use proptest::prelude::*;
-use rzen::{zif, Backend, FindOptions, Zen, ZenFunction};
+use rzen::backend::bdd::BddAlg;
+use rzen::backend::boolalg::BoolAlg;
+use rzen::backend::ordering::compute_order;
+use rzen::backend::smt::{CLit, CnfAlg, NEG, POS};
+use rzen::backend::ternary::TernaryAlg;
+use rzen::ir::{Expr, VarId};
+use rzen::{
+    pair, zen_struct, zif, Backend, Budget, FindOptions, FindOutcome, SolverSession, Zen,
+    ZenFunction, ZenType,
+};
+use rzen_bdd::BddManager;
+use rzen_sat::Lit;
 
 /// A small typed expression AST over an input pair (u8, u8) that we can
 /// build into a model.
@@ -130,6 +141,433 @@ fn as_function(p: &Prog) -> ZenFunction<(u8, u8), u8> {
     ZenFunction::new(move |input: Zen<(u8, u8)>| build_zen(&p, input.item1(), input.item2()))
 }
 
+// ---------------------------------------------------------------------
+// The `BoolAlg` contract, gate by gate.
+// ---------------------------------------------------------------------
+
+/// An operand shape: a constant, or one of three fresh variables, plain
+/// or negated — `x` beside `¬x` is what the normalisers' collapses see.
+type Atom = (Option<usize>, bool);
+
+/// `n` fresh Boolean variables of the thread's context.
+fn fresh_vars(n: usize) -> Vec<VarId> {
+    (0..n)
+        .map(|_| {
+            let id = Zen::<bool>::symbolic(0).expr_id();
+            rzen::with_ctx(|ctx| match ctx.expr(id) {
+                Expr::Var(v) => *v,
+                other => unreachable!("a symbolic bool is a variable, not {other:?}"),
+            })
+        })
+        .collect()
+}
+
+fn atom<A: BoolAlg>(alg: &mut A, vars: &[VarId], (var, flag): Atom) -> A::B {
+    match var {
+        None => alg.lit(flag),
+        Some(i) => {
+            let x = alg.var_bit(vars[i], 0);
+            if flag {
+                alg.not(&x)
+            } else {
+                x
+            }
+        }
+    }
+}
+
+/// Truth-table agreement of every connective on every operand shape.
+/// `value(alg, vars, b, a)` is the instantiation's own decision procedure:
+/// the value of `b` when the three variables are `a`, or `None` where it
+/// cannot tell. One algebra per connective, so later shapes find earlier
+/// gates half-emitted.
+fn laws<A: BoolAlg>(
+    mk: impl Fn() -> A,
+    value: impl Fn(&mut A, &[VarId], &A::B, [bool; 3]) -> Option<bool>,
+) {
+    let vars = fresh_vars(3);
+    type Build<A> = fn(&mut A, &[<A as BoolAlg>::B]) -> <A as BoolAlg>::B;
+    type Connective<A> = (&'static str, usize, Build<A>, fn(&[bool]) -> bool);
+    let ops: [Connective<A>; 6] = [
+        ("not", 1, |g, x| g.not(&x[0]), |v| !v[0]),
+        ("and", 2, |g, x| g.and(&x[0], &x[1]), |v| v[0] & v[1]),
+        ("or", 2, |g, x| g.or(&x[0], &x[1]), |v| v[0] | v[1]),
+        ("xor", 2, |g, x| g.xor(&x[0], &x[1]), |v| v[0] ^ v[1]),
+        ("iff", 2, |g, x| g.iff(&x[0], &x[1]), |v| v[0] == v[1]),
+        (
+            "ite",
+            3,
+            |g, x| g.ite(&x[0], &x[1], &x[2]),
+            |v| if v[0] { v[1] } else { v[2] },
+        ),
+    ];
+    for (name, arity, build, truth) in ops {
+        let mut alg = mk();
+        for shape in 0..8usize.pow(arity as u32) {
+            let atoms: Vec<Atom> = (0..arity)
+                .map(|k| shape >> (3 * k) & 7)
+                .map(|d| ((d >= 2).then(|| d / 2 - 1), d % 2 == 1))
+                .collect();
+            let operands: Vec<A::B> = atoms.iter().map(|&a| atom(&mut alg, &vars, a)).collect();
+            let out = build(&mut alg, &operands);
+            for bits in 0..8u8 {
+                let a = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
+                let inputs: Vec<bool> = atoms
+                    .iter()
+                    .map(|&(var, flag)| var.map_or(flag, |i| a[i] ^ flag))
+                    .collect();
+                if let Some(v) = value(&mut alg, &vars, &out, a) {
+                    assert_eq!(v, truth(&inputs), "{name} over {atoms:?} under {a:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Can `b` be `want` under `assume`? Decided by the solver through
+/// `require` in the polarity the question needs.
+fn cnf_can(alg: &mut CnfAlg, b: CLit, want: bool, assume: &[Lit]) -> bool {
+    match b {
+        CLit::T => want,
+        CLit::F => !want,
+        CLit::L(g) => {
+            let l = alg.require(if want { g } else { !g }, POS);
+            let mut assume = assume.to_vec();
+            assume.push(l);
+            alg.solver.solve_with_assumptions(&assume)
+        }
+    }
+}
+
+#[test]
+fn boolalg_laws_hold_on_every_instantiation() {
+    // CNF: the miter, solved through `require`, once per polarity.
+    laws(CnfAlg::new, |alg, vars, b, a| {
+        let assume: Vec<Lit> = (0..3)
+            .map(|i| {
+                let CLit::L(x) = alg.var_bit(vars[i], 0) else {
+                    unreachable!("inputs are gates")
+                };
+                let l = alg.require(x, POS);
+                if a[i] {
+                    l
+                } else {
+                    !l
+                }
+            })
+            .collect();
+        let (t, f) = (
+            cnf_can(alg, *b, true, &assume),
+            cnf_can(alg, *b, false, &assume),
+        );
+        assert_ne!(t, f, "a total assignment leaves exactly one value possible");
+        Some(t)
+    });
+    // BDD: `any_sat` of the function conjoined with the assignment's cube.
+    laws(
+        || BddAlg {
+            m: Box::leak(Box::new(BddManager::new())),
+            order: rzen::with_ctx(|ctx| compute_order(ctx, &[], false)),
+        },
+        |alg, vars, b, a| {
+            let mut on = *b;
+            let mut off = alg.m.not(*b);
+            for (i, &bit) in a.iter().enumerate() {
+                let x = alg.var_bit(vars[i], 0);
+                let x = if bit { x } else { alg.m.not(x) };
+                on = alg.m.and(on, x);
+                off = alg.m.and(off, x);
+            }
+            let (t, f) = (alg.m.any_sat(on).is_some(), alg.m.any_sat(off).is_some());
+            assert_ne!(t, f);
+            Some(t)
+        },
+    );
+    // Ternary, nothing known: whatever it commits to holds everywhere.
+    laws(TernaryAlg::new, |_, _, b, _| *b);
+}
+
+/// A random gate DAG over four inputs: each entry is (connective, three
+/// operand picks among the earlier nodes, negation mask); the last node
+/// is the root.
+type DagSpec = Vec<(u8, u8, u8, u8, u8)>;
+
+const DAG_INPUTS: usize = 4;
+
+fn dag_strategy() -> impl Strategy<Value = DagSpec> {
+    prop::collection::vec(
+        (
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+            any::<u8>(),
+        ),
+        1..24,
+    )
+}
+
+/// Build `spec` over any algebra; `nodes[i]` for `i < DAG_INPUTS` are the
+/// inputs. The concrete `bool` instance below is the reference.
+fn build_dag<A: BoolAlg>(alg: &mut A, vars: &[VarId], spec: &DagSpec) -> Vec<A::B> {
+    let mut nodes: Vec<A::B> = vars.iter().map(|&v| alg.var_bit(v, 0)).collect();
+    for &(op, a, b, c, negs) in spec {
+        let mut pick = |k: u8, neg: bool| {
+            let x = nodes[k as usize % nodes.len()].clone();
+            if neg {
+                alg.not(&x)
+            } else {
+                x
+            }
+        };
+        let (a, b, c) = (
+            pick(a, negs & 1 != 0),
+            pick(b, negs & 2 != 0),
+            pick(c, negs & 4 != 0),
+        );
+        nodes.push(match op % 5 {
+            0 => alg.and(&a, &b),
+            1 => alg.or(&a, &b),
+            2 => alg.xor(&a, &b),
+            3 => alg.iff(&a, &b),
+            _ => alg.ite(&a, &b, &c),
+        });
+    }
+    nodes
+}
+
+/// Plain Booleans under one assignment (bit `i` for `vars[i]`).
+struct Concrete<'a>(&'a [VarId], u8);
+
+impl BoolAlg for Concrete<'_> {
+    type B = bool;
+    fn lit(&mut self, b: bool) -> bool {
+        b
+    }
+    fn var_bit(&mut self, var: VarId, _: u32) -> bool {
+        self.1 >> self.0.iter().position(|&v| v == var).expect("a DAG input") & 1 == 1
+    }
+    fn not(&mut self, a: &bool) -> bool {
+        !a
+    }
+    fn and(&mut self, a: &bool, b: &bool) -> bool {
+        a & b
+    }
+    fn or(&mut self, a: &bool, b: &bool) -> bool {
+        a | b
+    }
+    fn const_of(&self, b: &bool) -> Option<bool> {
+        Some(*b)
+    }
+}
+
+/// Plaisted–Greenbaum emission against both halves everywhere, against
+/// the truth table: same verdict on the root, a model that replays, and
+/// every interior node decidable both ways on gates other nodes left
+/// half-emitted.
+fn check_dag(spec: &DagSpec) -> Result<(), TestCaseError> {
+    let vars = fresh_vars(DAG_INPUTS);
+    let tables: Vec<Vec<bool>> = (0..1u8 << DAG_INPUTS)
+        .map(|bits| build_dag(&mut Concrete(&vars, bits), &vars, spec))
+        .collect();
+    let root = tables[0].len() - 1;
+    let expect = tables.iter().any(|t| t[root]);
+
+    let mut pg = CnfAlg::new();
+    let nodes = build_dag(&mut pg, &vars, spec);
+    prop_assert_eq!(
+        pg.assert_true(nodes[root]) && pg.solver.solve(),
+        expect,
+        "PG"
+    );
+    if expect {
+        let mut bits = 0u8;
+        for (var, _, lit) in pg.var_bits() {
+            let i = vars.iter().position(|&v| v == var).expect("a DAG input");
+            bits |= u8::from(pg.solver.value(lit.var()) == lit.is_pos()) << i;
+        }
+        prop_assert!(
+            tables[bits as usize][root],
+            "PG model {:04b} does not replay",
+            bits
+        );
+    }
+
+    let mut both = CnfAlg::new();
+    let nodes = build_dag(&mut both, &vars, spec);
+    for n in &nodes {
+        if let CLit::L(g) = *n {
+            both.require(g, POS | NEG);
+        }
+    }
+    prop_assert_eq!(
+        both.assert_true(nodes[root]) && both.solver.solve(),
+        expect,
+        "both halves"
+    );
+
+    let mut shared = CnfAlg::new();
+    let nodes = build_dag(&mut shared, &vars, spec);
+    for (i, n) in nodes.iter().enumerate() {
+        for want in [true, false] {
+            let expect = tables.iter().any(|t| t[i] == want);
+            prop_assert_eq!(
+                cnf_can(&mut shared, *n, want, &[]),
+                expect,
+                "node {} = {}",
+                i,
+                want
+            );
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Struct- and option-sorted programs: the shapes `forward_along` builds.
+// ---------------------------------------------------------------------
+
+zen_struct! {
+    pub struct Rec : RecFields {
+        a, with_a: u8;
+        pt, with_pt: (u8, u8);
+        tag, with_tag: bool;
+    }
+}
+
+/// Programs of sort `Option<Rec>` over the input pair. Every conditional
+/// is struct-sorted, so the compiler leaves it pending until a field is
+/// projected (`IfALt`, `Hop`), the value is compared (`IfEq`) or the root
+/// is handed out.
+#[derive(Clone, Debug)]
+enum SProg {
+    /// `some(Rec { a: inA, pt: (inB, inA), tag: false })`
+    In,
+    Nothing,
+    IfSome(Box<SProg>, Box<SProg>, Box<SProg>),
+    IfEq(Box<SProg>, Box<SProg>, Box<SProg>, Box<SProg>),
+    IfALt(Box<SProg>, u8, Box<SProg>, Box<SProg>),
+    /// One forwarding hop: `None` stays `None`, a guard on a field may
+    /// drop, `with` rewrites a field from two others.
+    Hop(Box<SProg>, u8),
+    /// Nested `with`: swap the pair, flip the tag.
+    Swap(Box<SProg>),
+}
+
+fn sprog_strategy() -> impl Strategy<Value = SProg> {
+    let leaf = prop_oneof![Just(SProg::In), Just(SProg::In), Just(SProg::Nothing)];
+    leaf.prop_recursive(4, 24, 4, |inner| {
+        let b = || inner.clone().prop_map(Box::new);
+        prop_oneof![
+            (b(), b(), b()).prop_map(|(c, t, e)| SProg::IfSome(c, t, e)),
+            (b(), b(), b(), b()).prop_map(|(x, y, t, e)| SProg::IfEq(x, y, t, e)),
+            (b(), any::<u8>(), b(), b()).prop_map(|(x, k, t, e)| SProg::IfALt(x, k, t, e)),
+            (b(), any::<u8>()).prop_map(|(x, k)| SProg::Hop(x, k)),
+            (b(), any::<u8>()).prop_map(|(x, k)| SProg::Hop(x, k)),
+            b().prop_map(SProg::Swap),
+        ]
+    })
+}
+
+fn build_sprog(p: &SProg, input: Zen<(u8, u8)>) -> Zen<Option<Rec>> {
+    let go = |p: &SProg| build_sprog(p, input);
+    let none = || Zen::<Option<Rec>>::none(0);
+    match p {
+        SProg::In => Zen::some(Rec::create(
+            input.item1(),
+            pair(input.item2(), input.item1()),
+            Zen::bool(false),
+        )),
+        SProg::Nothing => none(),
+        SProg::IfSome(c, t, e) => zif(go(c).is_some(), go(t), go(e)),
+        SProg::IfEq(x, y, t, e) => zif(go(x).eq(go(y)), go(t), go(e)),
+        SProg::IfALt(x, k, t, e) => zif(go(x).value().a().lt(Zen::val(*k)), go(t), go(e)),
+        SProg::Hop(x, k) => {
+            let x = go(x);
+            let r = x.value();
+            let sent = Zen::some(r.with_a(r.a() + r.pt().item1()));
+            zif(
+                x.is_some(),
+                zif(r.a().lt(Zen::val(*k)), sent, none()),
+                none(),
+            )
+        }
+        SProg::Swap(x) => {
+            let x = go(x);
+            let r = x.value();
+            let swapped = r.with_pt(pair(r.pt().item2(), r.pt().item1()));
+            zif(x.is_some(), Zen::some(swapped.with_tag(!r.tag())), none())
+        }
+    }
+}
+
+/// `p` at `input` on every backend against the interpreter: forced (the
+/// ternary root, `Eq` against the expected value), projected (field by
+/// field, no struct comparison anywhere) and cached (the same questions
+/// again through one session per solver, which by then holds the pending
+/// muxes).
+type Pred<'a> = dyn Fn(Zen<(u8, u8)>, Zen<Option<Rec>>) -> Zen<bool> + 'a;
+
+fn check_sprog(p: &SProg, input: (u8, u8)) -> Result<(), TestCaseError> {
+    rzen::reset_ctx();
+    let f = {
+        let p = p.clone();
+        ZenFunction::new(move |i: Zen<(u8, u8)>| build_sprog(&p, i))
+    };
+    let expect = f.evaluate(&input);
+
+    let at_input = build_sprog(p, Zen::constant(&input));
+    let t = rzen::with_ctx(|ctx| rzen::backend::ternary::eval(ctx, at_input.expr_id(), None));
+    prop_assert_eq!(
+        rzen::with_ctx(|ctx| t.concrete(ctx)),
+        Some(expect.to_value())
+    );
+
+    let here = move |i: Zen<(u8, u8)>| i.eq(Zen::constant(&input));
+    let want = expect.clone();
+    let differs_by_field = move |out: Zen<Option<Rec>>| match &want {
+        None => out.is_some(),
+        Some(r) => {
+            let v = out.value();
+            (!out.is_some())
+                .or(v.a().ne(Zen::val(r.a)))
+                .or(v.pt().item1().ne(Zen::val(r.pt.0)))
+                .or(v.pt().item2().ne(Zen::val(r.pt.1)))
+                .or(v.tag().ne(Zen::bool(r.tag)))
+        }
+    };
+    for backend in [Backend::Bdd, Backend::Smt] {
+        let opts = FindOptions {
+            backend,
+            ..FindOptions::default()
+        };
+        let mut session = SolverSession::new(backend);
+        for warm in [false, true, true] {
+            let mut find = |pred: &Pred| {
+                let pred = |i, o| pred(i, o);
+                let budget = Budget::unlimited();
+                match warm {
+                    false => f.find_budgeted(pred, &opts, &budget).outcome,
+                    true => {
+                        f.find_in_session(pred, &opts, &budget, &mut session)
+                            .outcome
+                    }
+                }
+            };
+            let projected = find(&|i, o| here(i).and(differs_by_field(o)));
+            prop_assert_eq!(projected, FindOutcome::Unsat, "{:?} projected", backend);
+            let forced = find(&|i, o| here(i).and(o.ne(Zen::constant(&expect))));
+            prop_assert_eq!(forced, FindOutcome::Unsat, "{:?} forced", backend);
+            // Unpinned: any input with this output will do, if it replays.
+            match find(&|_, o| o.eq(Zen::constant(&expect))) {
+                FindOutcome::Found(w) => prop_assert_eq!(f.evaluate(&w), expect.clone()),
+                other => prop_assert!(false, "{:?} lost the witness: {:?}", backend, other),
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -203,6 +641,61 @@ proptest! {
             }
         }
     }
+
+    /// Gate-level: Plaisted–Greenbaum emission on random DAGs.
+    #[test]
+    fn pg_emission_matches_truth_tables(spec in dag_strategy()) {
+        check_dag(&spec)?;
+    }
+
+    /// Struct-, option- and tuple-sorted conditionals on all backends.
+    #[test]
+    fn struct_programs_match_interp(p in sprog_strategy(), input in (any::<u8>(), any::<u8>())) {
+        check_sprog(&p, input)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20000))]
+
+    /// The law suite's long run (CI: `cargo test -p rzen --test backends
+    /// -- --ignored`).
+    #[test]
+    #[ignore = "long run; CI has a step for it"]
+    fn law_suite_long(spec in dag_strategy(), p in sprog_strategy(),
+                      input in (any::<u8>(), any::<u8>())) {
+        check_dag(&spec)?;
+        check_sprog(&p, input)?;
+    }
+}
+
+/// A root that ignores half its input: the ignored half is built into
+/// gates, never emitted, absent from the model, and reads as zero in the
+/// completed witness.
+#[test]
+fn input_bits_outside_the_cone_read_as_zero() {
+    use rzen::backend::bitblast::BitCompiler;
+    use rzen::backend::{interp, smt};
+    rzen::reset_ctx();
+    let p = Zen::<(u8, u8)>::symbolic(0);
+    let bumped = pair(p.item1(), p.item2() + Zen::val(1u8));
+    let picked = zif(p.item2().lt(Zen::val(9u8)), bumped, p);
+    let root = picked.item1().eq(Zen::val(7u8)).expr_id();
+
+    let mut alg = CnfAlg::new();
+    let b = rzen::with_ctx(|ctx| *BitCompiler::new(&mut alg).compile(ctx, root).as_bool());
+    assert!(alg.assert_true(b) && alg.solver.solve());
+    assert_eq!(alg.var_bits().count(), 8, "item1's bits and nothing else");
+    assert!(
+        alg.gates_built > alg.gates_emitted,
+        "item2's adder was built"
+    );
+
+    let witness = rzen::with_ctx(|ctx| {
+        let env = smt::extract_env(ctx, &alg);
+        interp::eval(ctx, p.expr_id(), &env)
+    });
+    assert_eq!(<(u8, u8)>::from_value(&witness), (7, 0));
 }
 
 #[test]

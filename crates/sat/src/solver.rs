@@ -179,6 +179,7 @@ pub struct Solver {
     // Reusable scratch buffers — reduce_db and analyze allocate nothing
     // in steady state.
     reduce_scratch: Vec<CRef>,
+    add_scratch: Vec<Lit>,
     learnt_scratch: Vec<Lit>,
     clear_scratch: Vec<Var>,
     /// Stamp array (indexed by decision level) for LBD computation.
@@ -245,6 +246,7 @@ impl Solver {
             recycle_eliminated: false,
             ip_scratch: None,
             reduce_scratch: Vec::new(),
+            add_scratch: Vec::new(),
             learnt_scratch: Vec::new(),
             clear_scratch: Vec::new(),
             lbd_stamp: Vec::new(),
@@ -416,38 +418,43 @@ impl Solver {
             lits.iter().all(|l| !self.eliminated[l.var().index()]),
             "clause mentions an eliminated variable; freeze it before inprocessing"
         );
-        // Simplify: sort/dedup, drop false literals, detect tautology.
-        let mut ls: Vec<Lit> = lits.to_vec();
+        // Simplify in the solver's scratch buffer: sort/dedup, drop false
+        // literals, detect tautology.
+        let mut ls = std::mem::take(&mut self.add_scratch);
+        ls.clear();
+        ls.extend_from_slice(lits);
         ls.sort_unstable();
         ls.dedup();
-        let mut simplified = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == !l {
-                return true; // tautology: contains l and ¬l
+        let mut kept = 0;
+        let mut redundant = false;
+        for i in 0..ls.len() {
+            let l = ls[i];
+            // Tautology (l and ¬l are adjacent) or satisfied at level 0.
+            if ls.get(i + 1) == Some(&!l) || self.value_lit(l) == lbool::TRUE {
+                redundant = true;
+                break;
             }
-            match self.value_lit(l) {
-                lbool::TRUE => return true, // already satisfied at level 0
-                lbool::FALSE => {}          // drop
-                _ => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(simplified[0], CRef::UNDEF);
-                self.ok = self.propagate() == CRef::UNDEF;
-                self.ok
-            }
-            _ => {
-                let cref = self.arena.alloc(&simplified, false);
-                self.clauses.push(cref);
-                self.attach(cref);
-                true
+            if self.value_lit(l) != lbool::FALSE {
+                ls[kept] = l;
+                kept += 1;
             }
         }
+        if !redundant {
+            match kept {
+                0 => self.ok = false,
+                1 => {
+                    self.unchecked_enqueue(ls[0], CRef::UNDEF);
+                    self.ok = self.propagate() == CRef::UNDEF;
+                }
+                _ => {
+                    let cref = self.arena.alloc(&ls[..kept], false);
+                    self.clauses.push(cref);
+                    self.attach(cref);
+                }
+            }
+        }
+        self.add_scratch = ls;
+        self.ok
     }
 
     /// Install watchers for a clause (binary clauses go to the dedicated
