@@ -105,6 +105,16 @@ pub struct CnfAlg {
     pub gates_built: u64,
     /// Gates ever given a solver variable.
     pub gates_emitted: u64,
+    /// [`CnfAlg::require`]'s work stack, kept so its capacity amortizes.
+    require_stack: Vec<Task>,
+}
+
+/// A step of [`CnfAlg::require`]'s walk.
+enum Task {
+    /// Make sure these halves of the literal's definition are emitted.
+    Visit(GLit, u8),
+    /// Emit these halves of the gate; its operands are done.
+    Emit(usize, u8),
 }
 
 impl CnfAlg {
@@ -170,11 +180,8 @@ impl CnfAlg {
     /// operands': `eliminate_vars` walks indices downward, and so takes a
     /// dead cone apart root-first in one pass instead of one per layer.
     pub fn require(&mut self, l: GLit, pol: u8) -> Lit {
-        enum Task {
-            Visit(GLit, u8),
-            Emit(usize, u8),
-        }
-        let mut stack = vec![Task::Visit(l, pol)];
+        let mut stack = std::mem::take(&mut self.require_stack);
+        stack.push(Task::Visit(l, pol));
         while let Some(task) = stack.pop() {
             match task {
                 Task::Visit(l, pol) => {
@@ -239,6 +246,7 @@ impl CnfAlg {
                 }
             }
         }
+        self.require_stack = stack;
         self.solver_lit(l).expect("a required literal is emitted")
     }
 

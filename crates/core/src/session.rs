@@ -315,12 +315,7 @@ impl SmtSession {
         // A session formula is satisfiable with all activations off; the
         // only way simplification can derive UNSAT is a corrupted session.
         debug_assert!(alive, "session clause database became unsatisfiable");
-        rzen_sat::flush_obs_stats(&before, &self.alg.solver.stats);
-        rzen_obs::gauge!(
-            "sat.arena_bytes",
-            "bytes held by the SAT clause arena (live + uncollected waste)"
-        )
-        .set(self.alg.solver.arena_bytes() as i64);
+        rzen_sat::flush_obs_stats(&self.alg.solver, &before);
     }
 
     fn solve(

@@ -56,6 +56,8 @@ fn clause_words(size: usize, learnt: bool) -> usize {
 pub(crate) struct ClauseArena {
     data: Vec<u32>,
     wasted: usize,
+    /// Problem (non-learnt) clauses allocated and not deleted.
+    problem: usize,
 }
 
 impl ClauseArena {
@@ -63,6 +65,7 @@ impl ClauseArena {
         ClauseArena {
             data: Vec::new(),
             wasted: 0,
+            problem: 0,
         }
     }
 
@@ -83,10 +86,18 @@ impl ClauseArena {
         self.wasted
     }
 
+    /// Live problem clauses: every non-learnt clause allocated and not
+    /// deleted. A GC target counts only the clauses relocated into it, so
+    /// this stays exact across collections.
+    pub(crate) fn problem_clauses(&self) -> usize {
+        self.problem
+    }
+
     /// Allocate a clause; `lits.len() >= 2`.
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool) -> CRef {
         debug_assert!(lits.len() >= 2);
         let cref = CRef(self.data.len() as u32);
+        self.problem += usize::from(!learnt);
         self.data
             .push(((lits.len() as u32) << SIZE_SHIFT) | if learnt { LEARNT } else { 0 });
         if learnt {
@@ -175,6 +186,7 @@ impl ClauseArena {
     pub(crate) fn delete(&mut self, c: CRef) {
         debug_assert!(!self.is_deleted(c));
         let words = clause_words(self.size(c), self.is_learnt(c));
+        self.problem -= usize::from(!self.is_learnt(c));
         self.data[c.0 as usize] |= DELETED;
         self.wasted += words;
     }
@@ -228,6 +240,7 @@ impl ClauseArena {
         ClauseArena {
             data: Vec::with_capacity(self.data.len().saturating_sub(self.wasted)),
             wasted: 0,
+            problem: 0,
         }
     }
 }

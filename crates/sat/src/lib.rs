@@ -12,7 +12,8 @@
 //! * clauses stored inline in a flat `u32` arena with a relocating
 //!   garbage collector (no per-clause allocation, no tombstone leak),
 //! * two watched literals per clause for unit propagation, with
-//!   **dedicated binary-clause watch lists** propagated first,
+//!   **dedicated binary-clause watch lists** propagated first, every list
+//!   in one flat watch pool,
 //! * first-UIP conflict analysis with local clause minimization and
 //!   non-chronological backjumping,
 //! * exponential VSIDS variable activities with an indexed max-heap,
@@ -46,6 +47,7 @@ mod heap;
 mod simplify;
 mod solver;
 mod types;
+mod watch;
 
 pub use solver::{flush_obs_stats, SolveStatus, Solver, Stats};
 pub use types::{Lit, Var};

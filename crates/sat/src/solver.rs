@@ -8,6 +8,8 @@
 //! * **binary clauses get dedicated watch lists** storing the implied
 //!   literal inline, so propagating them never touches clause memory, and
 //!   they are drained before long clauses,
+//! * every watch list lives in one flat pool ([`crate::watch`]), and new
+//!   clauses are attached in bulk at the next propagation,
 //! * long-clause watchers carry a blocker literal that skips the clause
 //!   when already satisfied,
 //! * assignments are MiniSat-encoded `u8`s so a literal's value is one
@@ -35,16 +37,7 @@ use std::time::Instant;
 use crate::arena::{CRef, ClauseArena};
 use crate::heap::ActivityHeap;
 use crate::types::{lbool, lit_val, Lit, Var};
-
-/// A watch-list entry. For long clauses `blocker` is some other literal
-/// of the clause (if already true the clause is skipped without touching
-/// the arena). For binary clauses `blocker` is the *other* literal — the
-/// clause body is never read during propagation.
-#[derive(Clone, Copy)]
-pub(crate) struct Watcher {
-    pub(crate) cref: CRef,
-    pub(crate) blocker: Lit,
-}
+use crate::watch::{self, Kind, WatchPool, Watcher};
 
 /// Solver statistics, exposed for benchmarking and debugging.
 #[derive(Clone, Copy, Debug, Default)]
@@ -113,11 +106,8 @@ pub struct Solver {
     pub(crate) clauses: Vec<CRef>,
     /// Learnt clauses.
     pub(crate) learnts: Vec<CRef>,
-    /// Long-clause watch lists, indexed by watched-literal code.
-    pub(crate) watches: Vec<Vec<Watcher>>,
-    /// Binary-clause watch lists, indexed by literal code; propagated
-    /// before long clauses.
-    pub(crate) watches_bin: Vec<Vec<Watcher>>,
+    /// Every watch list — binary and long, per literal — in one pool.
+    watches: WatchPool,
     pub(crate) assigns: Vec<u8>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
@@ -215,8 +205,7 @@ impl Solver {
             arena: ClauseArena::new(),
             clauses: Vec::new(),
             learnts: Vec::new(),
-            watches: Vec::new(),
-            watches_bin: Vec::new(),
+            watches: WatchPool::default(),
             assigns: Vec::new(),
             polarity: Vec::new(),
             activity: Vec::new(),
@@ -317,10 +306,7 @@ impl Solver {
         self.seen.push(false);
         self.frozen.push(false);
         self.eliminated.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.watches_bin.push(Vec::new());
-        self.watches_bin.push(Vec::new());
+        self.watches.add_var();
         self.lbd_stamp.push(0);
         self.heap.grow(self.assigns.len());
         self.heap.insert(v, &self.activity);
@@ -339,18 +325,22 @@ impl Solver {
         self.learnts.len()
     }
 
-    /// Number of problem (non-learnt) clauses.
+    /// Number of problem (non-learnt) clauses. A count the arena keeps,
+    /// not a scan.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|&&c| !self.arena.is_deleted(c))
-            .count()
+        self.arena.problem_clauses()
     }
 
     /// Bytes currently held by the clause arena (live + not-yet-collected
     /// waste). This is the number the `sat.arena_bytes` gauge reports.
     pub fn arena_bytes(&self) -> usize {
         self.arena.capacity_bytes()
+    }
+
+    /// Bytes currently held by the watch pool and its per-list offsets.
+    /// This is the number the `sat.watch_bytes` gauge reports.
+    pub fn watch_bytes(&self) -> usize {
+        self.watches.bytes()
     }
 
     /// Mark `v` as frozen: inprocessing will never eliminate it. Freeze
@@ -449,7 +439,7 @@ impl Solver {
                 _ => {
                     let cref = self.arena.alloc(&ls[..kept], false);
                     self.clauses.push(cref);
-                    self.attach(cref);
+                    self.watches.queue(cref);
                 }
             }
         }
@@ -457,56 +447,14 @@ impl Solver {
         self.ok
     }
 
-    /// Install watchers for a clause (binary clauses go to the dedicated
-    /// lists). The clause's first two literals are the watched pair.
-    pub(crate) fn attach(&mut self, cref: CRef) {
-        let l0 = self.arena.lit(cref, 0);
-        let l1 = self.arena.lit(cref, 1);
-        let lists = if self.arena.size(cref) == 2 {
-            &mut self.watches_bin
-        } else {
-            &mut self.watches
-        };
-        lists[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        lists[(!l1).code()].push(Watcher { cref, blocker: l0 });
-    }
-
     /// Clear and re-install every watcher from the clause lists. Used
     /// after garbage collection and level-0 clause-database rewrites,
     /// where patching individual lists would cost more than rebuilding.
     pub(crate) fn rebuild_watches(&mut self) {
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for w in &mut self.watches_bin {
-            w.clear();
-        }
-        for li in 0..2 {
-            let n = if li == 0 {
-                self.clauses.len()
-            } else {
-                self.learnts.len()
-            };
-            for i in 0..n {
-                let cref = if li == 0 {
-                    self.clauses[i]
-                } else {
-                    self.learnts[i]
-                };
-                if self.arena.is_deleted(cref) {
-                    continue;
-                }
-                let l0 = self.arena.lit(cref, 0);
-                let l1 = self.arena.lit(cref, 1);
-                let lists = if self.arena.size(cref) == 2 {
-                    &mut self.watches_bin
-                } else {
-                    &mut self.watches
-                };
-                lists[(!l0).code()].push(Watcher { cref, blocker: l1 });
-                lists[(!l1).code()].push(Watcher { cref, blocker: l0 });
-            }
-        }
+        let arena = &self.arena;
+        let live = self.clauses.iter().chain(&self.learnts).copied();
+        self.watches
+            .rebuild(arena, live.filter(|&c| !arena.is_deleted(c)));
     }
 
     #[inline]
@@ -521,6 +469,7 @@ impl Solver {
 
     /// Unit propagation. Returns the conflicting clause or [`CRef::UNDEF`].
     ///
+    /// Clauses added since the last call are attached first, in bulk.
     /// Binary watch lists are drained first: their implication is inline
     /// in the watcher, so the common Tseitin-gate case never touches
     /// clause memory. Long clauses then use the standard MiniSat
@@ -532,18 +481,15 @@ impl Solver {
         if rzen_obs::trace::enabled() {
             rzen_obs::counter!("sat.propagate.calls", "unit-propagation runs (traced runs)").inc();
         }
+        self.watches.settle(&self.arena);
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let pc = p.code();
 
             // Binary clauses first: value check + enqueue, nothing else.
-            let nbin = self.watches_bin[pc].len();
-            let mut bi = 0;
-            while bi < nbin {
-                let w = self.watches_bin[pc][bi];
-                bi += 1;
+            for k in self.watches.range(watch::list(p, Kind::Bin)) {
+                let w = self.watches.get(k);
                 let v = lit_val(&self.assigns, w.blocker);
                 if v == lbool::FALSE {
                     self.qhead = self.trail.len();
@@ -554,17 +500,20 @@ impl Solver {
                 }
             }
 
-            // Long clauses.
+            // Long clauses, compacted in place: `i` reads, `j` writes back
+            // the watchers that stay. A watcher that moves goes to another
+            // literal's list, which never relocates this one.
             let false_lit = !p;
-            let mut ws = std::mem::take(&mut self.watches[pc]);
-            let mut i = 0;
-            let mut j = 0;
+            let list = watch::list(p, Kind::Long);
+            let ws = self.watches.range(list);
+            let mut i = ws.start;
+            let mut j = ws.start;
             let mut conflict = CRef::UNDEF;
-            'watches: while i < ws.len() {
-                let w = ws[i];
+            'watches: while i < ws.end {
+                let w = self.watches.get(i);
                 i += 1;
                 if lit_val(&self.assigns, w.blocker) == lbool::TRUE {
-                    ws[j] = w;
+                    self.watches.set(j, w);
                     j += 1;
                     continue;
                 }
@@ -582,10 +531,13 @@ impl Solver {
                     lits[0]
                 };
                 if first != w.blocker && lit_val(&self.assigns, first) == lbool::TRUE {
-                    ws[j] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                    self.watches.set(
+                        j,
+                        Watcher {
+                            cref,
+                            blocker: first,
+                        },
+                    );
                     j += 1;
                     continue;
                 }
@@ -596,24 +548,30 @@ impl Solver {
                         let lk = lits[k];
                         if lit_val(&self.assigns, lk) != lbool::FALSE {
                             lits.swap(1, k);
-                            self.watches[(!lk).code()].push(Watcher {
-                                cref,
-                                blocker: first,
-                            });
+                            self.watches.push(
+                                watch::list(!lk, Kind::Long),
+                                Watcher {
+                                    cref,
+                                    blocker: first,
+                                },
+                            );
                             continue 'watches;
                         }
                     }
                 }
                 // No new watch: clause is unit or conflicting.
-                ws[j] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                self.watches.set(
+                    j,
+                    Watcher {
+                        cref,
+                        blocker: first,
+                    },
+                );
                 j += 1;
                 if lit_val(&self.assigns, first) == lbool::FALSE {
                     // Conflict: copy the remaining watchers back and stop.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
+                    while i < ws.end {
+                        self.watches.set(j, self.watches.get(i));
                         j += 1;
                         i += 1;
                     }
@@ -623,8 +581,7 @@ impl Solver {
                     self.unchecked_enqueue(first, cref);
                 }
             }
-            ws.truncate(j);
-            self.watches[pc] = ws;
+            self.watches.truncate(list, j - ws.start);
             if conflict != CRef::UNDEF {
                 return conflict;
             }
@@ -1119,12 +1076,7 @@ impl Solver {
         let before = self.stats;
         let status = self.solve_limited_inner(assumptions);
         rzen_obs::counter!("sat.solves", "CDCL solve calls").inc();
-        flush_obs_stats(&before, &self.stats);
-        rzen_obs::gauge!(
-            "sat.arena_bytes",
-            "bytes held by the SAT clause arena (live + uncollected waste)"
-        )
-        .set(self.arena_bytes() as i64);
+        flush_obs_stats(self, &before);
         status
     }
 
@@ -1220,7 +1172,7 @@ impl Solver {
                     self.arena.set_lbd(cref, lbd);
                     self.stats.lbd_sum += lbd as u64;
                     self.learnts.push(cref);
-                    self.attach(cref);
+                    self.watches.attach_now(&self.arena, cref);
                     self.bump_clause(cref);
                     self.unchecked_enqueue(learnt[0], cref);
                 }
@@ -1292,11 +1244,13 @@ impl Solver {
     }
 }
 
-/// Fold the delta between two [`Stats`] snapshots into the global obs
-/// metric registry. Called once per `solve_limited` (and by session
-/// layers after out-of-band inprocessing), so the per-step hot loops
-/// never touch an atomic metric.
-pub fn flush_obs_stats(before: &Stats, after: &Stats) {
+/// Fold what `solver` did since the `before` snapshot of its [`Stats`]
+/// into the global obs metric registry, and set its memory gauges.
+/// Called once per `solve_limited` (and by session layers after
+/// out-of-band inprocessing), so the per-step hot loops never touch an
+/// atomic metric.
+pub fn flush_obs_stats(solver: &Solver, before: &Stats) {
+    let after = &solver.stats;
     rzen_obs::counter!("sat.conflicts", "CDCL conflicts across all solves")
         .add(after.conflicts - before.conflicts);
     rzen_obs::counter!("sat.decisions", "CDCL decisions across all solves")
@@ -1333,6 +1287,16 @@ pub fn flush_obs_stats(before: &Stats, after: &Stats) {
         "variables removed by bounded variable elimination"
     )
     .add(after.eliminated_vars - before.eliminated_vars);
+    rzen_obs::gauge!(
+        "sat.arena_bytes",
+        "bytes held by the SAT clause arena (live + uncollected waste)"
+    )
+    .set(solver.arena_bytes() as i64);
+    rzen_obs::gauge!(
+        "sat.watch_bytes",
+        "bytes held by the SAT watch pool and its per-list offsets"
+    )
+    .set(solver.watch_bytes() as i64);
 }
 
 #[cfg(test)]
@@ -1655,6 +1619,53 @@ mod tests {
         for &vi in v.iter().take(27) {
             assert!(s.value(vi));
         }
+    }
+
+    #[test]
+    fn clause_count_matches_a_scan_across_add_solve_inprocess_gc() {
+        let scan = |s: &Solver| {
+            s.clauses
+                .iter()
+                .filter(|&&c| !s.arena.is_deleted(c))
+                .count()
+        };
+        let mut s = pigeonhole(5, 4);
+        assert_eq!(s.num_clauses(), scan(&s));
+        assert!(!s.solve(), "learnt clauses are not problem clauses");
+        assert_eq!(s.num_clauses(), scan(&s));
+        // A guarded band of long clauses, retired: the sweep deletes it
+        // and the waste triggers a relocating collection.
+        let mut s = Solver::new();
+        let g = s.new_var();
+        let v = lits(&mut s, 40);
+        for i in 0..300 {
+            let (a, b, c) = (v[i % 38], v[i % 38 + 1], v[(i * 7) % 38 + 2]);
+            s.add_clause(&[Lit::pos(a), Lit::neg(b), Lit::pos(c), Lit::neg(g)]);
+        }
+        for i in 0..38 {
+            s.add_clause(&[Lit::pos(v[i]), Lit::pos(v[i + 1]), Lit::pos(v[i + 2])]);
+        }
+        assert_eq!(s.num_clauses(), scan(&s));
+        assert!(s.solve_with_assumptions(&[Lit::pos(g)]));
+        assert_eq!(s.num_clauses(), scan(&s));
+        s.add_clause(&[Lit::neg(g)]);
+        assert!(s.simplify_force());
+        assert!(
+            s.stats.gcs > 0,
+            "the retired band never triggered a collection"
+        );
+        assert_eq!(s.num_clauses(), scan(&s));
+        // Subsumption, strengthening and elimination delete and add.
+        s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
+        s.add_clause(&[Lit::neg(v[0]), Lit::pos(v[1]), Lit::pos(v[5])]);
+        for &x in &v[..20] {
+            s.set_frozen(x, true);
+        }
+        assert!(s.inprocess());
+        assert!(s.stats.subsumed + s.stats.eliminated_vars > 0);
+        assert_eq!(s.num_clauses(), scan(&s));
+        assert!(s.solve());
+        assert_eq!(s.num_clauses(), scan(&s));
     }
 
     #[test]

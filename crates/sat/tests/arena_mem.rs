@@ -1,8 +1,9 @@
 //! Session-lifecycle memory: a long-lived solver fed 100 incremental
 //! queries (each a fresh activation-guarded cone, retired afterwards) must
 //! not grow without bound. Inprocessing + relocating GC must reclaim arena
-//! bytes, and index recycling must keep the variable count plateaued at
-//! the live formula instead of the all-time total.
+//! bytes, index recycling must keep the variable count plateaued at the
+//! live formula instead of the all-time total, and the watch pool must
+//! plateau with it.
 
 use rzen_sat::{Lit, Solver, Var};
 
@@ -34,6 +35,8 @@ fn arena_reclaimed_across_100_incremental_solves() {
     s.set_recycle_eliminated(true);
 
     let mut peak_arena = 0usize;
+    // Watch-pool bytes over the first and the second fifty queries.
+    let mut peak_watch = [0usize; 2];
     let mut max_vars = 0usize;
     for q in 0..QUERIES {
         let act = s.new_var();
@@ -53,6 +56,8 @@ fn arena_reclaimed_across_100_incremental_solves() {
             assert!(s.inprocess());
         }
         peak_arena = peak_arena.max(s.arena_bytes());
+        let half = &mut peak_watch[q * 2 / QUERIES];
+        *half = (*half).max(s.watch_bytes());
         max_vars = max_vars.max(s.num_vars());
     }
     assert!(s.simplify_force());
@@ -80,6 +85,15 @@ fn arena_reclaimed_across_100_incremental_solves() {
     assert!(
         final_arena < QUERIES * WIDTH * 40 / 2,
         "arena grew with query count: {final_arena} bytes after {QUERIES} queries"
+    );
+    // The watch pool plateaus with the live formula: compaction and the
+    // rebuilds at quiesce points hand back what retired cones used, so
+    // the second fifty queries never need more than the first fifty.
+    assert!(
+        peak_watch[1] <= peak_watch[0],
+        "watch pool grew with query count: peak {} bytes over queries 50-99, {} over 0-49",
+        peak_watch[1],
+        peak_watch[0]
     );
 
     // The session is still sound after all that churn.

@@ -202,3 +202,106 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// A long-lived session on the watch pool: index recycling on, one group
+// of clauses loaded per round under its own activation literal, with a
+// unit clause arriving mid-load (propagation then attaches a partial
+// batch into lists that already hold earlier rounds' watchers), level-0
+// simplification and inprocessing interleaved at random, and a retired
+// junk cone per round so the arena collects and indices recycle. Every
+// verdict is checked against brute force over the groups still active.
+// ---------------------------------------------------------------------------
+
+/// A round's throwaway cone under `act`: chained AND-gate Tseitin
+/// definitions over fresh variables with the root asserted (the
+/// `arena_mem.rs` shape). Satisfiable, and disjoint from the test
+/// variables.
+fn junk_cone(s: &mut Solver, act: Var, width: usize) -> bool {
+    let xs: Vec<Var> = (0..width).map(|_| s.new_var()).collect();
+    let mut ok = true;
+    for w in xs.windows(3) {
+        let (o, a, b) = (w[0], w[1], w[2]);
+        ok &= s.add_clause(&[Lit::neg(o), Lit::pos(a), Lit::neg(act)]);
+        ok &= s.add_clause(&[Lit::neg(o), Lit::pos(b), Lit::neg(act)]);
+        ok &= s.add_clause(&[Lit::pos(o), Lit::neg(a), Lit::neg(b), Lit::neg(act)]);
+    }
+    ok & s.add_clause(&[Lit::pos(xs[0]), Lit::neg(act)])
+}
+
+fn round_strategy() -> impl Strategy<Value = (Vec<TestClause>, bool, u8)> {
+    // (group, keep it active after its round, quiesce: none / simplify /
+    // simplify + inprocess)
+    (
+        prop::collection::vec(clause_strategy(), 0..12),
+        any::<bool>(),
+        0..3u8,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn pooled_session_matches_brute_force(rounds in prop::collection::vec(round_strategy(), 3..7)) {
+        let mut s = Solver::new();
+        s.set_recycle_eliminated(true);
+        let vars: Vec<Var> = (0..NVARS).map(|_| s.new_var()).collect();
+        for &v in &vars {
+            s.set_frozen(v, true); // any later group may mention them
+        }
+        let mut active: Vec<Var> = Vec::new();
+        let mut formula: Vec<TestClause> = Vec::new();
+        let mut alive = true;
+        for (ri, (group, keep, quiesce)) in rounds.iter().enumerate() {
+            let act = s.new_var();
+            let junk = s.new_var();
+            s.set_frozen(act, true);
+            s.set_frozen(junk, true);
+            alive &= junk_cone(&mut s, junk, 100);
+            for (ci, clause) in group.iter().enumerate() {
+                if ci == group.len() / 2 {
+                    let t = s.new_var();
+                    alive &= s.add_clause(&[Lit::pos(t)]);
+                }
+                let mut lits: Vec<Lit> = clause.iter()
+                    .map(|&(v, pos)| Lit::new(vars[v as usize], pos)).collect();
+                lits.push(Lit::neg(act));
+                alive &= s.add_clause(&lits);
+            }
+            let mut assumptions: Vec<Lit> = active.iter().map(|&a| Lit::pos(a)).collect();
+            assumptions.extend([Lit::pos(act), Lit::pos(junk)]);
+            let expected: Vec<TestClause> = formula.iter().chain(group).cloned().collect();
+            let got = alive && s.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(got, brute_force_sat(&expected), "verdict diverged at round {}", ri);
+            if got {
+                let a = vars.iter().enumerate()
+                    .filter(|&(_, &v)| s.value(v))
+                    .fold(0u32, |a, (i, _)| a | 1 << i);
+                prop_assert!(eval_cnf(&expected, a), "model wrong at round {}", ri);
+            }
+            // Retire the junk cone, and the group unless it stays.
+            s.set_frozen(junk, false);
+            alive &= s.add_clause(&[Lit::neg(junk)]);
+            if *keep {
+                active.push(act);
+                formula.extend(group.iter().cloned());
+            } else {
+                s.set_frozen(act, false);
+                alive &= s.add_clause(&[Lit::neg(act)]);
+            }
+            if *quiesce > 0 {
+                alive &= s.simplify_force();
+            }
+            if *quiesce > 1 {
+                alive &= s.inprocess();
+            }
+            prop_assert!(alive, "retired and guarded groups never make the formula unsatisfiable");
+        }
+        prop_assert!(s.simplify_force() && s.inprocess());
+        prop_assert!(s.stats.gcs > 0, "the retired cones never triggered a collection");
+        prop_assert!(s.num_free_vars() > 0, "no index was freed for recycling");
+        let assumptions: Vec<Lit> = active.iter().map(|&a| Lit::pos(a)).collect();
+        prop_assert_eq!(s.solve_with_assumptions(&assumptions), brute_force_sat(&formula));
+    }
+}
