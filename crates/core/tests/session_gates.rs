@@ -74,8 +74,10 @@ fn matched_line(rules: &[Rule], h: Zen<Hdr>) -> Zen<u16> {
 
 /// One device of a toy fabric: `None` stays `None`; a packet is dropped
 /// unless the ACL allows it and its destination lies in `prefix`, and
-/// leaves with its source rewritten — the `zif(c, some(p), none)`
-/// wrapping `forward_along` builds per hop.
+/// leaves with its source rewritten. This keeps, on purpose, the
+/// `Option`-threaded shape `forward_along` had before it threaded a
+/// guard and a packet: each hop reads the payload of the previous hop's
+/// `zif(c, some(p), none)`, so the session sees pending struct muxes.
 fn hop(acl: &[Rule], prefix: u32, h: Zen<Option<Hdr>>) -> Zen<Option<Hdr>> {
     let p = h.value();
     let allowed = matched_line(acl, p).ne(Zen::val(1u16));

@@ -7,7 +7,7 @@
 
 use rzen::{StateSet, StateSetTransformer, TransformerSpace, Zen, ZenFunction};
 
-use crate::device::{fwd_in, fwd_out, Interface};
+use crate::device::{in_guard, in_rewrite, out_guard, out_rewrite, Interface};
 use crate::headers::Packet;
 use crate::topology::Network;
 
@@ -39,10 +39,10 @@ fn machinery(space: &TransformerSpace, intf: &Interface) -> IntfMachinery {
     let i3 = intf.clone();
     let i4 = intf.clone();
     IntfMachinery {
-        in_filter: space.set_of::<Packet>(move |p| fwd_in(&i1, p).is_some()),
-        in_t: ZenFunction::new(move |p: Zen<Packet>| fwd_in(&i2, p).value()).transformer(space),
-        out_filter: space.set_of::<Packet>(move |p| fwd_out(&i3, p).is_some()),
-        out_t: ZenFunction::new(move |p: Zen<Packet>| fwd_out(&i4, p).value()).transformer(space),
+        in_filter: space.set_of::<Packet>(move |p| in_guard(&i1, p)),
+        in_t: ZenFunction::new(move |p: Zen<Packet>| in_rewrite(&i2, p)).transformer(space),
+        out_filter: space.set_of::<Packet>(move |p| out_guard(&i3, p)),
+        out_t: ZenFunction::new(move |p: Zen<Packet>| out_rewrite(&i4, p)).transformer(space),
     }
 }
 

@@ -3,6 +3,8 @@
 //!
 //! `fwd_in` applies inbound policy (ACL, then decapsulation); `fwd_out`
 //! applies outbound policy (forwarding-table check, ACL, encapsulation).
+//! Each is a guard (does the packet get through?) plus a rewrite (what
+//! leaves?), and `forward_along` composes the two halves directly.
 //! Composition is exactly the paper's point: these functions are built by
 //! *calling* the ACL, LPM, and GRE models — no translation glue.
 
@@ -64,25 +66,41 @@ fn apply_nat(nat: &Option<Nat>, p: Zen<Packet>) -> Zen<Packet> {
     zif(tunneled, rewritten_u, rewritten_o)
 }
 
+/// Inbound guard: the inbound ACL admits the arriving packet.
+pub(crate) fn in_guard(i: &Interface, p: Zen<Packet>) -> Zen<bool> {
+    allow(&i.acl_in, p)
+}
+
+/// Inbound rewrite: decapsulation, then inbound NAT. The identity (the
+/// very same expression) unless a tunnel ends here or NAT is configured.
+pub(crate) fn in_rewrite(i: &Interface, p: Zen<Packet>) -> Zen<Packet> {
+    apply_nat(&i.nat_in, decap(i.gre_end.as_ref(), p))
+}
+
+/// Outbound guard: the forwarding table selects this interface and the
+/// outbound ACL allows the packet.
+pub(crate) fn out_guard(i: &Interface, p: Zen<Packet>) -> Zen<bool> {
+    let port = i.table.lookup(routing_header(p));
+    port.eq(Zen::val(i.id)) & allow(&i.acl_out, p)
+}
+
+/// Outbound rewrite: outbound NAT, then encapsulation. The identity
+/// unless NAT is configured or a tunnel starts here.
+pub(crate) fn out_rewrite(i: &Interface, p: Zen<Packet>) -> Zen<Packet> {
+    encap(i.gre_start.as_ref(), apply_nat(&i.nat_out, p))
+}
+
 /// Inbound processing (paper Fig. 6 `FwdIn`): inbound ACL, then
 /// decapsulation, then inbound NAT. `None` means the packet was dropped.
 pub fn fwd_in(i: &Interface, p: Zen<Packet>) -> Zen<Option<Packet>> {
-    let allowed = allow(&i.acl_in, p);
-    let decapped = decap(i.gre_end.as_ref(), p);
-    let translated = apply_nat(&i.nat_in, decapped);
-    zif(allowed, Zen::some(translated), Zen::none(0))
+    zif(in_guard(i, p), Zen::some(in_rewrite(i, p)), Zen::none(0))
 }
 
 /// Outbound processing (paper Fig. 6 `FwdOut`): forwarding table must
 /// select this interface, outbound ACL must allow, then outbound NAT,
 /// then encapsulation.
 pub fn fwd_out(i: &Interface, p: Zen<Packet>) -> Zen<Option<Packet>> {
-    let port = i.table.lookup(routing_header(p));
-    let allowed = allow(&i.acl_out, p);
-    let translated = apply_nat(&i.nat_out, p);
-    let encapped = encap(i.gre_start.as_ref(), translated);
-    let pkt_out = zif(allowed, Zen::some(encapped), Zen::none(0));
-    zif(port.eq(Zen::val(i.id)), pkt_out, Zen::none(0))
+    zif(out_guard(i, p), Zen::some(out_rewrite(i, p)), Zen::none(0))
 }
 
 /// One hop of a path: the interface a packet enters and the interface it
@@ -98,15 +116,22 @@ pub struct Hop {
 /// Forward a packet along a fixed path (paper Fig. 7 `Fwd`): apply
 /// inbound then outbound processing at every hop; `None` if dropped
 /// anywhere.
+///
+/// The fold threads a guard (`alive`: no hop has dropped the packet)
+/// and the packet as rewritten so far, and wraps them in an `Option`
+/// once at the end. Each guard is thus applied to the packet itself, not
+/// to the payload of an earlier hop's `Option`: across a
+/// header-preserving hop the packet stays the ingress `p`, so a device's
+/// guard is one hash-consed expression shared by every path through it.
 pub fn forward_along(path: &[Hop], p: Zen<Packet>) -> Zen<Option<Packet>> {
-    let mut x: Zen<Option<Packet>> = Zen::some(p);
+    let (mut alive, mut pkt) = (Zen::bool(true), p);
     for hop in path {
-        let after_in = fwd_in(&hop.intf_in, x.value());
-        let x1 = zif(x.is_some(), after_in, Zen::none(0));
-        let after_out = fwd_out(&hop.intf_out, x1.value());
-        x = zif(x1.is_some(), after_out, Zen::none(0));
+        alive = alive & in_guard(&hop.intf_in, pkt);
+        pkt = in_rewrite(&hop.intf_in, pkt);
+        alive = alive & out_guard(&hop.intf_out, pkt);
+        pkt = out_rewrite(&hop.intf_out, pkt);
     }
-    x
+    zif(alive, Zen::some(pkt), Zen::none(0))
 }
 
 #[cfg(test)]
