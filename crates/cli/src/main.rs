@@ -31,10 +31,10 @@ pub use rzen_net::spec;
 #[global_allocator]
 static ALLOC: rzen_obs::CountingAlloc = rzen_obs::CountingAlloc;
 
-use rzen::{TransformerSpace, ZenFunction};
+use rzen::{TransformerSpace, Zen, ZenFunction};
 use rzen_net::analyses::{anteater, hsa};
-use rzen_net::device::forward_along;
-use rzen_net::headers::{HeaderFields, PacketFields};
+use rzen_net::device::fold_paths;
+use rzen_net::headers::{HeaderFields, Packet, PacketFields};
 use rzen_net::ip::fmt_ip;
 
 /// The usage text, shared by `--help` (stdout, exit 0) and error paths
@@ -207,16 +207,14 @@ fn main() {
                 println!("NO PATHS: the endpoints are not connected");
                 return;
             }
-            let n_paths = paths.len();
-            let f = ZenFunction::new(move |p| {
-                let mut delivered = rzen::Zen::bool(false);
-                for path in &paths {
-                    delivered = delivered.or(forward_along(path, p).is_some());
-                }
-                delivered
-            });
+            // The model is the identity; the formula is built in the
+            // predicate, which may borrow `paths`.
+            let f = ZenFunction::new(|p: Zen<Packet>| p);
             match f.find(
-                |p, delivered| {
+                |p, _| {
+                    let delivered = fold_paths(&paths, p, Zen::bool(false), |any, out| {
+                        any.or(out.is_some())
+                    });
                     let base = p.underlay_header().is_none().and(!delivered);
                     match dst_prefix {
                         Some(pre) => base.and(pre.matches(p.overlay_header().dst_ip())),
@@ -226,7 +224,7 @@ fn main() {
                 &rzen::FindOptions::bdd(),
             ) {
                 Some(w) => {
-                    println!("DROPPED on all {n_paths} path(s):");
+                    println!("DROPPED on all {} path(s):", paths.len());
                     println!("  witness: {}", describe(&w.overlay_header));
                 }
                 None => println!("NO DROPS: every matching packet is delivered on some path"),

@@ -21,6 +21,8 @@ pub struct Context {
     pub(crate) sorts_of: Vec<Sort>,
     pub(crate) const_flags: Vec<bool>,
     pub(crate) cons: FastHashMap<Expr, u32>,
+    /// Hash-cons lookups so far, hits included.
+    pub(crate) interns: u64,
     pub(crate) structs: Vec<StructInfo>,
     pub(crate) struct_keys: Vec<StructKey>,
     pub(crate) struct_index: FastHashMap<StructKey, StructId>,
@@ -38,6 +40,7 @@ impl Context {
             sorts_of: Vec::new(),
             const_flags: Vec::new(),
             cons: FastHashMap::default(),
+            interns: 0,
             structs: Vec::new(),
             struct_keys: Vec::new(),
             struct_index: FastHashMap::default(),
@@ -49,7 +52,7 @@ impl Context {
     /// Register a struct sort under a key, or return the existing id if the
     /// key was registered before. The layout must match on re-registration.
     pub fn register_struct(&mut self, key: StructKey, info: StructInfo) -> StructId {
-        if let Some(&id) = self.struct_index.get(&key) {
+        if let Some(id) = self.struct_id(&key) {
             debug_assert_eq!(
                 self.structs[id.0 as usize].fields, info.fields,
                 "struct key re-registered with a different layout"
@@ -61,6 +64,12 @@ impl Context {
         self.struct_keys.push(key.clone());
         self.struct_index.insert(key, id);
         id
+    }
+
+    /// The id registered under `key`, if any. Hot registration paths ask
+    /// this first, so a repeat registration builds no [`StructInfo`].
+    pub(crate) fn struct_id(&self, key: &StructKey) -> Option<StructId> {
+        self.struct_index.get(key).copied()
     }
 
     /// Layout of a registered struct sort.
@@ -91,6 +100,13 @@ impl Context {
     /// Number of interned expressions (diagnostics).
     pub fn num_exprs(&self) -> usize {
         self.exprs.len()
+    }
+
+    /// Number of hash-cons lookups, hits included, since the context was
+    /// created or reset (diagnostics: `num_interns() - num_exprs()` is the
+    /// work spent re-finding nodes that already existed).
+    pub fn num_interns(&self) -> u64 {
+        self.interns
     }
 
     /// Number of allocated symbolic variables (diagnostics).

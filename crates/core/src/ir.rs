@@ -123,6 +123,7 @@ impl Context {
     }
 
     fn intern(&mut self, expr: Expr, sort: Sort) -> ExprId {
+        self.interns += 1;
         if let Some(&id) = self.cons.get(&expr) {
             return ExprId(id);
         }

@@ -46,18 +46,19 @@ pub fn __register_user_struct<T: 'static>(
     sorts: Vec<Sort>,
 ) -> Sort {
     with_ctx(|ctx| {
-        let id = ctx.register_struct(
-            StructKey::Type(TypeId::of::<T>(), sorts.clone()),
-            StructInfo {
-                name: name.to_string(),
-                fields: field_names
-                    .iter()
-                    .map(|s| s.to_string())
-                    .zip(sorts)
-                    .collect(),
-            },
-        );
-        Sort::Struct(id)
+        let key = StructKey::Type(TypeId::of::<T>(), sorts);
+        if let Some(id) = ctx.struct_id(&key) {
+            return Sort::Struct(id);
+        }
+        let StructKey::Type(_, sorts) = &key else {
+            unreachable!()
+        };
+        let names = field_names.iter().map(|s| s.to_string());
+        let info = StructInfo {
+            name: name.to_string(),
+            fields: names.zip(sorts.iter().copied()).collect(),
+        };
+        Sort::Struct(ctx.register_struct(key, info))
     })
 }
 

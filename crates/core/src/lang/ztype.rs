@@ -120,13 +120,15 @@ impl ZenType for bool {
 /// Register (or look up) the option struct sort for a payload sort.
 pub(crate) fn option_struct_id(payload: Sort) -> StructId {
     with_ctx(|ctx| {
-        ctx.register_struct(
-            StructKey::Option(payload),
-            StructInfo {
-                name: "Option".into(),
-                fields: vec![("has".into(), Sort::Bool), ("val".into(), payload)],
-            },
-        )
+        let key = StructKey::Option(payload);
+        if let Some(id) = ctx.struct_id(&key) {
+            return id;
+        }
+        let info = StructInfo {
+            name: "Option".into(),
+            fields: vec![("has".into(), Sort::Bool), ("val".into(), payload)],
+        };
+        ctx.register_struct(key, info)
     })
 }
 

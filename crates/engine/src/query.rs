@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 
 use rzen::{Budget, FindOptions, FindOutcome, Zen, ZenFunction};
 use rzen_net::acl::Acl;
-use rzen_net::device::forward_along;
+use rzen_net::device::{fold_paths, Hop};
 use rzen_net::headers::{Header, Packet};
 use rzen_net::routing::{Announcement, RouteMap};
 use rzen_net::topology::Network;
@@ -247,46 +247,35 @@ impl Query {
                     bdd_stats: report.bdd_stats,
                 }
             }
-            Query::Reach { net, src, dst } => {
+            Query::Reach { net, src, dst } | Query::Drops { net, src, dst } => {
+                let reach = matches!(self, Query::Reach { .. });
                 let paths = net.paths(src.0, src.1, dst.0, dst.1);
                 if paths.is_empty() {
-                    return RunOutput {
-                        outcome: FindOutcome::Unsat,
-                        sat_stats: None,
-                        bdd_stats: None,
-                    };
-                }
-                let f = ZenFunction::new(move |p: Zen<Packet>| {
-                    paths.iter().fold(Zen::bool(false), |acc, path| {
-                        acc.or(forward_along(path, p).is_some())
-                    })
-                });
-                let opts = FindOptions::default();
-                let report = dispatch(&f, |_, delivered| delivered, opts, budget, mode);
-                RunOutput {
-                    outcome: map_outcome(report.outcome, Witness::Packet),
-                    sat_stats: report.sat_stats,
-                    bdd_stats: report.bdd_stats,
-                }
-            }
-            Query::Drops { net, src, dst } => {
-                let paths = net.paths(src.0, src.1, dst.0, dst.1);
-                if paths.is_empty() {
-                    // No path at all: every packet is trivially dropped.
+                    // No path at all: nothing is delivered, and every
+                    // packet is trivially dropped.
                     let h = Header::new(0, 0, 0, 0, 0);
                     return RunOutput {
-                        outcome: FindOutcome::Found(Witness::Packet(Packet::plain(h))),
+                        outcome: if reach {
+                            FindOutcome::Unsat
+                        } else {
+                            FindOutcome::Found(Witness::Packet(Packet::plain(h)))
+                        },
                         sat_stats: None,
                         bdd_stats: None,
                     };
                 }
-                let f = ZenFunction::new(move |p: Zen<Packet>| {
-                    paths.iter().fold(Zen::bool(true), |acc, path| {
-                        acc.and(forward_along(path, p).is_none())
-                    })
-                });
+                // The model is the identity on the packet; the formula is
+                // built in the predicate, which may borrow `paths`.
+                let f = ZenFunction::new(|p: Zen<Packet>| p);
                 let opts = FindOptions::default();
-                let report = dispatch(&f, |_, dropped| dropped, opts, budget, mode);
+                let cond = |p, _| {
+                    if reach {
+                        delivered_on_some(&paths, p)
+                    } else {
+                        dropped_on_all(&paths, p)
+                    }
+                };
+                let report = dispatch(&f, cond, opts, budget, mode);
                 RunOutput {
                     outcome: map_outcome(report.outcome, Witness::Packet),
                     sat_stats: report.sat_stats,
@@ -320,21 +309,11 @@ impl Query {
             }
             (Query::Reach { net, src, dst }, Witness::Packet(p)) => {
                 let paths = net.paths(src.0, src.1, dst.0, dst.1);
-                let p = p.clone();
-                paths.iter().any(|path| {
-                    let path = path.clone();
-                    let f = ZenFunction::new(move |x| forward_along(&path, x));
-                    f.evaluate(&p).is_some()
-                })
+                holds(delivered_on_some(&paths, Zen::constant(p)))
             }
             (Query::Drops { net, src, dst }, Witness::Packet(p)) => {
                 let paths = net.paths(src.0, src.1, dst.0, dst.1);
-                let p = p.clone();
-                paths.iter().all(|path| {
-                    let path = path.clone();
-                    let f = ZenFunction::new(move |x| forward_along(&path, x));
-                    f.evaluate(&p).is_none()
-                })
+                holds(dropped_on_all(&paths, Zen::constant(p)))
             }
             _ => false,
         }
@@ -349,6 +328,21 @@ impl Query {
             Query::Drops { .. } => "drops",
         }
     }
+}
+
+/// Some path delivers `p`.
+fn delivered_on_some(paths: &[Vec<Hop<'_>>], p: Zen<Packet>) -> Zen<bool> {
+    fold_paths(paths, p, Zen::bool(false), |any, out| any.or(out.is_some()))
+}
+
+/// Every path drops `p`.
+fn dropped_on_all(paths: &[Vec<Hop<'_>>], p: Zen<Packet>) -> Zen<bool> {
+    fold_paths(paths, p, Zen::bool(true), |all, out| all.and(out.is_none()))
+}
+
+/// The value of a condition built from constants only.
+fn holds(c: Zen<bool>) -> bool {
+    rzen::with_ctx(|ctx| ctx.eval_const(c.expr_id()).as_bool())
 }
 
 /// Run one find either fresh (overriding the backend in `opts`) or

@@ -10,9 +10,9 @@ use crate::headers::Packet;
 use crate::topology::Network;
 
 /// A reachability witness: the path taken and a packet delivered along it.
-pub struct Witness {
+pub struct Witness<'n> {
     /// The hops of the delivering path.
-    pub path: Vec<Hop>,
+    pub path: Vec<Hop<'n>>,
     /// A concrete packet delivered along that path.
     pub packet: Packet,
 }
@@ -27,7 +27,7 @@ pub fn reachable(
     entry_intf: u8,
     dst: usize,
     exit_intf: u8,
-) -> Option<Witness> {
+) -> Option<Witness<'_>> {
     reachable_such_that(net, src, entry_intf, dst, exit_intf, |_, out| out.is_some())
 }
 
@@ -40,17 +40,11 @@ pub fn reachable_such_that(
     entry_intf: u8,
     dst: usize,
     exit_intf: u8,
-    pred: impl Fn(Zen<Packet>, Zen<Option<Packet>>) -> Zen<bool> + Clone + 'static,
-) -> Option<Witness> {
-    for path in net.paths(src, entry_intf, dst, exit_intf) {
-        let model_path = path.clone();
-        let f = ZenFunction::new(move |p| forward_along(&model_path, p));
-        let pred = pred.clone();
-        if let Some(packet) = f.find(pred, &FindOptions::smt()) {
-            return Some(Witness { path, packet });
-        }
-    }
-    None
+    pred: impl Fn(Zen<Packet>, Zen<Option<Packet>>) -> Zen<bool>,
+) -> Option<Witness<'_>> {
+    net.paths(src, entry_intf, dst, exit_intf)
+        .into_iter()
+        .find_map(|path| witness(path, &pred))
 }
 
 /// Exhaustive variant: all (path, witness) pairs.
@@ -60,14 +54,21 @@ pub fn all_witnesses(
     entry_intf: u8,
     dst: usize,
     exit_intf: u8,
-) -> Vec<Witness> {
-    let mut out = Vec::new();
-    for path in net.paths(src, entry_intf, dst, exit_intf) {
-        let model_path = path.clone();
-        let f = ZenFunction::new(move |p| forward_along(&model_path, p));
-        if let Some(packet) = f.find(|_, out| out.is_some(), &FindOptions::smt()) {
-            out.push(Witness { path, packet });
-        }
-    }
-    out
+) -> Vec<Witness<'_>> {
+    net.paths(src, entry_intf, dst, exit_intf)
+        .into_iter()
+        .filter_map(|path| witness(path, |_, out| out.is_some()))
+        .collect()
+}
+
+/// A packet for which `pred(p, forward_along(path, p))` holds. The model
+/// is the identity and the path is built inside the predicate, which,
+/// unlike a `ZenFunction` body, may borrow the network.
+fn witness(
+    path: Vec<Hop<'_>>,
+    pred: impl FnOnce(Zen<Packet>, Zen<Option<Packet>>) -> Zen<bool>,
+) -> Option<Witness<'_>> {
+    let packet = ZenFunction::new(|p: Zen<Packet>| p)
+        .find(|p, _| pred(p, forward_along(&path, p)), &FindOptions::smt())?;
+    Some(Witness { path, packet })
 }

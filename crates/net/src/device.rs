@@ -4,7 +4,8 @@
 //! `fwd_in` applies inbound policy (ACL, then decapsulation); `fwd_out`
 //! applies outbound policy (forwarding-table check, ACL, encapsulation).
 //! Each is a guard (does the packet get through?) plus a rewrite (what
-//! leaves?), and `forward_along` composes the two halves directly.
+//! leaves?), and `forward_along` composes the two halves directly;
+//! `fold_paths` does so over a set of paths, building each guard once.
 //! Composition is exactly the paper's point: these functions are built by
 //! *calling* the ACL, LPM, and GRE models — no translation glue.
 
@@ -13,7 +14,8 @@ use crate::fwd::FwdTable;
 use crate::gre::{decap, encap, GreTunnel};
 use crate::headers::{routing_header, Packet, PacketFields};
 use crate::nat::Nat;
-use rzen::{zif, Zen};
+use rzen::{zif, ExprId, Zen};
+use rzen_bdd::FastHashMap;
 
 /// A device interface with its attached policies (the paper's `Intf`).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -80,7 +82,11 @@ pub(crate) fn in_rewrite(i: &Interface, p: Zen<Packet>) -> Zen<Packet> {
 /// Outbound guard: the forwarding table selects this interface and the
 /// outbound ACL allows the packet.
 pub(crate) fn out_guard(i: &Interface, p: Zen<Packet>) -> Zen<bool> {
-    let port = i.table.lookup(routing_header(p));
+    out_guard_via(i, p, i.table.lookup(routing_header(p)))
+}
+
+/// [`out_guard`], given the port `i.table` selects for `p`.
+fn out_guard_via(i: &Interface, p: Zen<Packet>, port: Zen<u8>) -> Zen<bool> {
     port.eq(Zen::val(i.id)) & allow(&i.acl_out, p)
 }
 
@@ -104,13 +110,13 @@ pub fn fwd_out(i: &Interface, p: Zen<Packet>) -> Zen<Option<Packet>> {
 }
 
 /// One hop of a path: the interface a packet enters and the interface it
-/// must leave through.
-#[derive(Clone, Debug)]
-pub struct Hop {
+/// must leave through, borrowed from the network that owns them.
+#[derive(Clone, Copy, Debug)]
+pub struct Hop<'n> {
     /// Ingress interface.
-    pub intf_in: Interface,
+    pub intf_in: &'n Interface,
     /// Egress interface.
-    pub intf_out: Interface,
+    pub intf_out: &'n Interface,
 }
 
 /// Forward a packet along a fixed path (paper Fig. 7 `Fwd`): apply
@@ -123,15 +129,93 @@ pub struct Hop {
 /// to the payload of an earlier hop's `Option`: across a
 /// header-preserving hop the packet stays the ingress `p`, so a device's
 /// guard is one hash-consed expression shared by every path through it.
-pub fn forward_along(path: &[Hop], p: Zen<Packet>) -> Zen<Option<Packet>> {
-    let (mut alive, mut pkt) = (Zen::bool(true), p);
-    for hop in path {
-        alive = alive & in_guard(&hop.intf_in, pkt);
-        pkt = in_rewrite(&hop.intf_in, pkt);
-        alive = alive & out_guard(&hop.intf_out, pkt);
-        pkt = out_rewrite(&hop.intf_out, pkt);
+pub fn forward_along(path: &[Hop<'_>], p: Zen<Packet>) -> Zen<Option<Packet>> {
+    HopMemo::default().forward(path, p)
+}
+
+/// Combine `forward_along(path, p)` over every path, in order: the
+/// any-path folds of reach (`or` of `is_some`) and drops (`and` of
+/// `is_none`).
+///
+/// Paths through one device share its guards, so the fold remembers,
+/// for this call only, each interface half's guard and rewrite per
+/// packet expression and each table's port per routing header. A hit
+/// returns the `ExprId`s hash-consing would have found again, in the
+/// same creation order, so the formula is exactly that of the naive
+/// per-path fold; only the work of re-deriving it is skipped.
+pub fn fold_paths<'n, T>(
+    paths: &[Vec<Hop<'n>>],
+    p: Zen<Packet>,
+    init: T,
+    mut f: impl FnMut(T, Zen<Option<Packet>>) -> T,
+) -> T {
+    let mut memo = HopMemo::default();
+    paths
+        .iter()
+        .fold(init, |acc, path| f(acc, memo.forward(path, p)))
+}
+
+/// One interface half of a hop at a packet: (interface address,
+/// outbound?, packet).
+type HalfKey = (*const Interface, bool, ExprId);
+
+/// The memo behind [`fold_paths`]; [`forward_along`] uses a fresh one.
+#[derive(Default)]
+struct HopMemo<'n> {
+    /// Each half's (guard, rewrite). The address is a sound key: `'n`
+    /// keeps the interface alive and put.
+    halves: FastHashMap<HalfKey, (Zen<bool>, Zen<Packet>)>,
+    /// (table, routing header) → selected port. Keyed by content: every
+    /// interface carries its own copy of its device's table.
+    ports: FastHashMap<(&'n FwdTable, ExprId), Zen<u8>>,
+    /// The dropped result, `None`, built at the first path's end.
+    none: Option<Zen<Option<Packet>>>,
+}
+
+impl<'n> HopMemo<'n> {
+    fn forward(&mut self, path: &[Hop<'n>], p: Zen<Packet>) -> Zen<Option<Packet>> {
+        let (mut alive, mut pkt) = (Zen::bool(true), p);
+        for hop in path {
+            (alive, pkt) = self.half(alive, hop.intf_in, false, pkt);
+            (alive, pkt) = self.half(alive, hop.intf_out, true, pkt);
+        }
+        let some = Zen::some(pkt);
+        zif(alive, some, *self.none.get_or_insert_with(|| Zen::none(0)))
     }
-    zif(alive, Zen::some(pkt), Zen::none(0))
+
+    /// One interface half of a hop: `alive` conjoined with its guard,
+    /// and the packet after its rewrite. On a miss the guard and the
+    /// conjunction are built before the rewrite, the naive order.
+    fn half(
+        &mut self,
+        alive: Zen<bool>,
+        i: &'n Interface,
+        out: bool,
+        pkt: Zen<Packet>,
+    ) -> (Zen<bool>, Zen<Packet>) {
+        let key = (i as *const Interface, out, pkt.expr_id());
+        if let Some(&(guard, next)) = self.halves.get(&key) {
+            return (alive & guard, next);
+        }
+        let guard = if out {
+            let rh = routing_header(pkt);
+            let port = *self
+                .ports
+                .entry((&i.table, rh.expr_id()))
+                .or_insert_with(|| i.table.lookup(rh));
+            out_guard_via(i, pkt, port)
+        } else {
+            in_guard(i, pkt)
+        };
+        let alive = alive & guard;
+        let next = if out {
+            out_rewrite(i, pkt)
+        } else {
+            in_rewrite(i, pkt)
+        };
+        self.halves.insert(key, (guard, next));
+        (alive, next)
+    }
 }
 
 #[cfg(test)]
@@ -213,19 +297,24 @@ mod tests {
                 AclRule::any(true),
             ],
         };
-        let hop1 = Hop {
-            intf_in: Interface::new(1, table_to(1)),
-            intf_out: Interface::new(1, table_to(1)),
+        let pass = Interface::new(1, table_to(1));
+        let no_ssh = Interface {
+            acl_in: Some(deny_ssh),
+            ..Interface::new(1, table_to(1))
         };
-        let hop2 = Hop {
-            intf_in: Interface {
-                acl_in: Some(deny_ssh),
-                ..Interface::new(1, table_to(1))
-            },
-            intf_out: Interface::new(1, table_to(1)),
-        };
-        let path = vec![hop1, hop2];
-        let f = ZenFunction::new(move |p| forward_along(&path.clone(), p));
+        let f = ZenFunction::new(move |p| {
+            let path = [
+                Hop {
+                    intf_in: &pass,
+                    intf_out: &pass,
+                },
+                Hop {
+                    intf_in: &no_ssh,
+                    intf_out: &pass,
+                },
+            ];
+            forward_along(&path, p)
+        });
         assert!(f.evaluate(&pkt(ip(10, 0, 0, 1), 80)).is_some());
         assert_eq!(f.evaluate(&pkt(ip(10, 0, 0, 1), 22)), None);
     }
@@ -237,17 +326,19 @@ mod tests {
             ..Interface::new(1, table_to(1))
         };
         let pass = Interface::new(1, table_to(1));
-        let path = vec![
-            Hop {
-                intf_in: drop_all,
-                intf_out: pass.clone(),
-            },
-            Hop {
-                intf_in: pass.clone(),
-                intf_out: pass,
-            },
-        ];
-        let f = ZenFunction::new(move |p| forward_along(&path.clone(), p));
+        let f = ZenFunction::new(move |p| {
+            let path = [
+                Hop {
+                    intf_in: &drop_all,
+                    intf_out: &pass,
+                },
+                Hop {
+                    intf_in: &pass,
+                    intf_out: &pass,
+                },
+            ];
+            forward_along(&path, p)
+        });
         assert_eq!(f.evaluate(&pkt(ip(10, 0, 0, 1), 80)), None);
     }
 
@@ -265,14 +356,18 @@ mod tests {
                 AclRule::any(true),
             ],
         };
-        let path = vec![Hop {
-            intf_in: Interface {
-                acl_in: Some(deny_10_slash_8),
-                ..Interface::new(1, table_to(1))
-            },
-            intf_out: Interface::new(1, table_to(1)),
-        }];
-        let f = ZenFunction::new(move |p| forward_along(&path.clone(), p));
+        let guarded = Interface {
+            acl_in: Some(deny_10_slash_8),
+            ..Interface::new(1, table_to(1))
+        };
+        let pass = Interface::new(1, table_to(1));
+        let f = ZenFunction::new(move |p| {
+            let hop = Hop {
+                intf_in: &guarded,
+                intf_out: &pass,
+            };
+            forward_along(&[hop], p)
+        });
         let delivered = f
             .find(|_, out| out.is_some(), &rzen::FindOptions::bdd())
             .expect("some packet gets through");

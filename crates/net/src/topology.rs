@@ -70,12 +70,20 @@ impl Network {
 
     /// Enumerate the simple device paths from `src` to `dst` (device
     /// indices), as hop lists usable with
-    /// [`crate::device::forward_along`]. `entry_intf` is the interface on
-    /// `src` where the packet enters the network.
-    pub fn paths(&self, src: usize, entry_intf: u8, dst: usize, exit_intf: u8) -> Vec<Vec<Hop>> {
+    /// [`crate::device::forward_along`] and
+    /// [`crate::device::fold_paths`]. The hops borrow this network's
+    /// interfaces. `entry_intf` is the interface on `src` where the
+    /// packet enters the network.
+    pub fn paths(
+        &self,
+        src: usize,
+        entry_intf: u8,
+        dst: usize,
+        exit_intf: u8,
+    ) -> Vec<Vec<Hop<'_>>> {
         let mut out = Vec::new();
         let mut visited = vec![false; self.devices.len()];
-        let mut hops: Vec<Hop> = Vec::new();
+        let mut hops = Vec::new();
         self.dfs(
             src,
             entry_intf,
@@ -89,15 +97,15 @@ impl Network {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
+    fn dfs<'n>(
+        &'n self,
         dev: usize,
         in_intf: u8,
         dst: usize,
         exit_intf: u8,
         visited: &mut [bool],
-        hops: &mut Vec<Hop>,
-        out: &mut Vec<Vec<Hop>>,
+        hops: &mut Vec<Hop<'n>>,
+        out: &mut Vec<Vec<Hop<'n>>>,
     ) {
         visited[dev] = true;
         let Some(intf_in) = self.devices[dev].interface(in_intf) else {
@@ -106,10 +114,7 @@ impl Network {
         };
         if dev == dst {
             if let Some(intf_out) = self.devices[dev].interface(exit_intf) {
-                hops.push(Hop {
-                    intf_in: intf_in.clone(),
-                    intf_out: intf_out.clone(),
-                });
+                hops.push(Hop { intf_in, intf_out });
                 out.push(hops.clone());
                 hops.pop();
             }
@@ -123,10 +128,7 @@ impl Network {
             let Some(intf_out) = self.devices[dev].interface(link.from_intf) else {
                 continue;
             };
-            hops.push(Hop {
-                intf_in: intf_in.clone(),
-                intf_out: intf_out.clone(),
-            });
+            hops.push(Hop { intf_in, intf_out });
             self.dfs(
                 link.to_device,
                 link.to_intf,

@@ -3,9 +3,9 @@
 //! witnesses must always check out concretely.
 
 use proptest::prelude::*;
-use rzen::{FindOptions, Zen, ZenFunction};
+use rzen::{ExprId, FindOptions, Zen, ZenFunction};
 use rzen_net::acl::{Acl, AclRule};
-use rzen_net::device::{forward_along, Hop, Interface};
+use rzen_net::device::{fold_paths, forward_along, Hop, Interface};
 use rzen_net::fwd::{FwdRule, FwdTable};
 use rzen_net::gre::GreTunnel;
 use rzen_net::headers::{Header, Packet};
@@ -154,12 +154,156 @@ fn interface_strategy() -> impl Strategy<Value = Interface> {
         )
 }
 
-fn path_strategy() -> impl Strategy<Value = Vec<Hop>> {
-    prop::collection::vec(
-        (interface_strategy(), interface_strategy())
-            .prop_map(|(intf_in, intf_out)| Hop { intf_in, intf_out }),
-        1..5,
+/// A path as the (ingress, egress) interface pairs its hops borrow.
+type OwnedPath = Vec<(Interface, Interface)>;
+
+fn path_strategy() -> impl Strategy<Value = OwnedPath> {
+    prop::collection::vec((interface_strategy(), interface_strategy()), 1..5)
+}
+
+fn hops(path: &[(Interface, Interface)]) -> Vec<Hop<'_>> {
+    path.iter()
+        .map(|(intf_in, intf_out)| Hop { intf_in, intf_out })
+        .collect()
+}
+
+/// A set of 1–5 paths of 1–4 hops over a pool of 2–5 interfaces, as
+/// (pool, per path the pool indices of each hop's two interfaces). The
+/// small pool makes paths share interfaces, and reach one interface with
+/// different packets when an earlier hop NATs or tunnels. About half the
+/// pool takes the first interface's table, so interfaces with different
+/// ids carry equal tables.
+fn path_set_strategy() -> impl Strategy<Value = (Vec<Interface>, Vec<Vec<(usize, usize)>>)> {
+    let hop = (any::<usize>(), any::<usize>());
+    (
+        prop::collection::vec((interface_strategy(), any::<bool>()), 2..6),
+        prop::collection::vec(prop::collection::vec(hop, 1..5), 1..6),
     )
+        .prop_map(|(drawn, paths)| {
+            let shared = drawn[0].0.table.clone();
+            let pool: Vec<Interface> = drawn
+                .into_iter()
+                .map(|(mut i, share)| {
+                    if share {
+                        i.table = shared.clone();
+                    }
+                    i
+                })
+                .collect();
+            let n = pool.len();
+            let paths = paths
+                .into_iter()
+                .map(|path| path.into_iter().map(|(a, b)| (a % n, b % n)).collect())
+                .collect();
+            (pool, paths)
+        })
+}
+
+type Combine = fn(Zen<bool>, Zen<Option<Packet>>) -> Zen<bool>;
+
+fn delivered(any: Zen<bool>, out: Zen<Option<Packet>>) -> Zen<bool> {
+    any.or(out.is_some())
+}
+
+fn dropped(all: Zen<bool>, out: Zen<Option<Packet>>) -> Zen<bool> {
+    all.and(out.is_none())
+}
+
+/// The engine's two any-path folds, with their initial values: reach
+/// (`or` of `is_some`) and drops (`and` of `is_none`).
+const COMBINERS: [(bool, Combine); 2] = [(false, delivered), (true, dropped)];
+
+/// The combined formula over `paths`, through [`fold_paths`] or through
+/// the naive per-path fold of `forward_along`.
+fn combine(
+    paths: &[Vec<Hop>],
+    p: Zen<Packet>,
+    (init, f): (bool, Combine),
+    memo: bool,
+) -> Zen<bool> {
+    let init = Zen::bool(init);
+    if memo {
+        fold_paths(paths, p, init, f)
+    } else {
+        paths
+            .iter()
+            .fold(init, |acc, path| f(acc, forward_along(path, p)))
+    }
+}
+
+/// [`combine`] in a fresh context: (root, nodes created, hash-cons
+/// lookups), input packet included.
+fn combine_fresh(paths: &[Vec<Hop>], c: (bool, Combine), memo: bool) -> (ExprId, usize, u64) {
+    rzen::reset_ctx();
+    let root = combine(paths, Zen::<Packet>::symbolic(4), c, memo);
+    rzen::with_ctx(|ctx| (root.expr_id(), ctx.num_exprs(), ctx.num_interns()))
+}
+
+/// `fold_paths` builds exactly the naive fold's formula, for both
+/// combiners. In one context, equal roots mean equal formulas (nodes are
+/// hash-consed); in fresh contexts, equal roots and node counts mean the
+/// nodes were also created in the same order.
+fn check_fold_paths(
+    pool: &[Interface],
+    index_paths: &[Vec<(usize, usize)>],
+) -> Result<(), TestCaseError> {
+    let paths: Vec<Vec<Hop>> = index_paths
+        .iter()
+        .map(|path| {
+            path.iter()
+                .map(|&(a, b)| Hop {
+                    intf_in: &pool[a],
+                    intf_out: &pool[b],
+                })
+                .collect()
+        })
+        .collect();
+    for c in COMBINERS {
+        rzen::reset_ctx();
+        let p = Zen::<Packet>::symbolic(4);
+        let naive = combine(&paths, p, c, false).expr_id();
+        prop_assert_eq!(combine(&paths, p, c, true).expr_id(), naive);
+        let (memo, naive) = (
+            combine_fresh(&paths, c, true),
+            combine_fresh(&paths, c, false),
+        );
+        prop_assert_eq!((memo.0, memo.1), (naive.0, naive.1));
+    }
+    Ok(())
+}
+
+/// The 112 queries of the `spine_leaf(2, 8)` fabric (every ordered leaf
+/// pair, reach and drops, host port to host port): `fold_paths` makes
+/// under 1,600 hash-cons lookups a query on average (1,315 measured), and
+/// creates the very nodes the naive fold does. The naive fold makes
+/// ~4,800 lookups, and a build that rebuilt every table lookup per hop
+/// made ~5,500, to find those same ~300 nodes.
+#[test]
+fn fold_paths_finds_each_fabric_guard_once() {
+    let net = rzen_net::gen::spine_leaf(2, 8);
+    let leaves = 2..10;
+    let (mut queries, mut memo_interns, mut naive_interns) = (0u64, 0, 0);
+    for a in leaves.clone() {
+        for b in leaves.clone().filter(|&b| b != a) {
+            let paths = net.paths(a, 99, b, 99);
+            for c in COMBINERS {
+                let (memo, naive) = (
+                    combine_fresh(&paths, c, true),
+                    combine_fresh(&paths, c, false),
+                );
+                assert_eq!((memo.0, memo.1), (naive.0, naive.1), "leaf {a} -> leaf {b}");
+                queries += 1;
+                memo_interns += memo.2;
+                naive_interns += naive.2;
+            }
+        }
+    }
+    assert_eq!(queries, 112);
+    let (memo, naive) = (memo_interns / queries, naive_interns / queries);
+    assert!(
+        memo <= 1_600,
+        "{memo} hash-cons lookups a query (naive fold: {naive}): guards are rebuilt per path"
+    );
 }
 
 /// The composition `forward_along` used before it threaded a guard and a
@@ -208,9 +352,9 @@ mod option_fold {
     pub fn forward_along(path: &[Hop], p: Zen<Packet>) -> Zen<Option<Packet>> {
         let mut x: Zen<Option<Packet>> = Zen::some(p);
         for hop in path {
-            let after_in = fwd_in(&hop.intf_in, x.value());
+            let after_in = fwd_in(hop.intf_in, x.value());
             let x1 = zif(x.is_some(), after_in, Zen::none(0));
-            let after_out = fwd_out(&hop.intf_out, x1.value());
+            let after_out = fwd_out(hop.intf_out, x1.value());
             x = zif(x1.is_some(), after_out, Zen::none(0));
         }
         x
@@ -225,18 +369,20 @@ mod option_fold {
 /// The BDD runs without the variable-ordering analysis: on these paths
 /// (muxed routing headers, NAT, GRE) the order it picks ran about 100×
 /// slower on a small-ACL version of this generator.
-fn check_forward_along(path: &[Hop], packets: &[Packet]) -> Result<(), TestCaseError> {
+fn check_forward_along(path: &OwnedPath, packets: &[Packet]) -> Result<(), TestCaseError> {
     rzen::reset_ctx();
-    let (a, b) = (path.to_vec(), path.to_vec());
-    let new = ZenFunction::new(move |p| forward_along(&a, p));
-    let old = ZenFunction::new(move |p| option_fold::forward_along(&b, p));
+    let (a, b) = (path.clone(), path.clone());
+    let new = ZenFunction::new(move |p| forward_along(&hops(&a), p));
+    let old = ZenFunction::new(move |p| option_fold::forward_along(&hops(&b), p));
     let delivered = old.find(|_, out| out.is_some(), &FindOptions::smt());
     for p in packets.iter().chain(&delivered) {
         prop_assert_eq!(new.evaluate(p), old.evaluate(p), "packet {:?}", p);
     }
-    let (a, b) = (path.to_vec(), path.to_vec());
-    let same =
-        ZenFunction::new(move |p| forward_along(&a, p).eq(option_fold::forward_along(&b, p)));
+    let path = path.clone();
+    let same = ZenFunction::new(move |p| {
+        let hops = hops(&path);
+        forward_along(&hops, p).eq(option_fold::forward_along(&hops, p))
+    });
     let bdd = FindOptions {
         ordering_analysis: false,
         ..FindOptions::bdd()
@@ -394,13 +540,19 @@ proptest! {
     ) {
         check_forward_along(&path, &packets)?;
     }
+
+    #[test]
+    fn fold_paths_matches_per_path_fold(set in path_set_strategy()) {
+        check_fold_paths(&set.0, &set.1)?;
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20000))]
 
-    /// The long run (CI: `cargo test --release -p rzen-net --test prop --
-    /// --ignored`; ~10 min on one core, almost all of it BDD proofs).
+    /// The long runs (CI: `cargo test --release -p rzen-net --test prop --
+    /// --ignored`; ~10 min on one core, almost all of it the BDD proofs of
+    /// the first).
     #[test]
     #[ignore = "long run; CI has a step for it"]
     fn forward_along_matches_option_fold_long(
@@ -408,5 +560,11 @@ proptest! {
         packets in prop::collection::vec(packet_strategy(), 8),
     ) {
         check_forward_along(&path, &packets)?;
+    }
+
+    #[test]
+    #[ignore = "long run; CI has a step for it"]
+    fn fold_paths_matches_per_path_fold_long(set in path_set_strategy()) {
+        check_fold_paths(&set.0, &set.1)?;
     }
 }

@@ -25,8 +25,7 @@ fn main() {
             }
         );
         let net = fig3_network(buggy);
-        let path = net.paths(0, 1, 2, 2).remove(0);
-        let f = ZenFunction::new(move |p| forward_along(&path, p));
+        let f = ZenFunction::new(move |p| forward_along(&net.paths(0, 1, 2, 2)[0], p));
 
         // Simulate one packet end to end.
         let sent = Packet::plain(overlay_header(443, 51000));

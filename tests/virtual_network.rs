@@ -10,10 +10,10 @@ use rzen_net::headers::{Header, HeaderFields, Packet, PacketFields};
 
 fn delivery_model(buggy: bool) -> ZenFunction<Packet, Option<Packet>> {
     let net = fig3_network(buggy);
-    let paths = net.paths(0, 1, 2, 2); // enter U1 from Va, exit U3 to Vb
-    assert_eq!(paths.len(), 1, "the Fig. 3 line has one path");
-    let path = paths.into_iter().next().unwrap();
-    ZenFunction::new(move |p| forward_along(&path, p))
+    // Enter U1 from Va, exit U3 to Vb.
+    let n = net.paths(0, 1, 2, 2).len();
+    assert_eq!(n, 1, "the Fig. 3 line has one path");
+    ZenFunction::new(move |p| forward_along(&net.paths(0, 1, 2, 2)[0], p))
 }
 
 #[test]
@@ -148,9 +148,8 @@ fn encapsulation_happens_in_transit() {
     // A packet observed between U1 and U2 carries the underlay header
     // (paper Fig. 3's middle row). Model the first hop only.
     let net = fig3_network(false);
-    let paths = net.paths(0, 1, 0, 2); // enter and leave U1
-    let path = paths.into_iter().next().unwrap();
-    let f = ZenFunction::new(move |p| forward_along(&path, p));
+    // Enter and leave U1.
+    let f = ZenFunction::new(move |p| forward_along(&net.paths(0, 1, 0, 2)[0], p));
     let out = f
         .evaluate(&Packet::plain(overlay_header(443, 51000)))
         .expect("forwarded");
