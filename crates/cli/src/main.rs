@@ -46,11 +46,11 @@ fn usage_text() -> String {
         "       rzen-cli batch SPEC [--jobs N] [--timeout-ms MS] [--backend bdd|smt|portfolio]",
         "                       [--sessions on|off] [--trace-out FILE]",
         "                       [--stats-json FILE] [--verdicts-json FILE] [--metrics]",
-        "                       [--profile-out FILE] [--sample-hz N]",
+        "                       [--profile-out FILE]",
         "       rzen-cli serve SPEC [--addr HOST:PORT] [--jobs N] [--backlog N]",
         "                       [--shards N] [--idle-timeout-ms MS]",
         "                       [--timeout-ms MS] [--sessions on|off] [--backend ...]",
-        "                       [--flight-recorder-size N] [--sample-hz N]",
+        "                       [--flight-recorder-size N]",
         "       rzen-cli --version | --help",
         "  SRC/DST are device:port endpoints, e.g. u1:1",
         "  delta applies an NDJSON op sequence (set-acl, set-route, link-up/down,",
@@ -61,9 +61,8 @@ fn usage_text() -> String {
         "  --stats-json FILE  write the batch report + metrics snapshot as JSON",
         "  --verdicts-json FILE  write just the verdicts (stable across modes) as JSON",
         "  --metrics          print the metrics registry and slow table after the batch",
-        "  --profile-out FILE run the batch under the CPU profiler and write folded",
-        "                     stacks (or a flamegraph SVG when FILE ends in .svg)",
-        "  --sample-hz N      profiler sample rate (default 99; /debug/profile too)",
+        "  --profile-out FILE trace the batch and write its span stacks folded, in µs",
+        "                     of span wall time (a flamegraph SVG when FILE ends in .svg)",
         "  --flight-recorder-size N  ring capacity of the serve flight recorder",
         "  --shards N         engine shards behind the serve reactor (default: --jobs)",
         "  --idle-timeout-ms MS  close client connections silent for MS milliseconds",
@@ -338,7 +337,6 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
     let mut stats_json: Option<String> = None;
     let mut verdicts_json: Option<String> = None;
     let mut profile_out: Option<String> = None;
-    let mut sample_hz: u32 = rzen_obs::profile::DEFAULT_SAMPLE_HZ;
     let mut show_metrics = false;
     let mut i = 0;
     while i < flags.len() {
@@ -348,18 +346,6 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
                     .get(i + 1)
                     .unwrap_or_else(|| fail("--profile-out needs FILE"));
                 profile_out = Some(v.clone());
-                i += 2;
-            }
-            "--sample-hz" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--sample-hz needs N"));
-                sample_hz = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --sample-hz {v:?}: {e}")));
-                if sample_hz == 0 {
-                    fail("--sample-hz must be at least 1");
-                }
                 i += 2;
             }
             "--trace-out" => {
@@ -435,9 +421,10 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
     }
 
     // An explicit --trace-out turns tracing on by itself; when both the
-    // flag and `RZEN_TRACE=<path>` name a file, the flag wins.
+    // flag and `RZEN_TRACE=<path>` name a file, the flag wins. The
+    // profile is a fold of the same trace.
     let trace_path = trace_out.or(env_trace);
-    if trace_path.is_some() {
+    if trace_path.is_some() || profile_out.is_some() {
         rzen_obs::trace::set_enabled(true);
     }
 
@@ -481,31 +468,8 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
         queries.len(),
         cfg.jobs
     );
-    if profile_out.is_some() {
-        rzen_obs::profile::reset();
-        rzen_obs::profile::start(sample_hz);
-    }
     let engine = Engine::new(cfg);
     let report = engine.run_batch(&queries);
-    if let Some(path) = &profile_out {
-        rzen_obs::profile::stop();
-        let folded = rzen_obs::profile::cpu_folded();
-        let samples: u64 = folded.iter().map(|(_, n)| n).sum();
-        let out = if path.ends_with(".svg") {
-            rzen_obs::flame::flamegraph_svg(
-                &format!("CPU view · {samples} wall-clock span samples"),
-                "samples",
-                &folded,
-            )
-        } else {
-            rzen_obs::profile::render_folded_cpu()
-        };
-        std::fs::write(path, out).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        println!(
-            "cpu profile -> {path} ({} stacks, {samples} samples at {sample_hz} Hz)",
-            folded.len()
-        );
-    }
     for (r, label) in report.results.iter().zip(&labels) {
         let verdict = match &r.verdict {
             Verdict::Sat(_) => "SAT",
@@ -569,6 +533,30 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
             std::fs::write(path, rzen_obs::export::chrome_trace(&events))
                 .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
             println!("chrome trace -> {path} ({} events)", events.len());
+        }
+        if let Some(path) = &profile_out {
+            let folded = rzen_obs::export::folded_spans(&events);
+            let total_us: u64 = folded.iter().map(|(_, us)| us).sum();
+            let dropped = rzen_obs::trace::events_dropped();
+            let out = if path.ends_with(".svg") {
+                rzen_obs::flame::flamegraph_svg(
+                    &format!(
+                        "CPU view · {total_us} µs of span wall time · \
+                         {dropped} events lost to ring wrap-around"
+                    ),
+                    "µs",
+                    &folded,
+                )
+            } else {
+                rzen_obs::export::folded_text(&folded)
+            };
+            std::fs::write(path, out)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            println!(
+                "cpu profile -> {path} ({} stacks, {total_us} µs of span wall time, \
+                 {dropped} events lost)",
+                folded.len()
+            );
         }
         if show_metrics {
             print!("{}", rzen_obs::export::phase_report(&events));
@@ -678,18 +666,6 @@ fn run_serve(spec_text: &str, flags: &[String]) {
             "--debug-ops" => {
                 cfg.debug_ops = true;
                 i += 1;
-            }
-            "--sample-hz" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--sample-hz needs N"));
-                cfg.sample_hz = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --sample-hz {v:?}: {e}")));
-                if cfg.sample_hz == 0 {
-                    fail("--sample-hz must be at least 1");
-                }
-                i += 2;
             }
             "--flight-recorder-size" => {
                 let v = flags

@@ -91,6 +91,82 @@ fn batch_emits_valid_trace_and_stats_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--profile-out` folds the same drained events `--trace-out` writes:
+/// the folded µs add up to the trace's root spans, within one rounding
+/// per folded row.
+#[test]
+fn batch_profile_folds_the_written_trace() {
+    let dir = std::env::temp_dir().join(format!("rzen-cli-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let folded_path = dir.join("x.folded");
+    let trace_path = dir.join("y.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_rzen-cli"))
+        .args([
+            "batch",
+            spec_path().to_str().unwrap(),
+            "--jobs",
+            "2",
+            "--profile-out",
+            folded_path.to_str().unwrap(),
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("rzen-cli must run");
+    assert!(
+        out.status.success(),
+        "batch failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let folded = std::fs::read_to_string(&folded_path).expect("folded profile written");
+    let rows: Vec<u64> = folded
+        .lines()
+        .map(|line| {
+            let (_, us) = line.rsplit_once(' ').expect("folded line shape");
+            us.parse().expect("µs weight")
+        })
+        .collect();
+    assert!(!rows.is_empty(), "batch profile is empty");
+    let folded_ns: u64 = rows.iter().sum::<u64>() * 1_000;
+
+    // Root spans of the trace: per thread, a span not contained in an
+    // earlier, longer-or-equal one.
+    let trace = std::fs::read_to_string(&trace_path).expect("trace written");
+    let rzen_obs::json::Value::Arr(events) = rzen_obs::json::parse(&trace).unwrap() else {
+        panic!("trace is not an array");
+    };
+    let ns = |v: &rzen_obs::json::Value| match v {
+        rzen_obs::json::Value::Num(us) => (us * 1_000.0).round() as u64,
+        other => panic!("not a number: {other:?}"),
+    };
+    let mut spans: Vec<(u64, u64, u64)> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+        .map(|e| {
+            let tid = e.get("tid").and_then(|t| t.as_u64()).unwrap();
+            (tid, ns(e.get("ts").unwrap()), ns(e.get("dur").unwrap()))
+        })
+        .collect();
+    spans.sort_by_key(|&(tid, ts, dur)| (tid, ts, std::cmp::Reverse(dur)));
+    let mut roots_ns = 0;
+    let mut root: Option<(u64, u64)> = None; // (tid, end)
+    for (tid, ts, dur) in spans {
+        if root.is_some_and(|(rt, end)| rt == tid && ts + dur <= end) {
+            continue;
+        }
+        roots_ns += dur;
+        root = Some((tid, ts + dur));
+    }
+    let slack = 500 * rows.len() as u64;
+    assert!(
+        folded_ns.abs_diff(roots_ns) <= slack,
+        "folded {folded_ns} ns vs root spans {roots_ns} ns (slack {slack})"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn rzen_trace_env_var_enables_tracing_and_exports() {
     let dir = std::env::temp_dir().join(format!("rzen-cli-env-{}", std::process::id()));

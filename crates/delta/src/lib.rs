@@ -44,6 +44,7 @@ use rzen_net::ip::Prefix;
 use rzen_net::spec::{self, Spec};
 use rzen_net::topology::{DeltaStep, Device, Network, Touch};
 use rzen_obs::json::{escape, parse, Value};
+use rzen_obs::Fnv1a;
 
 /// Which ACL slot of an interface a delta targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -536,31 +537,13 @@ fn device_with_interfaces(spec: &Spec, device: &str) -> Result<usize, String> {
 // ---------------------------------------------------------------------
 // Fingerprints
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A `std::hash::Hasher` over FNV-1a, so `#[derive(Hash)]` structures
-/// feed the same 64-bit fingerprint space the engine's caches use.
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
 /// The sub-model fingerprint of one device: its full structure (name,
-/// interfaces, policies, forwarding table) plus its incident links. A
-/// delta that touches only device `d` moves only `d`'s fingerprint —
-/// plus its link peers' when the topology itself changed.
+/// interfaces, policies, forwarding table) plus its incident links,
+/// hashed with the same FNV-1a the engine's cache keys use. A delta
+/// that touches only device `d` moves only `d`'s fingerprint — plus its
+/// link peers' when the topology itself changed.
 pub fn device_fingerprint(net: &Network, device: usize) -> u64 {
-    let mut h = Fnv1a(FNV_OFFSET);
+    let mut h = Fnv1a::default();
     net.devices[device].hash(&mut h);
     for l in &net.links {
         if l.from_device == device || l.to_device == device {
@@ -583,7 +566,7 @@ pub fn device_fingerprints(net: &Network) -> Vec<u64> {
 /// and a one-device delta recombines `n` leaf hashes instead of
 /// rehashing the whole text.
 pub fn composite_fingerprint(net: &Network) -> u64 {
-    let mut h = Fnv1a(FNV_OFFSET);
+    let mut h = Fnv1a::default();
     (net.devices.len() as u64).hash(&mut h);
     for fp in device_fingerprints(net) {
         fp.hash(&mut h);

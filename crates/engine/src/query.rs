@@ -14,6 +14,7 @@ use rzen_net::device::{fold_paths, Hop};
 use rzen_net::headers::{Header, Packet};
 use rzen_net::routing::{Announcement, RouteMap};
 use rzen_net::topology::Network;
+use rzen_obs::Fnv1a;
 
 /// Which solver pipeline(s) the engine runs for each query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,27 +129,6 @@ pub(crate) struct RunOutput {
     pub bdd_stats: Option<rzen_bdd::BddStats>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over the structural hash stream of the query. Stable across
-/// runs within a build (it never hashes addresses or ambient state), so
-/// identical queries — however they were constructed — share a cache slot.
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
 /// How a query executes: a throwaway context per query, or through a
 /// long-lived per-worker [`rzen::SolverSession`].
 pub(crate) enum RunMode<'s> {
@@ -160,9 +140,11 @@ pub(crate) enum RunMode<'s> {
 }
 
 impl Query {
-    /// Structural fingerprint used as the result-cache hash.
+    /// Structural fingerprint used as the result-cache hash: FNV-1a over
+    /// the query's derived hash stream, so identical queries — however
+    /// they were constructed — share a cache slot.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a(FNV_OFFSET);
+        let mut h = Fnv1a::default();
         self.hash(&mut h);
         h.finish()
     }
@@ -172,7 +154,7 @@ impl Query {
     /// model fingerprint share most of their circuit, so the engine's
     /// affinity dispatch routes them to the same worker session.
     pub fn model_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a(FNV_OFFSET);
+        let mut h = Fnv1a::default();
         match self {
             Query::AclFind { acl, .. } => {
                 0u8.hash(&mut h);

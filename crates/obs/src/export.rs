@@ -1,6 +1,8 @@
-//! Exporters: Chrome trace-event JSON and the hierarchical phase report.
+//! Exporters: Chrome trace-event JSON, the hierarchical phase report,
+//! and folded span stacks.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::json::escape;
 use crate::trace::{Event, Phase};
@@ -112,6 +114,78 @@ pub fn phase_report(events: &[Event]) -> String {
     out
 }
 
+/// One span whose children are still being read by [`folded_spans`].
+struct OpenSpan {
+    name: &'static str,
+    tid: u32,
+    end_ns: u64,
+    /// Duration minus the children seen so far.
+    self_ns: u64,
+}
+
+/// Fold span events into `(stack, µs)` rows: the exact "cpu" view of a
+/// trace window. Spans are grouped by `tid` and their RAII nesting is
+/// rebuilt from `(start_ns, dur_ns)` — a span nests inside the nearest
+/// earlier span of its thread that ends no sooner. Each stack `a;b;c`
+/// is charged the innermost span's *self* time (duration minus its
+/// children's), summed over the window and rounded to whole µs; so per
+/// thread the rows add up to the root spans' durations, to rounding. A
+/// span whose parent was not recorded (still open, or lost to ring
+/// wrap-around) is a root. Instants are ignored. Rows are sorted by
+/// descending weight, then stack text.
+pub fn folded_spans(events: &[Event]) -> Vec<(String, u64)> {
+    let mut spans: Vec<&Event> = events.iter().filter(|e| e.phase == Phase::Span).collect();
+    // A parent starts no later than its children and, on a tie, lasts
+    // at least as long, so it sorts first.
+    spans.sort_by_key(|e| (e.tid, e.start_ns, Reverse(e.dur_ns)));
+    /// Charge the innermost open span's self time to its stack.
+    fn close(open: &mut Vec<OpenSpan>, folded: &mut HashMap<Vec<&'static str>, u64>) {
+        let stack: Vec<&'static str> = open.iter().map(|s| s.name).collect();
+        if let Some(span) = open.pop() {
+            *folded.entry(stack).or_default() += span.self_ns;
+        }
+    }
+    let mut folded: HashMap<Vec<&'static str>, u64> = HashMap::new();
+    let mut open: Vec<OpenSpan> = Vec::new();
+    for e in spans {
+        let end_ns = e.start_ns + e.dur_ns;
+        while open
+            .last()
+            .is_some_and(|top| top.tid != e.tid || top.end_ns < end_ns)
+        {
+            close(&mut open, &mut folded);
+        }
+        if let Some(parent) = open.last_mut() {
+            parent.self_ns = parent.self_ns.saturating_sub(e.dur_ns);
+        }
+        open.push(OpenSpan {
+            name: e.name,
+            tid: e.tid,
+            end_ns,
+            self_ns: e.dur_ns,
+        });
+    }
+    while !open.is_empty() {
+        close(&mut open, &mut folded);
+    }
+    let mut rows: Vec<(String, u64)> = folded
+        .into_iter()
+        .map(|(stack, ns)| (stack.join(";"), (ns + 500) / 1_000))
+        .collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows
+}
+
+/// Render folded rows as text, one `a;b;c weight` line each: the format
+/// every flamegraph toolchain reads.
+pub fn folded_text(rows: &[(String, u64)]) -> String {
+    let mut out = String::new();
+    for (stack, weight) in rows {
+        out.push_str(&format!("{stack} {weight}\n"));
+    }
+    out
+}
+
 fn fmt_dur(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
@@ -175,5 +249,56 @@ mod tests {
         assert!(report.contains("engine.query"));
         assert!(report.contains("sat.restart"));
         assert!(phase_report(&[]).contains("no events"));
+    }
+
+    fn on(tid: u32, name: &'static str, phase: Phase, start_us: u64, dur_us: u64) -> Event {
+        Event {
+            tid,
+            ..ev(name, phase, start_us * 1_000, dur_us * 1_000)
+        }
+    }
+
+    #[test]
+    fn folded_spans_rebuild_nesting_exactly() {
+        // In `take_events` order: by start, threads interleaved, and a
+        // child recorded before the parent it shares a start with.
+        let events = vec![
+            on(1, "engine.query", Phase::Span, 0, 6),
+            on(1, "serve.job", Phase::Span, 0, 10),
+            on(1, "sat.solve", Phase::Span, 1, 2),
+            on(1, "sat.restart", Phase::Instant, 2, 0),
+            // Thread 2's parent was never recorded: this is a root, and
+            // although it overlaps thread 1's serve.job it is not its child.
+            on(2, "bdd.solve", Phase::Span, 5, 4),
+            on(2, "bdd.mk", Phase::Span, 6, 1),
+            on(1, "serve.encode", Phase::Span, 7, 1),
+            on(2, "engine.backend", Phase::Span, 12, 2),
+            on(1, "serve.job", Phase::Span, 20, 3),
+        ];
+        let rows = folded_spans(&events);
+        let expect: Vec<(String, u64)> = [
+            ("serve.job", 6),
+            ("serve.job;engine.query", 4),
+            ("bdd.solve", 3),
+            ("engine.backend", 2),
+            ("serve.job;engine.query;sat.solve", 2),
+            ("bdd.solve;bdd.mk", 1),
+            ("serve.job;serve.encode", 1),
+        ]
+        .iter()
+        .map(|&(stack, us)| (stack.to_string(), us))
+        .collect();
+        assert_eq!(rows, expect);
+        assert_eq!(
+            folded_text(&rows[..2]),
+            "serve.job 6\nserve.job;engine.query 4\n"
+        );
+
+        // Per thread, the rows add up to the root spans' durations.
+        for (tid, roots_us) in [(1, 10 + 3), (2, 4 + 2)] {
+            let own: Vec<Event> = events.iter().copied().filter(|e| e.tid == tid).collect();
+            let total: u64 = folded_spans(&own).iter().map(|(_, us)| us).sum();
+            assert_eq!(total, roots_us, "tid {tid}");
+        }
     }
 }

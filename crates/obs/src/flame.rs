@@ -1,7 +1,8 @@
 //! Hand-rolled flamegraph SVG rendering — no dependencies, no scripts.
 //!
-//! Takes folded stacks (`a;b;c count`, the format [`crate::profile`]
-//! accumulates) and renders a static, self-contained SVG in the classic
+//! Takes folded stacks (`a;b;c weight`, the rows of
+//! [`crate::export::folded_spans`] and [`crate::profile::heap_folded`])
+//! and renders a static, self-contained SVG in the classic
 //! flamegraph layout: one rectangle per frame, width proportional to the
 //! frame's inclusive weight, children stacked below their parent
 //! (icicle orientation, root at the top). Every rectangle carries a
@@ -10,6 +11,7 @@
 //! same spirit as the Chrome-trace exporter in [`crate::export`].
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 const WIDTH: f64 = 1200.0;
 const FRAME_HEIGHT: f64 = 17.0;
@@ -47,8 +49,8 @@ impl Node {
 
 /// Render folded `(stack, weight)` rows as a standalone flamegraph SVG.
 ///
-/// `title` labels the chart (e.g. `"CPU · 1234 samples"`); `unit` names
-/// the weight in tooltips (`"samples"`, `"bytes"`). An empty input
+/// `title` labels the chart (e.g. `"CPU · 1234 µs of span wall time"`);
+/// `unit` names the weight in tooltips (`"µs"`, `"bytes"`). An empty input
 /// renders a valid SVG stating that no data was collected.
 pub fn flamegraph_svg(title: &str, unit: &str, folded: &[(String, u64)]) -> String {
     let mut root = Node::default();
@@ -173,11 +175,9 @@ fn emit(
 
 /// Deterministic warm color from the frame name, flamegraph-style.
 fn color(name: &str) -> String {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
+    let mut hasher = crate::Fnv1a::default();
+    hasher.write(name.as_bytes());
+    let hash = hasher.finish();
     let r = 205 + (hash % 50) as u8;
     let g = 80 + ((hash >> 8) % 110) as u8;
     let b = ((hash >> 16) % 55) as u8;

@@ -22,15 +22,14 @@
 //!   thread on first use and timestamps events against a process-wide
 //!   monotonic epoch.
 //!
-//! * **Profiling** ([`profile`]) — a zero-dependency continuous
-//!   profiler: a span-stack CPU sampler (each instrumented thread
-//!   publishes its current span stack in a seqlock-guarded slot, a
-//!   sampler thread folds snapshots into `a;b;c count` stacks) and heap
-//!   attribution via the [`CountingAlloc`] global-allocator wrapper,
-//!   which charges bytes to the innermost open span. Both views export
-//!   as folded-stack text or a self-contained flamegraph SVG
-//!   ([`flame`]). Disabled cost: the same single relaxed atomic load as
-//!   tracing — both share one state word.
+//! * **Profiling** — two folded-stack views. The "cpu" view is an exact
+//!   fold of the trace rings ([`export::folded_spans`]): every stack
+//!   `a;b;c` is charged the innermost span's self time in µs of span
+//!   wall time. The heap view ([`profile`]) comes from the
+//!   [`CountingAlloc`] global-allocator wrapper, which charges bytes to
+//!   the innermost open span. Both export as folded-stack text or a
+//!   self-contained flamegraph SVG ([`flame`]). Disabled cost: the same
+//!   single relaxed atomic load as tracing — both share one state word.
 //!
 //! * **Flight recorder** ([`flight`]) — an always-on, lock-free ring of
 //!   per-request [`RequestRecord`]s plus a top-K slow-query table, written
@@ -39,10 +38,11 @@
 //!   identity ([`RequestCtx`]) is minted here so ids are process-unique
 //!   across serve, engine, and backend spans.
 //!
-//! * **Export** ([`export`]) — the recorded events render either as
-//!   Chrome trace-event JSON (loadable in Perfetto or `chrome://tracing`)
-//!   or as a human-readable hierarchical phase report; the metric registry
-//!   renders as an aligned text table or a JSON object. A minimal JSON
+//! * **Export** ([`export`]) — the recorded events render as Chrome
+//!   trace-event JSON (loadable in Perfetto or `chrome://tracing`), as a
+//!   human-readable hierarchical phase report, or as folded span stacks;
+//!   the metric registry renders as an aligned text table or a JSON
+//!   object. A minimal JSON
 //!   syntax validator ([`json::validate`]) lets tests and CI check the
 //!   emitted files without external tooling.
 //!
@@ -85,6 +85,37 @@ pub use trace::{Event, Phase, Span};
 #[cfg(test)]
 #[global_allocator]
 static TEST_ALLOC: CountingAlloc = CountingAlloc;
+
+/// 64-bit FNV-1a as a [`std::hash::Hasher`], so `#[derive(Hash)]`
+/// structures hash to a value that is stable across runs of one build
+/// (no random keys, no addresses). The result-cache keys, the shard
+/// routing and the model fingerprints all depend on it bit for bit.
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// Starts at the FNV offset basis.
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+// `#[inline]`: the engine hashes a whole `Network` per served request,
+// and without it these calls would not inline across the crate boundary.
+impl std::hash::Hasher for Fnv1a {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
 
 /// Read the `RZEN_TRACE` environment variable and enable tracing if it is
 /// set to anything other than empty or `0`. Returns the trace output path

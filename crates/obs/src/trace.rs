@@ -3,7 +3,7 @@
 //! ## The overhead contract
 //!
 //! Every recording site — [`Span::enter`], [`instant`], and friends —
-//! starts with a single relaxed atomic load of the combined trace/profile
+//! starts with a single relaxed atomic load of the combined trace/heap
 //! state word and returns immediately when it is zero. The *disabled*
 //! path therefore
 //! costs one load plus one well-predicted branch: no allocation, no lock,
@@ -19,6 +19,13 @@
 //! timestamps taken against a process-wide epoch. The ring wraps: a storm
 //! of events costs memory proportional to the thread count, never the
 //! event count, and the `dropped` tally records how much history was lost.
+//!
+//! The rings are also the CPU profile's only source:
+//! [`crate::export::folded_spans`] folds a window's span events into
+//! exact `a;b;c µs` stacks of span wall time. Two limits carry over from
+//! the rings: a span still open when the window closes is not recorded
+//! yet, and only the last [`DEFAULT_RING_CAPACITY`] events per thread
+//! survive (`trace.dropped_events_total` counts the rest).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -30,23 +37,32 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
 /// Bit in [`STATE`]: span events are recorded into per-thread rings.
 pub(crate) const TRACE_BIT: u32 = 1;
-/// Bit in [`STATE`]: span stacks are published for the CPU sampler and
-/// heap attribution ([`crate::profile`]).
-pub(crate) const PROFILE_BIT: u32 = 2;
+/// Bit in [`STATE`]: spans push their names onto the thread's heap
+/// attribution stack and the counting allocator tallies
+/// ([`crate::profile`]).
+pub(crate) const HEAP_BIT: u32 = 2;
 
-/// Tracing *and* profiling enablement share one word so that every
+/// Tracing *and* heap counting share one word so that every
 /// instrumentation site pays exactly one relaxed atomic load when both
-/// are off — adding the profiler did not add a second load to the
-/// disabled hot path.
+/// are off.
 static STATE: AtomicU32 = AtomicU32::new(0);
 static RECORDED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
-/// The combined trace/profile state word. One relaxed atomic load — this
+/// The combined trace/heap state word. One relaxed atomic load — this
 /// is the whole disabled-path cost of every instrumentation site.
 #[inline(always)]
 pub(crate) fn state() -> u32 {
     STATE.load(Ordering::Relaxed)
+}
+
+/// Set or clear one bit of the state word.
+pub(crate) fn set_bit(bit: u32, on: bool) {
+    if on {
+        STATE.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        STATE.fetch_and(!bit, Ordering::Relaxed);
+    }
 }
 
 /// Is tracing globally enabled? One relaxed atomic load.
@@ -62,27 +78,8 @@ pub fn enabled() -> bool {
 pub fn set_enabled(on: bool) {
     if on {
         epoch();
-        STATE.fetch_or(TRACE_BIT, Ordering::Relaxed);
-    } else {
-        STATE.fetch_and(!TRACE_BIT, Ordering::Relaxed);
     }
-}
-
-/// Turn span-stack publication (profiling) on or off. Used by
-/// [`crate::profile::start`]/[`stop`](crate::profile::stop); spans entered
-/// while the bit is set push their name onto the per-thread stack slot.
-pub(crate) fn set_profiling(on: bool) {
-    if on {
-        STATE.fetch_or(PROFILE_BIT, Ordering::Relaxed);
-    } else {
-        STATE.fetch_and(!PROFILE_BIT, Ordering::Relaxed);
-    }
-}
-
-/// Is span-stack publication (profiling) enabled? One relaxed atomic load.
-#[inline(always)]
-pub(crate) fn profiling() -> bool {
-    state() & PROFILE_BIT != 0
+    set_bit(TRACE_BIT, on);
 }
 
 /// Total events recorded process-wide since startup (including events
@@ -273,12 +270,11 @@ pub struct Span {
 }
 
 impl Span {
-    /// Begin a span. When both tracing and profiling are disabled this is
+    /// Begin a span. When both tracing and heap counting are off this is
     /// one relaxed atomic load and the returned guard does nothing on
-    /// drop. When profiling is enabled the span name is additionally
-    /// pushed onto this thread's published stack slot (and popped on
-    /// drop), making the span visible to the CPU sampler and chargeable
-    /// for heap attribution.
+    /// drop. When heap counting is on the span name is additionally
+    /// pushed onto this thread's attribution stack (and popped on drop),
+    /// making the span chargeable for heap bytes.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
         let st = state();
@@ -291,7 +287,7 @@ impl Span {
                 pushed: false,
             };
         }
-        let pushed = if st & PROFILE_BIT != 0 {
+        let pushed = if st & HEAP_BIT != 0 {
             crate::profile::push_frame(name)
         } else {
             false

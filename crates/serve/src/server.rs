@@ -74,7 +74,9 @@ pub struct ServerConfig {
     pub handle_signals: bool,
     /// Expose the test-only `sleep` op.
     pub debug_ops: bool,
-    /// Sampler wake rate for `/debug/profile` captures, in Hz.
+    /// Unread. perfbench builds this struct as a literal naming this
+    /// field; the perfbench narrowing removes it.
+    #[doc(hidden)]
     pub sample_hz: u32,
     /// Selects nothing; see [`LoopMode`].
     #[doc(hidden)]
@@ -433,7 +435,10 @@ pub(crate) fn answer_http_get(
                 Ok(ms) => ms,
                 Err(e) => return HttpAnswer::error(400, e),
             };
-            HttpAnswer::json(200, capture_trace(Duration::from_millis(ms)))
+            let body = capture(Duration::from_millis(ms), false, |events, _| {
+                rzen_obs::export::chrome_trace(events)
+            });
+            HttpAnswer::json(200, body)
         }
         "/debug/profile" => {
             let ms = match capture_window_ms(query) {
@@ -450,7 +455,29 @@ pub(crate) fn answer_http_get(
                 "svg" => true,
                 _ => return HttpAnswer::error(400, "format must be folded or svg"),
             };
-            let body = capture_profile(Duration::from_millis(ms), shared.cfg.sample_hz, heap, svg);
+            let body = capture(Duration::from_millis(ms), true, |events, dropped| {
+                let (rows, title, unit) = if heap {
+                    let rows: Vec<(String, u64)> = rzen_obs::profile::heap_folded()
+                        .into_iter()
+                        .map(|(stack, bytes, _)| (stack, bytes))
+                        .collect();
+                    let total: u64 = rows.iter().map(|(_, bytes)| bytes).sum();
+                    (rows, format!("Heap · {total} bytes allocated"), "bytes")
+                } else {
+                    let rows = rzen_obs::export::folded_spans(events);
+                    let total: u64 = rows.iter().map(|(_, us)| us).sum();
+                    let title = format!(
+                        "CPU view · {total} µs of span wall time · \
+                         {dropped} events lost to ring wrap-around"
+                    );
+                    (rows, title, "µs")
+                };
+                if svg {
+                    rzen_obs::flame::flamegraph_svg(&title, unit, &rows)
+                } else {
+                    rzen_obs::export::folded_text(&rows)
+                }
+            });
             HttpAnswer {
                 status: 200,
                 content_type: if svg {
@@ -593,72 +620,42 @@ fn capture_window_ms(query: &str) -> Result<u64, &'static str> {
     }
 }
 
-/// On-demand bounded profile capture: reset the folded tables, run the
-/// sampler for `window` at `hz`, and render the requested view. The
-/// `cpu` view is a *wall-clock* span-stack profile — a thread is charged
-/// for every tick its span stack is open, blocked or not (see the
-/// `rzen_obs::profile` module docs) — so blocking spans like the debug
-/// `sleep` op show their full wall time, not their CPU time. Like
-/// [`capture_trace`], captures are serialized through a mutex so
-/// concurrent `/debug/profile` requests cannot reset each other's
-/// tables mid-window. If the profiler was already running (a
-/// `--sample-hz` CLI run), the window merely harvests what accumulates
-/// and leaves the sampler running.
-fn capture_profile(window: Duration, hz: u32, heap: bool, svg: bool) -> String {
-    static CAPTURE: Mutex<()> = Mutex::new(());
-    let _one_at_a_time = CAPTURE.lock().unwrap();
-    rzen_obs::profile::reset();
-    let started_here = rzen_obs::profile::start(hz);
-    thread::sleep(window);
-    if started_here {
-        rzen_obs::profile::stop();
-    }
-    match (heap, svg) {
-        (false, false) => rzen_obs::profile::render_folded_cpu(),
-        (true, false) => rzen_obs::profile::render_folded_heap(),
-        (false, true) => {
-            let folded = rzen_obs::profile::cpu_folded();
-            let total: u64 = folded.iter().map(|(_, n)| n).sum();
-            rzen_obs::flame::flamegraph_svg(
-                &format!("CPU view · {total} wall-clock span samples"),
-                "samples",
-                &folded,
-            )
-        }
-        (true, true) => {
-            let folded: Vec<(String, u64)> = rzen_obs::profile::heap_folded()
-                .into_iter()
-                .map(|(stack, bytes, _)| (stack, bytes))
-                .collect();
-            let total: u64 = folded.iter().map(|(_, bytes)| bytes).sum();
-            rzen_obs::flame::flamegraph_svg(
-                &format!("Heap · {total} bytes allocated"),
-                "bytes",
-                &folded,
-            )
-        }
-    }
-}
-
-/// On-demand bounded trace capture: enable tracing for `window`, then
-/// return whatever spans landed as a Chrome trace JSON document.
+/// On-demand bounded capture behind `/debug/trace` and `/debug/profile`:
+/// clear the span rings, trace for `window` (counting heap bytes too
+/// when `heap`, with the heap table reset first), take the events once,
+/// and hand them to `render` with the number the rings lost to
+/// wrap-around during the window.
 ///
-/// Captures are serialized through a mutex — concurrent `/debug/trace`
-/// requests would otherwise steal each other's events out of the
-/// per-thread rings. If tracing was already on (`RZEN_TRACE=1`), it
-/// stays on afterwards; the capture merely harvests the buffers.
-fn capture_trace(window: Duration) -> String {
+/// Captures are serialized through one mutex, held until `render`
+/// returns — concurrent captures would otherwise steal each other's
+/// events out of the per-thread rings, or reset the heap table another
+/// capture is about to read. If tracing was already on
+/// (`RZEN_TRACE=1`), it stays on afterwards; the capture merely
+/// harvests the buffers.
+fn capture(
+    window: Duration,
+    heap: bool,
+    render: impl FnOnce(&[rzen_obs::Event], u64) -> String,
+) -> String {
     static CAPTURE: Mutex<()> = Mutex::new(());
-    let _one_at_a_time = CAPTURE.lock().unwrap();
+    let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = rzen_obs::trace::enabled();
     // Discard whatever accumulated before the window so the capture
     // holds only spans that overlap it.
     rzen_obs::trace::clear();
+    if heap {
+        rzen_obs::profile::reset();
+        rzen_obs::profile::set_enabled(true);
+    }
     rzen_obs::trace::set_enabled(true);
     thread::sleep(window);
     let events = rzen_obs::trace::take_events();
+    let dropped = rzen_obs::trace::events_dropped();
     rzen_obs::trace::set_enabled(was_enabled);
-    rzen_obs::export::chrome_trace(&events)
+    if heap {
+        rzen_obs::profile::set_enabled(false);
+    }
+    render(&events, dropped)
 }
 
 /// Render one full HTTP response. `head` sends the status line and

@@ -53,6 +53,29 @@ fn scripted_delta(name: &str) -> &'static str {
     }
 }
 
+/// The result-cache keys, the shard routing and the model identity
+/// `/healthz` reports are FNV-1a fingerprints. Pin the hash on its
+/// published test vector, and pin one model and one query fingerprint,
+/// so a change to the helper or to a hashed type's `Hash` shows up here.
+#[test]
+fn fnv1a_fingerprints_are_pinned() {
+    use std::hash::Hasher;
+    let mut h = rzen_obs::Fnv1a::default();
+    h.write(b"a");
+    assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+
+    let spec = spec::parse(&std::fs::read_to_string(specs_dir().join("fig3.net")).unwrap())
+        .expect("fig3 parses");
+    assert_eq!(composite_fingerprint(&spec.net), 0x6c61_a568_2afc_abc2);
+    let query = Query::Reach {
+        net: spec.net.clone(),
+        src: spec.endpoint("u1:1").unwrap(),
+        dst: spec.endpoint("u3:2").unwrap(),
+    };
+    assert_eq!(query.fingerprint(), 0x3f99_c9b4_4631_5b44);
+    assert_eq!(query.model_fingerprint(), 0xd784_b1ae_4b22_5423);
+}
+
 fn verdict_kind(v: &Verdict) -> &'static str {
     match v {
         Verdict::Sat(_) => "sat",
@@ -318,7 +341,6 @@ fn cfg(sessions: bool) -> ServerConfig {
         backend: QueryBackend::Portfolio,
         handle_signals: false,
         debug_ops: false,
-        sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
         shards: 0,
         idle_timeout: None,
         ..ServerConfig::default()

@@ -1,27 +1,31 @@
-//! Integration tests for the continuous profiler: the span-stack CPU
-//! sampler, heap attribution through the counting allocator, and the
+//! Integration tests for the profiler: the cpu view folded from the
+//! trace rings, heap attribution through the counting allocator, and the
 //! serve layer's `/debug/profile` endpoint.
 //!
 //! This binary installs [`rzen_obs::CountingAlloc`] exactly as the
 //! shipped binaries do, so heap attribution is exercised end to end.
-//! Tests that flip the global profiling state serialize on a local
+//! Tests that flip the global trace/heap state serialize on a local
 //! mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend};
 use rzen_net::spec;
-use rzen_obs::profile;
-use rzen_serve::{start, Model, ServerConfig};
+use rzen_obs::export::folded_spans;
+use rzen_obs::json::Value;
+use rzen_obs::{profile, trace};
+use rzen_serve::{start, Model, ServerConfig, ServerHandle};
 
 #[global_allocator]
 static ALLOC: rzen_obs::CountingAlloc = rzen_obs::CountingAlloc;
 
 const FIG3: &str = include_str!("../specs/fig3.net");
+const REACH: &str = "{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}";
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -63,76 +67,55 @@ fn engine(cache: bool) -> Engine {
     })
 }
 
-/// While profiling is disabled, instrumented code publishes no stack
-/// slot and the allocator counts nothing — the observable half of the
-/// one-relaxed-load contract.
+/// While tracing and heap counting are off, instrumented code records
+/// no trace ring and the allocator counts nothing — the observable half
+/// of the one-relaxed-load contract.
 #[test]
 fn disabled_profiling_publishes_and_counts_nothing() {
     let _g = lock();
     let before = profile::global_heap_stats();
-    let slot = thread::spawn(|| {
+    let ring = thread::spawn(|| {
         {
             let _span = rzen_obs::span!("test.profile.disabled");
             std::hint::black_box(vec![0u8; 1 << 16]);
         }
-        profile::thread_slot_allocated()
+        rzen_obs::trace::thread_buffer_allocated()
     })
     .join()
     .expect("worker");
-    assert!(!slot, "no stack slot registered while profiling is off");
+    assert!(!ring, "no trace ring allocated while tracing is off");
     assert_eq!(
         profile::global_heap_stats(),
         before,
-        "allocator tallies do not advance while profiling is off"
+        "allocator tallies do not advance while heap counting is off"
     );
 }
 
-/// Double start is refused, stop-without-start is a no-op, and the
-/// sampler winds down cleanly every time.
-#[test]
-fn sampler_start_stop_is_idempotent() {
-    let _g = lock();
-    assert!(!profile::stop(), "stop without start");
-    assert!(profile::start(499));
-    assert!(!profile::start(499), "second start refused");
-    assert!(profile::is_running());
-    assert!(profile::stop());
-    assert!(!profile::stop(), "second stop refused");
-    // A full second cycle works after the first.
-    assert!(profile::start(499));
-    assert!(profile::stop());
-}
-
-/// A cache-off batch run under the sampler yields folded stacks whose
-/// leaf frames reach into the solver substrates (sat/bdd/bitblast) —
-/// the profiler sees inside the engine, not just the outer spans.
+/// A traced cache-off batch run folds into stacks whose leaf frames
+/// reach into the solver substrates (sat/bdd/bitblast) — the cpu view
+/// sees inside the engine, not just the outer spans.
 #[test]
 fn cpu_sampler_reaches_solver_leaf_frames() {
     let _g = lock();
     let queries = batch_queries();
-    profile::reset();
-    assert!(profile::start(1_997));
-    let engine = engine(false);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut solver_leaves = false;
-    while !solver_leaves && Instant::now() < deadline {
-        let report = engine.run_batch(&queries);
-        assert_eq!(report.results.len(), queries.len());
-        solver_leaves = profile::cpu_folded().iter().any(|(stack, _)| {
+    trace::clear();
+    trace::set_enabled(true);
+    let report = engine(false).run_batch(&queries);
+    trace::set_enabled(false);
+    assert_eq!(report.results.len(), queries.len());
+    let folded = folded_spans(&trace::take_events());
+    let text = rzen_obs::export::folded_text(&folded);
+    assert!(
+        folded.iter().any(|(stack, _)| {
             let leaf = stack.rsplit(';').next().unwrap_or("");
             leaf.starts_with("sat.") || leaf.starts_with("bdd.") || leaf.starts_with("bitblast.")
-        });
-    }
-    assert!(profile::stop());
-    let folded = profile::render_folded_cpu();
-    assert!(
-        solver_leaves,
-        "no solver-substrate leaf frame sampled; folded:\n{folded}"
+        }),
+        "no solver-substrate leaf frame folded; folded:\n{text}"
     );
-    for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line shape");
+    for line in text.lines() {
+        let (stack, us) = line.rsplit_once(' ').expect("folded line shape");
         assert!(!stack.is_empty());
-        count.parse::<u64>().expect("sample count");
+        us.parse::<u64>().expect("µs weight");
     }
 }
 
@@ -145,12 +128,12 @@ fn heap_view_attributes_ninety_percent_of_batch_bytes() {
     let _g = lock();
     let queries = batch_queries();
     profile::reset();
-    assert!(profile::start(99));
+    profile::set_enabled(true);
     let window_start = profile::global_heap_stats().alloc_bytes;
     let report = engine(false).run_batch(&queries);
     assert_eq!(report.results.len(), queries.len());
     let window = profile::global_heap_stats().alloc_bytes - window_start;
-    assert!(profile::stop());
+    profile::set_enabled(false);
     let rows = profile::heap_folded();
     let named: u64 = rows
         .iter()
@@ -186,7 +169,6 @@ fn cfg() -> ServerConfig {
         backend: QueryBackend::Portfolio,
         handle_signals: false,
         debug_ops: true,
-        sample_hz: 1_499,
         shards: 0,
         idle_timeout: None,
         ..ServerConfig::default()
@@ -215,17 +197,54 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 
 /// Stream request lines back-to-back on one connection until told to
 /// stop, so jobs keep starting *inside* any profile capture window.
-fn stream_requests(addr: SocketAddr, line: &'static str, stop: &std::sync::atomic::AtomicBool) {
+fn stream_requests(addr: SocketAddr, line: &'static str, stop: &AtomicBool) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+    while !stop.load(Ordering::Relaxed) {
         writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut resp = String::new();
         if reader.read_line(&mut resp).is_err() || resp.is_empty() {
             break;
         }
+    }
+}
+
+/// A server kept busy by two client connections, one streaming 20 ms
+/// debug `sleep`s and one streaming `reach` queries.
+struct LoadedServer {
+    handle: ServerHandle,
+    stop: Arc<AtomicBool>,
+    loaders: Vec<thread::JoinHandle<()>>,
+}
+
+impl LoadedServer {
+    fn start() -> LoadedServer {
+        let handle = start(cfg(), Model::parse(FIG3).unwrap()).unwrap();
+        let addr = handle.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let loaders = ["{\"op\":\"sleep\",\"ms\":20}", REACH]
+            .into_iter()
+            .map(|line| {
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || stream_requests(addr, line, &stop))
+            })
+            .collect();
+        LoadedServer {
+            handle,
+            stop,
+            loaders,
+        }
+    }
+
+    fn finish(self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.handle.shutdown();
+        for l in self.loaders {
+            let _ = l.join();
+        }
+        self.handle.join();
     }
 }
 
@@ -236,28 +255,19 @@ fn stream_requests(addr: SocketAddr, line: &'static str, stop: &std::sync::atomi
 #[test]
 fn debug_profile_endpoint_end_to_end() {
     let _g = lock();
-    let handle = start(cfg(), Model::parse(FIG3).unwrap()).unwrap();
-    let addr = handle.addr();
-
-    static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-    let loaders = [
-        thread::spawn(move || stream_requests(addr, "{\"op\":\"sleep\",\"ms\":20}", &STOP)),
-        thread::spawn(move || {
-            stream_requests(
-                addr,
-                "{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}",
-                &STOP,
-            )
-        }),
-    ];
+    let server = LoadedServer::start();
+    let addr = server.handle.addr();
 
     let (status, folded) = http_get(addr, "/debug/profile?ms=500&view=cpu&format=folded");
     assert!(status.contains("200"), "{status}");
-    assert!(!folded.trim().is_empty(), "loaded server yields samples");
+    assert!(
+        !folded.trim().is_empty(),
+        "loaded server yields span stacks"
+    );
     for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("folded line shape");
+        let (stack, us) = line.rsplit_once(' ').expect("folded line shape");
         assert!(!stack.is_empty());
-        count.parse::<u64>().expect("sample count");
+        us.parse::<u64>().expect("µs weight");
     }
     assert!(
         folded.contains("serve.job"),
@@ -268,6 +278,10 @@ fn debug_profile_endpoint_end_to_end() {
     assert!(status.contains("200"), "{status}");
     assert!(svg.starts_with("<svg xmlns=\"http://www.w3.org/2000/svg\""));
     assert!(svg.trim_end().ends_with("</svg>"));
+    assert!(
+        svg.contains("µs of span wall time"),
+        "svg title names the unit"
+    );
 
     let (status, heap) = http_get(addr, "/debug/profile?ms=300&view=heap&format=folded");
     assert!(status.contains("200"), "{status}");
@@ -301,10 +315,64 @@ fn debug_profile_endpoint_end_to_end() {
         &requests[..requests.len().min(2000)]
     );
 
-    STOP.store(true, std::sync::atomic::Ordering::Relaxed);
-    handle.shutdown();
-    for l in loaders {
-        let _ = l.join();
-    }
-    handle.join();
+    server.finish();
+}
+
+/// `/debug/trace` and `/debug/profile` both drain the span rings, so
+/// they share one capture lock: fired together at a loaded server, each
+/// still gets a full window of its own events. With two locks the
+/// second capture to finish would find the rings drained and hold only
+/// the few milliseconds between the two drains.
+#[test]
+fn concurrent_trace_and_profile_captures_both_see_events() {
+    let _g = lock();
+    let server = LoadedServer::start();
+    let addr = server.handle.addr();
+    let barrier = Barrier::new(2);
+    let (trace, profile) = thread::scope(|s| {
+        let trace = s.spawn(|| {
+            barrier.wait();
+            http_get(addr, "/debug/trace?ms=300")
+        });
+        let profile = s.spawn(|| {
+            barrier.wait();
+            http_get(addr, "/debug/profile?ms=300")
+        });
+        (trace.join().unwrap(), profile.join().unwrap())
+    });
+    assert!(trace.0.contains("200"), "{}", trace.0);
+    assert!(profile.0.contains("200"), "{}", profile.0);
+
+    // The trace's spans stretch across most of its 300 ms window.
+    let Value::Arr(events) = rzen_obs::json::parse(&trace.1).expect("trace json") else {
+        panic!("trace is not an array");
+    };
+    let us = |e: &Value, key: &str| match e.get(key) {
+        Some(Value::Num(v)) => *v,
+        _ => 0.0,
+    };
+    let first = events.iter().map(|e| us(e, "ts")).fold(f64::MAX, f64::min);
+    let last = events
+        .iter()
+        .map(|e| us(e, "ts") + us(e, "dur"))
+        .fold(0.0, f64::max);
+    assert!(
+        last - first >= 150_000.0,
+        "trace capture covers {:.0} µs of a 300 ms window",
+        (last - first).max(0.0)
+    );
+    // The streamed 20 ms sleeps alone keep a serve.job open most of the
+    // profile's 300 ms window.
+    let job_us: u64 = profile
+        .1
+        .lines()
+        .filter(|line| line.starts_with("serve.job"))
+        .filter_map(|line| line.rsplit_once(' ')?.1.parse::<u64>().ok())
+        .sum();
+    assert!(
+        job_us >= 150_000,
+        "profile capture holds {job_us} µs of serve.job:\n{}",
+        profile.1
+    );
+    server.finish();
 }

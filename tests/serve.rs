@@ -25,7 +25,6 @@ fn cfg(jobs: usize, backlog: usize) -> ServerConfig {
         backend: QueryBackend::Portfolio,
         handle_signals: false,
         debug_ops: true,
-        sample_hz: rzen_obs::profile::DEFAULT_SAMPLE_HZ,
         shards: 0,
         idle_timeout: None,
         ..ServerConfig::default()
