@@ -14,9 +14,14 @@
 //! it meets an unemitted cluster, emits the *whole* cluster with the bits
 //! of its members interleaved (most significant bits first, so IP-prefix
 //! constraints stay shallow).
+//!
+//! An order grown over many calls (a BDD session's) is incremental: a call
+//! walks only nodes no earlier call walked, and runs the analysis only
+//! when that walk meets a variable node — see [`extend_order`].
 
 use rzen_bdd::{FastHashMap, FastHashSet};
 
+use crate::backend::bitblast::children;
 use crate::ctx::Context;
 use crate::ir::{Expr, ExprId, VarId};
 use crate::sorts::Sort;
@@ -25,6 +30,15 @@ use crate::sorts::Sort;
 pub struct VarOrder {
     map: FastHashMap<(u32, u32), u32>,
     next: u32,
+    /// Nodes some [`extend_order`] call on this order walked. Closed under
+    /// children, and every variable under a walked node has all its bits
+    /// assigned.
+    walked: NodeSet,
+    /// [`collect_vars`] per interaction operand: a pure function of the
+    /// hash-consed node, so it is computed once per order.
+    vars_under: FastHashMap<u32, Option<Box<[VarId]>>>,
+    /// Nodes visited by [`extend_order`] calls on this order.
+    visits: u64,
 }
 
 impl VarOrder {
@@ -33,6 +47,9 @@ impl VarOrder {
         VarOrder {
             map: FastHashMap::default(),
             next: base,
+            walked: NodeSet::default(),
+            vars_under: FastHashMap::default(),
+            visits: 0,
         }
     }
 
@@ -61,6 +78,30 @@ impl VarOrder {
     /// Iterate over all (var, bit) → level assignments.
     pub fn assignments(&self) -> impl Iterator<Item = (VarId, u32, u32)> + '_ {
         self.map.iter().map(|(&(v, b), &l)| (VarId(v), b, l))
+    }
+
+    /// Expression nodes the [`extend_order`] calls on this order visited
+    /// so far, variable collection included (diagnostics: a warm session
+    /// probe visits only the nodes its root added).
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits
+    }
+}
+
+/// A set of expression nodes, one bit per `ExprId` (ids are dense).
+#[derive(Default)]
+struct NodeSet(Vec<u64>);
+
+impl NodeSet {
+    /// Add `e`; `false` if it was already present.
+    fn insert(&mut self, e: ExprId) -> bool {
+        let (word, bit) = (e.0 as usize / 64, 1u64 << (e.0 % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
     }
 }
 
@@ -102,10 +143,7 @@ impl UnionFind {
 /// disabled (the ablation), variables are laid out sequentially in
 /// first-occurrence order with no interleaving.
 pub fn compute_order(ctx: &Context, roots: &[ExprId], interactions: bool) -> VarOrder {
-    let mut order = VarOrder {
-        map: FastHashMap::default(),
-        next: 0,
-    };
+    let mut order = VarOrder::with_base(0);
     extend_order(ctx, &mut order, roots, interactions);
     order
 }
@@ -116,19 +154,56 @@ pub fn compute_order(ctx: &Context, roots: &[ExprId], interactions: bool) -> Var
 /// same cluster-interleaved layout [`compute_order`] produces. This is
 /// how a [`crate::session::SolverSession`]'s shared BDD manager absorbs
 /// each new query without disturbing the levels earlier queries pinned.
+///
+/// The levels are exactly those of a from-scratch analysis of `roots`
+/// (every reachable node walked, clusters formed afresh). What makes it
+/// incremental: a walk below a node some earlier call walked finds only
+/// variables that have all their levels, and assigns nothing. So the call
+/// first walks the nodes that are new to this order, and runs the full
+/// analysis only if that walk meets a `Var` node — in a session, when a
+/// query brings a new symbolic input. A probe that adds a root above an
+/// already-walked model costs the few nodes it added.
 pub fn extend_order(ctx: &Context, order: &mut VarOrder, roots: &[ExprId], interactions: bool) {
+    let mut stack: Vec<ExprId> = roots.to_vec();
+    while let Some(e) = stack.pop() {
+        if !order.walked.insert(e) {
+            continue;
+        }
+        order.visits += 1;
+        if let Expr::Var(_) = ctx.expr(e) {
+            // This walk stops half-marked; the analysis walks and marks
+            // everything reachable, which restores the invariant.
+            assign_levels(ctx, order, roots, interactions);
+            return;
+        }
+        stack.extend(children(ctx, e));
+    }
+}
+
+/// The interaction analysis of everything reachable from `roots`: assign
+/// levels to the unassigned bits of its variables, and mark it walked.
+fn assign_levels(ctx: &Context, order: &mut VarOrder, roots: &[ExprId], interactions: bool) {
+    let VarOrder {
+        map,
+        next,
+        walked,
+        vars_under,
+        visits,
+    } = order;
     // Pass 1: first-occurrence order of variables, and interaction edges.
     let mut occurrence: Vec<VarId> = Vec::new();
     let mut seen_vars: FastHashSet<u32> = FastHashSet::default();
     let mut uf = UnionFind::new();
-    let mut visited: FastHashSet<u32> = FastHashSet::default();
+    let mut visited = NodeSet::default();
     let mut stack: Vec<ExprId> = roots.to_vec();
     // Depth-first, children pushed in reverse so occurrence order is
     // left-to-right.
     while let Some(e) = stack.pop() {
-        if !visited.insert(e.0) {
+        if !visited.insert(e) {
             continue;
         }
+        walked.insert(e);
+        *visits += 1;
         if let Expr::Var(v) = ctx.expr(e) {
             if seen_vars.insert(v.0) {
                 occurrence.push(*v);
@@ -136,12 +211,19 @@ pub fn extend_order(ctx: &Context, order: &mut VarOrder, roots: &[ExprId], inter
         }
         if interactions {
             if let Some((a, b)) = interaction_operands(ctx, e) {
-                let va = collect_vars(ctx, a);
-                let vb = collect_vars(ctx, b);
-                merge_interaction(&mut uf, &va, &vb);
+                for x in [a, b] {
+                    vars_under
+                        .entry(x.0)
+                        .or_insert_with(|| collect_vars(ctx, x, visits));
+                }
+                merge_interaction(
+                    &mut uf,
+                    vars_under[&a.0].as_deref(),
+                    vars_under[&b.0].as_deref(),
+                );
             }
         }
-        let mut kids = crate::backend::bitblast::children(ctx, e);
+        let mut kids = children(ctx, e);
         kids.reverse();
         stack.extend(kids);
     }
@@ -173,10 +255,9 @@ pub fn extend_order(ctx: &Context, order: &mut VarOrder, roots: &[ExprId], inter
         // p counts down from the most significant bit position.
         for p in (0..max_w).rev() {
             for (m, &w) in members.iter().zip(&widths) {
-                if p < w && !order.map.contains_key(&(m.0, p)) {
-                    let l = order.next;
-                    order.next += 1;
-                    order.map.insert((m.0, p), l);
+                if p < w && !map.contains_key(&(m.0, p)) {
+                    map.insert((m.0, p), *next);
+                    *next += 1;
                 }
             }
         }
@@ -201,7 +282,7 @@ fn interaction_operands(ctx: &Context, e: ExprId) -> Option<(ExprId, ExprId)> {
 
 /// Collect up to [`COLLECT_CAP`] variables under a node, in DFS order.
 /// Returns `None` when the cap is exceeded.
-fn collect_vars(ctx: &Context, root: ExprId) -> Option<Vec<VarId>> {
+fn collect_vars(ctx: &Context, root: ExprId, visits: &mut u64) -> Option<Box<[VarId]>> {
     let mut out = Vec::new();
     let mut visited: FastHashSet<u32> = FastHashSet::default();
     let mut stack = vec![root];
@@ -209,20 +290,21 @@ fn collect_vars(ctx: &Context, root: ExprId) -> Option<Vec<VarId>> {
         if !visited.insert(e.0) {
             continue;
         }
+        *visits += 1;
         if let Expr::Var(v) = ctx.expr(e) {
             out.push(*v);
             if out.len() > COLLECT_CAP {
                 return None;
             }
         }
-        let mut kids = crate::backend::bitblast::children(ctx, e);
+        let mut kids = children(ctx, e);
         kids.reverse();
         stack.extend(kids);
     }
-    Some(out)
+    Some(out.into_boxed_slice())
 }
 
-fn merge_interaction(uf: &mut UnionFind, a: &Option<Vec<VarId>>, b: &Option<Vec<VarId>>) {
+fn merge_interaction(uf: &mut UnionFind, a: Option<&[VarId]>, b: Option<&[VarId]>) {
     match (a, b) {
         (Some(va), Some(vb)) if va.len() == vb.len() => {
             // Structurally aligned (e.g. two symbolic packets compared for

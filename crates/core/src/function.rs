@@ -99,6 +99,29 @@ pub struct FindReport<A> {
     pub bdd_stats: Option<rzen_bdd::BddStats>,
 }
 
+/// The report for a solve of a condition over `input`: a model of the
+/// condition is read back as the input it assigns.
+pub(crate) fn report<A: ZenType>(
+    input: Zen<A>,
+    solved: SolveOutcome,
+    sat_stats: Option<rzen_sat::Stats>,
+    bdd_stats: Option<rzen_bdd::BddStats>,
+) -> FindReport<A> {
+    let outcome = match solved {
+        SolveOutcome::Sat(env) => {
+            let v = with_ctx(|ctx| eval(ctx, input.id, &env));
+            FindOutcome::Found(A::from_value(&v))
+        }
+        SolveOutcome::Unsat => FindOutcome::Unsat,
+        SolveOutcome::Cancelled => FindOutcome::Cancelled,
+    };
+    FindReport {
+        outcome,
+        sat_stats,
+        bdd_stats,
+    }
+}
+
 /// A unary model: a function from `Zen<A>` to `Zen<R>` that the library
 /// can simulate, verify, transform, and compile. Use tuple inputs (or
 /// [`ZenFunction2`]/[`ZenFunction3`]) for multiple arguments.
@@ -176,19 +199,7 @@ impl<A: ZenType, R: ZenType> ZenFunction<A, R> {
                 (o, Some(s), None)
             }
         };
-        let outcome = match solved {
-            SolveOutcome::Sat(env) => {
-                let v = with_ctx(|ctx| eval(ctx, input.id, &env));
-                FindOutcome::Found(A::from_value(&v))
-            }
-            SolveOutcome::Unsat => FindOutcome::Unsat,
-            SolveOutcome::Cancelled => FindOutcome::Cancelled,
-        };
-        FindReport {
-            outcome,
-            sat_stats,
-            bdd_stats,
-        }
+        report(input, solved, sat_stats, bdd_stats)
     }
 
     /// [`ZenFunction::find_budgeted`] through a long-lived
@@ -207,28 +218,9 @@ impl<A: ZenType, R: ZenType> ZenFunction<A, R> {
         // hash-consed arena then shares every model sub-DAG with earlier
         // queries over the same model, which is what the session's caches
         // key on.
-        let input = Zen::<A>::from_id(
-            session.input_for((std::any::TypeId::of::<A>(), opts.list_bound), || {
-                Zen::<A>::symbolic(opts.list_bound).id
-            }),
-        );
+        let input = session.input::<A>(opts.list_bound);
         let out = (self.f)(input);
-        let cond = pred(input, out);
-        let (solved, sat_stats, bdd_stats) =
-            with_ctx(|ctx| session.solve(ctx, cond.id, opts.ordering_analysis, budget));
-        let outcome = match solved {
-            SolveOutcome::Sat(env) => {
-                let v = with_ctx(|ctx| eval(ctx, input.id, &env));
-                FindOutcome::Found(A::from_value(&v))
-            }
-            SolveOutcome::Unsat => FindOutcome::Unsat,
-            SolveOutcome::Cancelled => FindOutcome::Cancelled,
-        };
-        FindReport {
-            outcome,
-            sat_stats,
-            bdd_stats,
-        }
+        session.find(input, pred(input, out), opts, budget)
     }
 
     /// Decide whether `pred(input, output)` holds for **all** inputs

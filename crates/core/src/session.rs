@@ -21,7 +21,13 @@
 //! * **BDD session** — one [`BddManager`] lives for the whole session, so
 //!   the unique table and op-cache persist. The variable order is
 //!   *extended* per query ([`extend_order`]) so earlier queries' levels
-//!   never move.
+//!   never move, and it remembers what it walked, so a query adding a
+//!   root above an ordered model walks only the root.
+//!
+//! Above all three sits the **model memo** ([`SolverSession::find_model`]):
+//! a model's output over the session's symbolic input is built once per
+//! (input type, builder, list bound, model value), so a warm probe adds
+//! only its predicate to the expression arena.
 //!
 //! Sessions are inherently thread-bound: circuit nodes are `Rc`-shared and
 //! `ExprId`s index the thread-local context. Create a session only after
@@ -30,7 +36,8 @@
 //! while solving leaves the session in an unspecified (but memory-safe)
 //! state; discard it and start a fresh one (the engine's workers do).
 
-use std::any::TypeId;
+use std::any::{Any, TypeId};
+use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 
 use rzen_bdd::{Bdd, BddManager, BddStats, FastHashMap};
@@ -42,9 +49,10 @@ use crate::backend::ordering::{extend_order, VarOrder};
 use crate::backend::smt::{extract_env, flush_gate_counts, CLit, CnfAlg, GLit, POS};
 use crate::backend::SolveOutcome;
 use crate::budget::Budget;
-use crate::ctx::Context;
-use crate::function::Backend;
+use crate::ctx::{with_ctx, Context};
+use crate::function::{report, Backend, FindOptions, FindReport};
 use crate::ir::ExprId;
+use crate::lang::{Zen, ZenType};
 use crate::sorts::Sort;
 
 /// Cumulative reuse counters for one [`SolverSession`].
@@ -63,6 +71,9 @@ pub struct SessionStats {
     /// BDD nodes alive in the shared manager at query start (terminals
     /// excluded), summed over queries.
     pub bdd_nodes_reused: u64,
+    /// [`SolverSession::find_model`] calls whose model output the memo
+    /// already held, so the model was not rebuilt.
+    pub model_hits: u64,
 }
 
 impl SessionStats {
@@ -75,6 +86,7 @@ impl SessionStats {
             bitblast_compiled: self.bitblast_compiled - earlier.bitblast_compiled,
             sat_clauses_carried: self.sat_clauses_carried - earlier.sat_clauses_carried,
             bdd_nodes_reused: self.bdd_nodes_reused - earlier.bdd_nodes_reused,
+            model_hits: self.model_hits - earlier.model_hits,
         }
     }
 
@@ -85,6 +97,7 @@ impl SessionStats {
         self.bitblast_compiled += other.bitblast_compiled;
         self.sat_clauses_carried += other.sat_clauses_carried;
         self.bdd_nodes_reused += other.bdd_nodes_reused;
+        self.model_hits += other.model_hits;
     }
 }
 
@@ -98,8 +111,16 @@ pub struct SolverSession {
     /// hash-consed arena share model sub-DAGs between queries; fresh
     /// variables per query would defeat every cache below.
     inputs: FastHashMap<(TypeId, u16), ExprId>,
+    /// Model outputs over `inputs`, bucketed by (input type and builder,
+    /// list bound, model hash). Each entry keeps the model it was built
+    /// from, and a lookup compares that in full: a hash is a bucket, not
+    /// an identity.
+    models: FastHashMap<(TypeId, u16, u64), Vec<Memoised>>,
     stats: SessionStats,
 }
+
+/// A memoised model output, with the model value it was built from.
+type Memoised = (Box<dyn Any>, ExprId);
 
 impl SolverSession {
     /// A fresh session for `backend`. Call on a thread whose context has
@@ -110,6 +131,7 @@ impl SolverSession {
             smt: None,
             bdd: None,
             inputs: FastHashMap::default(),
+            models: FastHashMap::default(),
             stats: SessionStats::default(),
         }
     }
@@ -133,15 +155,110 @@ impl SolverSession {
         Some((alg.live_gates(), vars))
     }
 
-    /// The cached symbolic input for `key`, creating it with `mk` on first
-    /// use.
-    pub(crate) fn input_for(&mut self, key: (TypeId, u16), mk: impl FnOnce() -> ExprId) -> ExprId {
-        *self.inputs.entry(key).or_insert_with(mk)
+    /// Expression nodes the BDD session's [`extend_order`] calls visited
+    /// so far (0 before a BDD query ran): a warm probe visits only the
+    /// nodes its root added.
+    pub fn order_visits(&self) -> u64 {
+        self.bdd.as_ref().map_or(0, |b| b.order.visits())
+    }
+
+    /// The session's symbolic input of type `A` under `list_bound`,
+    /// created on first use. Reusing the *same* input variables is what
+    /// lets the hash-consed arena share model sub-DAGs between queries.
+    pub(crate) fn input<A: ZenType>(&mut self, list_bound: u16) -> Zen<A> {
+        let key = (TypeId::of::<A>(), list_bound);
+        Zen::from_id(
+            *self
+                .inputs
+                .entry(key)
+                .or_insert_with(|| Zen::<A>::symbolic(list_bound).id),
+        )
+    }
+
+    /// Find an input `a` with `pred(a, build(model, a))`, like
+    /// [`crate::ZenFunction::find_in_session`] over the model, except that
+    /// the model's output over the session input is built only by the
+    /// first call for an equal `model` (same input type, builder and
+    /// `opts.list_bound`). Later calls find it in the session's memo and
+    /// add only the predicate to the expression arena: no model clone, no
+    /// rebuild. The memo lives and dies with the session.
+    ///
+    /// `build` must be a function of its arguments alone — the memo is
+    /// keyed by its type — so it must capture nothing (a fn item such as
+    /// `Acl::matched_line`, or a capture-free closure); this is checked at
+    /// compile time.
+    pub fn find_model<M, A, R, F>(
+        &mut self,
+        model: &M,
+        build: F,
+        pred: impl FnOnce(Zen<A>, Zen<R>) -> Zen<bool>,
+        opts: &FindOptions,
+        budget: &Budget,
+    ) -> FindReport<A>
+    where
+        M: Clone + Hash + Eq + 'static,
+        A: ZenType,
+        R: ZenType,
+        F: Fn(&M, Zen<A>) -> Zen<R> + 'static,
+    {
+        const {
+            assert!(
+                std::mem::size_of::<F>() == 0,
+                "find_model: the builder must capture nothing"
+            )
+        };
+        let input = self.input::<A>(opts.list_bound);
+        let key = (
+            TypeId::of::<(A, F)>(),
+            opts.list_bound,
+            self.models.hasher().hash_one(model),
+        );
+        let bucket = self.models.entry(key).or_default();
+        let out = match bucket
+            .iter()
+            .find(|(m, _)| m.downcast_ref::<M>() == Some(model))
+        {
+            Some(&(_, out)) => {
+                self.stats.model_hits += 1;
+                rzen_obs::counter!(
+                    "session.model.hits",
+                    "session probes that found their model's output memoised"
+                )
+                .inc();
+                Zen::from_id(out)
+            }
+            None => {
+                rzen_obs::counter!(
+                    "session.model.builds",
+                    "model outputs built into a session's memo"
+                )
+                .inc();
+                let out = build(model, input);
+                bucket.push((Box::new(model.clone()), out.id));
+                out
+            }
+        };
+        let cond = pred(input, out);
+        self.find(input, cond, opts, budget)
+    }
+
+    /// Solve `cond`, a condition over the session input `input`, and read
+    /// the witness off `input`.
+    pub(crate) fn find<A: ZenType>(
+        &mut self,
+        input: Zen<A>,
+        cond: Zen<bool>,
+        opts: &FindOptions,
+        budget: &Budget,
+    ) -> FindReport<A> {
+        let (solved, sat_stats, bdd_stats) =
+            with_ctx(|ctx| self.solve(ctx, cond.id, opts.ordering_analysis, budget));
+        report(input, solved, sat_stats, bdd_stats)
     }
 
     /// Solve `root` under `budget` with this session's backend, reusing
     /// carried state and recording reuse counters.
-    pub(crate) fn solve(
+    fn solve(
         &mut self,
         ctx: &Context,
         root: ExprId,

@@ -3,8 +3,9 @@
 //! A [`Query`] carries only `Send + Clone + Hash` model data — ACLs, route
 //! maps, topologies — never `Zen<T>` handles, which are indices into a
 //! thread-local arena and cannot cross threads. Each worker rebuilds the
-//! symbolic model from the data in its own context, which is cheap next to
-//! solving and is what makes the batch engine embarrassingly parallel.
+//! symbolic model from the data in its own context, which is what makes
+//! the batch engine embarrassingly parallel; a worker's session builds
+//! each ACL and route map once ([`rzen::SolverSession::find_model`]).
 
 use std::hash::{Hash, Hasher};
 
@@ -199,11 +200,10 @@ impl Query {
     fn run_with(&self, mode: RunMode<'_>, budget: &Budget) -> RunOutput {
         match self {
             Query::AclFind { acl, target_line } => {
-                let acl = acl.clone();
                 let target = *target_line;
-                let f = ZenFunction::new(move |h| acl.matched_line(h));
                 let opts = FindOptions::default();
-                let report = dispatch(&f, |_, line| line.eq(Zen::val(target)), opts, budget, mode);
+                let pred = |_, line: Zen<u16>| line.eq(Zen::val(target));
+                let report = find_line(acl, Acl::matched_line, pred, opts, budget, mode);
                 RunOutput {
                     outcome: map_outcome(report.outcome, Witness::Header),
                     sat_stats: report.sat_stats,
@@ -215,14 +215,13 @@ impl Query {
                 target_clause,
                 list_bound,
             } => {
-                let map = map.clone();
                 let target = *target_clause;
-                let f = ZenFunction::new(move |a| map.matched_clause(a));
                 let opts = FindOptions {
                     list_bound: *list_bound,
                     ..Default::default()
                 };
-                let report = dispatch(&f, |_, line| line.eq(Zen::val(target)), opts, budget, mode);
+                let pred = |_, clause: Zen<u16>| clause.eq(Zen::val(target));
+                let report = find_line(map, RouteMap::matched_clause, pred, opts, budget, mode);
                 RunOutput {
                     outcome: map_outcome(report.outcome, |a| Witness::Announcement(Box::new(a))),
                     sat_stats: report.sat_stats,
@@ -342,6 +341,33 @@ fn dispatch<A: rzen::ZenType, R: rzen::ZenType>(
             f.find_budgeted(pred, &opts, budget)
         }
         RunMode::Session(session) => f.find_in_session(pred, &opts, budget, session),
+    }
+}
+
+/// [`dispatch`] for a model given as data plus a builder (an ACL's line
+/// tracker, a route map's clause tracker). A session builds each model
+/// once and finds it in its memo on every later probe; fresh mode builds
+/// it from a clone, as every fresh query builds everything.
+fn find_line<M, A, F>(
+    model: &M,
+    build: F,
+    pred: impl FnOnce(Zen<A>, Zen<u16>) -> Zen<bool>,
+    mut opts: FindOptions,
+    budget: &Budget,
+    mode: RunMode<'_>,
+) -> rzen::FindReport<A>
+where
+    M: Clone + Hash + Eq + 'static,
+    A: rzen::ZenType,
+    F: Fn(&M, Zen<A>) -> Zen<u16> + 'static,
+{
+    match mode {
+        RunMode::Fresh(backend) => {
+            opts.backend = backend;
+            let model = model.clone();
+            ZenFunction::new(move |a| build(&model, a)).find_budgeted(pred, &opts, budget)
+        }
+        RunMode::Session(session) => session.find_model(model, build, pred, &opts, budget),
     }
 }
 

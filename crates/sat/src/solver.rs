@@ -933,6 +933,7 @@ impl Solver {
     }
 
     fn simplify_inner(&mut self, force: bool) -> bool {
+        let _span = rzen_obs::span!("sat.simplify");
         assert_eq!(self.decision_level(), 0, "simplify above level 0");
         if !self.ok {
             return false;
@@ -945,6 +946,7 @@ impl Solver {
         if grown == 0 || (!force && grown < SIMPLIFY_MIN_TRAIL_DELTA) {
             return true; // not enough new facts to pay for the sweep
         }
+        let _sweep = rzen_obs::span!("sat.simplify.sweep");
         self.sweep_list(false);
         self.sweep_list(true);
         if self.propagate() != CRef::UNDEF {

@@ -405,7 +405,49 @@ fn poisoned_query_does_not_abort_the_batch() {
             "{mode}"
         );
         assert!(!rerun.results[0].cache_hit, "{mode}");
+        if sessions {
+            probes_after_a_panic_rebuild_the_model(backend, &poison);
+        }
     }
+}
+
+/// On one worker, the poison lands between probes of one ACL: the session
+/// memoised the ACL before the panic, and the probes after it must be
+/// answered over a model built in the rebuilt arena — the memo goes with
+/// the session.
+fn probes_after_a_panic_rebuild_the_model(backend: QueryBackend, poison: &Query) {
+    let acl = random_acl(60, 3);
+    let last = acl.rules.len() as u16;
+    let probe = |target_line| Query::AclFind {
+        acl: acl.clone(),
+        target_line,
+    };
+    let batch = [
+        probe(last),
+        poison.clone(),
+        probe(last - 1),
+        probe(last + 1),
+    ];
+    let run = |sessions| {
+        Engine::new(EngineConfig {
+            jobs: 1,
+            backend,
+            timeout: None,
+            cache: false,
+            sessions,
+        })
+        .run_batch(&batch)
+    };
+    let (fresh, session) = (run(false), run(true));
+    for (i, q) in batch.iter().enumerate() {
+        let (f, s) = (&fresh.results[i].verdict, &session.results[i].verdict);
+        assert_eq!(verdict_kind(f), verdict_kind(s), "{backend:?} query {i}");
+        if let Verdict::Sat(w) = s {
+            assert!(q.check_witness(w), "{backend:?} query {i}: bad witness");
+        }
+    }
+    assert!(matches!(session.results[1].verdict, Verdict::Error(_)));
+    assert_eq!(verdict_kind(&session.results[3].verdict), "unsat");
 }
 
 #[test]

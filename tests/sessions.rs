@@ -2,9 +2,13 @@
 //! per-worker solver sessions and fresh-per-query solving, reuse-counter
 //! sanity, and cancellation-mid-session recovery.
 
+use std::hash::{Hash, Hasher};
+
 use rzen::{Backend, Budget, FindOptions, FindOutcome, SolverSession, Zen, ZenFunction};
 use rzen_engine::{BatchReport, Engine, EngineConfig, Query, QueryBackend, QueryResult, Verdict};
+use rzen_net::acl::{Acl, AclRule};
 use rzen_net::gen::{random_acl, random_route_map, spine_leaf};
+use rzen_net::routing::{Clause, MatchCond, RouteMap};
 
 /// `AclFind` probes over `seeds` same-model families: for each
 /// `random_acl(rules, seed)`, one query per offset, targeting line
@@ -310,6 +314,204 @@ fn cancellation_mid_session_leaves_session_usable() {
         );
         assert!(matches!(report.outcome, FindOutcome::Unsat));
         assert_eq!(session.stats().queries, 3);
+    }
+    rzen::reset_ctx();
+}
+
+/// The compile-once gate. A warm session builds a model's output once;
+/// from the second probe on, a probe pays only for its own root. With
+/// folding, `line == k` over the first-match chain is the conjunction
+/// `!m1 & .. & !m(k-1) & mk` of the rules' match conditions: building it
+/// walks the chain once (a constant comparison per rule) and adds k - 1
+/// `And`s and their `Not`s, and the variable order walks only those.
+/// Measured over a 400-rule ACL: line 1 costs 402 lookups and no visit,
+/// line 399 after line 400 costs 1 198 lookups (on the bound) and 398
+/// visits. With the model rebuilt for each probe and the order walked
+/// afresh, as sessions did before the memo, line 1 cost 11 836 lookups
+/// and 54 visits, line 399 12 632 lookups and 6 743 visits.
+#[test]
+fn warm_probes_cost_their_root_not_the_model() {
+    let acl = random_acl(400, 5);
+    let rules = acl.rules.len() as u64;
+    let last = rules as u16;
+    let lines = [last, 1, last + 1, 7, last - 1, 2, 100, last];
+    let live: Vec<bool> = lines
+        .iter()
+        .map(|&k| {
+            rzen::reset_ctx();
+            let acl = acl.clone();
+            ZenFunction::new(move |h| acl.matched_line(h))
+                .find(|_, line| line.eq(Zen::val(k)), &FindOptions::default())
+                .is_some()
+        })
+        .collect();
+    for backend in [Backend::Bdd, Backend::Smt] {
+        rzen::reset_ctx();
+        let mut session = SolverSession::new(backend);
+        let interns = || rzen::with_ctx(|ctx| ctx.num_interns());
+        for (i, &k) in lines.iter().enumerate() {
+            let (interns0, visits0) = (interns(), session.order_visits());
+            let report = session.find_model(
+                &acl,
+                Acl::matched_line,
+                |_, line| line.eq(Zen::val(k)),
+                &FindOptions::default(),
+                &Budget::unlimited(),
+            );
+            let (interns, visits) = (interns() - interns0, session.order_visits() - visits0);
+            match report.outcome {
+                FindOutcome::Found(h) => {
+                    assert!(live[i], "{backend:?}: line {k} is dead");
+                    assert_eq!(acl.matched_line_concrete(&h), k, "{backend:?}");
+                }
+                FindOutcome::Unsat => assert!(!live[i], "{backend:?}: line {k} is live"),
+                FindOutcome::Cancelled => unreachable!("unlimited budget"),
+            }
+            if i == 0 {
+                continue;
+            }
+            let k = u64::from(k);
+            assert!(
+                interns <= rules + 2 * k + 16,
+                "{backend:?} probe {i} (line {k}): {interns} hash-cons lookups"
+            );
+            assert!(
+                visits <= 2 * k + 8,
+                "{backend:?} probe {i} (line {k}): {visits} variable-order visits"
+            );
+        }
+        assert_eq!(session.stats().model_hits, lines.len() as u64 - 1);
+    }
+    rzen::reset_ctx();
+}
+
+/// The memo's reuse counter through the engine: on a one-model-per-session
+/// batch every probe after a model's first finds it memoised.
+#[test]
+fn every_probe_after_a_models_first_hits_the_memo() {
+    let offsets = [0, -1, -2, 1, -4, -5];
+    let queries = acl_families(120, 3, &offsets);
+    for backend in [QueryBackend::Bdd, QueryBackend::Smt] {
+        for jobs in [1, 2] {
+            let report = run(&queries, backend, jobs, true);
+            let hits: u64 = report
+                .results
+                .iter()
+                .map(|r| r.session.unwrap().model_hits)
+                .sum();
+            assert_eq!(
+                hits,
+                queries.len() as u64 - 3,
+                "{backend:?} jobs={jobs}: memo hits"
+            );
+        }
+    }
+}
+
+/// Verdict kinds of `queries`, after checking every witness.
+fn checked_verdicts(queries: &[Query], backend: QueryBackend, sessions: bool) -> Vec<&'static str> {
+    let report = run(queries, backend, 1, sessions);
+    queries
+        .iter()
+        .zip(&report.results)
+        .map(|(q, r)| {
+            if let Verdict::Sat(w) = &r.verdict {
+                assert!(q.check_witness(w), "{q:?}: bad witness");
+            }
+            verdict_kind(&r.verdict)
+        })
+        .collect()
+}
+
+/// Memo keys are whole models and list bounds: two ACLs one port bound
+/// apart, and one route map at two list bounds, each pair with opposite
+/// verdicts, probed interleaved through one session.
+#[test]
+fn memo_tells_apart_models_one_bound_apart() {
+    let acl = |hi: u16| Acl {
+        rules: vec![
+            AclRule {
+                dst_ports: (0, hi),
+                ..AclRule::any(false)
+            },
+            AclRule::any(true),
+        ],
+    };
+    // Line 2 is shadowed when rule 1 covers every port, live otherwise.
+    let (shadowed, live) = (acl(u16::MAX), acl(u16::MAX - 1));
+    // Clause 2 is reachable only by an AS path longer than 2.
+    let map = RouteMap {
+        clauses: vec![
+            Clause {
+                conds: vec![MatchCond::AsPathLengthLe(2)],
+                actions: vec![],
+                permit: false,
+            },
+            Clause {
+                conds: vec![],
+                actions: vec![],
+                permit: true,
+            },
+        ],
+    };
+    let mut queries = Vec::new();
+    for round in 0..3u16 {
+        for acl in [&shadowed, &live] {
+            queries.push(Query::AclFind {
+                acl: acl.clone(),
+                target_line: 2,
+            });
+        }
+        for list_bound in [2, 3] {
+            queries.push(Query::RouteMapFind {
+                map: map.clone(),
+                target_clause: 2 - round % 2,
+                list_bound,
+            });
+        }
+    }
+    let want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "sat", "sat"];
+    for backend in [
+        QueryBackend::Bdd,
+        QueryBackend::Smt,
+        QueryBackend::Portfolio,
+    ] {
+        let fresh = checked_verdicts(&queries, backend, false);
+        let session = checked_verdicts(&queries, backend, true);
+        assert_eq!(
+            session, fresh,
+            "{backend:?}: session mode disagrees with fresh"
+        );
+        assert_eq!(fresh[..8], want, "{backend:?}");
+    }
+}
+
+/// A model whose hash ignores its value: every instance lands in one
+/// memo bucket, so only the full comparison keeps them apart.
+#[derive(Clone, PartialEq, Eq)]
+struct Colliding(u16);
+
+impl Hash for Colliding {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
+#[test]
+fn memo_compares_models_not_hashes() {
+    for backend in [Backend::Bdd, Backend::Smt] {
+        rzen::reset_ctx();
+        let mut session = SolverSession::new(backend);
+        for k in [1u16, 2, 1, 3, 2] {
+            // Find the x with x + k == 10: the answer moves with the model.
+            let report = session.find_model(
+                &Colliding(k),
+                |m: &Colliding, x: Zen<u16>| x + Zen::val(m.0),
+                |_, sum| sum.eq(Zen::val(10u16)),
+                &FindOptions::default(),
+                &Budget::unlimited(),
+            );
+            assert_eq!(report.outcome, FindOutcome::Found(10 - k), "{backend:?}");
+        }
+        assert_eq!(session.stats().model_hits, 2, "{backend:?}");
     }
     rzen::reset_ctx();
 }
