@@ -511,16 +511,11 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
             if i > 0 {
                 out.push(',');
             }
-            let v = match &r.verdict {
-                Verdict::Sat(_) => "sat",
-                Verdict::Unsat => "unsat",
-                Verdict::Timeout => "timeout",
-                Verdict::Cancelled => "cancelled",
-                Verdict::Error(_) => "error",
-            };
             out.push_str(&format!(
-                "{{\"index\":{},\"kind\":\"{}\",\"verdict\":\"{v}\"}}",
-                r.index, r.kind
+                "{{\"index\":{},\"kind\":\"{}\",\"verdict\":\"{}\"}}",
+                r.index,
+                r.kind,
+                r.verdict.class().as_str()
             ));
         }
         out.push_str("]}\n");

@@ -36,6 +36,9 @@ pub(crate) struct ResultCache {
     /// Total entries across buckets, maintained incrementally so the
     /// entries gauge never needs an O(n) walk.
     count: usize,
+    /// Bumped by every clear and delta sweep, so an insert can tell that
+    /// the cache moved under it since its lookup.
+    sweeps: u64,
 }
 
 impl ResultCache {
@@ -58,20 +61,22 @@ impl ResultCache {
     pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.count = 0;
+        self.sweeps += 1;
+    }
+
+    /// Clears and delta sweeps so far.
+    pub(crate) fn sweeps(&self) -> u64 {
+        self.sweeps
     }
 
     /// Record a verdict for `query`.
-    pub(crate) fn insert(&mut self, fingerprint: u64, query: &Query, verdict: Verdict) -> bool {
+    pub(crate) fn insert(&mut self, fingerprint: u64, query: &Query, verdict: Verdict) {
         let bucket = self.map.entry(fingerprint).or_default();
         match bucket.iter_mut().find(|(q, _)| q == query) {
-            Some(slot) => {
-                slot.1 = verdict;
-                false
-            }
+            Some(slot) => slot.1 = verdict,
             None => {
                 bucket.push((query.clone(), verdict));
                 self.count += 1;
-                true
             }
         }
     }
@@ -208,6 +213,7 @@ impl ResultCache {
         }
         self.map = kept;
         self.count = count;
+        self.sweeps += 1;
         stats
     }
 }

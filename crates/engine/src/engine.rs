@@ -4,9 +4,10 @@
 //! on the runners with fingerprint-affinity claim order.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -52,73 +53,10 @@ impl Default for EngineConfig {
 /// any number of times; the result cache persists across batches.
 pub struct Engine {
     cfg: EngineConfig,
+    /// The result cache, shared by batch workers and serve shards alike.
+    /// It is locked only to look up and to insert, never across a solve,
+    /// so a sweep never waits for a solver.
     cache: Mutex<ResultCache>,
-    /// Total entries across shard-owned caches (sharded serve mode only;
-    /// the shared `cache` keeps its own count). Signed so transient
-    /// decrement-before-increment interleavings can dip below zero
-    /// without wrapping.
-    shard_entries: AtomicI64,
-    cache_log: CacheLog,
-}
-
-/// A shared-nothing engine shard: its own result cache, owned by exactly
-/// one serving thread, plus the sequence number of the last cache-wide
-/// operation (clear / delta sweep) it has applied. No lock is taken on
-/// the query hot path; shards learn about model mutations by replaying
-/// the engine's [`CacheLog`].
-pub struct EngineShard {
-    id: usize,
-    cache: ResultCache,
-    applied: u64,
-}
-
-impl EngineShard {
-    /// This shard's index (stable for the life of the server).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Entries currently held by this shard's cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// A cache-wide operation waiting to be applied by every shard. Returned
-/// by [`Engine::push_cache_delta`]; holding it keeps the aggregated
-/// counters alive even after the log prunes the fully-acked entry.
-pub struct CachePending(Arc<CacheLogEntry>);
-
-enum CacheOp {
-    Clear,
-    Delta {
-        old_net: rzen_net::topology::Network,
-        new_net: rzen_net::topology::Network,
-        steps: Vec<rzen_net::topology::DeltaStep>,
-    },
-}
-
-struct CacheLogEntry {
-    seq: u64,
-    op: CacheOp,
-    /// Shards that have applied this entry.
-    acks: AtomicUsize,
-    /// Aggregated sweep results across shards (delta ops only).
-    evicted: AtomicUsize,
-    retained: AtomicUsize,
-    unaffected: AtomicUsize,
-}
-
-/// An ordered log of cache-wide operations, replayed lazily by each
-/// shard: the writer (the reactor's control plane) appends under the
-/// mutex and bumps `pushed`; shards compare `pushed` against their own
-/// `applied` watermark with one atomic load per request and only take
-/// the mutex when behind. Fully-acked entries are pruned in order.
-struct CacheLog {
-    entries: Mutex<Vec<Arc<CacheLogEntry>>>,
-    cv: Condvar,
-    pushed: AtomicU64,
-    shards: AtomicUsize,
 }
 
 /// What one query's solve produced, before verdict mapping.
@@ -140,13 +78,6 @@ impl Engine {
         Engine {
             cfg,
             cache: Mutex::new(ResultCache::new()),
-            shard_entries: AtomicI64::new(0),
-            cache_log: CacheLog {
-                entries: Mutex::new(Vec::new()),
-                cv: Condvar::new(),
-                pushed: AtomicU64::new(0),
-                shards: AtomicUsize::new(0),
-            },
         }
     }
 
@@ -155,21 +86,19 @@ impl Engine {
         &self.cfg
     }
 
-    /// Drop every verdict in the shared cache (the one `run_batch` and
-    /// [`Engine::run_one`] use; shards are cleared through
-    /// [`Engine::push_cache_clear`]). For a caller that replaces its
-    /// model: entries for the old model are keyed by the old network and
-    /// could never be *served* wrongly, but they would pin its memory for
-    /// the life of the process.
+    /// Drop every cached verdict. For a caller that replaces its model:
+    /// entries for the old model are keyed by the old network and could
+    /// never be *served* wrongly, but they would pin its memory for the
+    /// life of the process.
     pub fn clear_cache(&self) {
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock().expect(POISONED);
         cache.clear();
-        rzen_obs::gauge!("engine.cache.entries", "entries in the result cache").set(0);
+        entries_gauge().set(0);
     }
 
     /// Cached verdicts currently held.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.lock().expect(POISONED).len()
     }
 
     /// Apply a model delta to the result cache: evict exactly the
@@ -182,17 +111,29 @@ impl Engine {
     /// deliberately left alone: their caches key on hash-consed
     /// expression ids, so changed sub-models simply produce new ids
     /// while unchanged circuitry keeps hitting.
+    ///
+    /// The sweep runs on the calling thread and is complete on return.
     pub fn apply_delta(
         &self,
         old_net: &rzen_net::topology::Network,
         new_net: &rzen_net::topology::Network,
         steps: &[rzen_net::topology::DeltaStep],
     ) -> DeltaCacheStats {
-        let mut cache = self.cache.lock().unwrap();
-        let stats = sweep_counted(&mut cache, old_net, new_net, steps);
+        let mut cache = self.cache.lock().expect(POISONED);
+        let stats = cache.sweep_delta(old_net, new_net, steps);
+        entries_gauge().set(cache.len() as i64);
+        drop(cache);
         rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
-        rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
-            .set(cache.len() as i64);
+        rzen_obs::counter!(
+            "engine.cache.delta_evicted",
+            "cache entries evicted by delta cone-of-influence sweeps"
+        )
+        .add(stats.evicted as u64);
+        rzen_obs::counter!(
+            "engine.cache.delta_retained",
+            "cache entries kept warm (re-keyed) across delta sweeps"
+        )
+        .add(stats.retained as u64);
         stats
     }
 
@@ -241,7 +182,7 @@ impl Engine {
                         let start_us = rzen_obs::flight::now_us();
                         let alloc0 = rzen_obs::profile::thread_alloc_stats();
                         let budget = self.request_budget();
-                        let result = self.solve(i, &queries[i], &worker, budget, ctx.id, None);
+                        let result = self.solve(i, &queries[i], &worker, budget, ctx);
                         record_flight(&ctx, start_us, alloc0, &queries[i], &result);
                         *slots[i].lock().unwrap() = Some(result);
                     }
@@ -254,33 +195,36 @@ impl Engine {
         BatchReport { results, stats }
     }
 
-    /// The cached result for this query, if caching is on and this exact
-    /// query (not merely a colliding fingerprint) was decided before.
+    /// Look `query` up in the result cache, if caching is on. A hit breaks
+    /// out with the finished result; a miss carries on with what its
+    /// insert needs once the query is solved.
     fn cache_lookup(
         &self,
         index: usize,
         query: &Query,
-        fingerprint: u64,
         started: Instant,
-        shard: Option<&EngineShard>,
-    ) -> Option<QueryResult> {
+    ) -> ControlFlow<QueryResult, Option<CacheMiss<'_>>> {
         if !self.cfg.cache {
-            return None;
+            return ControlFlow::Continue(None);
         }
-        let hit = match shard {
-            Some(s) => s.cache.get(fingerprint, query).cloned(),
-            None => self.cache.lock().unwrap().get(fingerprint, query).cloned(),
-        };
-        let Some(v) = hit else {
+        let fingerprint = query.fingerprint();
+        let cache = self.cache.lock().expect(POISONED);
+        let Some(v) = cache.get(fingerprint, query) else {
             rzen_obs::counter!("engine.cache.misses", "cache lookups that found no entry").inc();
-            return None;
+            return ControlFlow::Continue(Some(CacheMiss {
+                cache: &self.cache,
+                fingerprint,
+                sweeps: cache.sweeps(),
+            }));
         };
+        let verdict = v.clone();
+        drop(cache);
         rzen_obs::counter!("engine.cache.hits", "queries served from the result cache").inc();
         rzen_obs::trace::instant1("engine.cache.hit", "index", index as u64);
-        Some(QueryResult {
+        ControlFlow::Break(QueryResult {
             index,
             kind: query.kind(),
-            verdict: v,
+            verdict,
             latency: started.elapsed(),
             winner: None,
             cache_hit: true,
@@ -312,16 +256,16 @@ impl Engine {
         query: &Query,
         worker: &ServeWorker,
         budget: Budget,
-        req: u64,
-        shard: Option<&mut EngineShard>,
+        ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
         let started = Instant::now();
+        let req = ctx.id;
         let _span = rzen_obs::span!("engine.query", "req" => req, "index" => index as u64);
         rzen_obs::counter!("engine.queries", "queries dispatched to workers").inc();
-        let fingerprint = query.fingerprint();
-        if let Some(hit) = self.cache_lookup(index, query, fingerprint, started, shard.as_deref()) {
-            return hit;
-        }
+        let miss = match self.cache_lookup(index, query, started) {
+            ControlFlow::Break(hit) => return hit,
+            ControlFlow::Continue(miss) => miss,
+        };
 
         let runners = &worker.runners;
         let _race = (runners.len() > 1).then(|| rzen_obs::span!("engine.race", "req" => req));
@@ -380,23 +324,25 @@ impl Engine {
         if let (None, Some(msg)) = (solved.winner, error) {
             solved.outcome = Err(msg);
         }
-        self.finish(index, query, fingerprint, solved, &budget, started, shard)
+        let result = self.finish(index, query, solved, &budget, started);
+        // Only decisive verdicts are cached, so an `Error` (or a budget
+        // artifact) can never be replayed to a later identical query.
+        if let Some(miss) = miss.filter(|_| result.verdict.is_decisive()) {
+            miss.insert(query, &result.verdict);
+        }
+        result
     }
 
-    /// Map the raw outcome to a [`Verdict`], feed the cache and metrics,
-    /// and assemble the result. Latency is the decision-time stamp when
-    /// one exists (portfolio losers drain after it), total elapsed
-    /// otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// Map the raw outcome to a [`Verdict`], count it, and assemble the
+    /// result. Latency is the decision-time stamp when one exists (portfolio
+    /// losers drain after it), total elapsed otherwise.
     fn finish(
         &self,
         index: usize,
         query: &Query,
-        fingerprint: u64,
         solved: Solved,
         budget: &Budget,
         started: Instant,
-        shard: Option<&mut EngineShard>,
     ) -> QueryResult {
         let verdict = match solved.outcome {
             Ok(FindOutcome::Found(w)) => Verdict::Sat(w),
@@ -413,26 +359,6 @@ impl Engine {
                 Verdict::Error(msg)
             }
         };
-
-        // Only decisive verdicts are cached, so an `Error` (or a budget
-        // artifact) can never be replayed to a later identical query.
-        if self.cfg.cache && verdict.is_decisive() {
-            match shard {
-                Some(s) => {
-                    if s.cache.insert(fingerprint, query, verdict.clone()) {
-                        let total = self.shard_entries.fetch_add(1, Ordering::Relaxed) + 1;
-                        rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
-                            .set(total.max(0));
-                    }
-                }
-                None => {
-                    let mut cache = self.cache.lock().unwrap();
-                    cache.insert(fingerprint, query, verdict.clone());
-                    rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
-                        .set(cache.len() as i64);
-                }
-            }
-        }
 
         match solved.winner {
             Some(Backend::Bdd) => {
@@ -493,13 +419,12 @@ impl Engine {
 
     /// Solve one query with an explicit per-request budget (a serving
     /// layer derives it from the request deadline, queue wait included),
-    /// consulting and feeding the shared result cache. `ctx` is the
-    /// request identity minted at serve admission; its id rides every
-    /// span on the solve path. The serve layer owns the flight record for
-    /// the request (it knows the endpoints and the full wall latency), so
-    /// this method does not write one. The solve runs on `worker`'s
-    /// runner threads, so the caller's thread-local `Zen` context is
-    /// never touched.
+    /// consulting and feeding the result cache. `ctx` is the request
+    /// identity minted at serve admission; its id rides every span on the
+    /// solve path. The serve layer owns the flight record for the request
+    /// (it knows the endpoints and the full wall latency), so this method
+    /// does not write one. The solve runs on `worker`'s runner threads, so
+    /// the caller's thread-local `Zen` context is never touched.
     pub fn run_one(
         &self,
         query: &Query,
@@ -507,176 +432,7 @@ impl Engine {
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
-        self.solve(0, query, worker, budget, ctx.id, None)
-    }
-
-    /// Declare how many shards will replay the cache log. Must be called
-    /// before the first [`Engine::shard`] and before any cache-wide op is
-    /// pushed; the count gates both op pruning and
-    /// [`Engine::await_cache_delta`].
-    pub fn set_shard_count(&self, shards: usize) {
-        self.cache_log.shards.store(shards, Ordering::Release);
-    }
-
-    /// Create the shard-owned cache state for shard `id`. The shard
-    /// starts current with the log (nothing to replay).
-    pub fn shard(&self, id: usize) -> EngineShard {
-        EngineShard {
-            id,
-            cache: ResultCache::new(),
-            applied: self.cache_log.pushed.load(Ordering::Acquire),
-        }
-    }
-
-    /// Solve one query against a shard-owned cache: the sharded-serve
-    /// counterpart of [`Engine::run_one`]. Replays any pending cache-wide
-    /// ops first, then solves with no cross-shard locks on the hot path.
-    pub fn run_one_sharded(
-        &self,
-        shard: &mut EngineShard,
-        query: &Query,
-        budget: Budget,
-        worker: &ServeWorker,
-        ctx: rzen_obs::RequestCtx,
-    ) -> QueryResult {
-        self.shard_catch_up(shard);
-        self.solve(0, query, worker, budget, ctx.id, Some(shard))
-    }
-
-    /// Bring `shard` up to date with the cache log. One relaxed/acquire
-    /// atomic compare when already current; otherwise replays clears and
-    /// delta sweeps in order, acks each, and prunes fully-acked entries.
-    /// Idle shard threads call this on a short park cadence so a pushed
-    /// delta is acknowledged promptly even with no traffic.
-    pub fn shard_catch_up(&self, shard: &mut EngineShard) {
-        if self.cache_log.pushed.load(Ordering::Acquire) == shard.applied {
-            return;
-        }
-        let entries = self.cache_log.entries.lock().unwrap();
-        let shards = self.cache_log.shards.load(Ordering::Acquire);
-        let mut acked = false;
-        for entry in entries.iter() {
-            if entry.seq <= shard.applied {
-                continue;
-            }
-            match &entry.op {
-                CacheOp::Clear => {
-                    let removed = shard.cache.len() as i64;
-                    shard.cache.clear();
-                    self.shard_entries.fetch_sub(removed, Ordering::Relaxed);
-                }
-                CacheOp::Delta {
-                    old_net,
-                    new_net,
-                    steps,
-                } => {
-                    let stats = sweep_counted(&mut shard.cache, old_net, new_net, steps);
-                    entry.evicted.fetch_add(stats.evicted, Ordering::Relaxed);
-                    entry.retained.fetch_add(stats.retained, Ordering::Relaxed);
-                    entry
-                        .unaffected
-                        .fetch_add(stats.unaffected, Ordering::Relaxed);
-                    self.shard_entries
-                        .fetch_sub(stats.evicted as i64, Ordering::Relaxed);
-                }
-            }
-            shard.applied = entry.seq;
-            entry.acks.fetch_add(1, Ordering::AcqRel);
-            acked = true;
-        }
-        let mut entries = entries;
-        while entries
-            .first()
-            .is_some_and(|e| e.acks.load(Ordering::Acquire) >= shards)
-        {
-            entries.remove(0);
-        }
-        drop(entries);
-        if acked {
-            self.cache_log.cv.notify_all();
-            rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
-                .set(self.shard_entries.load(Ordering::Relaxed).max(0));
-        }
-    }
-
-    /// Queue a cache-wide clear for every shard (the sharded counterpart
-    /// of [`Engine::clear_cache`], used on model hot-swap). No wait is
-    /// needed: entries key on the full query including the model, so a
-    /// stale entry can never answer a post-swap query wrongly — the clear
-    /// only releases memory.
-    pub fn push_cache_clear(&self) {
-        let mut entries = self.cache_log.entries.lock().unwrap();
-        let seq = self.cache_log.pushed.load(Ordering::Relaxed) + 1;
-        entries.push(Arc::new(CacheLogEntry {
-            seq,
-            op: CacheOp::Clear,
-            acks: AtomicUsize::new(0),
-            evicted: AtomicUsize::new(0),
-            retained: AtomicUsize::new(0),
-            unaffected: AtomicUsize::new(0),
-        }));
-        self.cache_log.pushed.store(seq, Ordering::Release);
-    }
-
-    /// Queue a delta sweep for every shard (the sharded counterpart of
-    /// [`Engine::apply_delta`]). Returns a handle to await aggregated
-    /// sweep stats with [`Engine::await_cache_delta`].
-    pub fn push_cache_delta(
-        &self,
-        old_net: &rzen_net::topology::Network,
-        new_net: &rzen_net::topology::Network,
-        steps: &[rzen_net::topology::DeltaStep],
-    ) -> CachePending {
-        let entry = {
-            let mut entries = self.cache_log.entries.lock().unwrap();
-            let seq = self.cache_log.pushed.load(Ordering::Relaxed) + 1;
-            let entry = Arc::new(CacheLogEntry {
-                seq,
-                op: CacheOp::Delta {
-                    old_net: old_net.clone(),
-                    new_net: new_net.clone(),
-                    steps: steps.to_vec(),
-                },
-                acks: AtomicUsize::new(0),
-                evicted: AtomicUsize::new(0),
-                retained: AtomicUsize::new(0),
-                unaffected: AtomicUsize::new(0),
-            });
-            entries.push(Arc::clone(&entry));
-            self.cache_log.pushed.store(seq, Ordering::Release);
-            entry
-        };
-        rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
-        CachePending(entry)
-    }
-
-    /// Wait (bounded) until every shard has applied the pushed delta,
-    /// then return the aggregated sweep stats. On timeout the stats cover
-    /// whichever shards have swept so far — still safe, since unswept
-    /// shards hold entries keyed by the old network, which post-delta
-    /// queries can never hit.
-    pub fn await_cache_delta(&self, pending: &CachePending, timeout: Duration) -> DeltaCacheStats {
-        let shards = self.cache_log.shards.load(Ordering::Acquire).max(1);
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.cache_log.entries.lock().unwrap();
-        while pending.0.acks.load(Ordering::Acquire) < shards {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _) = self
-                .cache_log
-                .cv
-                .wait_timeout(guard, deadline - now)
-                .unwrap();
-            guard = g;
-        }
-        drop(guard);
-        DeltaCacheStats {
-            evicted: pending.0.evicted.load(Ordering::Relaxed),
-            retained: pending.0.retained.load(Ordering::Relaxed),
-            unaffected: pending.0.unaffected.load(Ordering::Relaxed),
-        }
+        self.solve(0, query, worker, budget, ctx)
     }
 }
 
@@ -700,26 +456,37 @@ impl Drop for ServeWorker {
     }
 }
 
-/// Sweep one result cache for a model delta, counting what it evicted
-/// and kept warm.
-fn sweep_counted(
-    cache: &mut ResultCache,
-    old_net: &rzen_net::topology::Network,
-    new_net: &rzen_net::topology::Network,
-    steps: &[rzen_net::topology::DeltaStep],
-) -> DeltaCacheStats {
-    let stats = cache.sweep_delta(old_net, new_net, steps);
-    rzen_obs::counter!(
-        "engine.cache.delta_evicted",
-        "cache entries evicted by delta cone-of-influence sweeps"
-    )
-    .add(stats.evicted as u64);
-    rzen_obs::counter!(
-        "engine.cache.delta_retained",
-        "cache entries kept warm (re-keyed) across delta sweeps"
-    )
-    .add(stats.retained as u64);
-    stats
+/// Where a cache miss's verdict goes once it is solved.
+struct CacheMiss<'e> {
+    cache: &'e Mutex<ResultCache>,
+    fingerprint: u64,
+    /// The cache's sweep count at the lookup.
+    sweeps: u64,
+}
+
+impl CacheMiss<'_> {
+    /// Cache `verdict` for `query` — unless the cache was swept or
+    /// cleared since the lookup. The verdict may then have been solved
+    /// against the pre-delta model: keyed by the old network, it could
+    /// never be hit, and would sit in the cache until the next full swap.
+    /// Only a lookup that came before the sweep is caught; a query
+    /// holding the old model whose lookup comes after it still inserts.
+    fn insert(self, query: &Query, verdict: &Verdict) {
+        let mut cache = self.cache.lock().expect(POISONED);
+        if cache.sweeps() == self.sweeps {
+            cache.insert(self.fingerprint, query, verdict.clone());
+            entries_gauge().set(cache.len() as i64);
+        }
+    }
+}
+
+/// Why the cache lock can fail: no cache operation is meant to panic.
+const POISONED: &str = "a thread panicked holding the result cache";
+
+/// The `engine.cache.entries` gauge, set from the cache's own count
+/// after each insert, sweep and clear.
+fn entries_gauge() -> &'static rzen_obs::Gauge {
+    rzen_obs::gauge!("engine.cache.entries", "entries in the result cache")
 }
 
 /// Query indices that the workers sharing this queue claim in order.
@@ -889,4 +656,54 @@ fn runner(backend: Backend, sessions: bool, rx: mpsc::Receiver<Job>) {
     }
     // Leave no arena behind on the (dying) thread.
     rzen::reset_ctx();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rzen_net::topology::{DeltaStep, Touch};
+
+    fn lookup_miss<'e>(engine: &'e Engine, query: &Query) -> CacheMiss<'e> {
+        match engine.cache_lookup(0, query, Instant::now()) {
+            ControlFlow::Continue(Some(miss)) => miss,
+            _ => panic!("expected a cache miss"),
+        }
+    }
+
+    /// A query that missed before a delta sweep (or a clear) and finishes
+    /// after it does not insert: its verdict was solved against the old
+    /// network and could never be hit. A miss looked up after the sweep
+    /// inserts as usual.
+    #[test]
+    fn a_miss_from_before_a_sweep_is_not_inserted() {
+        let old = rzen_net::gen::spine_leaf(2, 3);
+        let mut new = old.clone();
+        new.devices[3].interfaces.last_mut().unwrap().acl_in = Some(rzen_net::acl::Acl::default());
+        let steps = [DeltaStep {
+            pre: old.clone(),
+            touch: Touch::Intf {
+                device: 3,
+                intf: 99,
+            },
+        }];
+        let on = |net: &rzen_net::topology::Network| Query::Reach {
+            net: net.clone(),
+            src: (2, 99),
+            dst: (3, 99),
+        };
+        let engine = Engine::new(EngineConfig::default());
+
+        let in_flight = lookup_miss(&engine, &on(&old));
+        engine.apply_delta(&old, &new, &steps);
+        in_flight.insert(&on(&old), &Verdict::Unsat);
+        assert_eq!(engine.cache_len(), 0, "a pre-delta miss was inserted");
+
+        let in_flight = lookup_miss(&engine, &on(&new));
+        engine.clear_cache();
+        in_flight.insert(&on(&new), &Verdict::Unsat);
+        assert_eq!(engine.cache_len(), 0, "a pre-clear miss was inserted");
+
+        lookup_miss(&engine, &on(&new)).insert(&on(&new), &Verdict::Unsat);
+        assert_eq!(engine.cache_len(), 1);
+    }
 }

@@ -34,6 +34,17 @@
 //! fact about the budget, not the query, and a `Verdict::Error` records a
 //! worker panic.
 //!
+//! One cache behind one mutex serves batch workers and serve shards
+//! alike. A query holds the lock only for its lookup and for its insert,
+//! never across a solve, so [`Engine::clear_cache`] and
+//! [`Engine::apply_delta`] run on the caller's thread and are complete
+//! when they return. Each clear or sweep bumps the cache's sweep count,
+//! and a miss whose lookup came before one does not insert: its verdict
+//! may have been solved against the pre-delta model. A query that still
+//! holds the old model but looks up after the sweep does insert; its
+//! entry is keyed by the old network, so it is never hit, and it stays
+//! until the next clear.
+//!
 //! ## Sessions
 //!
 //! With `EngineConfig { sessions: true, .. }` each runner keeps long-lived
@@ -67,6 +78,6 @@ mod query;
 mod stats;
 
 pub use cache::DeltaCacheStats;
-pub use engine::{CachePending, Engine, EngineConfig, EngineShard, ServeWorker};
+pub use engine::{Engine, EngineConfig, ServeWorker};
 pub use query::{Query, QueryBackend, Verdict, Witness};
 pub use stats::{BatchReport, EngineStats, QueryResult};

@@ -84,13 +84,7 @@ impl BatchReport {
             if i > 0 {
                 out.push(',');
             }
-            let verdict = match &r.verdict {
-                Verdict::Sat(_) => "sat",
-                Verdict::Unsat => "unsat",
-                Verdict::Timeout => "timeout",
-                Verdict::Cancelled => "cancelled",
-                Verdict::Error(_) => "error",
-            };
+            let verdict = r.verdict.class().as_str();
             let winner = match r.winner {
                 Some(Backend::Bdd) => "\"bdd\"",
                 Some(Backend::Smt) => "\"smt\"",

@@ -27,6 +27,7 @@
 //! `_bucket{le="..."}` series whose `+Inf` bucket equals `_count` even
 //! while other threads are updating the histogram.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -195,6 +196,16 @@ impl MetricRef {
             MetricRef::Histogram(_) => "histogram",
         }
     }
+
+    /// The instrument, if it is a `T`.
+    fn downcast<T: Any>(&self) -> Option<&'static T> {
+        let any: &'static dyn Any = match *self {
+            MetricRef::Counter(c) => c,
+            MetricRef::Gauge(g) => g,
+            MetricRef::Histogram(h) => h,
+        };
+        any.downcast_ref()
+    }
 }
 
 /// An owned label set: keys are static (they come from call sites), values
@@ -279,6 +290,35 @@ pub enum SnapshotValue {
 }
 
 impl Registry {
+    /// Find-or-create the instrument `name` with `labels`. Every member
+    /// of a name family must be of one kind; a kind mismatch panics (a
+    /// programming error).
+    fn find_or_create<T: Any + Default>(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        labels: &[(&'static str, &str)],
+        wrap: fn(&'static T) -> MetricRef,
+    ) -> &'static T {
+        let mut entries = self.entries.lock().unwrap();
+        for e in entries.iter().filter(|e| e.name == name) {
+            let Some(m) = e.metric.downcast() else {
+                panic!("metric {name:?} already registered with a different kind");
+            };
+            if labels_eq(&e.labels, labels) {
+                return m;
+            }
+        }
+        let m: &'static T = Box::leak(Box::default());
+        entries.push(Entry {
+            name,
+            help,
+            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+            metric: wrap(m),
+        });
+        m
+    }
+
     /// Find-or-create the counter `name`. Panics if `name` is already
     /// registered as a different instrument kind (a programming error).
     pub fn counter(&self, name: &'static str, help: &'static str) -> &'static Counter {
@@ -293,23 +333,7 @@ impl Registry {
         help: &'static str,
         labels: &[(&'static str, &str)],
     ) -> &'static Counter {
-        let mut entries = self.entries.lock().unwrap();
-        for e in entries.iter().filter(|e| e.name == name) {
-            let MetricRef::Counter(c) = e.metric else {
-                panic!("metric {name:?} already registered with a different kind");
-            };
-            if labels_eq(&e.labels, labels) {
-                return c;
-            }
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new()));
-        entries.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            metric: MetricRef::Counter(c),
-        });
-        c
+        self.find_or_create(name, help, labels, MetricRef::Counter)
     }
 
     /// Find-or-create the gauge `name`. Panics on a kind mismatch.
@@ -325,23 +349,7 @@ impl Registry {
         help: &'static str,
         labels: &[(&'static str, &str)],
     ) -> &'static Gauge {
-        let mut entries = self.entries.lock().unwrap();
-        for e in entries.iter().filter(|e| e.name == name) {
-            let MetricRef::Gauge(g) = e.metric else {
-                panic!("metric {name:?} already registered with a different kind");
-            };
-            if labels_eq(&e.labels, labels) {
-                return g;
-            }
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new()));
-        entries.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            metric: MetricRef::Gauge(g),
-        });
-        g
+        self.find_or_create(name, help, labels, MetricRef::Gauge)
     }
 
     /// Find-or-create the histogram `name`. Panics on a kind mismatch.
@@ -357,23 +365,7 @@ impl Registry {
         help: &'static str,
         labels: &[(&'static str, &str)],
     ) -> &'static Histogram {
-        let mut entries = self.entries.lock().unwrap();
-        for e in entries.iter().filter(|e| e.name == name) {
-            let MetricRef::Histogram(h) = e.metric else {
-                panic!("metric {name:?} already registered with a different kind");
-            };
-            if labels_eq(&e.labels, labels) {
-                return h;
-            }
-        }
-        let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-        entries.push(Entry {
-            name,
-            help,
-            labels: labels.iter().map(|(k, v)| (*k, v.to_string())).collect(),
-            metric: MetricRef::Histogram(h),
-        });
-        h
+        self.find_or_create(name, help, labels, MetricRef::Histogram)
     }
 
     /// Read every registered metric, sorted by name then labels.

@@ -19,16 +19,16 @@
 //! ## Shards
 //!
 //! Engine work runs on `N` shard threads. Each shard owns its solver
-//! session ([`rzen_engine::ServeWorker`]) and its slice of the result
-//! cache ([`rzen_engine::EngineShard`]) outright — the solve path takes
-//! no cross-shard locks. The reactor routes queries by query
-//! fingerprint (which subsumes the model fingerprint, so identical
-//! queries against the same model always land on the shard holding
-//! their cache entry and warm session state), hands jobs over an SPSC
-//! ring, and collects completions from a second ring after the shard
-//! rings the shared doorbell. Cache-wide transitions (hot-swap clear,
-//! delta sweep) travel through the engine's cache log and are replayed
-//! by each shard at its next catch-up point.
+//! session ([`rzen_engine::ServeWorker`]) outright and shares the
+//! engine's one result cache, locked only for the lookup and the
+//! insert. The reactor routes queries by query fingerprint (which
+//! subsumes the model fingerprint, so identical queries against the same
+//! model always land on the shard holding their warm session state),
+//! hands jobs over an SPSC ring, and collects completions from a second
+//! ring after the shard rings the shared doorbell. Cache-wide
+//! transitions (hot-swap clear, delta sweep) run on the offload thread
+//! that answers the request; a shard busy in a solve holds no cache
+//! lock, so they never wait for it.
 //!
 //! ## Admission, coalescing and shedding
 //!
@@ -90,7 +90,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rzen::Budget;
-use rzen_engine::{Engine, EngineConfig, EngineShard, Query, QueryResult, ServeWorker, Verdict};
+use rzen_engine::{Engine, EngineConfig, Query, QueryResult, ServeWorker, Verdict};
 use rzen_loop::framing::{HttpDecoder, HttpError, HttpRequest, LineDecoder, WriteBuf};
 use rzen_loop::ring::{spsc, Consumer, Producer};
 use rzen_loop::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -102,7 +102,7 @@ use crate::proto::{self, Op};
 use crate::server::{
     answer_delta_post, answer_http_get, answer_model_post, do_hsa, do_paths, do_sleep,
     idle_reaped_counter, observe_latency, open_conns_gauge, render_http, HttpAnswer, Model,
-    RespMeta, ServerConfig, ShardWake, Shared,
+    RespMeta, ServerConfig, Shared,
 };
 use crate::signal;
 
@@ -160,7 +160,6 @@ pub(crate) fn start(
         cache: true,
         sessions: cfg.sessions,
     });
-    engine.set_shard_count(shards);
     let ctl = Arc::new(EpollCtl {
         shared: Arc::new(Shared::new(cfg, model, engine)),
         doorbell,
@@ -413,7 +412,6 @@ struct Reactor {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     shards: Vec<ShardSlot>,
-    shard_wake: ShardWake,
     per_shard_cap: usize,
     /// Round-robin cursor for work with no fingerprint affinity.
     rr: usize,
@@ -459,16 +457,12 @@ impl Reactor {
                 ),
             });
         }
-        let shard_wake = ShardWake {
-            threads: shards.iter().map(|s| s.waker.clone()).collect(),
-        };
         Reactor {
             ctl,
             epoll,
             conns: HashMap::new(),
             next_token: 0,
             shards,
-            shard_wake,
             per_shard_cap,
             rr: 0,
             coalesce: HashMap::new(),
@@ -786,12 +780,11 @@ impl Reactor {
                 };
                 let is_model = path == "/model";
                 let shared = self.ctl.shared.clone();
-                let wake = self.shard_wake.clone();
                 self.offload(conn, head, move || {
                     if is_model {
-                        answer_model_post(&shared, &text, &wake)
+                        answer_model_post(&shared, &text)
                     } else {
-                        answer_delta_post(&shared, &text, &wake)
+                        answer_delta_post(&shared, &text)
                     }
                 });
             }
@@ -1299,10 +1292,9 @@ impl Reactor {
     }
 }
 
-/// One shard: owns a warm solver session and its slice of the result
-/// cache; pulls jobs from its SPSC ring, pushes completions back, and
-/// rings the doorbell. Parks when idle; the reactor (or a model
-/// mutation) unparks it.
+/// One shard: owns a warm solver session; pulls jobs from its SPSC ring,
+/// pushes completions back, and rings the doorbell. Parks when idle; the
+/// reactor unparks it.
 fn shard_loop(
     shared: Arc<Shared>,
     sid: usize,
@@ -1312,13 +1304,9 @@ fn shard_loop(
     stop: Arc<AtomicBool>,
 ) {
     let _span = rzen_obs::span!("serve.shard", "shard" => sid as u64);
-    let mut eshard = shared.engine.shard(sid);
     let mut epoch = shared.session_epoch.load(Ordering::SeqCst);
     let mut solver = shared.engine.serve_worker();
     loop {
-        // Replay pending cache-wide ops even when idle so a hot-swap or
-        // delta sweep doesn't wait for the next query to this shard.
-        shared.engine.shard_catch_up(&mut eshard);
         let Some(job) = jobs.pop() else {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -1343,24 +1331,22 @@ fn shard_loop(
         let t = *job.ticket();
         let _jspan = rzen_obs::span!("serve.job", "req" => t.ctx.id);
         let (alloc_bytes0, alloc_count0) = rzen_obs::profile::thread_alloc_stats();
-        let mut out = catch_unwind(AssertUnwindSafe(|| {
-            execute_job(&shared, &mut eshard, &solver, job)
-        }))
-        .unwrap_or_else(|_| {
-            // The panic may have left the thread-local arena half-built;
-            // reset it so the next job on this shard starts clean.
-            rzen::reset_ctx();
-            rzen_obs::counter!("serve.job_panics", "jobs that panicked during execution").inc();
-            ShardDone {
-                t,
-                resp: proto::error_response(t.id, t.ctx.id, "internal: analysis panicked"),
-                meta: RespMeta {
-                    verdict: VerdictClass::Error,
-                    ..RespMeta::default()
-                },
-                result: None,
-            }
-        });
+        let mut out = catch_unwind(AssertUnwindSafe(|| execute_job(&shared, &solver, job)))
+            .unwrap_or_else(|_| {
+                // The panic may have left the thread-local arena half-built;
+                // reset it so the next job on this shard starts clean.
+                rzen::reset_ctx();
+                rzen_obs::counter!("serve.job_panics", "jobs that panicked during execution").inc();
+                ShardDone {
+                    t,
+                    resp: proto::error_response(t.id, t.ctx.id, "internal: analysis panicked"),
+                    meta: RespMeta {
+                        verdict: VerdictClass::Error,
+                        ..RespMeta::default()
+                    },
+                    result: None,
+                }
+            });
         let (alloc_bytes1, alloc_count1) = rzen_obs::profile::thread_alloc_stats();
         out.meta.alloc_bytes = alloc_bytes1.saturating_sub(alloc_bytes0);
         out.meta.alloc_count = alloc_count1.saturating_sub(alloc_count0);
@@ -1375,12 +1361,7 @@ fn shard_loop(
     }
 }
 
-fn execute_job(
-    shared: &Shared,
-    eshard: &mut EngineShard,
-    solver: &ServeWorker,
-    job: ShardJob,
-) -> ShardDone {
+fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDone {
     let started = Instant::now();
     match job {
         ShardJob::Query { t, query, budget } => {
@@ -1388,9 +1369,7 @@ fn execute_job(
             // still runs: the solvers observe it at their first poll and
             // the request degrades to `timeout` — while a cache hit can
             // still answer it for free.
-            let result = shared
-                .engine
-                .run_one_sharded(eshard, &query, budget, solver, t.ctx);
+            let result = shared.engine.run_one(&query, budget, solver, t.ctx);
             let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
             let meta = RespMeta {
                 verdict: result.verdict.class(),

@@ -180,14 +180,10 @@ pub fn verdict_response(
         out.push_str(&format!("\"req\":{req},"));
     }
     out.push_str(&format!("\"op\":\"{op}\","));
-    let verdict = match &result.verdict {
-        Verdict::Sat(_) => "sat",
-        Verdict::Unsat => "unsat",
-        Verdict::Timeout => "timeout",
-        Verdict::Cancelled => "cancelled",
-        Verdict::Error(_) => "error",
-    };
-    out.push_str(&format!("\"verdict\":\"{verdict}\""));
+    out.push_str(&format!(
+        "\"verdict\":\"{}\"",
+        result.verdict.class().as_str()
+    ));
     if let Verdict::Sat(w) = &result.verdict {
         out.push_str(&format!(
             ",\"witness\":\"{}\"",

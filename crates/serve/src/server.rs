@@ -10,8 +10,8 @@
 //! ## Hot swap and deltas
 //!
 //! `POST /model` re-parses a spec on an offload thread, then swaps the
-//! shared model pointer atomically, queues a cache clear for every shard
-//! and bumps the session epoch so shard sessions rebuild. Requests
+//! shared model pointer atomically, clears the result cache and bumps
+//! the session epoch so shard sessions rebuild. Requests
 //! admitted before the swap keep their `Arc` to the old model and finish
 //! against it; requests admitted after see only the new one. There is no
 //! window where a request observes half of each. Re-posting a spec whose
@@ -20,11 +20,15 @@
 //!
 //! `POST /delta` applies an NDJSON sequence of [`rzen_delta::DeltaOp`]s
 //! to a clone of the running spec and publishes the patched model with
-//! the same pointer-store atomicity — but instead of clearing the caches
-//! it queues the engine's dependency-aware sweep, evicting only entries
+//! the same pointer-store atomicity — but instead of clearing the cache
+//! it runs the engine's dependency-aware sweep, evicting only entries
 //! whose cone of influence an op touched, and leaves every warm session
-//! alone. Model mutations are serialized by `Shared::swap`; `/healthz`
-//! reports the composite fingerprint and the mutation generation.
+//! alone. Both cache transitions run on the offload thread and are
+//! complete when the response is written: a shard holds no cache lock
+//! while it solves, so neither waits for a busy shard, and the delta
+//! response always carries the full evicted/retained counts.
+//! Model mutations are serialized by `Shared::swap`; `/healthz` reports
+//! the composite fingerprint and the mutation generation.
 
 use std::io;
 use std::net::SocketAddr;
@@ -182,23 +186,6 @@ pub(crate) fn open_conns_gauge() -> &'static rzen_obs::Gauge {
         "serve.open_connections",
         "client connections currently open"
     )
-}
-
-/// Handles for nudging the shard threads: a cache transition
-/// queued on the engine's cache log is only applied when a shard passes
-/// its catch-up point, and a shard with an empty job ring parks — the
-/// unpark gets it there promptly instead of at its next park timeout.
-#[derive(Clone)]
-pub(crate) struct ShardWake {
-    pub(crate) threads: Vec<thread::Thread>,
-}
-
-impl ShardWake {
-    pub(crate) fn wake_all(&self) {
-        for t in &self.threads {
-            t.unpark();
-        }
-    }
 }
 
 /// How a finished job classified itself, for the flight record and the
@@ -492,11 +479,10 @@ pub(crate) fn answer_http_get(
     }
 }
 
-/// `POST /model`: hot-swap the running model. The cache transition is
-/// queued on the engine's cache log for the shards to replay; the pointer
-/// swap itself is atomic and in-flight requests finish against the `Arc`
-/// they captured.
-pub(crate) fn answer_model_post(shared: &Shared, text: &str, wake: &ShardWake) -> HttpAnswer {
+/// `POST /model`: hot-swap the running model and clear the result cache.
+/// The pointer swap itself is atomic and in-flight requests finish
+/// against the `Arc` they captured.
+pub(crate) fn answer_model_post(shared: &Shared, text: &str) -> HttpAnswer {
     let model = match Model::parse(text) {
         Ok(m) => m,
         Err(e) => return HttpAnswer::error(400, &e),
@@ -524,13 +510,10 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str, wake: &ShardWake) -
     }
     let model = Arc::new(model);
     *shared.model.write().unwrap() = model.clone();
-    // Shards own their caches; queue the clear on the cache log and
-    // nudge them. No need to wait for the replay: cache entries key on
-    // the full query (model included), so a shard that has not swept yet
-    // can never serve a stale verdict — the sweep reclaims memory, it
-    // does not gate correctness.
-    shared.engine.push_cache_clear();
-    wake.wake_all();
+    // Cache entries key on the full query (model included), so entries
+    // for the old model could never serve a post-swap request: the clear
+    // reclaims memory, it does not gate correctness.
+    shared.engine.clear_cache();
     // Sessions rebuilt: the whole model may have changed.
     shared.session_epoch.fetch_add(1, Ordering::SeqCst);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
@@ -545,9 +528,8 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str, wake: &ShardWake) -
 }
 
 /// `POST /delta`: patch the running model and run the dependency-aware
-/// cache sweep, queued for every shard and awaited (bounded) so the
-/// response reports real evicted/retained counts.
-pub(crate) fn answer_delta_post(shared: &Shared, text: &str, wake: &ShardWake) -> HttpAnswer {
+/// cache sweep; the response reports its evicted and retained counts.
+pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
     let ops = match rzen_delta::parse_ops(text) {
         Ok(ops) if ops.is_empty() => return HttpAnswer::error(400, "empty delta"),
         Ok(ops) => ops,
@@ -570,17 +552,9 @@ pub(crate) fn answer_delta_post(shared: &Shared, text: &str, wake: &ShardWake) -
     // whose cone of influence an op touched are evicted, the rest are
     // re-keyed and stay warm. Sessions are not quiesced at all (see
     // `Shared::session_epoch`).
-    let pending =
-        shared
-            .engine
-            .push_cache_delta(&current.spec.net, &model.spec.net, &applied.steps);
-    wake.wake_all();
-    // Bounded wait: a shard wedged in a pathological solve should delay
-    // the delta *response*, not wedge it forever. The sweep itself still
-    // completes at that shard's next catch-up point.
     let stats = shared
         .engine
-        .await_cache_delta(&pending, Duration::from_secs(5));
+        .apply_delta(&current.spec.net, &model.spec.net, &applied.steps);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
     let mut b = Body::new();

@@ -2,13 +2,15 @@
 //! deltas against a fresh parse of the equivalent full spec (for every
 //! checked-in spec), cone-of-influence eviction precision, session-state
 //! survival across deltas, the serve layer's `POST /delta` and no-op
-//! `POST /model` behavior over real sockets, and served == batch verdict
-//! equivalence at one and two shards.
+//! `POST /model` behavior over real sockets, a delta answered while the
+//! only shard is busy, and served == batch verdicts and delta counts at
+//! one, two and three shards.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use rzen::Budget;
 use rzen_delta::composite_fingerprint;
@@ -331,6 +333,11 @@ fn warm_session_state_survives_a_delta() {
 
 const REACH: &str = "{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}";
 
+/// Deny everything into fig3's transit hop, which is on the only
+/// u1 -> u3 path.
+const U2_DENY: &str =
+    "{\"op\":\"set-acl\",\"device\":\"u2\",\"intf\":1,\"dir\":\"in\",\"acl\":\"deny\"}";
+
 fn cfg(sessions: bool) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -434,11 +441,7 @@ fn post_delta_flips_verdicts_and_advances_the_generation() {
     );
 
     // One ACL line over the wire: the transit hop now denies everything.
-    let (status, body) = http_post(
-        addr,
-        "/delta",
-        "{\"op\":\"set-acl\",\"device\":\"u2\",\"intf\":1,\"dir\":\"in\",\"acl\":\"deny\"}",
-    );
+    let (status, body) = http_post(addr, "/delta", U2_DENY);
     assert!(status.contains("200"), "{status} {body}");
     let resp = parse(&body).unwrap();
     assert_eq!(field(&resp, "status").as_str(), Some("ok"));
@@ -574,24 +577,107 @@ fn equal_fingerprint_model_post_is_a_noop_that_keeps_the_cache() {
     handle.join();
 }
 
+/// A delta runs on the thread that posts it, not on the shards: with the
+/// only shard held in a 1.5 s job, `POST /delta` still answers at once
+/// with its counts, and the next query sees the patched model.
+#[test]
+fn a_delta_does_not_wait_behind_a_busy_shard() {
+    let mut c = cfg(false);
+    c.shards = 1;
+    c.debug_ops = true;
+    let handle = start(c, Model::parse(&fig3_text()).unwrap()).unwrap();
+    let addr = handle.addr();
+    let warm = parse(&request(addr, REACH)).unwrap();
+    assert_eq!(field(&warm, "verdict").as_str(), Some("sat"));
+
+    let mut sleeper = TcpStream::connect(addr).expect("connect");
+    sleeper.set_nodelay(true).unwrap();
+    sleeper
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    sleeper
+        .write_all(b"{\"op\":\"sleep\",\"ms\":1500}\n")
+        .unwrap();
+    let admitted = Instant::now();
+    while field(&healthz(addr), "inflight").as_u64() != Some(1) {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(5),
+            "the sleep was never admitted"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    // The shard pops an admitted job within microseconds; give it time
+    // to be inside the sleep, not about to start it.
+    thread::sleep(Duration::from_millis(50));
+
+    let posted = Instant::now();
+    let (status, body) = http_post(addr, "/delta", U2_DENY);
+    let took = posted.elapsed();
+    assert!(status.contains("200"), "{status} {body}");
+    assert!(
+        took < Duration::from_millis(500),
+        "POST /delta took {took:?}: it waited for the shard's job"
+    );
+    assert!(field(&parse(&body).unwrap(), "evicted").as_u64().unwrap() >= 1);
+
+    let after = parse(&request(addr, REACH)).unwrap();
+    assert_eq!(field(&after, "verdict").as_str(), Some("unsat"));
+    let mut slept = String::new();
+    BufReader::new(sleeper).read_line(&mut slept).unwrap();
+    assert!(slept.contains("\"op\":\"sleep\""), "{slept}");
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// The server is a second way to ask the engine the same questions: at
 /// any shard count, every verdict must be the one `Engine::run_batch`
-/// (what `rzen-cli batch` prints) gives for the same query. Lives here,
-/// not in `tests/serve.rs`: its solver load at start-up starved that
-/// binary's 400 ms trace-capture test about one run in twenty.
+/// (what `rzen-cli batch` prints) gives for the same query, and a posted
+/// delta must evict and retain what `Engine::apply_delta` does on a batch
+/// engine warmed with the same queries, whichever shards solved them.
+/// Lives here, not in `tests/serve.rs`: its
+/// solver load at start-up starved that binary's 400 ms trace-capture
+/// test about one run in twenty.
 #[test]
 fn served_verdicts_equal_the_batch_path_at_every_shard_count() {
-    let mut spec = Spec::from_network(spine_leaf(2, 4)).unwrap();
-    rzen_delta::apply_all(&mut spec, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let base = Spec::from_network(spine_leaf(2, 4)).unwrap();
+    let mut spec = base.clone();
+    let applied =
+        rzen_delta::apply_all(&mut spec, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let warm = all_pairs(&base);
     let queries = all_pairs(&spec);
     let report = engine(true).run_batch(&queries);
     // Mixed, so an answer from another model or pair shows as a mismatch.
     assert!(report.stats.sat > 0 && report.stats.unsat > 0);
+    let batch = engine(true);
+    let warm_report = batch.run_batch(&warm);
+    let swept = batch.apply_delta(&base.net, &spec.net, &applied.steps);
+    assert!(swept.evicted > 0 && swept.retained > 0, "{swept:?}");
 
-    for shards in [1, 2] {
+    for shards in [1, 2, 3] {
         let mut c = cfg(false);
         c.shards = shards;
-        let handle = start(c, Model::from_spec(spec.clone())).unwrap();
+        let handle = start(c, Model::from_spec(base.clone())).unwrap();
+        for (q, batch) in warm.iter().zip(&warm_report.results) {
+            let line = wire_line(&base, q);
+            let served = parse(&request(handle.addr(), &line)).unwrap();
+            assert_eq!(
+                field(&served, "verdict").as_str(),
+                Some(verdict_kind(&batch.verdict)),
+                "shards={shards}: {line}"
+            );
+        }
+        let (status, body) = http_post(handle.addr(), "/delta", FENCE_LEAF1);
+        assert!(status.contains("200"), "shards={shards}: {status} {body}");
+        let resp = parse(&body).unwrap();
+        assert_eq!(
+            (
+                field(&resp, "evicted").as_u64(),
+                field(&resp, "retained").as_u64()
+            ),
+            (Some(swept.evicted as u64), Some(swept.retained as u64)),
+            "shards={shards}: the served sweep must count what the batch sweep does"
+        );
         for (q, batch) in queries.iter().zip(&report.results) {
             let line = wire_line(&spec, q);
             let served = parse(&request(handle.addr(), &line)).unwrap();
