@@ -530,27 +530,15 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
             println!("chrome trace -> {path} ({} events)", events.len());
         }
         if let Some(path) = &profile_out {
-            let folded = rzen_obs::export::folded_spans(&events);
-            let total_us: u64 = folded.iter().map(|(_, us)| us).sum();
             let dropped = rzen_obs::trace::events_dropped();
-            let out = if path.ends_with(".svg") {
-                rzen_obs::flame::flamegraph_svg(
-                    &format!(
-                        "CPU view · {total_us} µs of span wall time · \
-                         {dropped} events lost to ring wrap-around"
-                    ),
-                    "µs",
-                    &folded,
-                )
-            } else {
-                rzen_obs::export::folded_text(&folded)
-            };
-            std::fs::write(path, out)
+            let profile = rzen_obs::profile::Profile::cpu(&events, dropped);
+            std::fs::write(path, profile.render(path.ends_with(".svg")))
                 .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
             println!(
-                "cpu profile -> {path} ({} stacks, {total_us} µs of span wall time, \
+                "cpu profile -> {path} ({} stacks, {} µs of span wall time, \
                  {dropped} events lost)",
-                folded.len()
+                profile.rows.len(),
+                profile.total()
             );
         }
         if show_metrics {

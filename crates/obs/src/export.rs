@@ -114,35 +114,50 @@ pub fn phase_report(events: &[Event]) -> String {
     out
 }
 
+/// What [`folded_spans`] weighs each span by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Weight {
+    /// Span wall time, in whole µs per stack: the cpu view.
+    WallUs,
+    /// Bytes the span's thread allocated while it was open
+    /// ([`Event::alloc_bytes`]): the heap view.
+    Bytes,
+}
+
 /// One span whose children are still being read by [`folded_spans`].
 struct OpenSpan {
     name: &'static str,
     tid: u32,
     end_ns: u64,
-    /// Duration minus the children seen so far.
-    self_ns: u64,
+    /// Own weight minus the children seen so far.
+    self_weight: u64,
 }
 
-/// Fold span events into `(stack, µs)` rows: the exact "cpu" view of a
-/// trace window. Spans are grouped by `tid` and their RAII nesting is
+/// Fold span events into `(stack, weight)` rows: both profile views of
+/// a trace window. Spans are grouped by `tid` and their RAII nesting is
 /// rebuilt from `(start_ns, dur_ns)` — a span nests inside the nearest
 /// earlier span of its thread that ends no sooner. Each stack `a;b;c`
-/// is charged the innermost span's *self* time (duration minus its
-/// children's), summed over the window and rounded to whole µs; so per
-/// thread the rows add up to the root spans' durations, to rounding. A
-/// span whose parent was not recorded (still open, or lost to ring
-/// wrap-around) is a root. Instants are ignored. Rows are sorted by
-/// descending weight, then stack text.
-pub fn folded_spans(events: &[Event]) -> Vec<(String, u64)> {
+/// is charged the innermost span's *self* weight (its own minus its
+/// direct children's), summed over the window — wall time rounded to
+/// whole µs, or allocated bytes; so per thread the rows add up to the
+/// root spans' weights (µs to rounding). A span whose parent was not
+/// recorded (still open, or lost to ring wrap-around) is a root.
+/// Instants are ignored. Rows are sorted by descending weight, then
+/// stack text.
+pub fn folded_spans(events: &[Event], weight: Weight) -> Vec<(String, u64)> {
+    let own = |e: &Event| match weight {
+        Weight::WallUs => e.dur_ns,
+        Weight::Bytes => e.alloc_bytes,
+    };
     let mut spans: Vec<&Event> = events.iter().filter(|e| e.phase == Phase::Span).collect();
     // A parent starts no later than its children and, on a tie, lasts
     // at least as long, so it sorts first.
     spans.sort_by_key(|e| (e.tid, e.start_ns, Reverse(e.dur_ns)));
-    /// Charge the innermost open span's self time to its stack.
+    /// Charge the innermost open span's self weight to its stack.
     fn close(open: &mut Vec<OpenSpan>, folded: &mut HashMap<Vec<&'static str>, u64>) {
         let stack: Vec<&'static str> = open.iter().map(|s| s.name).collect();
         if let Some(span) = open.pop() {
-            *folded.entry(stack).or_default() += span.self_ns;
+            *folded.entry(stack).or_default() += span.self_weight;
         }
     }
     let mut folded: HashMap<Vec<&'static str>, u64> = HashMap::new();
@@ -156,13 +171,13 @@ pub fn folded_spans(events: &[Event]) -> Vec<(String, u64)> {
             close(&mut open, &mut folded);
         }
         if let Some(parent) = open.last_mut() {
-            parent.self_ns = parent.self_ns.saturating_sub(e.dur_ns);
+            parent.self_weight = parent.self_weight.saturating_sub(own(e));
         }
         open.push(OpenSpan {
             name: e.name,
             tid: e.tid,
             end_ns,
-            self_ns: e.dur_ns,
+            self_weight: own(e),
         });
     }
     while !open.is_empty() {
@@ -170,7 +185,10 @@ pub fn folded_spans(events: &[Event]) -> Vec<(String, u64)> {
     }
     let mut rows: Vec<(String, u64)> = folded
         .into_iter()
-        .map(|(stack, ns)| (stack.join(";"), (ns + 500) / 1_000))
+        .map(|(stack, w)| match weight {
+            Weight::WallUs => (stack.join(";"), (w + 500) / 1_000),
+            Weight::Bytes => (stack.join(";"), w),
+        })
         .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     rows
@@ -211,6 +229,7 @@ mod tests {
             dur_ns: dur,
             tid: 1,
             args: [Arg { key: "n", val: 2 }, Arg::default()],
+            alloc_bytes: 0,
         }
     }
 
@@ -251,11 +270,16 @@ mod tests {
         assert!(phase_report(&[]).contains("no events"));
     }
 
-    fn on(tid: u32, name: &'static str, phase: Phase, start_us: u64, dur_us: u64) -> Event {
+    fn on(tid: u32, name: &'static str, phase: Phase, at_us: u64, us: u64, bytes: u64) -> Event {
         Event {
             tid,
-            ..ev(name, phase, start_us * 1_000, dur_us * 1_000)
+            alloc_bytes: bytes,
+            ..ev(name, phase, at_us * 1_000, us * 1_000)
         }
+    }
+
+    fn rows(expect: &[(&str, u64)]) -> Vec<(String, u64)> {
+        expect.iter().map(|&(s, w)| (s.to_string(), w)).collect()
     }
 
     #[test]
@@ -263,42 +287,56 @@ mod tests {
         // In `take_events` order: by start, threads interleaved, and a
         // child recorded before the parent it shares a start with.
         let events = vec![
-            on(1, "engine.query", Phase::Span, 0, 6),
-            on(1, "serve.job", Phase::Span, 0, 10),
-            on(1, "sat.solve", Phase::Span, 1, 2),
-            on(1, "sat.restart", Phase::Instant, 2, 0),
+            on(1, "engine.query", Phase::Span, 0, 6, 50),
+            on(1, "serve.job", Phase::Span, 0, 10, 100),
+            on(1, "sat.solve", Phase::Span, 1, 2, 20),
+            on(1, "sat.restart", Phase::Instant, 2, 0, 0),
             // Thread 2's parent was never recorded: this is a root, and
             // although it overlaps thread 1's serve.job it is not its child.
-            on(2, "bdd.solve", Phase::Span, 5, 4),
-            on(2, "bdd.mk", Phase::Span, 6, 1),
-            on(1, "serve.encode", Phase::Span, 7, 1),
-            on(2, "engine.backend", Phase::Span, 12, 2),
-            on(1, "serve.job", Phase::Span, 20, 3),
+            on(2, "bdd.solve", Phase::Span, 5, 4, 40),
+            on(2, "bdd.mk", Phase::Span, 6, 1, 40),
+            on(1, "serve.encode", Phase::Span, 7, 1, 10),
+            on(2, "engine.backend", Phase::Span, 12, 2, 7),
+            on(1, "serve.job", Phase::Span, 20, 3, 5),
         ];
-        let rows = folded_spans(&events);
-        let expect: Vec<(String, u64)> = [
-            ("serve.job", 6),
-            ("serve.job;engine.query", 4),
-            ("bdd.solve", 3),
-            ("engine.backend", 2),
-            ("serve.job;engine.query;sat.solve", 2),
-            ("bdd.solve;bdd.mk", 1),
-            ("serve.job;serve.encode", 1),
-        ]
-        .iter()
-        .map(|&(stack, us)| (stack.to_string(), us))
-        .collect();
-        assert_eq!(rows, expect);
+        let us = folded_spans(&events, Weight::WallUs);
         assert_eq!(
-            folded_text(&rows[..2]),
+            us,
+            rows(&[
+                ("serve.job", 6),
+                ("serve.job;engine.query", 4),
+                ("bdd.solve", 3),
+                ("engine.backend", 2),
+                ("serve.job;engine.query;sat.solve", 2),
+                ("bdd.solve;bdd.mk", 1),
+                ("serve.job;serve.encode", 1),
+            ])
+        );
+        assert_eq!(
+            folded_text(&us[..2]),
             "serve.job 6\nserve.job;engine.query 4\n"
         );
+        // The same nesting weighs bytes: a parent whose child allocated
+        // all of its bytes keeps a zero row.
+        assert_eq!(
+            folded_spans(&events, Weight::Bytes),
+            rows(&[
+                ("serve.job", 100 - 50 - 10 + 5),
+                ("bdd.solve;bdd.mk", 40),
+                ("serve.job;engine.query", 50 - 20),
+                ("serve.job;engine.query;sat.solve", 20),
+                ("serve.job;serve.encode", 10),
+                ("engine.backend", 7),
+                ("bdd.solve", 0),
+            ])
+        );
 
-        // Per thread, the rows add up to the root spans' durations.
-        for (tid, roots_us) in [(1, 10 + 3), (2, 4 + 2)] {
+        // Per thread, the rows add up to the root spans' weights.
+        for (tid, roots_us, roots_bytes) in [(1, 10 + 3, 100 + 5), (2, 4 + 2, 40 + 7)] {
             let own: Vec<Event> = events.iter().copied().filter(|e| e.tid == tid).collect();
-            let total: u64 = folded_spans(&own).iter().map(|(_, us)| us).sum();
-            assert_eq!(total, roots_us, "tid {tid}");
+            let total = |w| -> u64 { folded_spans(&own, w).iter().map(|(_, v)| v).sum() };
+            assert_eq!(total(Weight::WallUs), roots_us, "tid {tid}");
+            assert_eq!(total(Weight::Bytes), roots_bytes, "tid {tid}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Hand-rolled flamegraph SVG rendering — no dependencies, no scripts.
 //!
 //! Takes folded stacks (`a;b;c weight`, the rows of
-//! [`crate::export::folded_spans`] and [`crate::profile::heap_folded`])
-//! and renders a static, self-contained SVG in the classic
+//! [`crate::export::folded_spans`], drawn through
+//! [`crate::profile::Profile::render`]) and renders a static, self-contained SVG in the classic
 //! flamegraph layout: one rectangle per frame, width proportional to the
 //! frame's inclusive weight, children stacked below their parent
 //! (icicle orientation, root at the top). Every rectangle carries a

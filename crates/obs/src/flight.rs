@@ -254,8 +254,8 @@ pub struct RequestRecord {
     /// `FLAG_*` bits.
     pub flags: u8,
     /// Heap bytes the worker allocated serving this request, as tallied
-    /// by [`crate::profile::CountingAlloc`]. Zero unless profiling was
-    /// enabled while the request ran.
+    /// by [`crate::profile::CountingAlloc`]. Zero unless recording
+    /// ([`crate::trace::set_enabled`]) was on while the request ran.
     pub alloc_bytes: u64,
     /// Allocation count behind `alloc_bytes` (same enablement rule).
     pub alloc_count: u64,

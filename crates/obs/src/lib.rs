@@ -17,19 +17,20 @@
 //!   site is gated behind a single relaxed atomic load ([`trace::enabled`]),
 //!   so the *disabled* cost on a hot path — the contract the solver
 //!   substrates rely on — is one load and one predictable branch: no
-//!   allocation, no lock, no timestamp. Enabling tracing
+//!   allocation, no lock, no timestamp. Enabling recording
 //!   ([`trace::set_enabled`]) allocates one ring buffer per recording
-//!   thread on first use and timestamps events against a process-wide
-//!   monotonic epoch.
+//!   thread on first use, timestamps events against a process-wide
+//!   monotonic epoch, and turns on allocation counting: each span event
+//!   carries the bytes its thread allocated while it was open.
 //!
-//! * **Profiling** — two folded-stack views. The "cpu" view is an exact
-//!   fold of the trace rings ([`export::folded_spans`]): every stack
-//!   `a;b;c` is charged the innermost span's self time in µs of span
-//!   wall time. The heap view ([`profile`]) comes from the
-//!   [`CountingAlloc`] global-allocator wrapper, which charges bytes to
-//!   the innermost open span. Both export as folded-stack text or a
+//! * **Profiling** ([`profile`]) — two folded-stack views, both one fold
+//!   of the trace rings ([`export::folded_spans`]) that charges every
+//!   stack `a;b;c` the innermost span's self weight: µs of span wall
+//!   time for the "cpu" view, allocated bytes for the heap view (counted
+//!   by the [`CountingAlloc`] global-allocator wrapper, plus an
+//!   `<untracked>` residual). Both export as folded-stack text or a
 //!   self-contained flamegraph SVG ([`flame`]). Disabled cost: the same
-//!   single relaxed atomic load as tracing — both share one state word.
+//!   single relaxed atomic load as tracing — it is the same switch.
 //!
 //! * **Flight recorder** ([`flight`]) — an always-on, lock-free ring of
 //!   per-request [`RequestRecord`]s plus a top-K slow-query table, written

@@ -3,83 +3,67 @@
 //! ## The overhead contract
 //!
 //! Every recording site — [`Span::enter`], [`instant`], and friends —
-//! starts with a single relaxed atomic load of the combined trace/heap
-//! state word and returns immediately when it is zero. The *disabled*
+//! starts with a single relaxed atomic load of the one recording switch
+//! ([`enabled`]) and returns immediately when it is off. The *disabled*
 //! path therefore
 //! costs one load plus one well-predicted branch: no allocation, no lock,
 //! no `Instant::now()`. This is the contract that lets the BDD manager's
 //! `mk()` and the CDCL solver's `propagate()` carry trace hooks
 //! permanently; `tests/obs.rs` in the integration crate asserts it by
 //! driving both hot paths with tracing disabled and checking that no
-//! thread buffer was ever allocated and no event recorded.
+//! thread buffer was ever allocated and no event recorded. The same
+//! switch gates [`crate::profile::CountingAlloc`], so an allocation
+//! also pays one load while recording is off.
 //!
 //! When tracing is enabled, a recording thread lazily allocates one
 //! fixed-capacity ring buffer (registered globally so exporters can reach
-//! it after the thread exits) and writes 64-byte events with monotonic
-//! timestamps taken against a process-wide epoch. The ring wraps: a storm
+//! it after the thread exits) and writes events with monotonic
+//! timestamps taken against a process-wide epoch. Each span event also
+//! carries the bytes its thread allocated while it was open
+//! ([`Event::alloc_bytes`]); the recorder's own ring growth is not
+//! counted. The ring wraps: a storm
 //! of events costs memory proportional to the thread count, never the
 //! event count, and the `dropped` tally records how much history was lost.
 //!
-//! The rings are also the CPU profile's only source:
+//! The rings are also both profile views' only source:
 //! [`crate::export::folded_spans`] folds a window's span events into
-//! exact `a;b;c µs` stacks of span wall time. Two limits carry over from
-//! the rings: a span still open when the window closes is not recorded
-//! yet, and only the last [`DEFAULT_RING_CAPACITY`] events per thread
-//! survive (`trace.dropped_events_total` counts the rest).
+//! exact `a;b;c weight` stacks of span wall time or allocated bytes. Two
+//! limits carry over from the rings: a span still open when the window
+//! closes is not recorded yet, and only the last [`DEFAULT_RING_CAPACITY`]
+//! events per thread survive (`trace.dropped_events_total` counts the
+//! rest).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
-/// Bit in [`STATE`]: span events are recorded into per-thread rings.
-pub(crate) const TRACE_BIT: u32 = 1;
-/// Bit in [`STATE`]: spans push their names onto the thread's heap
-/// attribution stack and the counting allocator tallies
-/// ([`crate::profile`]).
-pub(crate) const HEAP_BIT: u32 = 2;
-
-/// Tracing *and* heap counting share one word so that every
-/// instrumentation site pays exactly one relaxed atomic load when both
-/// are off.
-static STATE: AtomicU32 = AtomicU32::new(0);
+/// The recording switch: span events go into the per-thread rings and
+/// [`crate::profile::CountingAlloc`] counts.
+static ENABLED: AtomicBool = AtomicBool::new(false);
 static RECORDED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
-/// The combined trace/heap state word. One relaxed atomic load — this
-/// is the whole disabled-path cost of every instrumentation site.
-#[inline(always)]
-pub(crate) fn state() -> u32 {
-    STATE.load(Ordering::Relaxed)
-}
-
-/// Set or clear one bit of the state word.
-pub(crate) fn set_bit(bit: u32, on: bool) {
-    if on {
-        STATE.fetch_or(bit, Ordering::Relaxed);
-    } else {
-        STATE.fetch_and(!bit, Ordering::Relaxed);
-    }
-}
-
-/// Is tracing globally enabled? One relaxed atomic load.
+/// Is recording (tracing and allocation counting) on? One relaxed
+/// atomic load — the whole disabled-path cost of every instrumentation
+/// site and every allocation.
 #[inline(always)]
 pub fn enabled() -> bool {
-    state() & TRACE_BIT != 0
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn tracing on or off. Enabling pins the process-wide epoch (if not
-/// already pinned) so timestamps are comparable across threads. Events
-/// already recorded are kept either way; use [`take_events`] or [`clear`]
-/// to drain them.
+/// Turn recording on or off: span events and allocation counting.
+/// Enabling pins the process-wide epoch (if not already pinned) so
+/// timestamps are comparable across threads. Events already recorded
+/// are kept either way; use [`take_events`] or [`clear`] to drain them.
 pub fn set_enabled(on: bool) {
     if on {
         epoch();
     }
-    set_bit(TRACE_BIT, on);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Total events recorded process-wide since startup (including events
@@ -134,6 +118,9 @@ pub struct Event {
     pub tid: u32,
     /// Up to two `u64` payloads.
     pub args: [Arg; 2],
+    /// Bytes the recording thread allocated while the span was open,
+    /// its children's included (0 for instants).
+    pub alloc_bytes: u64,
 }
 
 struct Ring {
@@ -169,17 +156,13 @@ impl Ring {
     }
 }
 
-struct ThreadBuf {
-    ring: Mutex<Ring>,
-}
-
-fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
-    static BUFFERS: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
+fn buffers() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
+    static BUFFERS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
     BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<(u32, Arc<ThreadBuf>)>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Option<(u32, Arc<Mutex<Ring>>)>> = const { RefCell::new(None) };
 }
 
 /// Has the *current thread* allocated its trace ring buffer? Stays
@@ -189,71 +172,61 @@ pub fn thread_buffer_allocated() -> bool {
     LOCAL.with(|l| l.borrow().is_some())
 }
 
-fn record(name: &'static str, phase: Phase, start_ns: u64, dur_ns: u64, args: [Arg; 2]) {
-    LOCAL.with(|l| {
-        let mut slot = l.borrow_mut();
-        let (tid, buf) = slot.get_or_insert_with(|| {
-            let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let buf = Arc::new(ThreadBuf {
-                ring: Mutex::new(Ring {
+fn record(ev: Event) {
+    crate::profile::uncounted(|| {
+        LOCAL.with(|l| {
+            let mut slot = l.borrow_mut();
+            let (tid, buf) = slot.get_or_insert_with(|| {
+                let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+                let buf = Arc::new(Mutex::new(Ring {
                     events: Vec::new(),
                     capacity: DEFAULT_RING_CAPACITY,
                     head: 0,
                     dropped: 0,
-                }),
+                }));
+                buffers().lock().unwrap().push(Arc::clone(&buf));
+                (tid, buf)
             });
-            buffers().lock().unwrap().push(Arc::clone(&buf));
-            (tid, buf)
-        });
-        buf.ring.lock().unwrap().push(Event {
-            name,
-            phase,
-            start_ns,
-            dur_ns,
-            tid: *tid,
-            args,
+            buf.lock().unwrap().push(Event { tid: *tid, ..ev });
         });
     });
     RECORDED.fetch_add(1, Ordering::Relaxed);
 }
 
+fn record_instant(name: &'static str, args: [Arg; 2]) {
+    record(Event {
+        name,
+        phase: Phase::Instant,
+        start_ns: now_ns(),
+        dur_ns: 0,
+        tid: 0,
+        args,
+        alloc_bytes: 0,
+    });
+}
+
 /// Record an instant event (no payload). No-op while tracing is disabled.
 #[inline]
 pub fn instant(name: &'static str) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_instant(name, [Arg::default(); 2]);
     }
-    record(name, Phase::Instant, now_ns(), 0, [Arg::default(); 2]);
 }
 
 /// Record an instant event with one payload. No-op while disabled.
 #[inline]
 pub fn instant1(name: &'static str, key: &'static str, val: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_instant(name, [Arg { key, val }, Arg::default()]);
     }
-    record(
-        name,
-        Phase::Instant,
-        now_ns(),
-        0,
-        [Arg { key, val }, Arg::default()],
-    );
 }
 
 /// Record an instant event with two payloads. No-op while disabled.
 #[inline]
 pub fn instant2(name: &'static str, k0: &'static str, v0: u64, k1: &'static str, v1: u64) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record_instant(name, [Arg { key: k0, val: v0 }, Arg { key: k1, val: v1 }]);
     }
-    record(
-        name,
-        Phase::Instant,
-        now_ns(),
-        0,
-        [Arg { key: k0, val: v0 }, Arg { key: k1, val: v1 }],
-    );
 }
 
 /// An RAII span: created by [`Span::enter`] (usually via the
@@ -264,49 +237,30 @@ pub fn instant2(name: &'static str, k0: &'static str, v0: u64, k1: &'static str,
 pub struct Span {
     name: &'static str,
     start_ns: u64,
+    /// The thread's allocation tally at entry.
+    alloc0: u64,
     args: [Arg; 2],
     active: bool,
-    pushed: bool,
 }
 
 impl Span {
-    /// Begin a span. When both tracing and heap counting are off this is
-    /// one relaxed atomic load and the returned guard does nothing on
-    /// drop. When heap counting is on the span name is additionally
-    /// pushed onto this thread's attribution stack (and popped on drop),
-    /// making the span chargeable for heap bytes.
+    /// Begin a span. While recording is off this is one relaxed atomic
+    /// load and the returned guard does nothing on drop; while on, it
+    /// notes the time and the thread's allocation tally.
     #[inline]
     pub fn enter(name: &'static str) -> Span {
-        let st = state();
-        if st == 0 {
-            return Span {
-                name,
-                start_ns: 0,
-                args: [Arg::default(); 2],
-                active: false,
-                pushed: false,
-            };
-        }
-        let pushed = if st & HEAP_BIT != 0 {
-            crate::profile::push_frame(name)
+        let active = enabled();
+        let (start_ns, alloc0) = if active {
+            (now_ns(), crate::profile::thread_alloc_stats().0)
         } else {
-            false
+            (0, 0)
         };
-        if st & TRACE_BIT == 0 {
-            return Span {
-                name,
-                start_ns: 0,
-                args: [Arg::default(); 2],
-                active: false,
-                pushed,
-            };
-        }
         Span {
             name,
-            start_ns: now_ns(),
+            start_ns,
+            alloc0,
             args: [Arg::default(); 2],
-            active: true,
-            pushed,
+            active,
         }
     }
 
@@ -327,20 +281,19 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.pushed {
-            // Spans are strictly RAII-scoped locals, so pops are LIFO and
-            // always match the frame this guard pushed.
-            crate::profile::pop_frame();
-        }
         if self.active {
-            let end = now_ns();
-            record(
-                self.name,
-                Phase::Span,
-                self.start_ns,
-                end.saturating_sub(self.start_ns),
-                self.args,
-            );
+            let alloc_bytes = crate::profile::thread_alloc_stats()
+                .0
+                .saturating_sub(self.alloc0);
+            record(Event {
+                name: self.name,
+                phase: Phase::Span,
+                start_ns: self.start_ns,
+                dur_ns: now_ns().saturating_sub(self.start_ns),
+                tid: 0,
+                args: self.args,
+                alloc_bytes,
+            });
         }
     }
 }
@@ -369,7 +322,7 @@ pub fn take_events() -> Vec<Event> {
     let bufs = buffers().lock().unwrap();
     let mut out = Vec::new();
     for buf in bufs.iter() {
-        out.append(&mut buf.ring.lock().unwrap().drain_in_order());
+        out.append(&mut buf.lock().unwrap().drain_in_order());
     }
     out.sort_by_key(|e| e.start_ns);
     out
@@ -379,13 +332,13 @@ pub fn take_events() -> Vec<Event> {
 /// over all threads.
 pub fn events_dropped() -> u64 {
     let bufs = buffers().lock().unwrap();
-    bufs.iter().map(|b| b.ring.lock().unwrap().dropped).sum()
+    bufs.iter().map(|b| b.lock().unwrap().dropped).sum()
 }
 
 /// Discard all recorded events (keeps the buffers and the enabled flag).
 pub fn clear() {
     for buf in buffers().lock().unwrap().iter() {
-        let mut ring = buf.ring.lock().unwrap();
+        let mut ring = buf.lock().unwrap();
         ring.events.clear();
         ring.head = 0;
         ring.dropped = 0;
@@ -393,11 +346,11 @@ pub fn clear() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Tests that flip the global enabled flag must not interleave.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -457,6 +410,7 @@ mod tests {
                 dur_ns: 0,
                 tid: 0,
                 args: [Arg::default(); 2],
+                alloc_bytes: 0,
             });
         }
         assert_eq!(ring.dropped, 6);

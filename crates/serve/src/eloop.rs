@@ -36,8 +36,10 @@
 //!
 //! 1. The model pointer is captured and the request id minted, so a hot
 //!    swap between admission and execution cannot change what the
-//!    request computes against. Parse and endpoint-resolution failures
-//!    and drain refusals are answered here without touching a shard.
+//!    request computes against. Parse failures, then endpoint-resolution
+//!    failures (both endpoints resolved once, for every op that names
+//!    them), then drain refusals are answered here without touching a
+//!    shard.
 //! 2. The per-request [`rzen::Budget`] is minted — from the request's
 //!    `timeout_ms` or the server default — so time spent waiting in a
 //!    ring counts against the deadline. A request that expires in the
@@ -899,16 +901,29 @@ impl Reactor {
         };
         t.id = req.id;
         t.op = req.op.name();
-        match &req.op {
+        let (src, dst) = match &req.op {
             Op::Reach { src, dst }
             | Op::Drops { src, dst }
             | Op::Hsa { src, dst }
             | Op::Paths { src, dst } => {
                 t.src = SmallStr::new(src);
                 t.dst = SmallStr::new(dst);
+                match (model.spec.endpoint(src), model.spec.endpoint(dst)) {
+                    (Ok(s), Ok(d)) => (s, d),
+                    (Err(e), _) | (_, Err(e)) => {
+                        let meta = RespMeta {
+                            verdict: VerdictClass::ResolveFailed,
+                            ..RespMeta::default()
+                        };
+                        let resp = proto::error_response(req.id, ctx.id, &e);
+                        self.finish_local(conn, &t, meta, resp);
+                        return;
+                    }
+                }
             }
-            Op::Sleep { .. } => {}
-        }
+            // Sleep names no endpoints.
+            Op::Sleep { .. } => ((0, 0), (0, 0)),
+        };
         if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
             let meta = RespMeta {
                 verdict: VerdictClass::ShuttingDown,
@@ -929,21 +944,8 @@ impl Reactor {
             None => Budget::unlimited(),
         };
 
-        let resolve = |s: &str| model.spec.endpoint(s);
         match &req.op {
-            Op::Reach { src, dst } | Op::Drops { src, dst } => {
-                let (src, dst) = match (resolve(src), resolve(dst)) {
-                    (Ok(s), Ok(d)) => (s, d),
-                    (Err(e), _) | (_, Err(e)) => {
-                        let meta = RespMeta {
-                            verdict: VerdictClass::ResolveFailed,
-                            ..RespMeta::default()
-                        };
-                        let resp = proto::error_response(req.id, ctx.id, &e);
-                        self.finish_local(conn, &t, meta, resp);
-                        return;
-                    }
-                };
+            Op::Reach { .. } | Op::Drops { .. } => {
                 let query = if matches!(req.op, Op::Reach { .. }) {
                     Query::Reach {
                         net: model.spec.net.clone(),
@@ -1007,35 +1009,11 @@ impl Reactor {
                     );
                 }
             }
-            Op::Hsa { src, dst } => {
-                let (src, dst) = match (resolve(src), resolve(dst)) {
-                    (Ok(s), Ok(d)) => (s, d),
-                    (Err(e), _) | (_, Err(e)) => {
-                        let meta = RespMeta {
-                            verdict: VerdictClass::ResolveFailed,
-                            ..RespMeta::default()
-                        };
-                        let resp = proto::error_response(req.id, ctx.id, &e);
-                        self.finish_local(conn, &t, meta, resp);
-                        return;
-                    }
-                };
+            Op::Hsa { .. } => {
                 let model = model.clone();
                 self.route_job(conn, t, |t| ShardJob::Hsa { t, src, dst, model });
             }
-            Op::Paths { src, dst } => {
-                let (src, dst) = match (resolve(src), resolve(dst)) {
-                    (Ok(s), Ok(d)) => (s, d),
-                    (Err(e), _) | (_, Err(e)) => {
-                        let meta = RespMeta {
-                            verdict: VerdictClass::ResolveFailed,
-                            ..RespMeta::default()
-                        };
-                        let resp = proto::error_response(req.id, ctx.id, &e);
-                        self.finish_local(conn, &t, meta, resp);
-                        return;
-                    }
-                };
+            Op::Paths { .. } => {
                 let model = model.clone();
                 self.route_job(conn, t, |t| ShardJob::Paths { t, src, dst, model });
             }

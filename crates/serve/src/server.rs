@@ -422,10 +422,8 @@ pub(crate) fn answer_http_get(
                 Ok(ms) => ms,
                 Err(e) => return HttpAnswer::error(400, e),
             };
-            let body = capture(Duration::from_millis(ms), false, |events, _| {
-                rzen_obs::export::chrome_trace(events)
-            });
-            HttpAnswer::json(200, body)
+            let window = capture(Duration::from_millis(ms));
+            HttpAnswer::json(200, rzen_obs::export::chrome_trace(&window.events))
         }
         "/debug/profile" => {
             let ms = match capture_window_ms(query) {
@@ -442,29 +440,13 @@ pub(crate) fn answer_http_get(
                 "svg" => true,
                 _ => return HttpAnswer::error(400, "format must be folded or svg"),
             };
-            let body = capture(Duration::from_millis(ms), true, |events, dropped| {
-                let (rows, title, unit) = if heap {
-                    let rows: Vec<(String, u64)> = rzen_obs::profile::heap_folded()
-                        .into_iter()
-                        .map(|(stack, bytes, _)| (stack, bytes))
-                        .collect();
-                    let total: u64 = rows.iter().map(|(_, bytes)| bytes).sum();
-                    (rows, format!("Heap · {total} bytes allocated"), "bytes")
-                } else {
-                    let rows = rzen_obs::export::folded_spans(events);
-                    let total: u64 = rows.iter().map(|(_, us)| us).sum();
-                    let title = format!(
-                        "CPU view · {total} µs of span wall time · \
-                         {dropped} events lost to ring wrap-around"
-                    );
-                    (rows, title, "µs")
-                };
-                if svg {
-                    rzen_obs::flame::flamegraph_svg(&title, unit, &rows)
-                } else {
-                    rzen_obs::export::folded_text(&rows)
-                }
-            });
+            let window = capture(Duration::from_millis(ms));
+            let profile = if heap {
+                rzen_obs::profile::Profile::heap(&window.events, window.alloc_bytes)
+            } else {
+                rzen_obs::profile::Profile::cpu(&window.events, window.dropped)
+            };
+            let body = profile.render(svg);
             HttpAnswer {
                 status: 200,
                 content_type: if svg {
@@ -594,42 +576,39 @@ fn capture_window_ms(query: &str) -> Result<u64, &'static str> {
     }
 }
 
+/// What one [`capture`] window recorded.
+struct Window {
+    events: Vec<rzen_obs::Event>,
+    /// Events the rings lost to wrap-around during the window.
+    dropped: u64,
+    /// Bytes the process allocated during the window.
+    alloc_bytes: u64,
+}
+
 /// On-demand bounded capture behind `/debug/trace` and `/debug/profile`:
-/// clear the span rings, trace for `window` (counting heap bytes too
-/// when `heap`, with the heap table reset first), take the events once,
-/// and hand them to `render` with the number the rings lost to
-/// wrap-around during the window.
+/// clear the span rings, record for `window`, and take the events once.
 ///
-/// Captures are serialized through one mutex, held until `render`
-/// returns — concurrent captures would otherwise steal each other's
-/// events out of the per-thread rings, or reset the heap table another
-/// capture is about to read. If tracing was already on
-/// (`RZEN_TRACE=1`), it stays on afterwards; the capture merely
-/// harvests the buffers.
-fn capture(
-    window: Duration,
-    heap: bool,
-    render: impl FnOnce(&[rzen_obs::Event], u64) -> String,
-) -> String {
+/// Captures are serialized through one mutex — concurrent captures
+/// would otherwise steal each other's events out of the per-thread
+/// rings. If recording was already on (`RZEN_TRACE=1`), it stays on
+/// afterwards; the capture merely harvests the buffers.
+fn capture(window: Duration) -> Window {
     static CAPTURE: Mutex<()> = Mutex::new(());
     let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     let was_enabled = rzen_obs::trace::enabled();
     // Discard whatever accumulated before the window so the capture
     // holds only spans that overlap it.
     rzen_obs::trace::clear();
-    if heap {
-        rzen_obs::profile::reset();
-        rzen_obs::profile::set_enabled(true);
-    }
+    let heap0 = rzen_obs::profile::global_heap_stats().alloc_bytes;
     rzen_obs::trace::set_enabled(true);
     thread::sleep(window);
-    let events = rzen_obs::trace::take_events();
-    let dropped = rzen_obs::trace::events_dropped();
+    let alloc_bytes = rzen_obs::profile::global_heap_stats().alloc_bytes - heap0;
     rzen_obs::trace::set_enabled(was_enabled);
-    if heap {
-        rzen_obs::profile::set_enabled(false);
+    Window {
+        events: rzen_obs::trace::take_events(),
+        dropped: rzen_obs::trace::events_dropped(),
+        alloc_bytes,
     }
-    render(&events, dropped)
 }
 
 /// Render one full HTTP response. `head` sends the status line and

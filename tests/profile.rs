@@ -4,7 +4,7 @@
 //!
 //! This binary installs [`rzen_obs::CountingAlloc`] exactly as the
 //! shipped binaries do, so heap attribution is exercised end to end.
-//! Tests that flip the global trace/heap state serialize on a local
+//! Tests that flip the global recording switch serialize on a local
 //! mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend};
 use rzen_net::spec;
-use rzen_obs::export::folded_spans;
+use rzen_obs::export::{folded_spans, Weight};
 use rzen_obs::json::Value;
 use rzen_obs::{profile, trace};
 use rzen_serve::{start, Model, ServerConfig, ServerHandle};
@@ -103,7 +103,7 @@ fn cpu_sampler_reaches_solver_leaf_frames() {
     let report = engine(false).run_batch(&queries);
     trace::set_enabled(false);
     assert_eq!(report.results.len(), queries.len());
-    let folded = folded_spans(&trace::take_events());
+    let folded = folded_spans(&trace::take_events(), Weight::WallUs);
     let text = rzen_obs::export::folded_text(&folded);
     assert!(
         folded.iter().any(|(stack, _)| {
@@ -127,18 +127,18 @@ fn cpu_sampler_reaches_solver_leaf_frames() {
 fn heap_view_attributes_ninety_percent_of_batch_bytes() {
     let _g = lock();
     let queries = batch_queries();
-    profile::reset();
-    profile::set_enabled(true);
+    trace::clear();
+    trace::set_enabled(true);
     let window_start = profile::global_heap_stats().alloc_bytes;
     let report = engine(false).run_batch(&queries);
     assert_eq!(report.results.len(), queries.len());
     let window = profile::global_heap_stats().alloc_bytes - window_start;
-    profile::set_enabled(false);
-    let rows = profile::heap_folded();
+    trace::set_enabled(false);
+    let rows = profile::Profile::heap(&trace::take_events(), window).rows;
     let named: u64 = rows
         .iter()
-        .filter(|(stack, _, _)| !stack.contains(profile::UNTRACKED))
-        .map(|(_, bytes, _)| bytes)
+        .filter(|(stack, _)| !stack.contains(profile::UNTRACKED))
+        .map(|(_, bytes)| bytes)
         .sum();
     assert!(window > 1 << 20, "a batch run allocates: {window} bytes");
     assert!(
@@ -148,12 +148,72 @@ fn heap_view_attributes_ninety_percent_of_batch_bytes() {
     );
     let untracked: u64 = rows
         .iter()
-        .filter(|(stack, _, _)| stack.contains(profile::UNTRACKED))
-        .map(|(_, bytes, _)| bytes)
+        .filter(|(stack, _)| stack.contains(profile::UNTRACKED))
+        .map(|(_, bytes)| bytes)
         .sum();
     assert!(
         named + untracked >= window,
         "named + <untracked> covers the window ({named} + {untracked} < {window})"
+    );
+}
+
+/// Tracing and allocation counting are one switch: with only
+/// `trace::set_enabled(true)`, a span's allocations advance the global
+/// totals and ride on its event. The recorder's own ring growth counts
+/// nowhere — neither against the span open around a thread's first
+/// events nor in either tally.
+#[test]
+fn one_switch_counts_span_bytes_but_not_the_recorder() {
+    const N: u64 = 64 << 10;
+    const TICKS: usize = 1_000;
+    let _g = lock();
+    trace::clear();
+    trace::set_enabled(true);
+    let before = profile::global_heap_stats().alloc_bytes;
+    {
+        let _span = rzen_obs::span!("test.profile.switch");
+        std::hint::black_box(vec![0u8; N as usize]);
+    }
+    let advanced = profile::global_heap_stats().alloc_bytes - before;
+    // A fresh thread: its first events grow a new ring from empty.
+    let (thread_delta, global_delta) = thread::spawn(|| {
+        let (bytes0, count0) = profile::thread_alloc_stats();
+        let global0 = profile::global_heap_stats().alloc_bytes;
+        {
+            let _first = rzen_obs::span!("test.profile.first");
+            for _ in 0..TICKS {
+                trace::instant("test.profile.tick");
+            }
+        }
+        let (bytes1, count1) = profile::thread_alloc_stats();
+        let global1 = profile::global_heap_stats().alloc_bytes;
+        ((bytes1 - bytes0, count1 - count0), global1 - global0)
+    })
+    .join()
+    .expect("fresh thread");
+    trace::set_enabled(false);
+    let events = trace::take_events();
+    let bytes_of = |name: &str| {
+        events
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("{name} recorded"))
+            .alloc_bytes
+    };
+
+    assert!(advanced >= N, "global totals advanced {advanced} < {N}");
+    let switch = bytes_of("test.profile.switch");
+    assert!(switch >= N, "span event reports {switch} < {N} bytes");
+    assert_eq!(
+        bytes_of("test.profile.first"),
+        0,
+        "ring growth charged to the open span"
+    );
+    assert_eq!(thread_delta, (0, 0), "ring growth charged to the thread");
+    // The ring grew by ≥ TICKS events (~100 KB); other threads are idle.
+    assert!(
+        global_delta < 4096,
+        "ring growth reached the global totals: {global_delta} bytes"
     );
 }
 

@@ -639,6 +639,18 @@ fn serve_errors_are_counted_by_kind_in_prometheus_metrics() {
     ))
     .unwrap();
     assert!(field(&unresolved, "error").as_str().is_some());
+    for line in [
+        "{\"op\":\"hsa\",\"src\":\"u1:1\",\"dst\":\"nope:2\"}",
+        "{\"op\":\"paths\",\"src\":\"u1:99\",\"dst\":\"u3:2\"}",
+    ] {
+        // Answered at admission, not shed behind the busy shard.
+        let unresolved = parse(&request(addr, line)).unwrap();
+        let error = field(&unresolved, "error").as_str();
+        assert!(
+            error.is_some_and(|e| e != "overloaded"),
+            "{line}: {error:?}"
+        );
+    }
     let bad = parse(&request(addr, "{\"op\":\"warp\"}")).unwrap();
     assert!(field(&bad, "error").as_str().is_some());
     blocker.join().unwrap();
