@@ -56,7 +56,8 @@ fn usage_text() -> String {
         "  delta applies an NDJSON op sequence (set-acl, set-route, link-up/down,",
         "  add/remove-device) to the spec and reports the per-device fingerprint",
         "  moves; --out FILE writes the patched spec (\"-\" for stdout)",
-        "  --sessions on|off  reuse per-worker solver sessions across queries (default off)",
+        "  --sessions on|off  keep each runner's solver session across queries; off (the",
+        "                     default) drops each query's session after its reply",
         "  --trace-out FILE   write a Chrome trace-event JSON file (chrome://tracing)",
         "  --stats-json FILE  write the batch report + metrics snapshot as JSON",
         "  --verdicts-json FILE  write just the verdicts (stable across modes) as JSON",

@@ -124,15 +124,15 @@ pub fn solve_budgeted(
     (SolveOutcome::Sat(env), stats)
 }
 
-/// Fold the manager's substrate counters into the global metrics registry.
+/// Fold one solve's substrate counters into the global metrics registry.
 /// Called once per solve, never inside the hash-consing hot loop.
-fn flush_obs_stats(stats: &BddStats) {
+pub(crate) fn flush_obs_stats(stats: &BddStats) {
     rzen_obs::counter!("bdd.solves", "BDD backend solve calls").inc();
     rzen_obs::counter!("bdd.nodes", "BDD nodes allocated (summed over solves)")
         .add(stats.nodes as u64);
     rzen_obs::counter!("bdd.opcache.lookups", "op-cache probes").add(stats.cache_lookups);
     rzen_obs::counter!("bdd.opcache.hits", "op-cache probes that hit").add(stats.cache_hits);
-    rzen_obs::histogram!("bdd.unique.entries", "unique-table entries at end of solve")
+    rzen_obs::histogram!("bdd.unique.entries", "unique-table entries a solve added")
         .observe(stats.unique_entries as u64);
 }
 

@@ -102,11 +102,6 @@ pub struct BitCompiler<'a, A: BoolAlg> {
     cache: FastHashMap<u32, Rc<SymVal<A::B>>>,
     /// Keys inserted by *this* compiler (as opposed to seed entries).
     inserted: FastHashMap<u32, ()>,
-    /// Seed keys this compiler looked up (with possible duplicates). Note
-    /// a hit on a cached node does *not* descend into its children, so a
-    /// sub-DAG reached only through cached parents is never touched —
-    /// sessions exploit exactly that to age out interior circuit nodes.
-    touched: Vec<u32>,
     seed_hits: u64,
     /// Projections already pushed through a pending [`SymVal::Mux`], keyed
     /// by (node address, field); the node rides along so the address
@@ -134,7 +129,6 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
             alg,
             cache,
             inserted: FastHashMap::default(),
-            touched: Vec::new(),
             seed_hits: 0,
             projected: FastHashMap::default(),
         }
@@ -163,14 +157,6 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
         self.inserted.drain().map(|(k, ())| k).collect()
     }
 
-    /// Drain the seed keys this compiler looked up (may contain
-    /// duplicates). Together with [`BitCompiler::take_inserted`] this is
-    /// the set of cache entries the query used — what a session's
-    /// recency-based cache eviction keeps alive.
-    pub fn take_touched(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.touched)
-    }
-
     /// Access the underlying algebra.
     pub fn alg(&mut self) -> &mut A {
         self.alg
@@ -192,7 +178,6 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
                     if self.cache.contains_key(&e.0) {
                         if !self.inserted.contains_key(&e.0) {
                             self.seed_hits += 1;
-                            self.touched.push(e.0);
                         }
                         continue;
                     }
@@ -201,7 +186,6 @@ impl<'a, A: BoolAlg> BitCompiler<'a, A> {
                         if self.cache.contains_key(&c.0) {
                             if !self.inserted.contains_key(&c.0) {
                                 self.seed_hits += 1;
-                                self.touched.push(c.0);
                             }
                         } else {
                             stack.push(Task::Visit(c));

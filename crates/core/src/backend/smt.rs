@@ -461,12 +461,12 @@ pub fn solve_budgeted(ctx: &Context, root: ExprId, budget: &Budget) -> (SolveOut
         }
         alg.solver.solve_limited(&[])
     };
-    rzen_obs::counter!("smt.solves", "SMT backend solve calls").inc();
-    rzen_obs::counter!("smt.vars", "CNF variables allocated (summed over solves)")
-        .add(alg.solver.num_vars() as u64);
-    rzen_obs::counter!("smt.clauses", "CNF clauses asserted (summed over solves)")
-        .add(alg.solver.num_clauses() as u64);
-    flush_gate_counts(alg.gates_built, alg.gates_emitted);
+    flush_solve_counts(
+        alg.solver.num_vars() as u64,
+        alg.solver.num_clauses() as u64,
+        alg.gates_built,
+        alg.gates_emitted,
+    );
     let stats = alg.solver.stats;
     match status {
         SolveStatus::Sat => (SolveOutcome::Sat(extract_env(ctx, &alg)), stats),
@@ -475,9 +475,13 @@ pub fn solve_budgeted(ctx: &Context, root: ExprId, budget: &Budget) -> (SolveOut
     }
 }
 
-/// Built-vs-emitted: how much of what the compiler built the verdict
-/// needed.
-pub(crate) fn flush_gate_counts(built: u64, emitted: u64) {
+/// Fold one solve's encoding counts into the metrics registry: the
+/// solver variables and problem clauses it added, and built-vs-emitted
+/// gates (how much of what the compiler built the verdict needed).
+pub(crate) fn flush_solve_counts(vars: u64, clauses: u64, built: u64, emitted: u64) {
+    rzen_obs::counter!("smt.solves", "SMT backend solve calls").inc();
+    rzen_obs::counter!("smt.vars", "CNF variables allocated (summed over solves)").add(vars);
+    rzen_obs::counter!("smt.clauses", "CNF clauses asserted (summed over solves)").add(clauses);
     rzen_obs::counter!("bitblast.gates_built", "gates added to the CNF gate table").add(built);
     rzen_obs::counter!(
         "bitblast.gates_emitted",

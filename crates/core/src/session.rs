@@ -29,6 +29,14 @@
 //! (input type, builder, list bound, model value), so a warm probe adds
 //! only its predicate to the expression arena.
 //!
+//! A session scoped to one query is the fresh pipeline plus the SAT
+//! guard (one activation variable, guard clause and retirement unit), and
+//! it reports the same counters: each solve flushes the backend's
+//! `smt.*` / `bdd.*` / `bitblast.gates_*` counters from what that query
+//! did, and its BDD stats count the nodes and unique-table entries the
+//! query added. The engine solves every query through a session, kept
+//! for one query or for a runner's life.
+//!
 //! Sessions are inherently thread-bound: circuit nodes are `Rc`-shared and
 //! `ExprId`s index the thread-local context. Create a session only after
 //! [`crate::reset_ctx`], and never reset the context while the session is
@@ -43,10 +51,10 @@ use std::rc::Rc;
 use rzen_bdd::{Bdd, BddManager, BddStats, FastHashMap};
 use rzen_sat::{Lit, SolveStatus, Stats};
 
-use crate::backend::bdd::{env_from_levels, BddAlg};
+use crate::backend::bdd::{env_from_levels, flush_obs_stats, BddAlg};
 use crate::backend::bitblast::{children, BitCompiler, SymVal};
 use crate::backend::ordering::{extend_order, VarOrder};
-use crate::backend::smt::{extract_env, flush_gate_counts, CLit, CnfAlg, GLit, POS};
+use crate::backend::smt::{extract_env, flush_solve_counts, CLit, CnfAlg, GLit, POS};
 use crate::backend::SolveOutcome;
 use crate::budget::Budget;
 use crate::ctx::{with_ctx, Context};
@@ -270,10 +278,12 @@ impl SolverSession {
         rzen_obs::counter!("session.queries", "queries solved through solver sessions").inc();
         match self.backend {
             Backend::Smt => {
-                let smt = self.smt.get_or_insert_with(SmtSession::new);
-                let (built, emitted) = (smt.alg.gates_built, smt.alg.gates_emitted);
-                let (o, s) = smt.solve(ctx, root, budget, &mut self.stats);
-                flush_gate_counts(smt.alg.gates_built - built, smt.alg.gates_emitted - emitted);
+                let (o, s) = self.smt.get_or_insert_with(SmtSession::new).solve(
+                    ctx,
+                    root,
+                    budget,
+                    &mut self.stats,
+                );
                 (o, Some(s), None)
             }
             Backend::Bdd => {
@@ -295,25 +305,18 @@ impl SolverSession {
 struct SmtSession {
     alg: CnfAlg,
     cache: FastHashMap<u32, Rc<SymVal<CLit>>>,
-    /// Last query index (0-based, = `retired` at compile time) that looked
-    /// up or compiled each cache key. A cache hit does not descend into
-    /// the node's children, so interior nodes of a stable sub-DAG go stale
-    /// here even while their root stays hot — which is what lets
-    /// inprocessing eliminate their circuitry (see [`SmtSession::quiesce`]).
-    last_touch: FastHashMap<u32, u64>,
-    /// Retired queries since session start; stamps `last_touch`.
-    retired: u64,
+    /// The roots of the queries solved since the last inprocessing pass:
+    /// the bitblast cache keeps what they reach (see
+    /// [`SmtSession::quiesce`]). (A fixed age of a query or two evicts a
+    /// model between two of its own queries once passes recur and
+    /// queries over several models interleave.)
+    roots: Vec<ExprId>,
     /// `Stats::vars_created` right after the last inprocessing pass, for
     /// the growth-based inprocessing trigger. The monotone creation
     /// counter (not `num_vars`) is what must be metered: with index
     /// recycling the variable count plateaus even while queries keep
     /// compiling fresh circuitry.
     inprocess_created: u64,
-    /// `retired` at the last inprocessing pass: the bitblast cache keeps
-    /// what some query touched since then. (A fixed age of a query or two
-    /// evicts a model between two of its own queries once passes recur
-    /// and queries over several models interleave.)
-    last_pass: u64,
 }
 
 /// Inprocess when at least this many variables were created since the
@@ -334,15 +337,13 @@ impl SmtSession {
         SmtSession {
             alg,
             cache: FastHashMap::default(),
-            last_touch: FastHashMap::default(),
-            retired: 0,
+            roots: Vec::new(),
             inprocess_created: 0,
-            last_pass: 0,
         }
     }
 
-    /// Session quiesce point, run after a query's activation literal is
-    /// retired. Always runs the cheap level-0 simplification (which
+    /// Session quiesce point, run after each query once its activation
+    /// literal (if it had one) is retired. Always runs the cheap level-0 simplification (which
     /// propagates the retirement unit and, once enough retirements
     /// accumulated, sweeps out the satisfied guard/learnt clauses); once
     /// enough new variables accumulated since the last pass
@@ -362,7 +363,6 @@ impl SmtSession {
     /// the pass: the next user emits a fresh copy.
     fn quiesce(&mut self, ctx: &Context) {
         let _span = rzen_obs::span!("session.smt.quiesce");
-        self.retired += 1;
         let before = self.alg.solver.stats;
         let mut alive = self.alg.solver.simplify();
         // Growth-based trigger: inprocess once the variables created since
@@ -380,32 +380,25 @@ impl SmtSession {
             .saturating_sub(self.inprocess_created);
         if alive && grown >= live.saturating_sub(grown).max(MIN_INPROCESS_GROWTH) {
             // Evict cache entries not *reachable* (in the expression DAG)
-            // from an entry some query touched since the previous pass.
-            // Recency alone would be wrong-footed here: a cache hit never
-            // descends into the node's children, so the hot
-            // model's interior is never touched — but it is still live,
+            // from the root of a query solved since the previous pass.
+            // That is exactly what those queries used: a compile that hits
+            // the cache does not descend, but the entry it hit is under
+            // its root, and so is the hot model's interior — still live,
             // and unfreezing it would make BVE re-dissolve the whole model
             // every pass. Reachability keeps the hot closure frozen while
             // retired queries' predicate cones (unreachable from any hot
             // root) age out. An evicted entry is only a recompile on a
             // future miss, never a soundness issue.
-            let horizon = std::mem::replace(&mut self.last_pass, self.retired);
             let mut live: FastHashMap<u32, ()> = FastHashMap::default();
-            let mut stack: Vec<ExprId> = self
-                .last_touch
-                .iter()
-                .filter(|&(_, &t)| t >= horizon)
-                .map(|(&k, _)| ExprId(k))
-                .collect();
+            let mut stack = std::mem::take(&mut self.roots);
             while let Some(e) = stack.pop() {
                 if live.insert(e.0, ()).is_some() {
                     continue;
                 }
                 stack.extend(children(ctx, e));
             }
+            self.roots = stack;
             self.cache.retain(|k, _| live.contains_key(k));
-            let cache = &self.cache;
-            self.last_touch.retain(|k, _| cache.contains_key(k));
 
             // (a) Gates no retained entry can reach go too, so the table
             // plateaus with the cache; (b) what the outside world can
@@ -442,7 +435,7 @@ impl SmtSession {
         budget: &Budget,
         session_stats: &mut SessionStats,
     ) -> (SolveOutcome, Stats) {
-        let _span = rzen_obs::span!("session.smt.solve", "root" => root.0);
+        let _span = rzen_obs::span!("smt.solve", "root" => root.0);
         let carried = self.alg.solver.num_learnts() as u64;
         session_stats.sat_clauses_carried += carried;
         rzen_obs::counter!(
@@ -452,6 +445,8 @@ impl SmtSession {
         .add(carried);
 
         let stats_before = self.alg.solver.stats;
+        let clauses_before = self.alg.solver.num_clauses();
+        let gates_before = (self.alg.gates_built, self.alg.gates_emitted);
         let seed = std::mem::take(&mut self.cache);
         let mut compiler = BitCompiler::with_seed_cache(&mut self.alg, seed);
         let sym = compiler.compile(ctx, root);
@@ -463,61 +458,58 @@ impl SmtSession {
             "bitblast-cache lookups served across queries"
         )
         .add(compiler.seed_hits());
-        // Stamp every cache key this query used (hit or compiled) for the
-        // recency-based eviction in `quiesce`.
-        let touched = compiler.take_touched();
-        let inserted = compiler.take_inserted();
-        for k in touched.into_iter().chain(inserted) {
-            self.last_touch.insert(k, self.retired);
-        }
         self.cache = compiler.into_cache();
+        self.roots.push(root);
 
-        let delta = |solver: &rzen_sat::Solver| stats_delta(&solver.stats, &stats_before);
-        match b {
-            CLit::F => (SolveOutcome::Unsat, delta(&self.alg.solver)),
+        let mut activation = None;
+        let outcome = match b {
+            CLit::F => SolveOutcome::Unsat,
+            // Gate building is linear and not interrupted; honor a budget
+            // that expired during it before searching.
+            _ if budget.is_exhausted() => SolveOutcome::Cancelled,
             CLit::T | CLit::L(_) => {
-                // Gate building is linear and not interrupted; honor a
-                // budget that expired during it before searching.
-                if budget.is_exhausted() {
-                    return (SolveOutcome::Cancelled, delta(&self.alg.solver));
-                }
                 // Guard the root behind a fresh activation literal so it
                 // can be retired after this query without poisoning the
                 // clause database for the next one.
-                let activation = match b {
-                    CLit::L(l) => {
-                        let l = self.alg.require(l, POS);
-                        let a = Lit::pos(self.alg.solver.new_var());
-                        self.alg.solver.add_clause(&[!a, l]);
-                        Some(a)
-                    }
-                    _ => None,
-                };
+                if let CLit::L(l) = b {
+                    let l = self.alg.require(l, POS);
+                    let a = Lit::pos(self.alg.solver.new_var());
+                    self.alg.solver.add_clause(&[!a, l]);
+                    activation = Some(a);
+                }
                 self.alg.solver.clear_budget();
                 self.alg.solver.set_interrupt(budget.cancel_flag());
                 if let Some(deadline) = budget.deadline() {
                     self.alg.solver.set_deadline(deadline);
                 }
-                let assumptions: Vec<Lit> = activation.into_iter().collect();
-                let status = self.alg.solver.solve_limited(&assumptions);
+                let status = self.alg.solver.solve_limited(activation.as_slice());
                 self.alg.solver.clear_budget();
-                let stats = delta(&self.alg.solver);
-                let outcome = match status {
+                match status {
                     SolveStatus::Sat => SolveOutcome::Sat(extract_env(ctx, &self.alg)),
                     SolveStatus::Unsat => SolveOutcome::Unsat,
                     SolveStatus::Unknown => SolveOutcome::Cancelled,
-                };
-                // Retire the guard: `¬a` makes this query's root clause
-                // vacuous for every later query, whatever the verdict was.
-                // The quiesce pass then deletes what the retirement made
-                // redundant instead of letting propagation scan it forever.
-                if let Some(a) = activation {
-                    self.alg.solver.add_clause(&[!a]);
                 }
-                self.quiesce(ctx);
-                (outcome, stats)
             }
+        };
+        let stats = stats_delta(&self.alg.solver.stats, &stats_before);
+        // Clauses as the fresh pipeline counts them: what the solve left
+        // in the database, here net of what its level-0 sweep deleted.
+        let clauses = self.alg.solver.num_clauses().saturating_sub(clauses_before);
+        flush_solve_counts(
+            stats.vars_created,
+            clauses as u64,
+            self.alg.gates_built - gates_before.0,
+            self.alg.gates_emitted - gates_before.1,
+        );
+        // Retire the guard: `¬a` makes this query's root clause vacuous
+        // for every later query, whatever the verdict was. The quiesce
+        // pass then deletes what the retirement made redundant instead of
+        // letting propagation scan it forever.
+        if let Some(a) = activation {
+            self.alg.solver.add_clause(&[!a]);
         }
+        self.quiesce(ctx);
+        (outcome, stats)
     }
 }
 
@@ -545,6 +537,11 @@ struct BddSession {
     m: BddManager,
     order: VarOrder,
     cache: FastHashMap<u32, Rc<SymVal<Bdd>>>,
+    /// The manager's counters when the last query ended (all zero before
+    /// the first): a query reports the nodes and unique-table entries it
+    /// added, so the first query of a session reports what a fresh
+    /// manager's solve does, terminals included.
+    flushed: BddStats,
 }
 
 impl BddSession {
@@ -553,6 +550,7 @@ impl BddSession {
             m: BddManager::new(),
             order: VarOrder::with_base(0),
             cache: FastHashMap::default(),
+            flushed: BddStats::default(),
         }
     }
 
@@ -564,7 +562,7 @@ impl BddSession {
         budget: &Budget,
         session_stats: &mut SessionStats,
     ) -> (SolveOutcome, BddStats) {
-        let _span = rzen_obs::span!("session.bdd.solve", "root" => root.0);
+        let _span = rzen_obs::span!("bdd.solve", "root" => root.0);
         let reused = (self.m.arena_size() as u64).saturating_sub(2);
         session_stats.bdd_nodes_reused += reused;
         rzen_obs::counter!(
@@ -579,7 +577,6 @@ impl BddSession {
             let _span = rzen_obs::span!("bdd.order");
             extend_order(ctx, &mut self.order, &[root], use_interactions);
         }
-        let stats_before = self.m.stats();
         // (Re)arm the budget; this also resets the manager's interrupt
         // latch left by a cancelled earlier query.
         self.m
@@ -603,7 +600,9 @@ impl BddSession {
         let inserted = compiler.take_inserted();
         let mut cache = compiler.into_cache();
         self.order = alg.order;
-        let stats = bdd_stats_delta(&self.m.stats(), &stats_before);
+        let now = self.m.stats();
+        let stats = bdd_stats_delta(&now, &std::mem::replace(&mut self.flushed, now));
+        flush_obs_stats(&stats);
 
         if self.m.interrupted() {
             // Nodes compiled during an interrupted build hold garbage
@@ -639,10 +638,8 @@ impl BddSession {
 
 fn bdd_stats_delta(after: &BddStats, before: &BddStats) -> BddStats {
     BddStats {
-        // Arena and unique table are session gauges, not per-query
-        // counters; report their current size.
-        nodes: after.nodes,
-        unique_entries: after.unique_entries,
+        nodes: after.nodes - before.nodes,
+        unique_entries: after.unique_entries - before.unique_entries,
         cache_lookups: after.cache_lookups - before.cache_lookups,
         cache_hits: after.cache_hits - before.cache_hits,
     }

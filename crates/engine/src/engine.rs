@@ -1,7 +1,8 @@
 //! The batch engine: a worker pool over queries, persistent per-backend
-//! runner threads behind each worker (a portfolio is two of them), a
-//! full-query result cache, and (optionally) long-lived solver sessions
-//! on the runners with fingerprint-affinity claim order.
+//! runner threads behind each worker (a portfolio is two of them), each
+//! solving through a solver session, and a full-query result cache. A
+//! session lives for one query or, with `sessions`, for the runner's
+//! whole life, with fingerprint-affinity claim order.
 
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -11,10 +12,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rzen::{Backend, Budget, FindOutcome, SessionStats, SolverSession};
+use rzen::{Backend, Budget, FindOutcome, FindReport, SessionStats, SolverSession};
 
 use crate::cache::{DeltaCacheStats, ResultCache};
-use crate::query::{Query, QueryBackend, RunOutput, Verdict};
+use crate::query::{Query, QueryBackend, Verdict};
 use crate::stats::{BatchReport, EngineStats, QueryResult};
 
 /// Engine configuration.
@@ -30,10 +31,11 @@ pub struct EngineConfig {
     pub timeout: Option<Duration>,
     /// Enable the structural result cache.
     pub cache: bool,
-    /// Keep a long-lived solver session on each runner (incremental SAT
-    /// with activation literals, a shared BDD manager, and a cross-query
-    /// bitblast cache), with same-model queries claimed by the same
-    /// worker. Off, a runner solves every query in a fresh context.
+    /// Keep each runner's solver session (incremental SAT with activation
+    /// literals, a shared BDD manager, and a cross-query bitblast cache)
+    /// across queries, with same-model queries claimed by the same
+    /// worker. Off, a runner drops each query's session after its reply
+    /// and resets its context, so nothing carries over.
     pub sessions: bool,
 }
 
@@ -155,11 +157,12 @@ impl Engine {
         let _span = rzen_obs::span!("engine.batch", "queries" => queries.len() as u64, "jobs" => self.cfg.jobs as u64);
         let n = queries.len();
         let workers = self.cfg.jobs.max(1).min(n);
-        // The claim order is the only thing the mode decides. Fresh
-        // workers share one queue (whoever is free takes the next query:
-        // nothing carries over, so balance is all that matters); session
-        // workers each drain the model groups routed to them, so queries
-        // sharing an ACL/route-map/topology meet the same warm sessions.
+        // Besides the session's scope, the claim order is the only thing
+        // the mode decides. Per-query workers share one queue (whoever is
+        // free takes the next query: nothing carries over, so balance is
+        // all that matters); session workers each drain the model groups
+        // routed to them, so queries sharing an ACL/route-map/topology
+        // meet the same warm sessions.
         let claims: Vec<Arc<ClaimQueue>> = if self.cfg.sessions {
             affinity_buckets(queries, workers)
                 .into_iter()
@@ -398,7 +401,8 @@ impl Engine {
 
     /// Create a worker: one persistent runner thread per configured
     /// backend (two for the portfolio), on which every query handed to it
-    /// is solved — warm across all of them when `cfg.sessions` is set.
+    /// is solved through the runner's session — warm across all of them
+    /// when `cfg.sessions` is set, one per query otherwise.
     /// Batch workers and serving threads each own one.
     pub fn serve_worker(&self) -> ServeWorker {
         let backends: &[Backend] = match self.cfg.backend {
@@ -606,53 +610,50 @@ struct Job {
 }
 
 /// A runner's answer: the raw output (or panic message) plus, from a
-/// runner that keeps a session, the session counters this query moved.
+/// runner that keeps its session, the session counters this query moved.
 struct Reply {
     backend: Backend,
-    output: Result<RunOutput, String>,
+    output: Result<FindReport<crate::Witness>, String>,
     session: Option<SessionStats>,
 }
 
-/// A runner: owns this thread's `Zen` context — and, with `sessions`, one
-/// [`SolverSession`] — for its whole lifetime, solving jobs in arrival
-/// order. Without a session every job starts from a reset context and
-/// nothing carries over. A panicking query is answered with its panic
-/// message, and the context *and* session are rebuilt from scratch — a
-/// half-built session (e.g. a variable order that lost levels
-/// mid-extension) could be unsound, and a fresh one merely loses cached
-/// work.
+/// A runner: owns this thread's `Zen` context and one [`SolverSession`],
+/// solving jobs in arrival order; every job is solved through the
+/// session. With `sessions` the session lives as long as the runner and
+/// carries its caches from job to job. Without, it is scoped to one job:
+/// once the reply is sent, the session is dropped and the context reset,
+/// so nothing carries over and the runner holds nothing while it idles.
+/// A panicking query is answered with its panic message, and the context
+/// *and* session are rebuilt from scratch — a half-built session (e.g. a
+/// variable order that lost levels mid-extension) could be unsound, and a
+/// fresh one merely loses cached work.
 fn runner(backend: Backend, sessions: bool, rx: mpsc::Receiver<Job>) {
     let _span = rzen_obs::span!("engine.session", "bdd" => u64::from(backend == Backend::Bdd));
-    rzen::reset_ctx();
-    let mut session = sessions.then(|| SolverSession::new(backend));
+    let fresh = || {
+        rzen::reset_ctx();
+        SolverSession::new(backend)
+    };
+    let mut session = fresh();
     while let Ok(job) = rx.recv() {
-        let before = session.as_ref().map(SolverSession::stats);
+        let before = session.stats();
         let job_span = rzen_obs::span!("engine.backend", "req" => job.req, "bdd" => u64::from(backend == Backend::Bdd));
-        let out = catch_unwind(AssertUnwindSafe(|| match &mut session {
-            Some(session) => job.query.run_in_session(session, &job.budget),
-            None => job.query.run_backend(backend, &job.budget),
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            job.query.run(&mut session, &job.budget)
         }));
         drop(job_span);
-        let reply = match out {
-            Ok(output) => Reply {
-                backend,
-                output: Ok(output),
-                session: session
-                    .as_ref()
-                    .zip(before)
-                    .map(|(s, before)| s.stats().delta_since(&before)),
-            },
-            Err(p) => {
-                rzen::reset_ctx();
-                session = sessions.then(|| SolverSession::new(backend));
-                Reply {
-                    backend,
-                    output: Err(panic_message(p)),
-                    session: sessions.then(SessionStats::default),
-                }
-            }
+        let (output, moved) = match out {
+            Ok(output) => (Ok(output), session.stats().delta_since(&before)),
+            Err(p) => (Err(panic_message(p)), SessionStats::default()),
         };
-        let _ = job.reply.send(reply);
+        let panicked = output.is_err();
+        let _ = job.reply.send(Reply {
+            backend,
+            output,
+            session: sessions.then_some(moved),
+        });
+        if panicked || !sessions {
+            session = fresh();
+        }
     }
     // Leave no arena behind on the (dying) thread.
     rzen::reset_ctx();

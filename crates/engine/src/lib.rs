@@ -47,10 +47,12 @@
 //!
 //! ## Sessions
 //!
-//! With `EngineConfig { sessions: true, .. }` each runner keeps long-lived
-//! solver state — an incremental SAT solver or a BDD manager, and a
-//! cross-query bitblast cache — instead of resetting per query, and batch
-//! workers claim queries by *model fingerprint* so queries over the same
+//! Every runner solves through an [`rzen::SolverSession`] — an
+//! incremental SAT solver or a BDD manager, and a bitblast cache. By
+//! default the session is scoped to one query: dropped, with the context
+//! reset, once the reply is sent. With `EngineConfig { sessions: true, .. }`
+//! each runner keeps its session for its whole life, and batch workers
+//! claim queries by *model fingerprint* so queries over the same
 //! ACL/route-map/topology land on the same worker and reuse each other's
 //! work. See [`rzen::session`].
 //!

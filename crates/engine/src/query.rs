@@ -9,7 +9,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use rzen::{Budget, FindOptions, FindOutcome, Zen, ZenFunction};
+use rzen::{Budget, FindOptions, FindOutcome, FindReport, SolverSession, Zen, ZenFunction};
 use rzen_net::acl::Acl;
 use rzen_net::device::{fold_paths, Hop};
 use rzen_net::headers::{Header, Packet};
@@ -122,24 +122,6 @@ impl Verdict {
     }
 }
 
-/// Raw result of running one backend on one query.
-#[derive(Clone, Debug)]
-pub(crate) struct RunOutput {
-    pub outcome: FindOutcome<Witness>,
-    pub sat_stats: Option<rzen_sat::Stats>,
-    pub bdd_stats: Option<rzen_bdd::BddStats>,
-}
-
-/// How a query executes: a throwaway context per query, or through a
-/// long-lived per-worker [`rzen::SolverSession`].
-pub(crate) enum RunMode<'s> {
-    /// Reset the thread-local context and solve with a fresh backend.
-    Fresh(rzen::Backend),
-    /// Solve through the session, keeping the context (and therefore the
-    /// hash-consed `ExprId`s the session's caches key on) intact.
-    Session(&'s mut rzen::SolverSession),
-}
-
 impl Query {
     /// Structural fingerprint used as the result-cache hash: FNV-1a over
     /// the query's derived hash stream, so identical queries — however
@@ -178,37 +160,19 @@ impl Query {
         h.finish()
     }
 
-    /// Run one backend on the calling thread, rebuilding the model in the
-    /// thread-local context. The context is reset first, so call this only
-    /// from a thread with no live `Zen` handles (the engine's runners).
-    pub(crate) fn run_backend(&self, backend: rzen::Backend, budget: &Budget) -> RunOutput {
-        rzen::reset_ctx();
-        self.run_with(RunMode::Fresh(backend), budget)
-    }
-
-    /// Run through a long-lived session. The context is **not** reset —
-    /// the session's bitblast cache and symbolic inputs are keyed by the
-    /// current arena's `ExprId`s.
-    pub(crate) fn run_in_session(
-        &self,
-        session: &mut rzen::SolverSession,
-        budget: &Budget,
-    ) -> RunOutput {
-        self.run_with(RunMode::Session(session), budget)
-    }
-
-    fn run_with(&self, mode: RunMode<'_>, budget: &Budget) -> RunOutput {
+    /// Solve the query through `session` on the calling thread, rebuilding
+    /// the model in the thread-local context the session's caches key on:
+    /// an ACL or route map through the session's model memo
+    /// ([`SolverSession::find_model`]), a topology's paths through
+    /// [`ZenFunction::find_in_session`]. The session's backend decides.
+    pub(crate) fn run(&self, session: &mut SolverSession, budget: &Budget) -> FindReport<Witness> {
         match self {
             Query::AclFind { acl, target_line } => {
                 let target = *target_line;
-                let opts = FindOptions::default();
                 let pred = |_, line: Zen<u16>| line.eq(Zen::val(target));
-                let report = find_line(acl, Acl::matched_line, pred, opts, budget, mode);
-                RunOutput {
-                    outcome: map_outcome(report.outcome, Witness::Header),
-                    sat_stats: report.sat_stats,
-                    bdd_stats: report.bdd_stats,
-                }
+                let opts = FindOptions::default();
+                let report = session.find_model(acl, Acl::matched_line, pred, &opts, budget);
+                output(report, Witness::Header)
             }
             Query::RouteMapFind {
                 map,
@@ -216,17 +180,10 @@ impl Query {
                 list_bound,
             } => {
                 let target = *target_clause;
-                let opts = FindOptions {
-                    list_bound: *list_bound,
-                    ..Default::default()
-                };
                 let pred = |_, clause: Zen<u16>| clause.eq(Zen::val(target));
-                let report = find_line(map, RouteMap::matched_clause, pred, opts, budget, mode);
-                RunOutput {
-                    outcome: map_outcome(report.outcome, |a| Witness::Announcement(Box::new(a))),
-                    sat_stats: report.sat_stats,
-                    bdd_stats: report.bdd_stats,
-                }
+                let opts = FindOptions::default().with_list_bound(*list_bound);
+                let report = session.find_model(map, RouteMap::matched_clause, pred, &opts, budget);
+                output(report, |a| Witness::Announcement(Box::new(a)))
             }
             Query::Reach { net, src, dst } | Query::Drops { net, src, dst } => {
                 let reach = matches!(self, Query::Reach { .. });
@@ -235,7 +192,7 @@ impl Query {
                     // No path at all: nothing is delivered, and every
                     // packet is trivially dropped.
                     let h = Header::new(0, 0, 0, 0, 0);
-                    return RunOutput {
+                    return FindReport {
                         outcome: if reach {
                             FindOutcome::Unsat
                         } else {
@@ -248,7 +205,6 @@ impl Query {
                 // The model is the identity on the packet; the formula is
                 // built in the predicate, which may borrow `paths`.
                 let f = ZenFunction::new(|p: Zen<Packet>| p);
-                let opts = FindOptions::default();
                 let cond = |p, _| {
                     if reach {
                         delivered_on_some(&paths, p)
@@ -256,12 +212,8 @@ impl Query {
                         dropped_on_all(&paths, p)
                     }
                 };
-                let report = dispatch(&f, cond, opts, budget, mode);
-                RunOutput {
-                    outcome: map_outcome(report.outcome, Witness::Packet),
-                    sat_stats: report.sat_stats,
-                    bdd_stats: report.bdd_stats,
-                }
+                let report = f.find_in_session(cond, &FindOptions::default(), budget, session);
+                output(report, Witness::Packet)
             }
         }
     }
@@ -326,56 +278,16 @@ fn holds(c: Zen<bool>) -> bool {
     rzen::with_ctx(|ctx| ctx.eval_const(c.expr_id()).as_bool())
 }
 
-/// Run one find either fresh (overriding the backend in `opts`) or
-/// through the worker's session (which ignores `opts.backend`).
-fn dispatch<A: rzen::ZenType, R: rzen::ZenType>(
-    f: &ZenFunction<A, R>,
-    pred: impl FnOnce(Zen<A>, Zen<R>) -> Zen<bool>,
-    mut opts: FindOptions,
-    budget: &Budget,
-    mode: RunMode<'_>,
-) -> rzen::FindReport<A> {
-    match mode {
-        RunMode::Fresh(backend) => {
-            opts.backend = backend;
-            f.find_budgeted(pred, &opts, budget)
-        }
-        RunMode::Session(session) => f.find_in_session(pred, &opts, budget, session),
-    }
-}
-
-/// [`dispatch`] for a model given as data plus a builder (an ACL's line
-/// tracker, a route map's clause tracker). A session builds each model
-/// once and finds it in its memo on every later probe; fresh mode builds
-/// it from a clone, as every fresh query builds everything.
-fn find_line<M, A, F>(
-    model: &M,
-    build: F,
-    pred: impl FnOnce(Zen<A>, Zen<u16>) -> Zen<bool>,
-    mut opts: FindOptions,
-    budget: &Budget,
-    mode: RunMode<'_>,
-) -> rzen::FindReport<A>
-where
-    M: Clone + Hash + Eq + 'static,
-    A: rzen::ZenType,
-    F: Fn(&M, Zen<A>) -> Zen<u16> + 'static,
-{
-    match mode {
-        RunMode::Fresh(backend) => {
-            opts.backend = backend;
-            let model = model.clone();
-            ZenFunction::new(move |a| build(&model, a)).find_budgeted(pred, &opts, budget)
-        }
-        RunMode::Session(session) => session.find_model(model, build, pred, &opts, budget),
-    }
-}
-
-fn map_outcome<A>(o: FindOutcome<A>, f: impl FnOnce(A) -> Witness) -> FindOutcome<Witness> {
-    match o {
-        FindOutcome::Found(a) => FindOutcome::Found(f(a)),
-        FindOutcome::Unsat => FindOutcome::Unsat,
-        FindOutcome::Cancelled => FindOutcome::Cancelled,
+/// A find report with its input read as a witness.
+fn output<A>(report: FindReport<A>, witness: impl FnOnce(A) -> Witness) -> FindReport<Witness> {
+    FindReport {
+        outcome: match report.outcome {
+            FindOutcome::Found(a) => FindOutcome::Found(witness(a)),
+            FindOutcome::Unsat => FindOutcome::Unsat,
+            FindOutcome::Cancelled => FindOutcome::Cancelled,
+        },
+        sat_stats: report.sat_stats,
+        bdd_stats: report.bdd_stats,
     }
 }
 
@@ -423,7 +335,9 @@ mod tests {
             acl: acl(),
             target_line: 1,
         };
-        let out = q.run_backend(rzen::Backend::Bdd, &Budget::unlimited());
+        rzen::reset_ctx();
+        let mut session = SolverSession::new(rzen::Backend::Bdd);
+        let out = q.run(&mut session, &Budget::unlimited());
         let FindOutcome::Found(w) = out.outcome else {
             panic!("line 1 is reachable");
         };

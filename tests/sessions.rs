@@ -1,13 +1,18 @@
 //! Session-mode engine tests: differential agreement between long-lived
-//! per-worker solver sessions and fresh-per-query solving, reuse-counter
-//! sanity, and cancellation-mid-session recovery.
+//! per-worker solver sessions, sessions scoped to one query, and core's
+//! fresh `find` pipeline; reuse-counter sanity; and cancellation-mid-session
+//! recovery.
 
 use std::hash::{Hash, Hasher};
 
 use rzen::{Backend, Budget, FindOptions, FindOutcome, SolverSession, Zen, ZenFunction};
-use rzen_engine::{BatchReport, Engine, EngineConfig, Query, QueryBackend, QueryResult, Verdict};
+use rzen_engine::{
+    BatchReport, Engine, EngineConfig, Query, QueryBackend, QueryResult, Verdict, Witness,
+};
 use rzen_net::acl::{Acl, AclRule};
+use rzen_net::device::fold_paths;
 use rzen_net::gen::{random_acl, random_route_map, spine_leaf};
+use rzen_net::headers::Packet;
 use rzen_net::routing::{Clause, MatchCond, RouteMap};
 
 /// `AclFind` probes over `seeds` same-model families: for each
@@ -86,6 +91,79 @@ fn run(queries: &[Query], backend: QueryBackend, jobs: usize, sessions: bool) ->
     .run_batch(queries)
 }
 
+/// The verdict kind of `query` from core's fresh pipeline
+/// (`ZenFunction::find_budgeted`, one throwaway solver per call), with the
+/// model built from public API only. It shares only the bit-level
+/// compiler and the solver substrates with the engine's session path, so
+/// it is the independent oracle for both engine modes; a witness must
+/// check out.
+fn fresh_oracle(query: &Query, backend: QueryBackend) -> &'static str {
+    rzen::reset_ctx();
+    let opts = FindOptions {
+        backend: match backend {
+            QueryBackend::Smt => Backend::Smt,
+            QueryBackend::Bdd | QueryBackend::Portfolio => Backend::Bdd,
+        },
+        ..FindOptions::default()
+    };
+    let budget = Budget::unlimited();
+    let witness = match query {
+        Query::AclFind { acl, target_line } => {
+            let (acl, k) = (acl.clone(), *target_line);
+            let f = ZenFunction::new(move |h| acl.matched_line(h));
+            let report = f.find_budgeted(|_, line| line.eq(Zen::val(k)), &opts, &budget);
+            found(report.outcome).map(Witness::Header)
+        }
+        Query::RouteMapFind {
+            map,
+            target_clause,
+            list_bound,
+        } => {
+            let (map, k) = (map.clone(), *target_clause);
+            let f = ZenFunction::new(move |a| map.matched_clause(a));
+            let opts = opts.with_list_bound(*list_bound);
+            let report = f.find_budgeted(|_, clause| clause.eq(Zen::val(k)), &opts, &budget);
+            found(report.outcome).map(|a| Witness::Announcement(Box::new(a)))
+        }
+        Query::Reach { net, src, dst } | Query::Drops { net, src, dst } => {
+            let reach = matches!(query, Query::Reach { .. });
+            let paths = net.paths(src.0, src.1, dst.0, dst.1);
+            let cond = |p, _| {
+                if reach {
+                    fold_paths(&paths, p, Zen::bool(false), |any, out| {
+                        any.or(out.is_some())
+                    })
+                } else {
+                    fold_paths(&paths, p, Zen::bool(true), |all, out| {
+                        all.and(out.is_none())
+                    })
+                }
+            };
+            let f = ZenFunction::new(|p: Zen<Packet>| p);
+            found(f.find_budgeted(cond, &opts, &budget).outcome).map(Witness::Packet)
+        }
+    };
+    rzen::reset_ctx();
+    match witness {
+        Some(w) => {
+            assert!(
+                query.check_witness(&w),
+                "{query:?}: bad fresh-oracle witness"
+            );
+            "sat"
+        }
+        None => "unsat",
+    }
+}
+
+fn found<A>(outcome: FindOutcome<A>) -> Option<A> {
+    match outcome {
+        FindOutcome::Found(a) => Some(a),
+        FindOutcome::Unsat => None,
+        FindOutcome::Cancelled => unreachable!("unlimited budget"),
+    }
+}
+
 #[test]
 fn sessions_agree_with_fresh_on_mixed_batch() {
     let queries = mixed_queries();
@@ -94,20 +172,21 @@ fn sessions_agree_with_fresh_on_mixed_batch() {
         QueryBackend::Smt,
         QueryBackend::Portfolio,
     ] {
-        let fresh = run(&queries, backend, 2, false);
+        let per_query = run(&queries, backend, 2, false);
         let session = run(&queries, backend, 2, true);
         for (i, q) in queries.iter().enumerate() {
-            let kf = verdict_kind(&fresh.results[i].verdict);
+            let kp = verdict_kind(&per_query.results[i].verdict);
             let ks = verdict_kind(&session.results[i].verdict);
+            let kf = fresh_oracle(q, backend);
             assert_eq!(
-                kf,
-                ks,
-                "query {i} ({}) under {backend:?}: session mode disagrees with fresh",
+                (kp, ks),
+                (kf, kf),
+                "query {i} ({}) under {backend:?}: (sessions off, on) disagree with core's fresh find",
                 q.kind()
             );
-            // Witnesses may differ (any model is a model) but both must
+            // Witnesses may differ (any model is a model) but all must
             // check out against the concrete semantics.
-            for report in [&fresh, &session] {
+            for report in [&per_query, &session] {
                 if let Verdict::Sat(w) = &report.results[i].verdict {
                     assert!(q.check_witness(w), "query {i} ({}): bad witness", q.kind());
                 }
@@ -115,6 +194,78 @@ fn sessions_agree_with_fresh_on_mixed_batch() {
         }
         assert!(session.stats.sat > 0 && session.stats.unsat > 0);
     }
+}
+
+/// Sessions off scopes each runner's session to one query: it is dropped
+/// and the context reset after every reply. So a query's solver counters
+/// cannot depend on what ran before it on the same runner — the same
+/// batch in reverse order reports the very same counts per query. A
+/// runner that kept its session would hand later same-model queries its
+/// gate table, learnt clauses and BDD nodes, and their counts would move.
+#[test]
+fn sessions_off_carries_nothing_between_queries() {
+    let forward = mixed_queries();
+    let reverse: Vec<Query> = forward.iter().rev().cloned().collect();
+    let counts = |r: &QueryResult| {
+        let sat = r
+            .sat_stats
+            .map(|s| (s.vars_created, s.conflicts, s.decisions, s.propagations));
+        (sat, r.bdd_stats)
+    };
+    for backend in [QueryBackend::Smt, QueryBackend::Bdd] {
+        let fwd = run(&forward, backend, 1, false);
+        let mut rev: Vec<_> = run(&reverse, backend, 1, false)
+            .results
+            .iter()
+            .map(counts)
+            .collect();
+        rev.reverse();
+        for (i, (r, reversed)) in fwd.results.iter().zip(&rev).enumerate() {
+            let forwards = counts(r);
+            assert!(forwards.0.is_some() || forwards.1.is_some());
+            assert_eq!(
+                &forwards,
+                reversed,
+                "query {i} ({}) under {backend:?}: counts depend on the queries before it",
+                forward[i].kind()
+            );
+        }
+    }
+}
+
+/// A session shares BDD nodes between queries, so a batch through one
+/// session must not report more nodes than the same batch with a manager
+/// per query. Each query reports the nodes it allocated; the first query
+/// of a session counts the terminals, as a fresh manager's solve does.
+/// (Reporting the session's arena size instead summed it over queries:
+/// 75 142 nodes with sessions on against 44 253 off.)
+#[test]
+fn session_bdd_nodes_count_what_each_query_allocated() {
+    let spec = rzen_net::spec::parse(include_str!("../specs/spine_leaf.net")).unwrap();
+    let edges = spec.edge_ports();
+    let mut queries = Vec::new();
+    for &src in &edges {
+        for &dst in edges.iter().filter(|&&d| d != src) {
+            let net = spec.net.clone();
+            queries.push(Query::Reach {
+                net: net.clone(),
+                src,
+                dst,
+            });
+            queries.push(Query::Drops { net, src, dst });
+        }
+    }
+    let nodes = |sessions| {
+        run(&queries, QueryBackend::Bdd, 1, sessions)
+            .stats
+            .bdd_nodes
+    };
+    let (off, on) = (nodes(false), nodes(true));
+    assert_eq!(
+        off, 44_253,
+        "a one-query session reports a fresh manager's nodes"
+    );
+    assert!(on <= off, "sessions on reported {on} BDD nodes, off {off}");
 }
 
 #[test]
@@ -408,7 +559,8 @@ fn every_probe_after_a_models_first_hits_the_memo() {
     }
 }
 
-/// Verdict kinds of `queries`, after checking every witness.
+/// Verdict kinds of `queries`, after checking every witness and holding
+/// each verdict to core's fresh pipeline.
 fn checked_verdicts(queries: &[Query], backend: QueryBackend, sessions: bool) -> Vec<&'static str> {
     let report = run(queries, backend, 1, sessions);
     queries
@@ -418,7 +570,13 @@ fn checked_verdicts(queries: &[Query], backend: QueryBackend, sessions: bool) ->
             if let Verdict::Sat(w) = &r.verdict {
                 assert!(q.check_witness(w), "{q:?}: bad witness");
             }
-            verdict_kind(&r.verdict)
+            let kind = verdict_kind(&r.verdict);
+            assert_eq!(
+                kind,
+                fresh_oracle(q, backend),
+                "{q:?}: disagrees with core's fresh find"
+            );
+            kind
         })
         .collect()
 }
