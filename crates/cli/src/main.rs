@@ -35,7 +35,8 @@ use rzen::{TransformerSpace, Zen, ZenFunction};
 use rzen_net::analyses::{anteater, hsa};
 use rzen_net::device::fold_paths;
 use rzen_net::headers::{HeaderFields, Packet, PacketFields};
-use rzen_net::ip::fmt_ip;
+use rzen_obs::trace::Capture;
+use rzen_serve::proto::describe_header;
 
 /// The usage text, shared by `--help` (stdout, exit 0) and error paths
 /// (stderr, exit 2).
@@ -47,8 +48,7 @@ fn usage_text() -> String {
         "                       [--sessions on|off] [--trace-out FILE]",
         "                       [--stats-json FILE] [--verdicts-json FILE] [--metrics]",
         "                       [--profile-out FILE]",
-        "       rzen-cli serve SPEC [--addr HOST:PORT] [--jobs N] [--backlog N]",
-        "                       [--shards N] [--idle-timeout-ms MS]",
+        "       rzen-cli serve SPEC [--addr HOST:PORT] [--jobs N] [--backlog N] [--idle-timeout-ms MS]",
         "                       [--timeout-ms MS] [--sessions on|off] [--backend ...]",
         "                       [--flight-recorder-size N]",
         "       rzen-cli --version | --help",
@@ -65,7 +65,6 @@ fn usage_text() -> String {
         "  --profile-out FILE trace the batch and write its span stacks folded, in µs",
         "                     of span wall time (a flamegraph SVG when FILE ends in .svg)",
         "  --flight-recorder-size N  ring capacity of the serve flight recorder",
-        "  --shards N         engine shards behind the serve reactor (default: --jobs)",
         "  --idle-timeout-ms MS  close client connections silent for MS milliseconds",
         "  serve answers NDJSON queries on a TCP socket, plus HTTP GET /healthz,",
         "  GET /metrics (Prometheus format), GET /debug/requests|slow|trace?ms=N,",
@@ -86,21 +85,61 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn describe(p: &rzen_net::headers::Header) -> String {
-    format!(
-        "dst={} src={} dport={} sport={} proto={}",
-        fmt_ip(p.dst_ip),
-        fmt_ip(p.src_ip),
-        p.dst_port,
-        p.src_port,
-        p.protocol
-    )
+/// The value after the flag at `flags[i]`, or fail naming what it needs.
+fn flag_value<'a>(flags: &'a [String], i: usize, needs: &str) -> &'a str {
+    match flags.get(i + 1) {
+        Some(v) => v,
+        None => fail(&format!("{} needs {needs}", flags[i])),
+    }
+}
+
+/// Parse the value of `flag`, failing with its name.
+fn parse_flag<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|e| fail(&format!("bad {flag} {v:?}: {e}")))
+}
+
+/// Apply `flags[i]` and its value to `cfg` if it is one of the engine
+/// flags `batch` and `serve` share: `--jobs`, `--timeout-ms`,
+/// `--sessions`, `--backend`. Returns whether it was.
+fn engine_flag(cfg: &mut rzen_engine::EngineConfig, flags: &[String], i: usize) -> bool {
+    use rzen_engine::QueryBackend;
+    let flag = flags[i].as_str();
+    match flag {
+        "--jobs" => {
+            cfg.jobs = parse_flag(flag, flag_value(flags, i, "N"));
+            if cfg.jobs == 0 {
+                fail("--jobs must be at least 1");
+            }
+        }
+        "--timeout-ms" => {
+            let ms = parse_flag(flag, flag_value(flags, i, "MS"));
+            cfg.timeout = Some(std::time::Duration::from_millis(ms));
+        }
+        "--sessions" => {
+            cfg.sessions = match flag_value(flags, i, "on|off") {
+                "on" => true,
+                "off" => false,
+                other => fail(&format!("bad --sessions {other:?} (on|off)")),
+            }
+        }
+        "--backend" => {
+            cfg.backend = match flag_value(flags, i, "bdd|smt|portfolio") {
+                "bdd" => QueryBackend::Bdd,
+                "smt" => QueryBackend::Smt,
+                "portfolio" => QueryBackend::Portfolio,
+                other => fail(&format!("unknown backend {other:?} (bdd|smt|portfolio)")),
+            }
+        }
+        _ => return false,
+    }
+    true
 }
 
 fn main() {
-    // RZEN_TRACE=1 enables span recording; RZEN_TRACE=<path> also names a
-    // Chrome-trace export file (an explicit --trace-out flag wins).
-    let env_trace = rzen_obs::init_from_env();
+    // RZEN_TRACE=1 records for the whole run; RZEN_TRACE=<path> also
+    // names a Chrome-trace export file (an explicit --trace-out flag wins).
+    let env_trace = Capture::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--version" | "-V") => {
@@ -130,7 +169,7 @@ fn main() {
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
 
     if cmd == "serve" {
-        run_serve(&text, &args[2..]);
+        run_serve(&text, &args[2..], env_trace);
         return;
     }
     let spec = spec::parse(&text).unwrap_or_else(|e| fail(&e));
@@ -190,7 +229,7 @@ fn main() {
         "reach" => match anteater::reachable(&spec.net, src.0, src.1, dst.0, dst.1) {
             Some(w) => {
                 println!("REACHABLE via a {}-hop path", w.path.len());
-                println!("  witness: {}", describe(&w.packet.overlay_header));
+                println!("  witness: {}", describe_header(&w.packet.overlay_header));
             }
             None => println!("UNREACHABLE: no packet is delivered on any simple path"),
         },
@@ -225,7 +264,7 @@ fn main() {
             ) {
                 Some(w) => {
                     println!("DROPPED on all {} path(s):", paths.len());
-                    println!("  witness: {}", describe(&w.overlay_header));
+                    println!("  witness: {}", describe_header(&w.overlay_header));
                 }
                 None => println!("NO DROPS: every matching packet is delivered on some path"),
             }
@@ -238,7 +277,7 @@ fn main() {
             } else {
                 println!("reachable packet set: 2^{:.1} packets", set.count().log2());
                 if let Some(sample) = set.element() {
-                    println!("  sample: {}", describe(&sample.overlay_header));
+                    println!("  sample: {}", describe_header(&sample.overlay_header));
                 }
             }
         }
@@ -259,8 +298,7 @@ fn run_delta(spec: &spec::Spec, flags: &[String]) {
     while i < flags.len() {
         match flags[i].as_str() {
             "--out" => {
-                let v = flags.get(i + 1).unwrap_or_else(|| fail("--out needs FILE"));
-                out = Some(v.clone());
+                out = Some(flag_value(flags, i, "FILE").to_string());
                 i += 2;
             }
             other => fail(&format!("unknown delta flag {other:?}")),
@@ -327,8 +365,8 @@ fn run_delta(spec: &spec::Spec, flags: &[String]) {
 
 /// `batch`: all-pairs reach + drops over the spec's edge ports, run by the
 /// parallel portfolio engine.
-fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
-    use rzen_engine::{Engine, EngineConfig, Query, QueryBackend, Verdict};
+fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<(Capture, Option<String>)>) {
+    use rzen_engine::{Engine, EngineConfig, Query, Verdict};
 
     let mut cfg = EngineConfig {
         jobs: 4,
@@ -341,93 +379,33 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
     let mut show_metrics = false;
     let mut i = 0;
     while i < flags.len() {
-        match flags[i].as_str() {
-            "--profile-out" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--profile-out needs FILE"));
-                profile_out = Some(v.clone());
-                i += 2;
-            }
-            "--trace-out" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--trace-out needs FILE"));
-                trace_out = Some(v.clone());
-                i += 2;
-            }
-            "--stats-json" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--stats-json needs FILE"));
-                stats_json = Some(v.clone());
-                i += 2;
-            }
+        if engine_flag(&mut cfg, flags, i) {
+            i += 2;
+            continue;
+        }
+        let file = match flags[i].as_str() {
+            "--profile-out" => &mut profile_out,
+            "--trace-out" => &mut trace_out,
+            "--stats-json" => &mut stats_json,
+            "--verdicts-json" => &mut verdicts_json,
             "--metrics" => {
                 show_metrics = true;
                 i += 1;
-            }
-            "--verdicts-json" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--verdicts-json needs FILE"));
-                verdicts_json = Some(v.clone());
-                i += 2;
-            }
-            "--sessions" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--sessions needs on|off"));
-                cfg.sessions = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => fail(&format!("bad --sessions {other:?} (on|off)")),
-                };
-                i += 2;
-            }
-            "--jobs" => {
-                let v = flags.get(i + 1).unwrap_or_else(|| fail("--jobs needs N"));
-                cfg.jobs = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --jobs {v:?}: {e}")));
-                if cfg.jobs == 0 {
-                    fail("--jobs must be at least 1");
-                }
-                i += 2;
-            }
-            "--timeout-ms" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--timeout-ms needs MS"));
-                let ms: u64 = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --timeout-ms {v:?}: {e}")));
-                cfg.timeout = Some(std::time::Duration::from_millis(ms));
-                i += 2;
-            }
-            "--backend" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--backend needs bdd|smt|portfolio"));
-                cfg.backend = match v.as_str() {
-                    "bdd" => QueryBackend::Bdd,
-                    "smt" => QueryBackend::Smt,
-                    "portfolio" => QueryBackend::Portfolio,
-                    other => fail(&format!("unknown backend {other:?} (bdd|smt|portfolio)")),
-                };
-                i += 2;
+                continue;
             }
             other => fail(&format!("unknown batch flag {other:?}")),
-        }
+        };
+        *file = Some(flag_value(flags, i, "FILE").to_string());
+        i += 2;
     }
 
-    // An explicit --trace-out turns tracing on by itself; when both the
-    // flag and `RZEN_TRACE=<path>` name a file, the flag wins. The
-    // profile is a fold of the same trace.
-    let trace_path = trace_out.or(env_trace);
-    if trace_path.is_some() || profile_out.is_some() {
-        rzen_obs::trace::set_enabled(true);
-    }
+    // One capture feeds the trace and the profile: RZEN_TRACE's, which
+    // has recorded since startup, or one started for --trace-out /
+    // --profile-out. A --trace-out path wins over RZEN_TRACE's.
+    let (env_capture, env_path) = env_trace.unzip();
+    let trace_path = trace_out.or(env_path.flatten());
+    let capture = env_capture
+        .or_else(|| (trace_path.is_some() || profile_out.is_some()).then(Capture::start));
 
     let edges = spec.edge_ports();
     if edges.len() < 2 {
@@ -479,18 +457,14 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
             Verdict::Cancelled => "cancelled",
             Verdict::Error(_) => "ERROR",
         };
-        let via = if r.cache_hit {
-            " (cache)".to_string()
-        } else {
-            match r.winner {
-                Some(rzen::Backend::Bdd) => " (bdd)".to_string(),
-                Some(rzen::Backend::Smt) => " (smt)".to_string(),
-                None => String::new(),
-            }
+        let via = match (r.cache_hit, r.winner_name()) {
+            (true, _) => " (cache)".to_string(),
+            (false, Some(winner)) => format!(" ({winner})"),
+            (false, None) => String::new(),
         };
         let detail = match &r.verdict {
             Verdict::Sat(rzen_engine::Witness::Packet(p)) => {
-                format!("  witness {}", describe(&p.overlay_header))
+                format!("  witness {}", describe_header(&p.overlay_header))
             }
             _ => String::new(),
         };
@@ -504,46 +478,30 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
         println!("stats json -> {path}");
     }
     if let Some(path) = &verdicts_json {
-        // Only the verdicts: latencies, winners, and session counters may
-        // legitimately differ between runs (and between --sessions modes),
-        // so this file is byte-stable for diffing mode against mode.
-        let mut out = String::from("{\"verdicts\":[");
-        for (i, r) in report.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"kind\":\"{}\",\"verdict\":\"{}\"}}",
-                r.index,
-                r.kind,
-                r.verdict.class().as_str()
-            ));
-        }
-        out.push_str("]}\n");
-        std::fs::write(path, out).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        std::fs::write(path, report.verdicts_json())
+            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
         println!("verdicts json -> {path}");
     }
-    if rzen_obs::trace::enabled() {
-        let events = rzen_obs::trace::take_events();
+    if let Some(window) = capture.map(Capture::finish) {
         if let Some(path) = &trace_path {
-            std::fs::write(path, rzen_obs::export::chrome_trace(&events))
+            std::fs::write(path, rzen_obs::export::chrome_trace(&window.events))
                 .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            println!("chrome trace -> {path} ({} events)", events.len());
+            println!("chrome trace -> {path} ({} events)", window.events.len());
         }
         if let Some(path) = &profile_out {
-            let dropped = rzen_obs::trace::events_dropped();
-            let profile = rzen_obs::profile::Profile::cpu(&events, dropped);
+            let profile = rzen_obs::profile::Profile::cpu(&window);
             std::fs::write(path, profile.render(path.ends_with(".svg")))
                 .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
             println!(
                 "cpu profile -> {path} ({} stacks, {} µs of span wall time, \
-                 {dropped} events lost)",
+                 {} events lost)",
                 profile.rows.len(),
-                profile.total()
+                profile.total(),
+                window.dropped
             );
         }
         if show_metrics {
-            print!("{}", rzen_obs::export::phase_report(&events));
+            print!("{}", rzen_obs::export::phase_report(&window));
         }
     }
     if show_metrics {
@@ -553,8 +511,9 @@ fn run_batch(spec: &spec::Spec, flags: &[String], env_trace: Option<String>) {
 }
 
 /// `serve`: run the TCP query server until SIGTERM/ctrl-c, then drain
-/// and flush a final metrics (and, when tracing, Chrome-trace) snapshot.
-fn run_serve(spec_text: &str, flags: &[String]) {
+/// and flush a final metrics (and, under `RZEN_TRACE=FILE`, Chrome-trace)
+/// snapshot.
+fn run_serve(spec_text: &str, flags: &[String], env_trace: Option<(Capture, Option<String>)>) {
     use std::io::Write as _;
 
     let mut cfg = rzen_serve::ServerConfig {
@@ -562,111 +521,50 @@ fn run_serve(spec_text: &str, flags: &[String]) {
         handle_signals: true,
         ..Default::default()
     };
+    let mut engine = rzen_engine::EngineConfig {
+        jobs: cfg.jobs,
+        backend: cfg.backend,
+        timeout: cfg.timeout,
+        cache: true,
+        sessions: cfg.sessions,
+    };
     let mut i = 0;
     while i < flags.len() {
-        match flags[i].as_str() {
-            "--addr" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--addr needs HOST:PORT"));
-                cfg.addr = v.clone();
-                i += 2;
-            }
-            "--jobs" => {
-                let v = flags.get(i + 1).unwrap_or_else(|| fail("--jobs needs N"));
-                cfg.jobs = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --jobs {v:?}: {e}")));
-                if cfg.jobs == 0 {
-                    fail("--jobs must be at least 1");
-                }
-                i += 2;
-            }
-            "--backlog" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--backlog needs N"));
-                cfg.backlog = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --backlog {v:?}: {e}")));
-                i += 2;
-            }
-            "--timeout-ms" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--timeout-ms needs MS"));
-                let ms: u64 = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --timeout-ms {v:?}: {e}")));
-                cfg.timeout = Some(std::time::Duration::from_millis(ms));
-                i += 2;
-            }
-            "--sessions" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--sessions needs on|off"));
-                cfg.sessions = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => fail(&format!("bad --sessions {other:?} (on|off)")),
-                };
-                i += 2;
-            }
-            "--backend" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--backend needs bdd|smt|portfolio"));
-                cfg.backend = match v.as_str() {
-                    "bdd" => rzen_engine::QueryBackend::Bdd,
-                    "smt" => rzen_engine::QueryBackend::Smt,
-                    "portfolio" => rzen_engine::QueryBackend::Portfolio,
-                    other => fail(&format!("unknown backend {other:?} (bdd|smt|portfolio)")),
-                };
-                i += 2;
-            }
-            "--shards" => {
-                let v = flags.get(i + 1).unwrap_or_else(|| fail("--shards needs N"));
-                cfg.shards = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --shards {v:?}: {e}")));
-                if cfg.shards == 0 {
-                    fail("--shards must be at least 1");
-                }
-                i += 2;
-            }
+        if engine_flag(&mut engine, flags, i) {
+            i += 2;
+            continue;
+        }
+        let flag = flags[i].as_str();
+        match flag {
+            "--addr" => cfg.addr = flag_value(flags, i, "HOST:PORT").to_string(),
+            "--backlog" => cfg.backlog = parse_flag(flag, flag_value(flags, i, "N")),
             "--idle-timeout-ms" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--idle-timeout-ms needs MS"));
-                let ms: u64 = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --idle-timeout-ms {v:?}: {e}")));
+                let ms = parse_flag(flag, flag_value(flags, i, "MS"));
                 if ms == 0 {
                     fail("--idle-timeout-ms must be at least 1");
                 }
                 cfg.idle_timeout = Some(std::time::Duration::from_millis(ms));
-                i += 2;
             }
             "--debug-ops" => {
                 cfg.debug_ops = true;
                 i += 1;
+                continue;
             }
             "--flight-recorder-size" => {
-                let v = flags
-                    .get(i + 1)
-                    .unwrap_or_else(|| fail("--flight-recorder-size needs N"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("bad --flight-recorder-size {v:?}: {e}")));
+                let n = parse_flag(flag, flag_value(flags, i, "N"));
                 if n == 0 {
                     fail("--flight-recorder-size must be at least 1");
                 }
                 rzen_obs::flight::set_capacity(n);
-                i += 2;
             }
             other => fail(&format!("unknown serve flag {other:?}")),
         }
+        i += 2;
     }
+    cfg.jobs = engine.jobs;
+    cfg.backend = engine.backend;
+    cfg.timeout = engine.timeout;
+    cfg.sessions = engine.sessions;
 
     let model = rzen_serve::Model::parse(spec_text).unwrap_or_else(|e| fail(&e));
     let handle =
@@ -680,15 +578,11 @@ fn run_serve(spec_text: &str, flags: &[String]) {
     // Final observability snapshot after the drain: every in-flight span
     // is closed by now, so the export is complete.
     eprint!("{}", rzen_obs::metrics::registry().render_text());
-    if rzen_obs::trace::enabled() {
-        if let Ok(path) = std::env::var("RZEN_TRACE") {
-            if path != "1" {
-                let events = rzen_obs::trace::take_events();
-                std::fs::write(&path, rzen_obs::export::chrome_trace(&events))
-                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-                eprintln!("chrome trace -> {path} ({} events)", events.len());
-            }
-        }
+    if let Some((capture, Some(path))) = env_trace {
+        let events = capture.finish().events;
+        std::fs::write(&path, rzen_obs::export::chrome_trace(&events))
+            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        eprintln!("chrome trace -> {path} ({} events)", events.len());
     }
     println!("drained; bye");
 }

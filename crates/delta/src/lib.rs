@@ -43,7 +43,7 @@ use rzen_net::fwd::FwdRule;
 use rzen_net::ip::Prefix;
 use rzen_net::spec::{self, Spec};
 use rzen_net::topology::{DeltaStep, Device, Network, Touch};
-use rzen_obs::json::{escape, parse, Value};
+use rzen_obs::json::{parse, Value, Writer};
 use rzen_obs::Fnv1a;
 
 /// Which ACL slot of an interface a delta targets.
@@ -154,61 +154,47 @@ impl DeltaOp {
     /// Render as one NDJSON line (newline-terminated), parseable by
     /// [`parse_op`].
     pub fn to_line(&self) -> String {
-        let mut s = format!("{{\"op\":\"{}\"", self.name());
-        match self {
-            DeltaOp::AddDevice { name, intfs } => {
-                let ids: Vec<String> = intfs.iter().map(|i| i.to_string()).collect();
-                s.push_str(&format!(
-                    ",\"name\":\"{}\",\"intfs\":[{}]",
-                    escape(name),
-                    ids.join(",")
-                ));
-            }
-            DeltaOp::RemoveDevice { name } => {
-                s.push_str(&format!(",\"name\":\"{}\"", escape(name)));
-            }
-            DeltaOp::SetAcl {
-                device,
-                intf,
-                dir,
-                acl,
-            } => {
-                s.push_str(&format!(
-                    ",\"device\":\"{}\",\"intf\":{intf},\"dir\":\"{}\",\"acl\":\"{}\"",
-                    escape(device),
-                    dir.name(),
-                    escape(acl)
-                ));
-            }
-            DeltaOp::RemoveAcl { device, intf, dir } => {
-                s.push_str(&format!(
-                    ",\"device\":\"{}\",\"intf\":{intf},\"dir\":\"{}\"",
-                    escape(device),
-                    dir.name()
-                ));
-            }
-            DeltaOp::SetRoute {
-                device,
-                prefix,
-                port,
-            } => {
-                s.push_str(&format!(
-                    ",\"device\":\"{}\",\"prefix\":\"{prefix}\",\"port\":{port}",
-                    escape(device)
-                ));
-            }
-            DeltaOp::RemoveRoute { device, prefix } => {
-                s.push_str(&format!(
-                    ",\"device\":\"{}\",\"prefix\":\"{prefix}\"",
-                    escape(device)
-                ));
-            }
-            DeltaOp::LinkUp { a, b } | DeltaOp::LinkDown { a, b } => {
-                s.push_str(&format!(",\"a\":\"{}\",\"b\":\"{}\"", escape(a), escape(b)));
-            }
-        }
-        s.push_str("}\n");
-        s
+        let mut w = Writer::new();
+        w.obj(|w| {
+            w.field("op", self.name());
+            match self {
+                DeltaOp::AddDevice { name, intfs } => w.field("name", name).key("intfs").arr(|w| {
+                    for i in intfs {
+                        w.value(i);
+                    }
+                }),
+                DeltaOp::RemoveDevice { name } => w.field("name", name),
+                DeltaOp::SetAcl {
+                    device,
+                    intf,
+                    dir,
+                    acl,
+                } => w
+                    .field("device", device)
+                    .field("intf", intf)
+                    .field("dir", dir.name())
+                    .field("acl", acl),
+                DeltaOp::RemoveAcl { device, intf, dir } => w
+                    .field("device", device)
+                    .field("intf", intf)
+                    .field("dir", dir.name()),
+                DeltaOp::SetRoute {
+                    device,
+                    prefix,
+                    port,
+                } => w
+                    .field("device", device)
+                    .field("prefix", prefix.to_string())
+                    .field("port", port),
+                DeltaOp::RemoveRoute { device, prefix } => w
+                    .field("device", device)
+                    .field("prefix", prefix.to_string()),
+                DeltaOp::LinkUp { a, b } | DeltaOp::LinkDown { a, b } => {
+                    w.field("a", a).field("b", b)
+                }
+            };
+        });
+        w.line()
     }
 }
 

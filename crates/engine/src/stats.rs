@@ -5,6 +5,7 @@ use std::fmt;
 use std::time::Duration;
 
 use rzen::Backend;
+use rzen_obs::json::Writer;
 
 use crate::query::Verdict;
 
@@ -34,6 +35,15 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
+    /// The deciding backend's wire name (`"bdd"` / `"smt"`), if one ran
+    /// to a verdict.
+    pub fn winner_name(&self) -> Option<&'static str> {
+        self.winner.map(|b| match b {
+            Backend::Bdd => "bdd",
+            Backend::Smt => "smt",
+        })
+    }
+
     /// Classify which backend answered, for the flight recorder: cache
     /// hits trump the (absent) winner, undecided queries map to `None`.
     pub fn backend_class(&self) -> rzen_obs::BackendClass {
@@ -74,73 +84,75 @@ pub struct BatchReport {
 impl BatchReport {
     /// Serialize the full report as a JSON object: per-query results (in
     /// input order), the batch-level aggregation, and a snapshot of the
-    /// global `rzen-obs` metrics registry. The output is self-contained
-    /// machine-readable JSON — no serde in this tree, so it is written by
-    /// hand and covered by the `rzen-obs` JSON validator in tests.
+    /// global `rzen-obs` metrics registry.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"results\":[");
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let verdict = r.verdict.class().as_str();
-            let winner = match r.winner {
-                Some(Backend::Bdd) => "\"bdd\"",
-                Some(Backend::Smt) => "\"smt\"",
-                None => "null",
-            };
-            out.push_str(&format!(
-                "{{\"index\":{},\"kind\":\"{}\",\"verdict\":\"{}\",\"latency_us\":{},\"winner\":{},\"cache_hit\":{}}}",
-                r.index,
-                rzen_obs::json::escape(r.kind),
-                verdict,
-                r.latency.as_micros(),
-                winner,
-                r.cache_hit,
-            ));
-        }
-        out.push_str("],\"stats\":{");
-        let s = &self.stats;
-        out.push_str(&format!(
-            "\"total\":{},\"sat\":{},\"unsat\":{},\"timeout\":{},\"cancelled\":{},\"errors\":{},\
-             \"cache_hits\":{},\"bdd_wins\":{},\"smt_wins\":{},\"wall_us\":{},\
-             \"latency_p50_us\":{},\"latency_p95_us\":{},\"latency_max_us\":{},\
-             \"sat_conflicts\":{},\"sat_propagations\":{},\"sat_learned\":{},\"sat_restarts\":{},\
-             \"sat_deleted\":{},\"sat_gcs\":{},\"sat_lbd_sum\":{},\
-             \"bdd_nodes\":{},\"bdd_cache_lookups\":{},\"bdd_cache_hits\":{},\
-             \"session_bitblast_hits\":{},\"session_sat_carried\":{},\"session_bdd_reused\":{}",
-            s.total,
-            s.sat,
-            s.unsat,
-            s.timeout,
-            s.cancelled,
-            s.errors,
-            s.cache_hits,
-            s.bdd_wins,
-            s.smt_wins,
-            s.wall.as_micros(),
-            s.latency_p50.as_micros(),
-            s.latency_p95.as_micros(),
-            s.latency_max.as_micros(),
-            s.sat_conflicts,
-            s.sat_propagations,
-            s.sat_learned,
-            s.sat_restarts,
-            s.sat_deleted,
-            s.sat_gcs,
-            s.sat_lbd_sum,
-            s.bdd_nodes,
-            s.bdd_cache_lookups,
-            s.bdd_cache_hits,
-            s.session_bitblast_hits,
-            s.session_sat_carried,
-            s.session_bdd_reused,
-        ));
-        out.push_str("},\"metrics\":");
-        out.push_str(&rzen_obs::metrics::registry().render_json());
-        out.push('}');
-        out
+        let mut w = Writer::with_capacity(4096);
+        w.obj(|w| {
+            w.key("results").arr(|w| {
+                for r in &self.results {
+                    w.obj(|w| {
+                        w.field("index", r.index)
+                            .field("kind", r.kind)
+                            .field("verdict", r.verdict.class().as_str())
+                            .field("latency_us", r.latency.as_micros())
+                            .field("winner", r.winner_name())
+                            .field("cache_hit", r.cache_hit);
+                    });
+                }
+            });
+            let s = &self.stats;
+            w.key("stats").obj(|w| {
+                w.field("total", s.total)
+                    .field("sat", s.sat)
+                    .field("unsat", s.unsat)
+                    .field("timeout", s.timeout)
+                    .field("cancelled", s.cancelled)
+                    .field("errors", s.errors)
+                    .field("cache_hits", s.cache_hits)
+                    .field("bdd_wins", s.bdd_wins)
+                    .field("smt_wins", s.smt_wins)
+                    .field("wall_us", s.wall.as_micros())
+                    .field("latency_p50_us", s.latency_p50.as_micros())
+                    .field("latency_p95_us", s.latency_p95.as_micros())
+                    .field("latency_max_us", s.latency_max.as_micros())
+                    .field("sat_conflicts", s.sat_conflicts)
+                    .field("sat_propagations", s.sat_propagations)
+                    .field("sat_learned", s.sat_learned)
+                    .field("sat_restarts", s.sat_restarts)
+                    .field("sat_deleted", s.sat_deleted)
+                    .field("sat_gcs", s.sat_gcs)
+                    .field("sat_lbd_sum", s.sat_lbd_sum)
+                    .field("bdd_nodes", s.bdd_nodes)
+                    .field("bdd_cache_lookups", s.bdd_cache_lookups)
+                    .field("bdd_cache_hits", s.bdd_cache_hits)
+                    .field("session_bitblast_hits", s.session_bitblast_hits)
+                    .field("session_sat_carried", s.session_sat_carried)
+                    .field("session_bdd_reused", s.session_bdd_reused);
+            });
+            w.key("metrics");
+            rzen_obs::metrics::registry().write_json(w);
+        });
+        w.finish()
+    }
+
+    /// Serialize only the verdicts, `{"verdicts":[{index,kind,verdict}..]}`
+    /// plus a newline. Latencies, winners and session counters may
+    /// legitimately differ between runs and between session scopes, so
+    /// this is the byte-stable view for diffing one mode against another.
+    pub fn verdicts_json(&self) -> String {
+        let mut w = Writer::with_capacity(64 * self.results.len() + 16);
+        w.obj(|w| {
+            w.key("verdicts").arr(|w| {
+                for r in &self.results {
+                    w.obj(|w| {
+                        w.field("index", r.index)
+                            .field("kind", r.kind)
+                            .field("verdict", r.verdict.class().as_str());
+                    });
+                }
+            });
+        });
+        w.line()
     }
 }
 

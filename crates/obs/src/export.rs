@@ -4,8 +4,8 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
-use crate::json::escape;
-use crate::trace::{Event, Phase};
+use crate::json::Writer;
+use crate::trace::{Event, Phase, Window};
 
 /// Render events as Chrome trace-event JSON (the "JSON array format"),
 /// loadable in Perfetto or `chrome://tracing`. Spans become complete
@@ -14,44 +14,33 @@ use crate::trace::{Event, Phase};
 /// the trace epoch. The event's subsystem (the first dotted name segment)
 /// is exposed as the `cat` field so the UI can filter by layer.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 2);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let us = |ns: u64| ns as f64 / 1_000.0;
+    let mut w = Writer::with_capacity(events.len() * 96 + 2);
+    w.arr(|w| {
+        for e in events {
+            w.obj(|w| {
+                let cat = e.name.split('.').next().unwrap_or("misc");
+                w.field("name", e.name)
+                    .field("cat", cat)
+                    .field("pid", 1u64)
+                    .field("tid", e.tid)
+                    .field("ts", us(e.start_ns));
+                match e.phase {
+                    Phase::Span => w.field("ph", "X").field("dur", us(e.dur_ns)),
+                    Phase::Instant => w.field("ph", "i").field("s", "t"),
+                };
+                let mut args = e.args.iter().filter(|a| !a.key.is_empty()).peekable();
+                if args.peek().is_some() {
+                    w.key("args").obj(|w| {
+                        for a in args {
+                            w.field(a.key, a.val);
+                        }
+                    });
+                }
+            });
         }
-        out.push_str("\n{");
-        let cat = e.name.split('.').next().unwrap_or("misc");
-        out.push_str(&format!(
-            "\"name\":\"{}\",\"cat\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-            escape(e.name),
-            escape(cat),
-            e.tid,
-            fmt_us(e.start_ns)
-        ));
-        match e.phase {
-            Phase::Span => out.push_str(&format!(",\"ph\":\"X\",\"dur\":{}", fmt_us(e.dur_ns))),
-            Phase::Instant => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
-        }
-        let args: Vec<String> = e
-            .args
-            .iter()
-            .filter(|a| !a.key.is_empty())
-            .map(|a| format!("\"{}\":{}", escape(a.key), a.val))
-            .collect();
-        if !args.is_empty() {
-            out.push_str(&format!(",\"args\":{{{}}}", args.join(",")));
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Nanoseconds → microseconds with three decimals (Chrome's `ts` unit),
-/// without going through floats (exact, locale-free).
-fn fmt_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+    });
+    w.line()
 }
 
 #[derive(Default)]
@@ -62,13 +51,13 @@ struct PhaseAgg {
     instants: u64,
 }
 
-/// Render a human-readable report: every span name aggregated (count,
-/// total, mean, max), indented hierarchically by its dotted name segments
-/// so `bdd.solve` and `bdd.any_sat` group under `bdd`. Instant events are
-/// listed with counts only.
-pub fn phase_report(events: &[Event]) -> String {
+/// Render a human-readable report of a capture window: every span name
+/// aggregated (count, total, mean, max), indented hierarchically by its
+/// dotted name segments so `bdd.solve` and `bdd.any_sat` group under
+/// `bdd`. Instant events are listed with counts only.
+pub fn phase_report(window: &Window) -> String {
     let mut agg: BTreeMap<&'static str, PhaseAgg> = BTreeMap::new();
-    for e in events {
+    for e in &window.events {
         let a = agg.entry(e.name).or_default();
         match e.phase {
             Phase::Span => {
@@ -83,7 +72,7 @@ pub fn phase_report(events: &[Event]) -> String {
         return "phase report: no events recorded\n".to_string();
     }
     let mut out = String::from("phase report (per span name: count / total / mean / max)\n");
-    let dropped = crate::trace::events_dropped();
+    let dropped = window.dropped;
     if dropped > 0 {
         out.push_str(&format!(
             "  WARNING: {dropped} events lost to span-ring wrap-around — totals undercount\n"
@@ -244,7 +233,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"cat\":\"bdd\""));
-        assert!(json.contains("\"ts\":1.500"));
+        assert!(json.contains("\"ts\":1.5,"));
         assert!(json.contains("\"args\":{\"n\":2}"));
     }
 
@@ -262,12 +251,15 @@ mod tests {
             ev("engine.query", Phase::Span, 20, 9_000),
             ev("sat.restart", Phase::Instant, 30, 0),
         ];
-        let report = phase_report(&events);
+        let report = phase_report(&Window {
+            events,
+            ..Window::default()
+        });
         assert!(report.contains("bdd.solve"));
         assert!(report.contains("2 ×"));
         assert!(report.contains("engine.query"));
         assert!(report.contains("sat.restart"));
-        assert!(phase_report(&[]).contains("no events"));
+        assert!(phase_report(&Window::default()).contains("no events"));
     }
 
     fn on(tid: u32, name: &'static str, phase: Phase, at_us: u64, us: u64, bytes: u64) -> Event {
@@ -284,7 +276,7 @@ mod tests {
 
     #[test]
     fn folded_spans_rebuild_nesting_exactly() {
-        // In `take_events` order: by start, threads interleaved, and a
+        // In capture order: by start, threads interleaved, and a
         // child recorded before the parent it shares a start with.
         let events = vec![
             on(1, "engine.query", Phase::Span, 0, 6, 50),

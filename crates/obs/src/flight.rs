@@ -254,8 +254,8 @@ pub struct RequestRecord {
     /// `FLAG_*` bits.
     pub flags: u8,
     /// Heap bytes the worker allocated serving this request, as tallied
-    /// by [`crate::profile::CountingAlloc`]. Zero unless recording
-    /// ([`crate::trace::set_enabled`]) was on while the request ran.
+    /// by [`crate::profile::CountingAlloc`]. Zero unless a
+    /// [`crate::trace::Capture`] was live while the request ran.
     pub alloc_bytes: u64,
     /// Allocation count behind `alloc_bytes` (same enablement rule).
     pub alloc_count: u64,
@@ -319,31 +319,27 @@ impl RequestRecord {
         }
     }
 
-    /// Render as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"req\":{},\"start_us\":{},\"latency_us\":{},\"op\":\"{}\",\"src\":\"{}\",\
-             \"dst\":\"{}\",\"verdict\":\"{}\",\"backend\":\"{}\",\"cache_hit\":{},\
-             \"coalesced\":{},\"session\":{},\"leader\":{},\"model\":\"{:016x}\",\"generation\":{},\
-             \"alloc_bytes\":{},\"alloc_count\":{},\"shard\":{}}}",
-            self.id,
-            self.start_us,
-            self.latency_us,
-            crate::json::escape(self.op.as_str()),
-            crate::json::escape(self.src.as_str()),
-            crate::json::escape(self.dst.as_str()),
-            self.verdict.as_str(),
-            self.backend.as_str(),
-            self.flags & FLAG_CACHE_HIT != 0,
-            self.flags & FLAG_COALESCED != 0,
-            self.flags & FLAG_SESSION != 0,
-            self.leader,
-            self.model,
-            self.generation,
-            self.alloc_bytes,
-            self.alloc_count,
-            i64::from(self.shard) - 1,
-        )
+    /// Write as one JSON object.
+    fn write_json(&self, w: &mut crate::json::Writer) {
+        w.obj(|w| {
+            w.field("req", self.id)
+                .field("start_us", self.start_us)
+                .field("latency_us", self.latency_us)
+                .field("op", self.op.as_str())
+                .field("src", self.src.as_str())
+                .field("dst", self.dst.as_str())
+                .field("verdict", self.verdict.as_str())
+                .field("backend", self.backend.as_str())
+                .field("cache_hit", self.flags & FLAG_CACHE_HIT != 0)
+                .field("coalesced", self.flags & FLAG_COALESCED != 0)
+                .field("session", self.flags & FLAG_SESSION != 0)
+                .field("leader", self.leader)
+                .field("model", format!("{:016x}", self.model))
+                .field("generation", self.generation)
+                .field("alloc_bytes", self.alloc_bytes)
+                .field("alloc_count", self.alloc_count)
+                .field("shard", i64::from(self.shard) - 1);
+        });
     }
 }
 
@@ -560,17 +556,9 @@ pub fn records_written() -> u64 {
 
 /// Render `records` as a JSON array (`/debug/requests`, `/debug/slow`).
 pub fn render_json(records: &[RequestRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 160 + 2);
-    out.push('[');
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(&r.to_json());
-    }
-    out.push_str("\n]\n");
-    out
+    let mut w = crate::json::Writer::with_capacity(records.len() * 320 + 2);
+    w.arr(|w| records.iter().for_each(|r| r.write_json(w)));
+    w.line()
 }
 
 /// Render the slow table as an aligned text table (CLI `batch` output).
@@ -642,8 +630,11 @@ mod tests {
         r.alloc_count = 3;
         r.flags = FLAG_CACHE_HIT | FLAG_SESSION;
         r.shard = 513;
-        // to_json covers every field, so equal JSON means a faithful trip.
-        assert_eq!(RequestRecord::decode(&r.encode()).to_json(), r.to_json());
+        // The JSON covers every field, so equal JSON means a faithful trip.
+        assert_eq!(
+            render_json(&[RequestRecord::decode(&r.encode())]),
+            render_json(&[r])
+        );
 
         for verdict in [
             VerdictClass::Sat,

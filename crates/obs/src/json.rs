@@ -1,23 +1,202 @@
-//! Minimal JSON helpers: string escaping for the exporters, a
-//! dependency-free syntax validator used by tests and CI to check that
-//! the emitted trace/stats files are well-formed, and a small [`Value`]
-//! parser used by the serve layer to read wire-protocol requests.
+//! The workspace's one JSON implementation: the [`Writer`] every emitter
+//! (wire lines, HTTP bodies, trace and stats files) renders through, a
+//! small [`Value`] parser the serve and delta layers read requests with,
+//! and a syntax validator tests and CI check emitted files with.
+
+use std::fmt::Write as _;
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(&mut out, s);
+    out
+}
+
+/// Append `s` escaped: `"` and `\` backslashed, control characters as
+/// `\n`, `\r`, `\t` or `\u00XX`, everything else (non-ASCII included)
+/// verbatim.
+fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// A JSON leaf the [`Writer`] can emit: a string, a number, a bool, or
+/// `None` as `null`.
+pub trait Scalar {
+    /// Append this value's JSON token.
+    fn write_to(&self, out: &mut String);
+}
+
+impl Scalar for str {
+    fn write_to(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl Scalar for String {
+    fn write_to(&self, out: &mut String) {
+        self.as_str().write_to(out);
+    }
+}
+
+/// Non-finite floats have no JSON token and render as `null`; finite
+/// ones in Rust's shortest round-trip form.
+impl Scalar for f64 {
+    fn write_to(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
         }
     }
-    out
+}
+
+/// Integers and bools: their `Display` form is their JSON token.
+macro_rules! display_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_to(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_scalar!(bool, u8, u32, u64, u128, usize, i64);
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_to(&self, out: &mut String) {
+        (**self).write_to(out);
+    }
+}
+
+impl<T: Scalar> Scalar for Option<T> {
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_to(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// Appends one JSON document to a `String`: compact (no whitespace),
+/// members in call order. Separators are the writer's job, so callers
+/// only say what comes next:
+///
+/// ```
+/// let mut w = rzen_obs::json::Writer::new();
+/// w.arr(|w| {
+///     w.obj(|w| {
+///         w.field("op", "reach").field("ok", true).field("n", None::<u64>);
+///         w.key("xs").arr(|w| {
+///             w.value(-1i64).value(0.5).value(f64::NAN);
+///         });
+///     });
+///     w.obj(|_| {});
+/// });
+/// assert_eq!(
+///     w.line(),
+///     "[{\"op\":\"reach\",\"ok\":true,\"n\":null,\"xs\":[-1,0.5,null]},{}]\n"
+/// );
+/// ```
+#[derive(Default)]
+pub struct Writer {
+    out: String,
+    /// The next value or key follows a sibling and needs a comma.
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// An empty writer with room for `bytes` of output.
+    pub fn with_capacity(bytes: usize) -> Writer {
+        Writer {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+    }
+
+    /// Start an object member: the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.sep();
+        key.write_to(&mut self.out);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Write one leaf value (an array element, or a member's after [`Writer::key`]).
+    pub fn value(&mut self, v: impl Scalar) -> &mut Writer {
+        self.sep();
+        v.write_to(&mut self.out);
+        self.comma = true;
+        self
+    }
+
+    /// Write one object member with a leaf value.
+    pub fn field(&mut self, key: &str, v: impl Scalar) -> &mut Writer {
+        self.key(key).value(v)
+    }
+
+    fn nest(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// Write an object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nest('{', '}', body)
+    }
+
+    /// Write an array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Writer {
+        self.nest('[', ']', body)
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// The document as one NDJSON line (newline-terminated).
+    pub fn line(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
 }
 
 /// Validate that `s` is a single well-formed JSON value (syntax only —

@@ -3,7 +3,7 @@
 //! A dependency-free measurement substrate shared by every crate in the
 //! workspace: the BDD manager, the CDCL solver, the bit-level compiler,
 //! and the batch engine all report into it, and the CLI / bench harness
-//! read it back out. Three pieces:
+//! read it back out. The pieces:
 //!
 //! * **Metrics** ([`metrics`]) — a global registry of atomic counters,
 //!   gauges, and log₂-bucketed histograms, registered lazily at the call
@@ -13,15 +13,15 @@
 //!   never inside the per-node hot loops.
 //!
 //! * **Tracing** ([`trace`]) — lightweight spans and instant events
-//!   recorded into fixed-capacity per-thread ring buffers. Every recording
-//!   site is gated behind a single relaxed atomic load ([`trace::enabled`]),
-//!   so the *disabled* cost on a hot path — the contract the solver
-//!   substrates rely on — is one load and one predictable branch: no
-//!   allocation, no lock, no timestamp. Enabling recording
-//!   ([`trace::set_enabled`]) allocates one ring buffer per recording
-//!   thread on first use, timestamps events against a process-wide
-//!   monotonic epoch, and turns on allocation counting: each span event
-//!   carries the bytes its thread allocated while it was open.
+//!   recorded into fixed-capacity per-thread ring buffers while any
+//!   [`trace::Capture`] is live. Every recording site is gated behind a
+//!   single relaxed atomic load ([`trace::enabled`]), so the *disabled*
+//!   cost on a hot path — the contract the solver substrates rely on — is
+//!   one load and one predictable branch: no allocation, no lock, no
+//!   timestamp. A capture is the only way to record: it turns recording
+//!   and allocation counting on, and [`trace::Capture::finish`] copies out
+//!   the events that started inside its window. Captures overlap without
+//!   blocking or stealing from each other.
 //!
 //! * **Profiling** ([`profile`]) — two folded-stack views, both one fold
 //!   of the trace rings ([`export::folded_spans`]) that charges every
@@ -30,7 +30,7 @@
 //!   by the [`CountingAlloc`] global-allocator wrapper, plus an
 //!   `<untracked>` residual). Both export as folded-stack text or a
 //!   self-contained flamegraph SVG ([`flame`]). Disabled cost: the same
-//!   single relaxed atomic load as tracing — it is the same switch.
+//!   single relaxed atomic load as tracing.
 //!
 //! * **Flight recorder** ([`flight`]) — an always-on, lock-free ring of
 //!   per-request [`RequestRecord`]s plus a top-K slow-query table, written
@@ -39,29 +39,30 @@
 //!   identity ([`RequestCtx`]) is minted here so ids are process-unique
 //!   across serve, engine, and backend spans.
 //!
-//! * **Export** ([`export`]) — the recorded events render as Chrome
+//! * **Export** ([`export`]) — a capture's events render as Chrome
 //!   trace-event JSON (loadable in Perfetto or `chrome://tracing`), as a
 //!   human-readable hierarchical phase report, or as folded span stacks;
 //!   the metric registry renders as an aligned text table or a JSON
-//!   object. A minimal JSON
-//!   syntax validator ([`json::validate`]) lets tests and CI check the
-//!   emitted files without external tooling.
+//!   object.
+//!
+//! * **JSON** ([`json`]) — the one writer every JSON emitter in the
+//!   workspace renders through, a small parser for wire requests, and a
+//!   syntax validator tests and CI check emitted files with.
 //!
 //! ## Example
 //!
 //! ```
 //! use rzen_obs::{counter, histogram, span, trace};
 //!
-//! trace::set_enabled(true);
+//! let capture = trace::Capture::start();
 //! {
 //!     let _span = span!("demo.phase", "items" => 3);
 //!     counter!("demo.calls", "how often the demo ran").inc();
 //!     histogram!("demo.latency_us").observe(125);
 //! }
-//! trace::set_enabled(false);
-//! let events = trace::take_events();
-//! assert!(events.iter().any(|e| e.name == "demo.phase"));
-//! let json = rzen_obs::export::chrome_trace(&events);
+//! let window = capture.finish();
+//! assert!(window.events.iter().any(|e| e.name == "demo.phase"));
+//! let json = rzen_obs::export::chrome_trace(&window.events);
 //! rzen_obs::json::validate(&json).unwrap();
 //! ```
 
@@ -115,25 +116,5 @@ impl std::hash::Hasher for Fnv1a {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-}
-
-/// Read the `RZEN_TRACE` environment variable and enable tracing if it is
-/// set to anything other than empty or `0`. Returns the trace output path
-/// when the value names one (any value other than `1`); `RZEN_TRACE=1`
-/// enables tracing without choosing a file (callers print the phase report
-/// instead).
-pub fn init_from_env() -> Option<String> {
-    match std::env::var("RZEN_TRACE") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) => {
-            trace::set_enabled(true);
-            if v == "1" {
-                None
-            } else {
-                Some(v)
-            }
-        }
-        Err(_) => None,
     }
 }

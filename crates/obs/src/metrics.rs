@@ -415,30 +415,29 @@ impl Registry {
         out
     }
 
-    /// Render every metric as one JSON object keyed by metric name (with a
+    /// Write every metric as one JSON object keyed by metric name (with a
     /// `{k=v}` suffix for labeled metrics).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, s) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    pub fn write_json(&self, w: &mut crate::json::Writer) {
+        w.obj(|w| {
+            for s in self.snapshot() {
+                w.key(&s.display_name());
+                match s.value {
+                    SnapshotValue::Counter(v) => w.value(v),
+                    SnapshotValue::Gauge(v) => w.value(v),
+                    SnapshotValue::Histogram {
+                        count,
+                        sum,
+                        p50,
+                        p95,
+                    } => w.obj(|w| {
+                        w.field("count", count)
+                            .field("sum", sum)
+                            .field("p50", p50)
+                            .field("p95", p95);
+                    }),
+                };
             }
-            out.push_str(&format!("\"{}\":", crate::json::escape(&s.display_name())));
-            match s.value {
-                SnapshotValue::Counter(v) => out.push_str(&v.to_string()),
-                SnapshotValue::Gauge(v) => out.push_str(&v.to_string()),
-                SnapshotValue::Histogram {
-                    count,
-                    sum,
-                    p50,
-                    p95,
-                } => out.push_str(&format!(
-                    "{{\"count\":{count},\"sum\":{sum},\"p50\":{p50},\"p95\":{p95}}}"
-                )),
-            }
-        }
-        out.push('}');
-        out
+        });
     }
 
     /// Render every metric in the Prometheus text exposition format
@@ -726,8 +725,9 @@ mod tests {
         assert_eq!(keys, sorted);
         let text = registry().render_text();
         assert!(text.contains("test.metrics.aa"));
-        let json = registry().render_json();
-        crate::json::validate(&json).unwrap();
+        let mut json = crate::json::Writer::new();
+        registry().write_json(&mut json);
+        crate::json::validate(&json.finish()).unwrap();
     }
 
     #[test]

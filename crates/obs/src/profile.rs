@@ -1,11 +1,11 @@
 //! Allocation counting and the two profile views.
 //!
 //! [`CountingAlloc`] is a `#[global_allocator]` wrapper over the system
-//! allocator. While recording is on ([`crate::trace::set_enabled`]) it
-//! keeps global and per-thread alloc byte/count tallies; each span
+//! allocator. While recording is on (a [`crate::trace::Capture`] is
+//! live) it keeps global and per-thread alloc byte/count tallies; each span
 //! event carries its thread's byte delta over the span
 //! ([`crate::trace::Event::alloc_bytes`]). Both views are one fold of
-//! the trace rings ([`crate::export::folded_spans`]): the cpu view
+//! a capture's [`Window`] ([`crate::export::folded_spans`]): the cpu view
 //! weighs stacks by span wall time, the heap view by allocated bytes.
 //! Bytes allocated outside any recorded span land in an explicit
 //! [`UNTRACKED`] row computed residually against the global allocator
@@ -15,7 +15,7 @@
 //! ## The overhead contract
 //!
 //! While recording is off, an allocation costs one relaxed atomic load
-//! (the recording switch in [`crate::trace`]) before deferring to the
+//! ([`crate::trace::enabled`]) before deferring to the
 //! system allocator. No timestamps, no locks, no thread-locals are
 //! touched on the disabled path.
 
@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::export::{folded_spans, folded_text, Weight};
-use crate::trace::Event;
+use crate::trace::Window;
 
 /// Unread. perfbench builds `ServerConfig` as a struct literal naming
 /// this constant; the perfbench narrowing removes it.
@@ -171,7 +171,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 // The views
 // ---------------------------------------------------------------------------
 
-/// One profile view of a trace window: folded rows plus the title and
+/// One profile view of a capture window: folded rows plus the title and
 /// unit its flamegraph is drawn with.
 pub struct Profile {
     /// `(stack, weight)` rows, heaviest first.
@@ -181,10 +181,11 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// The cpu view: µs of span wall time per stack. `dropped` is the
-    /// number of events the rings lost to wrap-around over the window.
-    pub fn cpu(events: &[Event], dropped: u64) -> Profile {
-        let rows = folded_spans(events, Weight::WallUs);
+    /// The cpu view: µs of span wall time per stack; the title counts
+    /// the window's events the rings lost to wrap-around.
+    pub fn cpu(window: &Window) -> Profile {
+        let rows = folded_spans(&window.events, Weight::WallUs);
+        let dropped = window.dropped;
         let total: u64 = rows.iter().map(|(_, us)| us).sum();
         Profile {
             rows,
@@ -197,14 +198,13 @@ impl Profile {
     }
 
     /// The heap view: allocated bytes per stack, plus an [`UNTRACKED`]
-    /// row holding whatever of `window_bytes` (the
-    /// [`global_heap_stats`] alloc-byte delta over the window) no
-    /// recorded span accounts for.
-    pub fn heap(events: &[Event], window_bytes: u64) -> Profile {
-        let mut rows = folded_spans(events, Weight::Bytes);
+    /// row holding whatever of the window's allocated bytes no recorded
+    /// span accounts for.
+    pub fn heap(window: &Window) -> Profile {
+        let mut rows = folded_spans(&window.events, Weight::Bytes);
         rows.retain(|(_, bytes)| *bytes > 0);
         let named: u64 = rows.iter().map(|(_, bytes)| bytes).sum();
-        let untracked = window_bytes.saturating_sub(named);
+        let untracked = window.alloc_bytes.saturating_sub(named);
         if untracked > 0 {
             rows.push((UNTRACKED.to_string(), untracked));
         }
@@ -238,15 +238,13 @@ mod tests {
     #[test]
     fn heap_charges_to_innermost_span() {
         let _g = crate::trace::tests::lock();
-        crate::trace::clear();
-        crate::trace::set_enabled(true);
+        let cap = crate::trace::Capture::start();
         {
             let _outer = crate::span!("test.profile.outer");
             let _span = crate::span!("test.profile.heapspan");
             std::hint::black_box(vec![0u8; 4096]);
         }
-        crate::trace::set_enabled(false);
-        let rows = Profile::heap(&crate::trace::take_events(), 0).rows;
+        let rows = Profile::heap(&cap.finish()).rows;
         let named = rows
             .iter()
             .find(|(stack, _)| stack == "test.profile.outer;test.profile.heapspan")

@@ -1,75 +1,170 @@
-//! Lightweight spans and instant events in per-thread ring buffers.
+//! Lightweight spans and instant events in per-thread ring buffers,
+//! recorded while at least one [`Capture`] is live.
 //!
 //! ## The overhead contract
 //!
 //! Every recording site — [`Span::enter`], [`instant`], and friends —
-//! starts with a single relaxed atomic load of the one recording switch
-//! ([`enabled`]) and returns immediately when it is off. The *disabled*
-//! path therefore
-//! costs one load plus one well-predicted branch: no allocation, no lock,
-//! no `Instant::now()`. This is the contract that lets the BDD manager's
-//! `mk()` and the CDCL solver's `propagate()` carry trace hooks
-//! permanently; `tests/obs.rs` in the integration crate asserts it by
-//! driving both hot paths with tracing disabled and checking that no
-//! thread buffer was ever allocated and no event recorded. The same
-//! switch gates [`crate::profile::CountingAlloc`], so an allocation
-//! also pays one load while recording is off.
+//! starts with a single relaxed atomic load ([`enabled`]: is any capture
+//! live?) and returns immediately when none is. The *disabled* path
+//! therefore costs one load plus one well-predicted branch: no
+//! allocation, no lock, no `Instant::now()`. This is the contract that
+//! lets the BDD manager's `mk()` and the CDCL solver's `propagate()`
+//! carry trace hooks permanently; `tests/obs.rs` in the integration
+//! crate asserts it by driving both hot paths with no capture live and
+//! checking that no thread buffer was ever allocated and no event
+//! recorded. The same load gates [`crate::profile::CountingAlloc`], so
+//! an allocation also pays one load while nothing records.
 //!
-//! When tracing is enabled, a recording thread lazily allocates one
-//! fixed-capacity ring buffer (registered globally so exporters can reach
-//! it after the thread exits) and writes events with monotonic
-//! timestamps taken against a process-wide epoch. Each span event also
-//! carries the bytes its thread allocated while it was open
-//! ([`Event::alloc_bytes`]); the recorder's own ring growth is not
-//! counted. The ring wraps: a storm
-//! of events costs memory proportional to the thread count, never the
-//! event count, and the `dropped` tally records how much history was lost.
+//! ## Recording
 //!
-//! The rings are also both profile views' only source:
-//! [`crate::export::folded_spans`] folds a window's span events into
-//! exact `a;b;c weight` stacks of span wall time or allocated bytes. Two
-//! limits carry over from the rings: a span still open when the window
-//! closes is not recorded yet, and only the last [`DEFAULT_RING_CAPACITY`]
-//! events per thread survive (`trace.dropped_events_total` counts the
-//! rest).
+//! A recording thread lazily allocates one fixed-capacity ring buffer
+//! (registered globally so a capture can read it after the thread exits)
+//! and writes events with monotonic timestamps taken against a
+//! process-wide epoch. Each span event also carries the bytes its thread
+//! allocated while it was open ([`Event::alloc_bytes`]); the recorder's
+//! own ring growth is not counted. The ring wraps: a storm of events
+//! costs memory proportional to the thread count, never the event
+//! count, and `trace.dropped_events_total` counts the history lost.
+//!
+//! ## Captures
+//!
+//! [`Capture::start`] opens a window and [`Capture::finish`] closes it,
+//! returning a [`Window`]: the events that *started* inside it, copied
+//! out of every ring without draining them, plus how many of them ring
+//! wrap-around overwrote and the bytes allocated over it. Captures
+//! overlap freely — `RZEN_TRACE=FILE` holds one for a process's whole
+//! life while `/debug/trace` takes short ones — and none blocks or
+//! steals from another. Two limits come from
+//! the rings: a span still open when the window closes is not recorded
+//! yet, and only the last [`DEFAULT_RING_CAPACITY`] events per thread
+//! survive, so a long capture keeps only its tail.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity, in events.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
 
-/// The recording switch: span events go into the per-thread rings and
-/// [`crate::profile::CountingAlloc`] counts.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Live [`Capture`]s. While nonzero, span events go into the per-thread
+/// rings and [`crate::profile::CountingAlloc`] counts. Relaxed
+/// throughout: the count publishes no data (the rings have their own
+/// locks); a thread that sees it change late only skips or adds events
+/// at a window's edge, and `finish` filters by timestamp.
+static LIVE: AtomicU32 = AtomicU32::new(0);
 static RECORDED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
-/// Is recording (tracing and allocation counting) on? One relaxed
-/// atomic load — the whole disabled-path cost of every instrumentation
-/// site and every allocation.
+/// Is recording (tracing and allocation counting) on, i.e. is any
+/// [`Capture`] live? One relaxed atomic load — the whole disabled-path
+/// cost of every instrumentation site and every allocation.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn recording on or off: span events and allocation counting.
-/// Enabling pins the process-wide epoch (if not already pinned) so
-/// timestamps are comparable across threads. Events already recorded
-/// are kept either way; use [`take_events`] or [`clear`] to drain them.
-pub fn set_enabled(on: bool) {
-    if on {
-        epoch();
-    }
-    ENABLED.store(on, Ordering::Relaxed);
+    LIVE.load(Ordering::Relaxed) > 0
 }
 
 /// Total events recorded process-wide since startup (including events
 /// since overwritten by ring wrap-around).
 pub fn events_recorded() -> u64 {
     RECORDED.load(Ordering::Relaxed)
+}
+
+fn dropped_counter() -> &'static crate::Counter {
+    crate::counter!(
+        "trace.dropped_events_total",
+        "span-ring events overwritten by wrap-around (trace history lost)"
+    )
+}
+
+/// One recording window. Recording is on while any capture is live;
+/// captures nest and overlap without affecting each other's results.
+#[must_use = "recording stops when the capture is dropped; call `finish` for its events"]
+pub struct Capture {
+    start_ns: u64,
+    /// Each registered ring's push count at start, by registry index;
+    /// rings registered later started at zero.
+    pushed0: Vec<u64>,
+    alloc0: u64,
+}
+
+/// What a [`Capture`] recorded.
+#[derive(Debug, Default)]
+pub struct Window {
+    /// Events that started inside the window, sorted by start time.
+    pub events: Vec<Event>,
+    /// Events that started inside the window but were overwritten by
+    /// ring wrap-around before it closed.
+    pub dropped: u64,
+    /// Bytes the process allocated during the window.
+    pub alloc_bytes: u64,
+}
+
+impl Capture {
+    /// Open a window and turn recording on until it is finished or
+    /// dropped.
+    pub fn start() -> Capture {
+        let pushed0 = buffers()
+            .lock()
+            .expect("trace ring registry poisoned")
+            .iter()
+            .map(|buf| buf.lock().expect("trace ring poisoned").pushed)
+            .collect();
+        let cap = Capture {
+            start_ns: now_ns(),
+            pushed0,
+            alloc0: crate::profile::global_heap_stats().alloc_bytes,
+        };
+        LIVE.fetch_add(1, Ordering::Relaxed);
+        cap
+    }
+
+    /// Start a capture if the `RZEN_TRACE` environment variable is set to
+    /// anything other than empty or `0`. The second half is the export
+    /// path it names (any value other than `1`).
+    pub fn from_env() -> Option<(Capture, Option<String>)> {
+        let v = std::env::var("RZEN_TRACE").ok()?;
+        match v.as_str() {
+            "" | "0" => None,
+            "1" => Some((Capture::start(), None)),
+            _ => Some((Capture::start(), Some(v))),
+        }
+    }
+
+    /// Close the window and copy out what it recorded. The rings are
+    /// left as they are, so other live captures still see every event.
+    pub fn finish(self) -> Window {
+        let end_ns = now_ns();
+        let alloc_bytes = crate::profile::global_heap_stats().alloc_bytes - self.alloc0;
+        let window = self.start_ns..end_ns;
+        let mut events: Vec<Event> = Vec::new();
+        let mut dropped = 0;
+        for (i, buf) in buffers()
+            .lock()
+            .expect("trace ring registry poisoned")
+            .iter()
+            .enumerate()
+        {
+            let ring = buf.lock().expect("trace ring poisoned");
+            // The ring holds its last `capacity` pushes; any earlier
+            // push of this window was overwritten.
+            let pushed = ring.pushed - self.pushed0.get(i).copied().unwrap_or(0);
+            dropped += pushed.saturating_sub(ring.capacity as u64);
+            events.extend(ring.in_order().filter(|e| window.contains(&e.start_ns)));
+        }
+        events.sort_by_key(|e| e.start_ns);
+        Window {
+            events,
+            dropped,
+            alloc_bytes,
+        }
+    }
+}
+
+impl Drop for Capture {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 fn epoch() -> Instant {
@@ -127,32 +222,26 @@ struct Ring {
     events: Vec<Event>,
     capacity: usize,
     head: usize,
-    dropped: u64,
+    /// Events ever pushed, overwritten ones included.
+    pushed: u64,
 }
 
 impl Ring {
     fn push(&mut self, ev: Event) {
+        self.pushed += 1;
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
             self.events[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-            crate::counter!(
-                "trace.dropped_events_total",
-                "span-ring events overwritten by wrap-around (trace history lost)"
-            )
-            .inc();
+            dropped_counter().inc();
         }
     }
 
-    fn drain_in_order(&mut self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        self.events.clear();
-        self.head = 0;
-        out
+    /// The held events, oldest first.
+    fn in_order(&self) -> impl Iterator<Item = &Event> {
+        let (newest, oldest) = self.events.split_at(self.head);
+        oldest.iter().chain(newest)
     }
 }
 
@@ -182,7 +271,7 @@ fn record(ev: Event) {
                     events: Vec::new(),
                     capacity: DEFAULT_RING_CAPACITY,
                     head: 0,
-                    dropped: 0,
+                    pushed: 0,
                 }));
                 buffers().lock().unwrap().push(Arc::clone(&buf));
                 (tid, buf)
@@ -316,40 +405,11 @@ macro_rules! span {
     };
 }
 
-/// Drain every thread's ring buffer into one list sorted by start time.
-/// Events recorded after this call land in fresh (empty) rings.
-pub fn take_events() -> Vec<Event> {
-    let bufs = buffers().lock().unwrap();
-    let mut out = Vec::new();
-    for buf in bufs.iter() {
-        out.append(&mut buf.lock().unwrap().drain_in_order());
-    }
-    out.sort_by_key(|e| e.start_ns);
-    out
-}
-
-/// Total events overwritten by ring wrap-around (history lost), summed
-/// over all threads.
-pub fn events_dropped() -> u64 {
-    let bufs = buffers().lock().unwrap();
-    bufs.iter().map(|b| b.lock().unwrap().dropped).sum()
-}
-
-/// Discard all recorded events (keeps the buffers and the enabled flag).
-pub fn clear() {
-    for buf in buffers().lock().unwrap().iter() {
-        let mut ring = buf.lock().unwrap();
-        ring.events.clear();
-        ring.head = 0;
-        ring.dropped = 0;
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
 
-    /// Tests that flip the global enabled flag must not interleave.
+    /// Tests that start captures, or need none live, must not interleave.
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -358,7 +418,6 @@ pub(crate) mod tests {
     #[test]
     fn disabled_records_nothing() {
         let _g = lock();
-        set_enabled(false);
         let before = events_recorded();
         instant("test.trace.nothing");
         instant2("test.trace.nothing", "a", 1, "b", 2);
@@ -371,14 +430,13 @@ pub(crate) mod tests {
     #[test]
     fn span_and_instant_round_trip() {
         let _g = lock();
-        set_enabled(true);
-        clear();
+        let cap = Capture::start();
         {
             let _s = crate::span!("test.trace.outer", "n" => 3);
             instant1("test.trace.mark", "v", 7);
         }
-        set_enabled(false);
-        let events = take_events();
+        let events = cap.finish().events;
+        assert!(!enabled(), "finishing the only capture stops recording");
         let span = events
             .iter()
             .find(|e| e.name == "test.trace.outer")
@@ -396,12 +454,14 @@ pub(crate) mod tests {
 
     #[test]
     fn ring_wraps_without_growing() {
+        let _g = lock();
         let mut ring = Ring {
             events: Vec::new(),
             capacity: 4,
             head: 0,
-            dropped: 0,
+            pushed: 0,
         };
+        let dropped0 = dropped_counter().get();
         for i in 0..10u64 {
             ring.push(Event {
                 name: "w",
@@ -413,21 +473,20 @@ pub(crate) mod tests {
                 alloc_bytes: 0,
             });
         }
-        assert_eq!(ring.dropped, 6);
-        let drained = ring.drain_in_order();
-        let starts: Vec<u64> = drained.iter().map(|e| e.start_ns).collect();
+        assert_eq!(dropped_counter().get() - dropped0, 6);
+        assert_eq!(ring.pushed, 10);
+        let starts: Vec<u64> = ring.in_order().map(|e| e.start_ns).collect();
         assert_eq!(starts, vec![6, 7, 8, 9], "oldest events overwritten");
     }
 
     #[test]
     fn span_inert_if_disabled_at_entry() {
         let _g = lock();
-        set_enabled(false);
         let s = Span::enter("test.trace.inert");
-        set_enabled(true);
+        let cap = Capture::start();
         let before = events_recorded();
         drop(s);
         assert_eq!(events_recorded(), before, "guard captured disabled state");
-        set_enabled(false);
+        drop(cap);
     }
 }

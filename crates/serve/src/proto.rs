@@ -21,7 +21,7 @@
 use rzen_engine::{QueryResult, Verdict, Witness};
 use rzen_net::headers::Header;
 use rzen_net::ip::fmt_ip;
-use rzen_obs::json::{escape, parse, Value};
+use rzen_obs::json::{parse, Value, Writer};
 
 /// A parsed request line.
 pub struct Request {
@@ -128,16 +128,29 @@ pub fn parse_request(line: &str, debug_ops: bool) -> Result<Request, String> {
     Ok(Request { id, op, timeout_ms })
 }
 
-/// One response line (newline-terminated) carrying only an error. `req`
-/// is the server-minted request id (0 = omit), echoed so a failed
-/// request can still be found in `/debug/requests`.
+/// One response line (newline-terminated): the client's correlation id,
+/// the server-minted request id (0 = omit) that the flight recorder and
+/// trace spans carry, then the members `body` writes.
+pub(crate) fn response_line(id: Option<u64>, req: u64, body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::with_capacity(192);
+    w.obj(|w| {
+        if let Some(id) = id {
+            w.field("id", id);
+        }
+        if req != 0 {
+            w.field("req", req);
+        }
+        body(w);
+    });
+    w.line()
+}
+
+/// One response line carrying only an error, still echoing `req` so a
+/// failed request can be found in `/debug/requests`.
 pub fn error_response(id: Option<u64>, req: u64, error: &str) -> String {
-    let mut b = Body::with_id(id);
-    if req != 0 {
-        b.num("req", req);
-    }
-    b.str("error", error);
-    b.line()
+    response_line(id, req, |w| {
+        w.field("error", error);
+    })
 }
 
 /// Human-readable concrete header, same shape the CLI prints.
@@ -162,9 +175,7 @@ fn describe_witness(w: &Witness) -> String {
 
 /// The response line for an engine verdict. The `verdict` vocabulary is
 /// byte-identical to `rzen-cli batch --verdicts-json`, so a query set
-/// replayed through the server diffs clean against the batch path. `req`
-/// is the server-minted request id (0 = omit) that the flight recorder
-/// and trace spans carry for this request.
+/// replayed through the server diffs clean against the batch path.
 pub fn verdict_response(
     id: Option<u64>,
     req: u64,
@@ -172,102 +183,25 @@ pub fn verdict_response(
     result: &QueryResult,
     coalesced: bool,
 ) -> String {
-    let mut out = String::from("{");
-    if let Some(id) = id {
-        out.push_str(&format!("\"id\":{id},"));
-    }
-    if req != 0 {
-        out.push_str(&format!("\"req\":{req},"));
-    }
-    out.push_str(&format!("\"op\":\"{op}\","));
-    out.push_str(&format!(
-        "\"verdict\":\"{}\"",
-        result.verdict.class().as_str()
-    ));
-    if let Verdict::Sat(w) = &result.verdict {
-        out.push_str(&format!(
-            ",\"witness\":\"{}\"",
-            escape(&describe_witness(w))
-        ));
-    }
-    if let Verdict::Error(msg) = &result.verdict {
-        out.push_str(&format!(",\"error\":\"{}\"", escape(msg)));
-    }
-    match result.winner {
-        Some(rzen::Backend::Bdd) => out.push_str(",\"winner\":\"bdd\""),
-        Some(rzen::Backend::Smt) => out.push_str(",\"winner\":\"smt\""),
-        None => {}
-    }
-    out.push_str(&format!(
-        ",\"cache_hit\":{},\"coalesced\":{coalesced},\"latency_us\":{}}}\n",
-        result.cache_hit,
-        result.latency.as_micros()
-    ));
-    out
-}
-
-/// A tiny ordered JSON-object builder for the non-verdict responses.
-#[derive(Default)]
-pub struct Body {
-    parts: Vec<String>,
-}
-
-impl Body {
-    /// Empty object.
-    pub fn new() -> Body {
-        Body::default()
-    }
-
-    /// With the optional correlation id first, matching requests.
-    pub fn with_id(id: Option<u64>) -> Body {
-        let mut b = Body::new();
-        if let Some(id) = id {
-            b.num("id", id);
+    response_line(id, req, |w| {
+        w.field("op", op)
+            .field("verdict", result.verdict.class().as_str());
+        match &result.verdict {
+            Verdict::Sat(witness) => {
+                w.field("witness", describe_witness(witness));
+            }
+            Verdict::Error(msg) => {
+                w.field("error", msg);
+            }
+            _ => {}
         }
-        b
-    }
-
-    /// Append an unsigned number member.
-    pub fn num(&mut self, key: &str, v: u64) -> &mut Body {
-        self.parts.push(format!("\"{}\":{v}", escape(key)));
-        self
-    }
-
-    /// Append a float member, rendered with Rust's shortest round-trip
-    /// formatting. JSON has no NaN/Infinity tokens, so non-finite values
-    /// render as `null` rather than emitting invalid JSON.
-    pub fn float(&mut self, key: &str, v: f64) -> &mut Body {
-        let rendered = if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        };
-        self.parts.push(format!("\"{}\":{rendered}", escape(key)));
-        self
-    }
-
-    /// Append a string member.
-    pub fn str(&mut self, key: &str, v: &str) -> &mut Body {
-        self.parts
-            .push(format!("\"{}\":\"{}\"", escape(key), escape(v)));
-        self
-    }
-
-    /// Append a boolean member.
-    pub fn bool(&mut self, key: &str, v: bool) -> &mut Body {
-        self.parts.push(format!("\"{}\":{v}", escape(key)));
-        self
-    }
-
-    /// Render as one `{...}` line with a trailing newline.
-    pub fn line(&self) -> String {
-        format!("{{{}}}\n", self.parts.join(","))
-    }
-
-    /// Render as one `{...}` document without the newline (HTTP bodies).
-    pub fn document(&self) -> String {
-        format!("{{{}}}", self.parts.join(","))
-    }
+        if let Some(winner) = result.winner_name() {
+            w.field("winner", winner);
+        }
+        w.field("cache_hit", result.cache_hit)
+            .field("coalesced", coalesced)
+            .field("latency_us", result.latency.as_micros());
+    })
 }
 
 #[cfg(test)]
@@ -314,9 +248,9 @@ mod tests {
 
     #[test]
     fn floats_round_trip_and_non_finite_degrades_to_null() {
-        let mut b = Body::new();
-        b.float("a", 13.870_312_5).float("b", f64::INFINITY);
-        let line = b.line();
+        let line = response_line(None, 0, |w| {
+            w.field("a", 13.870_312_5).field("b", f64::INFINITY);
+        });
         rzen_obs::json::validate(line.trim()).unwrap();
         let v = parse(line.trim()).unwrap();
         assert!(matches!(v.get("a"), Some(Value::Num(n)) if *n == 13.870_312_5));
@@ -331,10 +265,5 @@ mod tests {
         let bare = error_response(None, 0, "overloaded");
         rzen_obs::json::validate(bare.trim()).unwrap();
         assert!(!bare.contains("req"));
-        let mut b = Body::with_id(None);
-        b.str("status", "ok")
-            .num("inflight", 0)
-            .bool("draining", false);
-        rzen_obs::json::validate(b.line().trim()).unwrap();
     }
 }

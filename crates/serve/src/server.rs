@@ -40,7 +40,11 @@ use std::time::{Duration, Instant};
 use rzen_engine::{Engine, QueryBackend};
 use rzen_net::spec::{self, Spec};
 
-use crate::proto::{self, Body};
+use rzen_obs::export::chrome_trace;
+use rzen_obs::json::Writer;
+use rzen_obs::trace::{Capture, Window};
+
+use crate::proto;
 use crate::signal;
 
 /// Vestigial: there is one connection layer (the reactor in
@@ -279,18 +283,18 @@ pub(crate) fn do_hsa(
     rzen::reset_ctx();
     let space = rzen::TransformerSpace::new();
     let set = rzen_net::analyses::hsa::reachable_set(&model.spec.net, &space, src.0, src.1, dst.0);
-    let mut b = Body::with_id(id);
-    b.num("req", req_id);
-    b.str("op", "hsa").bool("reachable", !set.is_empty());
-    if !set.is_empty() {
-        b.float("log2_count", set.count().log2());
-        if let Some(sample) = set.element() {
-            b.str("sample", &proto::describe_header(&sample.overlay_header));
+    let line = proto::response_line(id, req_id, |w| {
+        w.field("op", "hsa").field("reachable", !set.is_empty());
+        if !set.is_empty() {
+            w.field("log2_count", set.count().log2());
+            if let Some(sample) = set.element() {
+                w.field("sample", proto::describe_header(&sample.overlay_header));
+            }
         }
-    }
-    rzen::reset_ctx();
-    b.num("latency_us", started.elapsed().as_micros() as u64);
-    (b.line(), RespMeta::default())
+        rzen::reset_ctx();
+        w.field("latency_us", started.elapsed().as_micros());
+    });
+    (line, RespMeta::default())
 }
 
 /// Simple-path count.
@@ -303,12 +307,12 @@ pub(crate) fn do_paths(
     started: Instant,
 ) -> (String, RespMeta) {
     let paths = model.spec.net.paths(src.0, src.1, dst.0, dst.1);
-    let mut b = Body::with_id(id);
-    b.num("req", req_id);
-    b.str("op", "paths")
-        .num("paths", paths.len() as u64)
-        .num("latency_us", started.elapsed().as_micros() as u64);
-    (b.line(), RespMeta::default())
+    let line = proto::response_line(id, req_id, |w| {
+        w.field("op", "paths")
+            .field("paths", paths.len())
+            .field("latency_us", started.elapsed().as_micros());
+    });
+    (line, RespMeta::default())
 }
 
 /// Debug: hold the executing thread for `ms`.
@@ -319,11 +323,11 @@ pub(crate) fn do_sleep(
     started: Instant,
 ) -> (String, RespMeta) {
     thread::sleep(Duration::from_millis(ms));
-    let mut b = Body::with_id(id);
-    b.num("req", req_id);
-    b.str("op", "sleep")
-        .num("latency_us", started.elapsed().as_micros() as u64);
-    (b.line(), RespMeta::default())
+    let line = proto::response_line(id, req_id, |w| {
+        w.field("op", "sleep")
+            .field("latency_us", started.elapsed().as_micros());
+    });
+    (line, RespMeta::default())
 }
 
 pub(crate) fn idle_reaped_counter() -> &'static rzen_obs::Counter {
@@ -358,10 +362,17 @@ impl HttpAnswer {
         }
     }
 
+    /// A JSON object whose members `body` writes.
+    pub(crate) fn object(status: u16, body: impl FnOnce(&mut Writer)) -> HttpAnswer {
+        let mut w = Writer::new();
+        w.obj(body);
+        HttpAnswer::json(status, w.finish())
+    }
+
     pub(crate) fn error(status: u16, msg: &str) -> HttpAnswer {
-        let mut b = Body::new();
-        b.str("error", msg);
-        HttpAnswer::json(status, b.document())
+        HttpAnswer::object(status, |w| {
+            w.field("error", msg);
+        })
     }
 }
 
@@ -370,7 +381,9 @@ impl HttpAnswer {
 ///
 /// Beware: `/debug/trace` and `/debug/profile` *block for their capture
 /// window* — the reactor must call this from an offload thread, never
-/// inline.
+/// inline. Each holds its own [`Capture`], so concurrent calls overlap
+/// rather than queue, and none takes events from another or from a
+/// process-long `RZEN_TRACE` capture.
 pub(crate) fn answer_http_get(
     method: &str,
     path: &str,
@@ -383,14 +396,14 @@ pub(crate) fn answer_http_get(
     match path {
         "/healthz" => {
             let model = shared.model.read().unwrap().clone();
-            let mut b = Body::new();
-            b.str("status", "ok")
-                .str("model", &format!("{:016x}", model.fingerprint))
-                .num("generation", shared.generation.load(Ordering::SeqCst))
-                .num("devices", model.spec.net.devices.len() as u64)
-                .num("inflight", shared.admitted.load(Ordering::SeqCst) as u64)
-                .bool("draining", shared.draining.load(Ordering::SeqCst));
-            HttpAnswer::json(200, b.document())
+            HttpAnswer::object(200, |w| {
+                w.field("status", "ok")
+                    .field("model", format!("{:016x}", model.fingerprint))
+                    .field("generation", shared.generation.load(Ordering::SeqCst))
+                    .field("devices", model.spec.net.devices.len())
+                    .field("inflight", shared.admitted.load(Ordering::SeqCst))
+                    .field("draining", shared.draining.load(Ordering::SeqCst));
+            })
         }
         "/metrics" => {
             // Registry metrics first, then the process-level series
@@ -413,23 +426,11 @@ pub(crate) fn answer_http_get(
             200,
             rzen_obs::flight::render_json(&rzen_obs::flight::slow_snapshot()),
         ),
-        "/debug/trace" => {
-            // Captures hold a serialized lock for the whole window, so
-            // the window is client-chosen only up to MAX_CAPTURE_MS, and
-            // garbage (non-numeric, negative) is a 400 rather than a
-            // silently-defaulted capture.
-            let ms = match capture_window_ms(query) {
-                Ok(ms) => ms,
-                Err(e) => return HttpAnswer::error(400, e),
-            };
-            let window = capture(Duration::from_millis(ms));
-            HttpAnswer::json(200, rzen_obs::export::chrome_trace(&window.events))
-        }
+        "/debug/trace" => match capture_for(query) {
+            Ok(window) => HttpAnswer::json(200, chrome_trace(&window.events)),
+            Err(bad) => bad,
+        },
         "/debug/profile" => {
-            let ms = match capture_window_ms(query) {
-                Ok(ms) => ms,
-                Err(e) => return HttpAnswer::error(400, e),
-            };
             let heap = match query_param(query, "view").unwrap_or("cpu") {
                 "cpu" => false,
                 "heap" => true,
@@ -440,11 +441,14 @@ pub(crate) fn answer_http_get(
                 "svg" => true,
                 _ => return HttpAnswer::error(400, "format must be folded or svg"),
             };
-            let window = capture(Duration::from_millis(ms));
+            let window = match capture_for(query) {
+                Ok(window) => window,
+                Err(bad) => return bad,
+            };
             let profile = if heap {
-                rzen_obs::profile::Profile::heap(&window.events, window.alloc_bytes)
+                rzen_obs::profile::Profile::heap(&window)
             } else {
-                rzen_obs::profile::Profile::cpu(&window.events, window.dropped)
+                rzen_obs::profile::Profile::cpu(&window)
             };
             let body = profile.render(svg);
             HttpAnswer {
@@ -482,13 +486,13 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str) -> HttpAnswer {
             "POST /model requests whose fingerprint matched the running model"
         )
         .inc();
-        let mut b = Body::new();
-        b.str("status", "ok")
-            .bool("swapped", false)
-            .str("model", &format!("{:016x}", current.fingerprint))
-            .num("generation", shared.generation.load(Ordering::SeqCst))
-            .num("devices", current.spec.net.devices.len() as u64);
-        return HttpAnswer::json(200, b.document());
+        return HttpAnswer::object(200, |w| {
+            w.field("status", "ok")
+                .field("swapped", false)
+                .field("model", format!("{:016x}", current.fingerprint))
+                .field("generation", shared.generation.load(Ordering::SeqCst))
+                .field("devices", current.spec.net.devices.len());
+        });
     }
     let model = Arc::new(model);
     *shared.model.write().unwrap() = model.clone();
@@ -500,13 +504,13 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str) -> HttpAnswer {
     shared.session_epoch.fetch_add(1, Ordering::SeqCst);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.model_swaps", "successful POST /model swaps").inc();
-    let mut b = Body::new();
-    b.str("status", "ok")
-        .bool("swapped", true)
-        .str("model", &format!("{:016x}", model.fingerprint))
-        .num("generation", generation)
-        .num("devices", model.spec.net.devices.len() as u64);
-    HttpAnswer::json(200, b.document())
+    HttpAnswer::object(200, |w| {
+        w.field("status", "ok")
+            .field("swapped", true)
+            .field("model", format!("{:016x}", model.fingerprint))
+            .field("generation", generation)
+            .field("devices", model.spec.net.devices.len());
+    })
 }
 
 /// `POST /delta`: patch the running model and run the dependency-aware
@@ -539,21 +543,20 @@ pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
         .apply_delta(&current.spec.net, &model.spec.net, &applied.steps);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
-    let mut b = Body::new();
-    b.str("status", "ok")
-        .str("model", &format!("{:016x}", model.fingerprint))
-        .num("generation", generation)
-        .num("ops", applied.steps.len() as u64)
-        .str("touched", &applied.touched.join(","))
-        .num("devices", model.spec.net.devices.len() as u64)
-        .num("evicted", stats.evicted as u64)
-        .num("retained", stats.retained as u64);
-    HttpAnswer::json(200, b.document())
+    HttpAnswer::object(200, |w| {
+        w.field("status", "ok")
+            .field("model", format!("{:016x}", model.fingerprint))
+            .field("generation", generation)
+            .field("ops", applied.steps.len())
+            .field("touched", applied.touched.join(","))
+            .field("devices", model.spec.net.devices.len())
+            .field("evicted", stats.evicted)
+            .field("retained", stats.retained);
+    })
 }
 
 /// Longest `/debug/trace` / `/debug/profile` capture window a client can
-/// request. Captures hold a serialized lock for the whole window; the
-/// cap keeps one curl from parking every later capture for minutes.
+/// request: the offload thread answering it sleeps for the whole window.
 const MAX_CAPTURE_MS: u64 = 10_000;
 
 /// The value of one `key=value` pair in a query string.
@@ -576,39 +579,13 @@ fn capture_window_ms(query: &str) -> Result<u64, &'static str> {
     }
 }
 
-/// What one [`capture`] window recorded.
-struct Window {
-    events: Vec<rzen_obs::Event>,
-    /// Events the rings lost to wrap-around during the window.
-    dropped: u64,
-    /// Bytes the process allocated during the window.
-    alloc_bytes: u64,
-}
-
-/// On-demand bounded capture behind `/debug/trace` and `/debug/profile`:
-/// clear the span rings, record for `window`, and take the events once.
-///
-/// Captures are serialized through one mutex — concurrent captures
-/// would otherwise steal each other's events out of the per-thread
-/// rings. If recording was already on (`RZEN_TRACE=1`), it stays on
-/// afterwards; the capture merely harvests the buffers.
-fn capture(window: Duration) -> Window {
-    static CAPTURE: Mutex<()> = Mutex::new(());
-    let _one_at_a_time = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
-    let was_enabled = rzen_obs::trace::enabled();
-    // Discard whatever accumulated before the window so the capture
-    // holds only spans that overlap it.
-    rzen_obs::trace::clear();
-    let heap0 = rzen_obs::profile::global_heap_stats().alloc_bytes;
-    rzen_obs::trace::set_enabled(true);
-    thread::sleep(window);
-    let alloc_bytes = rzen_obs::profile::global_heap_stats().alloc_bytes - heap0;
-    rzen_obs::trace::set_enabled(was_enabled);
-    Window {
-        events: rzen_obs::trace::take_events(),
-        dropped: rzen_obs::trace::events_dropped(),
-        alloc_bytes,
-    }
+/// Record for the query's `ms` window. Garbage (non-numeric, negative)
+/// is a 400 rather than a silently-defaulted capture.
+fn capture_for(query: &str) -> Result<Window, HttpAnswer> {
+    let ms = capture_window_ms(query).map_err(|e| HttpAnswer::error(400, e))?;
+    let capture = Capture::start();
+    thread::sleep(Duration::from_millis(ms));
+    Ok(capture.finish())
 }
 
 /// Render one full HTTP response. `head` sends the status line and

@@ -2,17 +2,17 @@
 //! on the substrate hot paths, cross-subsystem span coverage through the
 //! batch engine, and metric accumulation.
 //!
-//! These tests flip the process-global trace flag, so everything that
-//! does is serialized behind one mutex (the test harness runs each
-//! `#[test]` on its own thread, so the thread-local buffer checks see a
-//! fresh thread per test).
+//! The disabled-path test needs no capture live anywhere in the process,
+//! so every test here is serialized behind one mutex (the test harness
+//! runs each `#[test]` on its own thread, so the thread-local buffer
+//! checks see a fresh thread per test).
 
 use rzen_bdd::BddManager;
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend};
 use rzen_net::gen::random_acl;
 use rzen_sat::{Lit, SolveStatus, Solver};
 
-/// Tests that touch the global enabled flag must not interleave.
+/// Tests that start captures, or need none live, must not interleave.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -62,7 +62,6 @@ fn propagate_heavy_workload() {
 #[test]
 fn disabled_hot_paths_allocate_and_record_nothing() {
     let _g = lock();
-    rzen_obs::trace::set_enabled(false);
     let recorded_before = rzen_obs::trace::events_recorded();
 
     mk_heavy_workload();
@@ -85,8 +84,7 @@ fn disabled_hot_paths_allocate_and_record_nothing() {
 #[test]
 fn enabled_batch_records_spans_from_four_subsystems() {
     let _g = lock();
-    rzen_obs::trace::set_enabled(true);
-    rzen_obs::trace::clear();
+    let capture = rzen_obs::trace::Capture::start();
 
     let acl = random_acl(40, 1);
     let last = acl.rules.len() as u16;
@@ -114,8 +112,8 @@ fn enabled_batch_records_spans_from_four_subsystems() {
         .run_batch(&queries);
     }
 
-    rzen_obs::trace::set_enabled(false);
-    let events = rzen_obs::trace::take_events();
+    let window = capture.finish();
+    let events = &window.events;
     let subsystems: std::collections::BTreeSet<&str> = events
         .iter()
         .map(|e| e.name.split('.').next().unwrap())
@@ -130,9 +128,9 @@ fn enabled_batch_records_spans_from_four_subsystems() {
     assert!(events
         .iter()
         .any(|e| e.phase == rzen_obs::trace::Phase::Span && e.name == "engine.batch"));
-    let trace = rzen_obs::export::chrome_trace(&events);
+    let trace = rzen_obs::export::chrome_trace(events);
     rzen_obs::json::validate(&trace).expect("chrome trace must be valid JSON");
-    let report = rzen_obs::export::phase_report(&events);
+    let report = rzen_obs::export::phase_report(&window);
     assert!(report.contains("engine.batch"));
 }
 
@@ -161,8 +159,9 @@ fn metrics_accumulate_across_batches() {
     assert!(solves.get() > before_solves, "bdd.solves must advance");
     assert_eq!(queries_counter.get(), before_queries + 1);
     // The registry snapshot renders to valid JSON for --stats-json.
-    let json = rzen_obs::metrics::registry().render_json();
-    rzen_obs::json::validate(&json).expect("metrics JSON must be valid");
+    let mut json = rzen_obs::json::Writer::new();
+    rzen_obs::metrics::registry().write_json(&mut json);
+    rzen_obs::json::validate(&json.finish()).expect("metrics JSON must be valid");
 }
 
 #[test]

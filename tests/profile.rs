@@ -4,7 +4,7 @@
 //!
 //! This binary installs [`rzen_obs::CountingAlloc`] exactly as the
 //! shipped binaries do, so heap attribution is exercised end to end.
-//! Tests that flip the global recording switch serialize on a local
+//! Tests that start captures, or need none live, serialize on a local
 //! mutex.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -18,6 +18,7 @@ use rzen_engine::{Engine, EngineConfig, Query, QueryBackend};
 use rzen_net::spec;
 use rzen_obs::export::{folded_spans, Weight};
 use rzen_obs::json::Value;
+use rzen_obs::trace::Capture;
 use rzen_obs::{profile, trace};
 use rzen_serve::{start, Model, ServerConfig, ServerHandle};
 
@@ -98,12 +99,11 @@ fn disabled_profiling_publishes_and_counts_nothing() {
 fn cpu_sampler_reaches_solver_leaf_frames() {
     let _g = lock();
     let queries = batch_queries();
-    trace::clear();
-    trace::set_enabled(true);
+    let capture = Capture::start();
     let report = engine(false).run_batch(&queries);
-    trace::set_enabled(false);
+    let events = capture.finish().events;
     assert_eq!(report.results.len(), queries.len());
-    let folded = folded_spans(&trace::take_events(), Weight::WallUs);
+    let folded = folded_spans(&events, Weight::WallUs);
     let text = rzen_obs::export::folded_text(&folded);
     assert!(
         folded.iter().any(|(stack, _)| {
@@ -127,14 +127,12 @@ fn cpu_sampler_reaches_solver_leaf_frames() {
 fn heap_view_attributes_ninety_percent_of_batch_bytes() {
     let _g = lock();
     let queries = batch_queries();
-    trace::clear();
-    trace::set_enabled(true);
-    let window_start = profile::global_heap_stats().alloc_bytes;
+    let capture = Capture::start();
     let report = engine(false).run_batch(&queries);
     assert_eq!(report.results.len(), queries.len());
-    let window = profile::global_heap_stats().alloc_bytes - window_start;
-    trace::set_enabled(false);
-    let rows = profile::Profile::heap(&trace::take_events(), window).rows;
+    let captured = capture.finish();
+    let window = captured.alloc_bytes;
+    let rows = profile::Profile::heap(&captured).rows;
     let named: u64 = rows
         .iter()
         .filter(|(stack, _)| !stack.contains(profile::UNTRACKED))
@@ -157,8 +155,8 @@ fn heap_view_attributes_ninety_percent_of_batch_bytes() {
     );
 }
 
-/// Tracing and allocation counting are one switch: with only
-/// `trace::set_enabled(true)`, a span's allocations advance the global
+/// Tracing and allocation counting are one switch: with only a live
+/// [`Capture`], a span's allocations advance the global
 /// totals and ride on its event. The recorder's own ring growth counts
 /// nowhere — neither against the span open around a thread's first
 /// events nor in either tally.
@@ -167,8 +165,7 @@ fn one_switch_counts_span_bytes_but_not_the_recorder() {
     const N: u64 = 64 << 10;
     const TICKS: usize = 1_000;
     let _g = lock();
-    trace::clear();
-    trace::set_enabled(true);
+    let capture = Capture::start();
     let before = profile::global_heap_stats().alloc_bytes;
     {
         let _span = rzen_obs::span!("test.profile.switch");
@@ -191,8 +188,7 @@ fn one_switch_counts_span_bytes_but_not_the_recorder() {
     })
     .join()
     .expect("fresh thread");
-    trace::set_enabled(false);
-    let events = trace::take_events();
+    let events = capture.finish().events;
     let bytes_of = |name: &str| {
         events
             .iter()
@@ -378,11 +374,9 @@ fn debug_profile_endpoint_end_to_end() {
     server.finish();
 }
 
-/// `/debug/trace` and `/debug/profile` both drain the span rings, so
-/// they share one capture lock: fired together at a loaded server, each
-/// still gets a full window of its own events. With two locks the
-/// second capture to finish would find the rings drained and hold only
-/// the few milliseconds between the two drains.
+/// `/debug/trace` and `/debug/profile` fired together at a loaded server
+/// overlap rather than queue, and each still gets a full window of its
+/// own events: a capture copies the span rings, it never drains them.
 #[test]
 fn concurrent_trace_and_profile_captures_both_see_events() {
     let _g = lock();
@@ -435,4 +429,50 @@ fn concurrent_trace_and_profile_captures_both_see_events() {
         profile.1
     );
     server.finish();
+}
+
+/// A process-long capture — what `rzen-cli serve` holds under
+/// `RZEN_TRACE=FILE` for its exit export — keeps the `serve.request`
+/// spans from before a `/debug/trace` capture taken in the middle of
+/// its life, and the `/debug/trace` window holds none of them.
+#[test]
+fn debug_trace_leaves_a_long_capture_whole() {
+    let _g = lock();
+    let handle = start(cfg(), Model::parse(FIG3).unwrap()).unwrap();
+    let addr = handle.addr();
+    let long = Capture::start();
+    let send = |n: usize| {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for _ in 0..n {
+            writer.write_all(format!("{REACH}\n").as_bytes()).unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            assert!(resp.contains("\"verdict\":\"sat\""), "{resp}");
+        }
+    };
+    send(5);
+    let (status, body) = http_get(addr, "/debug/trace?ms=100");
+    assert!(status.contains("200"), "{status}");
+    let Value::Arr(debug_events) = rzen_obs::json::parse(&body).expect("trace json") else {
+        panic!("trace is not an array");
+    };
+    send(3);
+    let window = long.finish();
+    handle.shutdown();
+    handle.join();
+
+    let requests = window
+        .events
+        .iter()
+        .filter(|e| e.name == "serve.request")
+        .count();
+    assert_eq!(requests, 5 + 3, "requests before and after /debug/trace");
+    assert!(
+        !debug_events
+            .iter()
+            .any(|e| e.get("name").and_then(Value::as_str) == Some("serve.request")),
+        "the /debug/trace window saw no request"
+    );
 }
