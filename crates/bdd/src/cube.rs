@@ -5,7 +5,7 @@
 //! cheap identity. The manager interns each distinct sorted variable set once
 //! and hands out a small [`Cube`] id.
 
-use crate::manager::BddManager;
+use crate::manager::{BddManager, Op};
 
 /// An interned, sorted set of BDD variables, used to specify which variables
 /// a quantifier eliminates. Obtain one from [`BddManager::cube`].
@@ -23,6 +23,9 @@ impl BddManager {
             return Cube(id);
         }
         let id = self.cubes.len() as u32;
+        // `and_exists` keys its cache slots with `id | 1 << 31`, which must
+        // stay below every operation tag.
+        assert!(id | 1 << 31 < Op::Replace as u32, "too many cubes");
         self.cubes.push(sorted.clone());
         self.cube_index.insert(sorted, id);
         Cube(id)

@@ -1,5 +1,5 @@
-//! A small, fast, non-cryptographic hasher for the unique table and the
-//! operation caches.
+//! A small, fast, non-cryptographic hasher for the unique table, the
+//! computed cache's slot index and the interning tables.
 //!
 //! The BDD unique table is the hottest data structure in the whole framework:
 //! every `mk` call hashes a `(var, lo, hi)` triple. The default SipHash is

@@ -10,8 +10,11 @@
 //!
 //! * **Hash-consed nodes** in a flat arena with a unique table, so structural
 //!   equality is pointer equality and `Bdd` handles are `Copy` 32-bit ids.
-//! * **Operation caches** for the binary operators and `ite`, so each
-//!   operation is polynomial in the sizes of its operands.
+//! * **One computed cache** shared by every operation: lossy, direct-mapped
+//!   and sized by the arena, so each operation is polynomial in the sizes
+//!   of its operands while the cache stays bounded by the node count.
+//!   Nodes are never collected; an interrupted operation leaves earlier
+//!   handles and cache entries valid.
 //! * **Quantification and relational products** (`exists`, `forall`,
 //!   `and_exists`) for pre/post image computation used by state-set
 //!   transformers.

@@ -1,10 +1,12 @@
-//! The BDD manager: node arena, unique table, and core Boolean operations.
+//! The BDD manager: node arena, unique table, computed cache and core
+//! Boolean operations.
 
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::hash::FastHashMap;
+use crate::hash::{FastHashMap, FastHasher};
 
 /// Point-in-time counters for a [`BddManager`], for benchmarking and the
 /// query engine's observability layer.
@@ -56,24 +58,67 @@ pub(crate) struct Node {
     pub(crate) hi: u32,
 }
 
+/// The arena stays below 2³¹ nodes, so the [`Op`] tags and the
+/// `and_exists` keys (cube ids with the top bit set) never equal a node
+/// index.
+const MAX_NODES: usize = 1 << 31;
+
+/// Fewest slots the computed cache ever has.
+const MIN_CACHE_SLOTS: usize = 1024;
+
+/// The third key word of a computed-cache slot for the operations that
+/// have no third node operand. `ite` keys with its third operand, a node
+/// index, and `and_exists` with its cube id plus the top bit, so every
+/// tag lies above both.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub(crate) enum Op {
+    And = u32::MAX,
+    Or = u32::MAX - 1,
+    Xor = u32::MAX - 2,
+    Exists = u32::MAX - 3,
+    Replace = u32::MAX - 4,
+}
+
+/// One direct-mapped computed-cache entry `(a, b, c) → r`. The all-zero
+/// slot is empty: no operation probes with `a = 0` (FALSE), since each
+/// returns first on a FALSE first operand.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    a: u32,
+    b: u32,
+    c: u32,
+    r: u32,
+}
+
+/// The slot `(a, b, c)` maps to in a cache of `len` slots (a power of two).
+#[inline]
+fn slot_index(a: u32, b: u32, c: u32, len: usize) -> usize {
+    let mut h = FastHasher::default();
+    h.write_u32(a);
+    h.write_u32(b);
+    h.write_u32(c);
+    // The high bits of a multiplicative hash mix every input bit.
+    (h.finish() >> (64 - len.trailing_zeros())) as usize
+}
+
 /// A manager owning a forest of shared, reduced, ordered BDDs.
 ///
 /// The integer index of a variable is its level in the global order:
 /// variable 0 is the topmost. Callers pick the order by choosing indices.
-/// Nodes are never garbage collected (network verification workloads build
-/// monotonically and managers are short-lived); [`BddManager::clear_caches`]
-/// drops the memoization tables if memory pressure matters.
+///
+/// Nodes are never garbage collected: a manager may live as long as its
+/// caller (a solver session keeps one for a runner's life), and its arena
+/// only grows. Every operation memoises through one lossy, direct-mapped
+/// computed cache whose slot count is the arena's node count rounded up to
+/// a power of two (at least 1 024), so the cache is bounded by the arena
+/// and a colliding entry simply overwrites the older one. An operation cut
+/// short by the budget ([`BddManager::set_budget`]) leaves earlier handles
+/// and cache entries valid.
 pub struct BddManager {
     pub(crate) nodes: Vec<Node>,
     unique: FastHashMap<(u32, u32, u32), u32>,
-    cache_and: FastHashMap<(u32, u32), u32>,
-    cache_or: FastHashMap<(u32, u32), u32>,
-    cache_xor: FastHashMap<(u32, u32), u32>,
-    cache_not: FastHashMap<u32, u32>,
-    cache_ite: FastHashMap<(u32, u32, u32), u32>,
-    pub(crate) cache_exists: FastHashMap<(u32, u32), u32>,
-    pub(crate) cache_and_exists: FastHashMap<(u32, u32, u32), u32>,
-    pub(crate) cache_replace: FastHashMap<(u32, u32), u32>,
+    cache: Vec<Slot>,
     pub(crate) varmaps: Vec<Vec<u32>>,
     pub(crate) varmap_index: FastHashMap<Vec<u32>, u32>,
     pub(crate) cubes: Vec<Vec<u32>>,
@@ -87,8 +132,8 @@ pub struct BddManager {
     deadline: Option<Instant>,
     /// Latched once the budget is observed exhausted: recursive operations
     /// unwind immediately (returning an arbitrary node) and stop writing
-    /// to the operation caches.
-    pub(crate) interrupted: bool,
+    /// to the computed cache.
+    interrupted: bool,
     /// Call counter gating the (comparatively expensive) budget poll.
     mk_tick: u32,
     /// Last observed unique-table capacity, for resize trace events.
@@ -121,14 +166,7 @@ impl BddManager {
         BddManager {
             nodes,
             unique: FastHashMap::default(),
-            cache_and: FastHashMap::default(),
-            cache_or: FastHashMap::default(),
-            cache_xor: FastHashMap::default(),
-            cache_not: FastHashMap::default(),
-            cache_ite: FastHashMap::default(),
-            cache_exists: FastHashMap::default(),
-            cache_and_exists: FastHashMap::default(),
-            cache_replace: FastHashMap::default(),
+            cache: vec![Slot::default(); MIN_CACHE_SLOTS],
             varmaps: Vec::new(),
             varmap_index: FastHashMap::default(),
             cubes: Vec::new(),
@@ -147,12 +185,13 @@ impl BddManager {
     /// Install a cooperative budget: when the flag is raised by another
     /// thread, or the deadline passes, running operations unwind quickly.
     ///
-    /// **Contract:** once [`BddManager::interrupted`] reports `true`, any
+    /// **Contract:** once [`BddManager::interrupted`] reports `true`, the
     /// `Bdd` handles returned by operations that were in flight are
-    /// meaningless and the manager should be discarded (callers that
-    /// rebuild per query, like the batch engine, simply drop it). The
-    /// unique table and caches themselves are never corrupted — writes are
-    /// suppressed while interrupted — so pre-existing handles stay valid.
+    /// meaningless. Everything else stays valid: the unique table is never
+    /// corrupted and cache writes are suppressed while interrupted, so
+    /// handles and cache entries from before the interrupt keep their
+    /// meaning. Calling `set_budget` again re-arms the latch and the
+    /// manager can be used on, without clearing its cache.
     pub fn set_budget(&mut self, interrupt: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         self.interrupt = interrupt;
         self.deadline = deadline;
@@ -200,17 +239,62 @@ impl BddManager {
         self.nodes.len()
     }
 
-    /// Drop all memoization caches (unique table is kept — it is required
+    /// Empty the computed cache (the unique table is kept — it is required
     /// for canonicity).
     pub fn clear_caches(&mut self) {
-        self.cache_and.clear();
-        self.cache_or.clear();
-        self.cache_xor.clear();
-        self.cache_not.clear();
-        self.cache_ite.clear();
-        self.cache_exists.clear();
-        self.cache_and_exists.clear();
-        self.cache_replace.clear();
+        self.cache.fill(Slot::default());
+    }
+
+    /// Probe the computed cache for `(a, b, c)`. While interrupted every
+    /// probe answers FALSE uncounted, so the recursion unwinds at once.
+    #[inline]
+    pub(crate) fn cached(&mut self, a: u32, b: u32, c: u32) -> Option<u32> {
+        if self.interrupted {
+            return Some(0);
+        }
+        debug_assert!(a != 0, "a FALSE first operand never reaches the cache");
+        self.cache_lookups += 1;
+        let s = self.cache[slot_index(a, b, c, self.cache.len())];
+        if s.a == a && s.b == b && s.c == c {
+            self.cache_hits += 1;
+            Some(s.r)
+        } else {
+            None
+        }
+    }
+
+    /// Store `(a, b, c) → r` unless interrupted (then `r` is garbage),
+    /// overwriting whatever shared the slot. Returns `r`.
+    #[inline]
+    pub(crate) fn remember(&mut self, a: u32, b: u32, c: u32, r: u32) -> u32 {
+        if !self.interrupted {
+            let i = slot_index(a, b, c, self.cache.len());
+            self.cache[i] = Slot { a, b, c, r };
+        }
+        r
+    }
+
+    /// Double the computed cache, rehashing its entries (colliding ones
+    /// are dropped).
+    #[cold]
+    fn grow_cache(&mut self) {
+        let len = 2 * self.cache.len();
+        let old = std::mem::replace(&mut self.cache, vec![Slot::default(); len]);
+        for s in old.into_iter().filter(|s| s.a != 0) {
+            self.cache[slot_index(s.a, s.b, s.c, len)] = s;
+        }
+    }
+
+    /// The `(lo, hi)` cofactors of `f` on level `var`, which is at or
+    /// above `f`'s top level.
+    #[inline]
+    pub(crate) fn cofactors(&self, f: u32, var: u32) -> (u32, u32) {
+        let n = self.node(f);
+        if n.var == var {
+            (n.lo, n.hi)
+        } else {
+            (f, f)
+        }
     }
 
     #[inline]
@@ -268,9 +352,13 @@ impl BddManager {
         if let Some(&id) = self.unique.get(&key) {
             return id;
         }
+        assert!(self.nodes.len() < MAX_NODES, "BDD arena full (2^31 nodes)");
         let id = self.nodes.len() as u32;
         self.nodes.push(Node { var, lo, hi });
         self.unique.insert(key, id);
+        if self.nodes.len() > self.cache.len() {
+            self.grow_cache();
+        }
         id
     }
 
@@ -317,170 +405,49 @@ impl BddManager {
         }
     }
 
-    /// Logical negation.
+    /// Logical negation, `f ⊕ 1`.
     pub fn not(&mut self, f: Bdd) -> Bdd {
-        Bdd(self.not_rec(f.0))
-    }
-
-    fn not_rec(&mut self, f: u32) -> u32 {
-        match f {
-            0 => 1,
-            1 => 0,
-            _ => {
-                if self.interrupted {
-                    return 0;
-                }
-                self.cache_lookups += 1;
-                if let Some(&r) = self.cache_not.get(&f) {
-                    self.cache_hits += 1;
-                    return r;
-                }
-                let n = self.node(f);
-                let lo = self.not_rec(n.lo);
-                let hi = self.not_rec(n.hi);
-                let r = self.mk(n.var, lo, hi);
-                if !self.interrupted {
-                    self.cache_not.insert(f, r);
-                }
-                r
-            }
-        }
+        Bdd(self.apply(Op::Xor, f.0, 1))
     }
 
     /// Logical conjunction.
     pub fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Bdd(self.and_rec(f.0, g.0))
-    }
-
-    fn and_rec(&mut self, f: u32, g: u32) -> u32 {
-        // Terminal and trivial cases.
-        if f == g {
-            return f;
-        }
-        match (f, g) {
-            (0, _) | (_, 0) => return 0,
-            (1, x) | (x, 1) => return x,
-            _ => {}
-        }
-        if self.interrupted {
-            return 0;
-        }
-        let key = if f < g { (f, g) } else { (g, f) };
-        self.cache_lookups += 1;
-        if let Some(&r) = self.cache_and.get(&key) {
-            self.cache_hits += 1;
-            return r;
-        }
-        let nf = self.node(f);
-        let ng = self.node(g);
-        let var = nf.var.min(ng.var);
-        let (flo, fhi) = if nf.var == var {
-            (nf.lo, nf.hi)
-        } else {
-            (f, f)
-        };
-        let (glo, ghi) = if ng.var == var {
-            (ng.lo, ng.hi)
-        } else {
-            (g, g)
-        };
-        let lo = self.and_rec(flo, glo);
-        let hi = self.and_rec(fhi, ghi);
-        let r = self.mk(var, lo, hi);
-        if !self.interrupted {
-            self.cache_and.insert(key, r);
-        }
-        r
+        Bdd(self.apply(Op::And, f.0, g.0))
     }
 
     /// Logical disjunction.
     pub fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Bdd(self.or_rec(f.0, g.0))
-    }
-
-    fn or_rec(&mut self, f: u32, g: u32) -> u32 {
-        if f == g {
-            return f;
-        }
-        match (f, g) {
-            (1, _) | (_, 1) => return 1,
-            (0, x) | (x, 0) => return x,
-            _ => {}
-        }
-        if self.interrupted {
-            return 0;
-        }
-        let key = if f < g { (f, g) } else { (g, f) };
-        self.cache_lookups += 1;
-        if let Some(&r) = self.cache_or.get(&key) {
-            self.cache_hits += 1;
-            return r;
-        }
-        let nf = self.node(f);
-        let ng = self.node(g);
-        let var = nf.var.min(ng.var);
-        let (flo, fhi) = if nf.var == var {
-            (nf.lo, nf.hi)
-        } else {
-            (f, f)
-        };
-        let (glo, ghi) = if ng.var == var {
-            (ng.lo, ng.hi)
-        } else {
-            (g, g)
-        };
-        let lo = self.or_rec(flo, glo);
-        let hi = self.or_rec(fhi, ghi);
-        let r = self.mk(var, lo, hi);
-        if !self.interrupted {
-            self.cache_or.insert(key, r);
-        }
-        r
+        Bdd(self.apply(Op::Or, f.0, g.0))
     }
 
     /// Exclusive or.
     pub fn xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Bdd(self.xor_rec(f.0, g.0))
+        Bdd(self.apply(Op::Xor, f.0, g.0))
     }
 
-    fn xor_rec(&mut self, f: u32, g: u32) -> u32 {
+    /// The Shannon recursion shared by the commutative binary operators.
+    /// `xor(1, g)` is not a terminal case: it recurses into `¬g`.
+    pub(crate) fn apply(&mut self, op: Op, f: u32, g: u32) -> u32 {
+        let (f, g) = if f <= g { (f, g) } else { (g, f) };
         if f == g {
-            return 0;
+            return if op == Op::Xor { 0 } else { f };
         }
-        match (f, g) {
-            (0, x) | (x, 0) => return x,
-            (1, x) | (x, 1) => return self.not_rec(x),
+        match (op, f) {
+            (Op::And, 0) => return 0,
+            (Op::And, 1) | (Op::Or, 0) | (Op::Xor, 0) => return g,
+            (Op::Or, 1) => return 1,
             _ => {}
         }
-        if self.interrupted {
-            return 0;
-        }
-        let key = if f < g { (f, g) } else { (g, f) };
-        self.cache_lookups += 1;
-        if let Some(&r) = self.cache_xor.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cached(f, g, op as u32) {
             return r;
         }
-        let nf = self.node(f);
-        let ng = self.node(g);
-        let var = nf.var.min(ng.var);
-        let (flo, fhi) = if nf.var == var {
-            (nf.lo, nf.hi)
-        } else {
-            (f, f)
-        };
-        let (glo, ghi) = if ng.var == var {
-            (ng.lo, ng.hi)
-        } else {
-            (g, g)
-        };
-        let lo = self.xor_rec(flo, glo);
-        let hi = self.xor_rec(fhi, ghi);
+        let var = self.node(f).var.min(self.node(g).var);
+        let (flo, fhi) = self.cofactors(f, var);
+        let (glo, ghi) = self.cofactors(g, var);
+        let lo = self.apply(op, flo, glo);
+        let hi = self.apply(op, fhi, ghi);
         let r = self.mk(var, lo, hi);
-        if !self.interrupted {
-            self.cache_xor.insert(key, r);
-        }
-        r
+        self.remember(f, g, op as u32, r)
     }
 
     /// If-then-else: `f ? g : h`, the universal ternary connective.
@@ -501,52 +468,28 @@ impl BddManager {
         if g == 1 && h == 0 {
             return f;
         }
+        // Delegate the two-operand shapes to `apply` so their cache
+        // entries are shared.
         if g == 0 && h == 1 {
-            return self.not_rec(f);
+            return self.apply(Op::Xor, f, 1);
         }
-        // Delegate the two-operand shapes to the cheaper specialized ops so
-        // their caches are shared.
         if h == 0 {
-            return self.and_rec(f, g);
+            return self.apply(Op::And, f, g);
         }
         if g == 1 {
-            return self.or_rec(f, h);
+            return self.apply(Op::Or, f, h);
         }
-        if self.interrupted {
-            return 0;
-        }
-        let key = (f, g, h);
-        self.cache_lookups += 1;
-        if let Some(&r) = self.cache_ite.get(&key) {
-            self.cache_hits += 1;
+        if let Some(r) = self.cached(f, g, h) {
             return r;
         }
-        let nf = self.node(f);
-        let ng = self.node(g);
-        let nh = self.node(h);
-        let var = nf.var.min(ng.var).min(nh.var);
-        let (flo, fhi) = if nf.var == var {
-            (nf.lo, nf.hi)
-        } else {
-            (f, f)
-        };
-        let (glo, ghi) = if ng.var == var {
-            (ng.lo, ng.hi)
-        } else {
-            (g, g)
-        };
-        let (hlo, hhi) = if nh.var == var {
-            (nh.lo, nh.hi)
-        } else {
-            (h, h)
-        };
+        let var = self.node(f).var.min(self.node(g).var).min(self.node(h).var);
+        let (flo, fhi) = self.cofactors(f, var);
+        let (glo, ghi) = self.cofactors(g, var);
+        let (hlo, hhi) = self.cofactors(h, var);
         let lo = self.ite_rec(flo, glo, hlo);
         let hi = self.ite_rec(fhi, ghi, hhi);
         let r = self.mk(var, lo, hi);
-        if !self.interrupted {
-            self.cache_ite.insert(key, r);
-        }
-        r
+        self.remember(f, g, h, r)
     }
 
     /// Implication `f → g`.
@@ -725,6 +668,43 @@ mod tests {
         assert!(s.cache_lookups > 0);
         assert!(s.cache_hits > 0);
         assert!(s.cache_hit_rate() > 0.0 && s.cache_hit_rate() <= 1.0);
+    }
+
+    #[test]
+    fn quantifiers_and_replace_count_their_probes() {
+        let mut m = BddManager::new();
+        let x = m.var(0);
+        let y = m.var(1);
+        let f = m.and(x, y);
+        let g = m.or(x, y);
+        let c = m.cube(&[0]);
+        let map = m.varmap(&[(0, 2), (1, 3)]);
+        let lookups = |m: &BddManager| m.stats().cache_lookups;
+
+        let before = lookups(&m);
+        m.exists(f, c);
+        assert!(lookups(&m) > before, "exists");
+        let before = lookups(&m);
+        m.and_exists(f, g, c);
+        assert!(lookups(&m) > before, "and_exists");
+        let before = lookups(&m);
+        m.replace(f, map);
+        assert!(lookups(&m) > before, "replace");
+    }
+
+    #[test]
+    fn cache_slots_follow_the_arena() {
+        let mut m = BddManager::new();
+        let slots = |m: &BddManager| MIN_CACHE_SLOTS.max(m.nodes.len().next_power_of_two());
+        assert_eq!(m.cache.len(), slots(&m));
+        // A 100 k-node chain: every `mk` adds one node.
+        let mut f = 1;
+        for v in (0..100_000).rev() {
+            f = m.mk(v, f, 0);
+            assert_eq!(m.cache.len(), slots(&m));
+        }
+        assert_eq!(m.arena_size(), 100_002);
+        assert_eq!(m.cache.len(), 1 << 17);
     }
 
     #[test]

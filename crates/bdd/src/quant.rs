@@ -6,7 +6,7 @@
 //! literature) followed by one `replace`.
 
 use crate::cube::Cube;
-use crate::manager::{Bdd, BddManager};
+use crate::manager::{Bdd, BddManager, Op};
 
 impl BddManager {
     /// Existential quantification `∃ vars. f`.
@@ -33,11 +33,7 @@ impl BddManager {
             // No quantified variable occurs in f.
             return f;
         }
-        if self.interrupted {
-            return 0;
-        }
-        let key = (f, vars.0);
-        if let Some(&r) = self.cache_exists.get(&key) {
+        if let Some(r) = self.cached(f, vars.0, Op::Exists as u32) {
             return r;
         }
         let lo = self.exists_rec(n.lo, vars);
@@ -46,16 +42,13 @@ impl BddManager {
                 1
             } else {
                 let hi = self.exists_rec(n.hi, vars);
-                self.or_raw(lo, hi)
+                self.apply(Op::Or, lo, hi)
             }
         } else {
             let hi = self.exists_rec(n.hi, vars);
             self.mk(n.var, lo, hi)
         };
-        if !self.interrupted {
-            self.cache_exists.insert(key, r);
-        }
-        r
+        self.remember(f, vars.0, Op::Exists as u32, r)
     }
 
     /// The relational product `∃ vars. f ∧ g`, computed in one pass without
@@ -76,56 +69,30 @@ impl BddManager {
             return self.exists_rec(f, vars);
         }
         let (f, g) = if f < g { (f, g) } else { (g, f) };
-        let nf = self.node(f);
-        let ng = self.node(g);
-        let var = nf.var.min(ng.var);
+        let var = self.node(f).var.min(self.node(g).var);
         if !self.cube_has_var_geq(vars, var) {
-            return self.and_raw(f, g);
+            return self.apply(Op::And, f, g);
         }
-        if self.interrupted {
-            return 0;
-        }
-        let key = (f, g, vars.0);
-        if let Some(&r) = self.cache_and_exists.get(&key) {
+        // The cube id with the top bit set: never a node index, never a tag.
+        let key = vars.0 | 1 << 31;
+        if let Some(r) = self.cached(f, g, key) {
             return r;
         }
-        let (flo, fhi) = if nf.var == var {
-            (nf.lo, nf.hi)
-        } else {
-            (f, f)
-        };
-        let (glo, ghi) = if ng.var == var {
-            (ng.lo, ng.hi)
-        } else {
-            (g, g)
-        };
+        let (flo, fhi) = self.cofactors(f, var);
+        let (glo, ghi) = self.cofactors(g, var);
+        let lo = self.and_exists_rec(flo, glo, vars);
         let r = if self.cube_contains(vars, var) {
-            let lo = self.and_exists_rec(flo, glo, vars);
             if lo == 1 {
                 1
             } else {
                 let hi = self.and_exists_rec(fhi, ghi, vars);
-                self.or_raw(lo, hi)
+                self.apply(Op::Or, lo, hi)
             }
         } else {
-            let lo = self.and_exists_rec(flo, glo, vars);
             let hi = self.and_exists_rec(fhi, ghi, vars);
             self.mk(var, lo, hi)
         };
-        if !self.interrupted {
-            self.cache_and_exists.insert(key, r);
-        }
-        r
-    }
-
-    #[inline]
-    fn or_raw(&mut self, f: u32, g: u32) -> u32 {
-        self.or(Bdd(f), Bdd(g)).0
-    }
-
-    #[inline]
-    fn and_raw(&mut self, f: u32, g: u32) -> u32 {
-        self.and(Bdd(f), Bdd(g)).0
+        self.remember(f, g, key, r)
     }
 }
 

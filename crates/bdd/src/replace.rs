@@ -8,7 +8,7 @@
 //! rewrite; otherwise it falls back to the general quantification-based
 //! substitution `∃src. f ∧ ⋀ᵢ (srcᵢ ↔ dstᵢ)`.
 
-use crate::manager::{Bdd, BddManager};
+use crate::manager::{Bdd, BddManager, Op};
 
 /// An interned variable mapping. Obtain one from [`BddManager::varmap`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -92,11 +92,7 @@ impl BddManager {
         if f <= 1 {
             return f;
         }
-        if self.interrupted {
-            return 0;
-        }
-        let key = (f, map.0);
-        if let Some(&r) = self.cache_replace.get(&key) {
+        if let Some(r) = self.cached(f, map.0, Op::Replace as u32) {
             return r;
         }
         let n = self.node(f);
@@ -104,10 +100,7 @@ impl BddManager {
         let hi = self.replace_rec(n.hi, map);
         let v = self.map_var(map, n.var);
         let r = self.mk(v, lo, hi);
-        if !self.interrupted {
-            self.cache_replace.insert(key, r);
-        }
-        r
+        self.remember(f, map.0, Op::Replace as u32, r)
     }
 }
 

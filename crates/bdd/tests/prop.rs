@@ -3,7 +3,12 @@
 //! two representations must agree on every assignment, on satisfiability
 //! counts, and under quantification.
 
+use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use proptest::TestRng;
 use rzen_bdd::{Bdd, BddManager, BDD_FALSE, BDD_TRUE};
 
 const NVARS: u32 = 5;
@@ -204,4 +209,147 @@ proptest! {
         prop_assert_eq!(b == BDD_TRUE, taut);
         prop_assert_eq!(b == BDD_FALSE, unsat);
     }
+}
+
+/// Every operation on the same operands, checked against the truth
+/// tables, with one manager for every case: its computed cache fills,
+/// grows with the arena and overwrites entries across operations and
+/// cases, so an entry read under the wrong key shows as a wrong function.
+fn one_manager_for_every_case(cases: u32) {
+    let mut m = BddManager::new();
+    // The block `replace` shifts into.
+    for v in 0..(2 * NVARS) {
+        m.var(v);
+    }
+    let pairs: Vec<(u32, u32)> = (0..NVARS).map(|v| (v, v + NVARS)).collect();
+    let strategy = (
+        formula_strategy(),
+        formula_strategy(),
+        formula_strategy(),
+        0..NVARS,
+    );
+    for case in 0..cases {
+        let mut rng = TestRng::for_case("one_manager_for_every_case", case as u64);
+        let (f, g, h, q) = strategy.generate(&mut rng);
+        if let Err(e) = check_every_op(&mut m, &pairs, &f, &g, &h, q) {
+            panic!("case {case}/{cases}: {}", e.0);
+        }
+    }
+    assert!(m.arena_size() > 1024, "the cache never grew");
+}
+
+fn check_every_op(
+    m: &mut BddManager,
+    pairs: &[(u32, u32)],
+    f: &Formula,
+    g: &Formula,
+    h: &Formula,
+    q: u32,
+) -> Result<(), TestCaseError> {
+    let (bf, bg, bh) = (build_bdd(m, f), build_bdd(m, g), build_bdd(m, h));
+    let cube = m.cube(&[q]);
+    let shift = m.varmap(pairs);
+    let and = m.and(bf, bg);
+    let or = m.or(bf, bg);
+    let xor = m.xor(bf, bg);
+    let not = m.not(bf);
+    let ite = m.ite(bf, bg, bh);
+    let exists = m.exists(bf, cube);
+    let forall = m.forall(bf, cube);
+    let and_exists = m.and_exists(bf, bg, cube);
+    let replace = m.replace(bf, shift);
+    for a in 0..(1u32 << NVARS) {
+        let (fa, ga) = (eval_formula(f, a), eval_formula(g, a));
+        let (a0, a1) = (a & !(1 << q), a | (1 << q));
+        let (f0, f1) = (eval_formula(f, a0), eval_formula(f, a1));
+        let fg0 = f0 && eval_formula(g, a0);
+        let fg1 = f1 && eval_formula(g, a1);
+        let at = |b: Bdd| m.eval(b, |v| a & (1 << v) != 0);
+        prop_assert_eq!(at(and), fa && ga, "and at {:05b}", a);
+        prop_assert_eq!(at(or), fa || ga, "or at {:05b}", a);
+        prop_assert_eq!(at(xor), fa ^ ga, "xor at {:05b}", a);
+        prop_assert_eq!(at(not), !fa, "not at {:05b}", a);
+        let ite_expect = if fa { ga } else { eval_formula(h, a) };
+        prop_assert_eq!(at(ite), ite_expect, "ite at {:05b}", a);
+        prop_assert_eq!(at(exists), f0 || f1, "exists at {:05b}", a);
+        prop_assert_eq!(at(forall), f0 && f1, "forall at {:05b}", a);
+        prop_assert_eq!(at(and_exists), fg0 || fg1, "and_exists at {:05b}", a);
+        let shifted = m.eval(replace, |v| v >= NVARS && a & (1 << (v - NVARS)) != 0);
+        prop_assert_eq!(shifted, fa, "replace at {:05b}", a);
+    }
+    Ok(())
+}
+
+/// 1 024 cases grow the arena, and so the cache, past 1 024 nodes.
+#[test]
+fn one_manager_agrees_with_truth_tables() {
+    one_manager_for_every_case(1024);
+}
+
+/// The long run (CI: `cargo test -p rzen-bdd --test prop -- --ignored`).
+#[test]
+#[ignore = "long run; CI has a step for it"]
+fn one_manager_agrees_with_truth_tables_long() {
+    one_manager_for_every_case(20_000);
+}
+
+/// `x0 y0 ∨ … ∨ x(k-1) y(k-1)` with every `x` above every `y`, ORed
+/// with the pairs shifted by `s`: exponential in `k` under this order.
+fn pairs_far_apart(m: &mut BddManager, k: u32, s: u32) -> Bdd {
+    let mut f = BDD_FALSE;
+    for i in 0..k {
+        let x = m.var(i);
+        let y = m.var(k + (i + s) % k);
+        let xy = m.and(x, y);
+        f = m.or(f, xy);
+    }
+    f
+}
+
+/// Do `a` in `ma` and `b` in `mb` have the same diagram, node for node?
+fn same_diagram(ma: &BddManager, a: Bdd, mb: &BddManager, b: Bdd) -> bool {
+    let mut seen = HashMap::new();
+    let mut stack = vec![(a, b)];
+    while let Some((a, b)) = stack.pop() {
+        if *seen.entry(a).or_insert(b) != b {
+            return false;
+        }
+        if ma.is_terminal(a) || mb.is_terminal(b) {
+            if a != b {
+                return false;
+            }
+            continue;
+        }
+        if ma.level(a) != mb.level(b) {
+            return false;
+        }
+        stack.push((ma.low(a), mb.low(b)));
+        stack.push((ma.high(a), mb.high(b)));
+    }
+    true
+}
+
+/// An op interrupted mid-recursion leaves no entry behind: once the
+/// budget is lifted, the same op in the same manager, with its cache kept,
+/// builds exactly the diagram a fresh manager builds.
+#[test]
+fn an_interrupted_op_leaves_the_cache_valid() {
+    let mut m = BddManager::new();
+    let f = pairs_far_apart(&mut m, 10, 0);
+    let g = pairs_far_apart(&mut m, 10, 1);
+    let before = m.arena_size();
+    // Raised before the op starts: `mk` sees it at its next poll, a few
+    // thousand calls into the op.
+    m.set_budget(Some(Arc::new(AtomicBool::new(true))), None);
+    m.xor(f, g);
+    assert!(m.interrupted());
+    assert!(m.arena_size() > before, "the op was cut before it started");
+    m.set_budget(None, None);
+    let again = m.xor(f, g);
+
+    let mut fresh = BddManager::new();
+    let ff = pairs_far_apart(&mut fresh, 10, 0);
+    let fg = pairs_far_apart(&mut fresh, 10, 1);
+    let expect = fresh.xor(ff, fg);
+    assert!(same_diagram(&m, again, &fresh, expect));
 }

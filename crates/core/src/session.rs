@@ -19,7 +19,8 @@
 //!   every learnt clause — implied by the monotone clause database alone —
 //!   carries over to later queries.
 //! * **BDD session** — one [`BddManager`] lives for the whole session, so
-//!   the unique table and op-cache persist. The variable order is
+//!   the unique table and computed cache persist (the cache is bounded by
+//!   the arena; nodes are never collected). The variable order is
 //!   *extended* per query ([`extend_order`]) so earlier queries' levels
 //!   never move, and it remembers what it walked, so a query adding a
 //!   root above an ordered model walks only the root.
@@ -531,8 +532,10 @@ fn stats_delta(after: &Stats, before: &Stats) -> Stats {
     }
 }
 
-/// Persistent BDD backend state: one manager (unique table + op-cache)
-/// and one ever-growing variable order for the whole session.
+/// Persistent BDD backend state: one manager (unique table + computed
+/// cache) and one ever-growing variable order for the whole session. An
+/// interrupted query leaves the manager usable: it evicts only its own
+/// bitblast entries.
 struct BddSession {
     m: BddManager,
     order: VarOrder,
