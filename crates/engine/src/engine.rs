@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -55,9 +55,11 @@ impl Default for EngineConfig {
 /// any number of times; the result cache persists across batches.
 pub struct Engine {
     cfg: EngineConfig,
-    /// The result cache, shared by batch workers and serve shards alike.
-    /// It is locked only to look up and to insert, never across a solve,
-    /// so a sweep never waits for a solver.
+    /// The result cache, shared by batch workers, serve shards and the
+    /// serve reactor's [`Engine::probe`] alike. It is locked only to look
+    /// up and to insert, never across a solve, so a sweep never waits for
+    /// a solver; the probe only tries the lock, so it never waits for a
+    /// sweep.
     cache: Mutex<ResultCache>,
 }
 
@@ -185,7 +187,7 @@ impl Engine {
                         let start_us = rzen_obs::flight::now_us();
                         let alloc0 = rzen_obs::profile::thread_alloc_stats();
                         let budget = self.request_budget();
-                        let result = self.solve(i, &queries[i], &worker, budget, ctx);
+                        let result = self.solve(i, &queries[i], &worker, budget, ctx, None);
                         record_flight(&ctx, start_us, alloc0, &queries[i], &result);
                         *slots[i].lock().unwrap() = Some(result);
                     }
@@ -198,43 +200,43 @@ impl Engine {
         BatchReport { results, stats }
     }
 
-    /// Look `query` up in the result cache, if caching is on. A hit breaks
-    /// out with the finished result; a miss carries on with what its
-    /// insert needs once the query is solved.
+    /// Look `query` up in the result cache, if caching is on, waiting
+    /// for the lock. A hit breaks out with the finished result; a miss
+    /// carries on with what its insert needs once the query is solved.
     fn cache_lookup(
         &self,
         index: usize,
         query: &Query,
         started: Instant,
-    ) -> ControlFlow<QueryResult, Option<CacheMiss<'_>>> {
+    ) -> ControlFlow<QueryResult, Option<CacheMiss>> {
         if !self.cfg.cache {
             return ControlFlow::Continue(None);
         }
         let fingerprint = query.fingerprint();
         let cache = self.cache.lock().expect(POISONED);
-        let Some(v) = cache.get(fingerprint, query) else {
-            rzen_obs::counter!("engine.cache.misses", "cache lookups that found no entry").inc();
-            return ControlFlow::Continue(Some(CacheMiss {
-                cache: &self.cache,
-                fingerprint,
-                sweeps: cache.sweeps(),
-            }));
+        lookup(cache, fingerprint, query, index, started).map_continue(Some)
+    }
+
+    /// Probe the result cache for `query` without waiting: the serve
+    /// reactor's lookup, made before it routes a query to a shard.
+    /// `fingerprint` must be `query.fingerprint()`, so a caller that
+    /// also keys on it hashes the network once. A hit is the finished
+    /// result; a miss is the ticket [`Engine::run_missed`] solves with,
+    /// so the query is looked up once however it is answered. While
+    /// another thread holds the cache (a clear, a delta sweep, an
+    /// insert), or with caching off, nothing is looked up and
+    /// [`Engine::run_one`] looks up as usual.
+    pub fn probe(&self, fingerprint: u64, query: &Query) -> Probe {
+        if !self.cfg.cache {
+            return Probe::Skipped;
+        }
+        let Ok(cache) = self.cache.try_lock() else {
+            return Probe::Skipped;
         };
-        let verdict = v.clone();
-        drop(cache);
-        rzen_obs::counter!("engine.cache.hits", "queries served from the result cache").inc();
-        rzen_obs::trace::instant1("engine.cache.hit", "index", index as u64);
-        ControlFlow::Break(QueryResult {
-            index,
-            kind: query.kind(),
-            verdict,
-            latency: started.elapsed(),
-            winner: None,
-            cache_hit: true,
-            sat_stats: None,
-            bdd_stats: None,
-            session: None,
-        })
+        match lookup(cache, fingerprint, query, 0, Instant::now()) {
+            ControlFlow::Break(hit) => Probe::Hit(Box::new(hit)),
+            ControlFlow::Continue(miss) => Probe::Miss(miss),
+        }
     }
 
     /// A fresh budget for one query, from the configured default timeout.
@@ -245,8 +247,9 @@ impl Engine {
         }
     }
 
-    /// The one way a query reaches a backend: consult the cache, hand the
-    /// query to every runner of `worker` (one per backend) under one
+    /// The one way a query reaches a backend: consult the cache (unless
+    /// `probed` is the miss of an earlier lookup), hand the query to every
+    /// runner of `worker` (one per backend) under one
     /// shared budget, stamp latency the moment a decisive reply lands and
     /// cancel the rest, then drain the losers (for their substrate stats)
     /// before moving on, so persistent sessions stay in lock-step. If no
@@ -260,14 +263,18 @@ impl Engine {
         worker: &ServeWorker,
         budget: Budget,
         ctx: rzen_obs::RequestCtx,
+        probed: Option<CacheMiss>,
     ) -> QueryResult {
         let started = Instant::now();
         let req = ctx.id;
         let _span = rzen_obs::span!("engine.query", "req" => req, "index" => index as u64);
         rzen_obs::counter!("engine.queries", "queries dispatched to workers").inc();
-        let miss = match self.cache_lookup(index, query, started) {
-            ControlFlow::Break(hit) => return hit,
-            ControlFlow::Continue(miss) => miss,
+        let miss = match probed {
+            Some(miss) => Some(miss),
+            None => match self.cache_lookup(index, query, started) {
+                ControlFlow::Break(hit) => return hit,
+                ControlFlow::Continue(miss) => miss,
+            },
         };
 
         let runners = &worker.runners;
@@ -331,7 +338,7 @@ impl Engine {
         // Only decisive verdicts are cached, so an `Error` (or a budget
         // artifact) can never be replayed to a later identical query.
         if let Some(miss) = miss.filter(|_| result.verdict.is_decisive()) {
-            miss.insert(query, &result.verdict);
+            miss.insert(&self.cache, query, &result.verdict);
         }
         result
     }
@@ -436,8 +443,69 @@ impl Engine {
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
-        self.solve(0, query, worker, budget, ctx)
+        self.solve(0, query, worker, budget, ctx, None)
     }
+
+    /// [`Engine::run_one`] for a query whose [`Engine::probe`] missed:
+    /// solve it without a second lookup, and insert its verdict under
+    /// the probe's ticket.
+    pub fn run_missed(
+        &self,
+        query: &Query,
+        budget: Budget,
+        worker: &ServeWorker,
+        ctx: rzen_obs::RequestCtx,
+        miss: CacheMiss,
+    ) -> QueryResult {
+        self.solve(0, query, worker, budget, ctx, Some(miss))
+    }
+}
+
+/// What [`Engine::probe`] found.
+#[derive(Debug)]
+pub enum Probe {
+    /// The cached verdict, as a finished result (`cache_hit` set).
+    Hit(Box<QueryResult>),
+    /// Not cached: solve with [`Engine::run_missed`].
+    Miss(CacheMiss),
+    /// Nothing was looked up (the cache was locked, or caching is off):
+    /// solve with [`Engine::run_one`].
+    Skipped,
+}
+
+/// Look `query` up in the locked cache, release the lock, and count the
+/// hit or the miss. A hit breaks out with the finished result; a miss
+/// carries on with its insert ticket.
+fn lookup(
+    cache: MutexGuard<'_, ResultCache>,
+    fingerprint: u64,
+    query: &Query,
+    index: usize,
+    started: Instant,
+) -> ControlFlow<QueryResult, CacheMiss> {
+    let Some(verdict) = cache.get(fingerprint, query).cloned() else {
+        let sweeps = cache.sweeps();
+        drop(cache);
+        rzen_obs::counter!("engine.cache.misses", "cache lookups that found no entry").inc();
+        return ControlFlow::Continue(CacheMiss {
+            fingerprint,
+            sweeps,
+        });
+    };
+    drop(cache);
+    rzen_obs::counter!("engine.cache.hits", "queries served from the result cache").inc();
+    rzen_obs::trace::instant1("engine.cache.hit", "index", index as u64);
+    ControlFlow::Break(QueryResult {
+        index,
+        kind: query.kind(),
+        verdict,
+        latency: started.elapsed(),
+        winner: None,
+        cache_hit: true,
+        sat_stats: None,
+        bdd_stats: None,
+        session: None,
+    })
 }
 
 /// A long-lived worker: the runner threads [`Engine::run_one`] and the
@@ -460,23 +528,23 @@ impl Drop for ServeWorker {
     }
 }
 
-/// Where a cache miss's verdict goes once it is solved.
-struct CacheMiss<'e> {
-    cache: &'e Mutex<ResultCache>,
+/// Where a cache miss's verdict goes once it is solved: the query's
+/// fingerprint and the cache's sweep count at the lookup.
+#[derive(Clone, Copy, Debug)]
+pub struct CacheMiss {
     fingerprint: u64,
-    /// The cache's sweep count at the lookup.
     sweeps: u64,
 }
 
-impl CacheMiss<'_> {
+impl CacheMiss {
     /// Cache `verdict` for `query` — unless the cache was swept or
     /// cleared since the lookup. The verdict may then have been solved
     /// against the pre-delta model: keyed by the old network, it could
     /// never be hit, and would sit in the cache until the next full swap.
     /// Only a lookup that came before the sweep is caught; a query
     /// holding the old model whose lookup comes after it still inserts.
-    fn insert(self, query: &Query, verdict: &Verdict) {
-        let mut cache = self.cache.lock().expect(POISONED);
+    fn insert(self, cache: &Mutex<ResultCache>, query: &Query, verdict: &Verdict) {
+        let mut cache = cache.lock().expect(POISONED);
         if cache.sweeps() == self.sweeps {
             cache.insert(self.fingerprint, query, verdict.clone());
             entries_gauge().set(cache.len() as i64);
@@ -664,7 +732,7 @@ mod tests {
     use super::*;
     use rzen_net::topology::{DeltaStep, Touch};
 
-    fn lookup_miss<'e>(engine: &'e Engine, query: &Query) -> CacheMiss<'e> {
+    fn lookup_miss(engine: &Engine, query: &Query) -> CacheMiss {
         match engine.cache_lookup(0, query, Instant::now()) {
             ControlFlow::Continue(Some(miss)) => miss,
             _ => panic!("expected a cache miss"),
@@ -696,15 +764,15 @@ mod tests {
 
         let in_flight = lookup_miss(&engine, &on(&old));
         engine.apply_delta(&old, &new, &steps);
-        in_flight.insert(&on(&old), &Verdict::Unsat);
+        in_flight.insert(&engine.cache, &on(&old), &Verdict::Unsat);
         assert_eq!(engine.cache_len(), 0, "a pre-delta miss was inserted");
 
         let in_flight = lookup_miss(&engine, &on(&new));
         engine.clear_cache();
-        in_flight.insert(&on(&new), &Verdict::Unsat);
+        in_flight.insert(&engine.cache, &on(&new), &Verdict::Unsat);
         assert_eq!(engine.cache_len(), 0, "a pre-clear miss was inserted");
 
-        lookup_miss(&engine, &on(&new)).insert(&on(&new), &Verdict::Unsat);
+        lookup_miss(&engine, &on(&new)).insert(&engine.cache, &on(&new), &Verdict::Unsat);
         assert_eq!(engine.cache_len(), 1);
     }
 }

@@ -45,6 +45,12 @@
 //! entry is keyed by the old network, so it is never hit, and it stays
 //! until the next clear.
 //!
+//! A caller that must not wait on the lock — the serve reactor — looks up
+//! with [`Engine::probe`], which only tries it. A hit is answered there;
+//! a miss hands its ticket (fingerprint and sweep count) to
+//! [`Engine::run_missed`], which solves and inserts without a second
+//! lookup, so each query is looked up once.
+//!
 //! ## Sessions
 //!
 //! Every runner solves through an [`rzen::SolverSession`] — an
@@ -80,6 +86,6 @@ mod query;
 mod stats;
 
 pub use cache::DeltaCacheStats;
-pub use engine::{Engine, EngineConfig, ServeWorker};
+pub use engine::{CacheMiss, Engine, EngineConfig, Probe, ServeWorker};
 pub use query::{Query, QueryBackend, Verdict, Witness};
 pub use stats::{BatchReport, EngineStats, QueryResult};

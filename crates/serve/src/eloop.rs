@@ -20,15 +20,17 @@
 //!
 //! Engine work runs on `N` shard threads. Each shard owns its solver
 //! session ([`rzen_engine::ServeWorker`]) outright and shares the
-//! engine's one result cache, locked only for the lookup and the
-//! insert. The reactor routes queries by query fingerprint (which
-//! subsumes the model fingerprint, so identical queries against the same
-//! model always land on the shard holding their warm session state),
-//! hands jobs over an SPSC ring, and collects completions from a second
-//! ring after the shard rings the shared doorbell. Cache-wide
-//! transitions (hot-swap clear, delta sweep) run on the offload thread
-//! that answers the request; a shard busy in a solve holds no cache
-//! lock, so they never wait for it.
+//! engine's one result cache, locked only for the insert (and for the
+//! lookup when the reactor's probe was skipped). The reactor probes that
+//! cache itself and answers hits on the spot, so only misses reach a
+//! shard. It routes them by query fingerprint (which subsumes the model
+//! fingerprint, so identical queries against the same model always land
+//! on the shard holding their warm session state), hands jobs over an
+//! SPSC ring, and collects completions from a second ring after the
+//! shard rings the shared doorbell. Cache-wide transitions (hot-swap
+//! clear, delta sweep) run on the offload thread that answers the
+//! request; a shard busy in a solve holds no cache lock, so they never
+//! wait for it, and the reactor never waits for them.
 //!
 //! ## Admission, coalescing and shedding
 //!
@@ -46,7 +48,16 @@
 //!    ring still runs: the solvers see the spent budget at their first
 //!    poll and it degrades to a `timeout` verdict, while a result-cache
 //!    hit can still answer it for free.
-//! 3. **Join before shed.** A `reach`/`drops` identical (same
+//! 3. **Probe before join and shed.** A `reach`/`drops` is fingerprinted
+//!    once and looked up in the result cache ([`Engine::probe`]). A hit
+//!    is answered here (`"cache_hit":true`, a flight record with no
+//!    shard): it takes no shard slot, so a hit is answered even while
+//!    every shard is busy or full, and is never shed. A miss carries its
+//!    fingerprint and lookup ticket to the shard, which solves without
+//!    looking up again. The probe only `try_lock`s the cache; while
+//!    another thread holds it (a sweep, a shard's insert) the request
+//!    goes on as a miss would, and its shard looks it up.
+//! 4. **Join before shed.** A `reach`/`drops` identical (same
 //!    fingerprint, structurally equal — the query embeds the model, so
 //!    different models never match) to one already in flight joins that
 //!    leader's group and consumes no shard slot at all, however loaded
@@ -57,7 +68,7 @@
 //!    `overloaded`. Groups live on the reactor thread only — no locks,
 //!    and a group exists only while its leader holds a shard slot, so a
 //!    shed leader can never strand a joiner.
-//! 4. Everything else is routed (fingerprint affinity for queries,
+//! 5. Everything else is routed (fingerprint affinity for queries,
 //!    round-robin otherwise) and admitted against that shard's cap,
 //!    `1 + ceil(backlog / shards)` outstanding jobs; past it the request
 //!    is shed at once with an explicit `overloaded` — the client is
@@ -92,7 +103,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rzen::Budget;
-use rzen_engine::{Engine, EngineConfig, Query, QueryResult, ServeWorker, Verdict};
+use rzen_engine::{
+    CacheMiss, Engine, EngineConfig, Probe, Query, QueryResult, ServeWorker, Verdict,
+};
 use rzen_loop::framing::{HttpDecoder, HttpError, HttpRequest, LineDecoder, WriteBuf};
 use rzen_loop::ring::{spsc, Consumer, Producer};
 use rzen_loop::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -204,6 +217,8 @@ enum ShardJob {
         t: JobTicket,
         query: Box<Query>,
         budget: Budget,
+        /// The reactor's probe missed: solve without a second lookup.
+        miss: Option<CacheMiss>,
     },
     Hsa {
         t: JobTicket,
@@ -853,8 +868,13 @@ impl Reactor {
     }
 
     /// Admit one NDJSON request line (the module docs give the order).
-    /// Nothing here ever blocks — in-flight work parks in `pending[seq]`
-    /// and the answer arrives through the shard's done ring.
+    /// Nothing here ever blocks — a result-cache hit is answered at once,
+    /// other in-flight work parks in `pending[seq]` and the answer
+    /// arrives through the shard's done ring. The cache probe takes the
+    /// engine's cache lock with `try_lock` only: while another thread
+    /// holds it (a `POST /model` or `POST /delta` sweep, a shard's
+    /// insert), the query goes to its shard as a miss would and is looked
+    /// up there, so no client can block the reactor on that lock either.
     fn admit_line(&mut self, conn: &mut Conn, line: &str) {
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -960,6 +980,15 @@ impl Reactor {
                     }
                 };
                 let fp = query.fingerprint();
+                let alloc0 = rzen_obs::profile::thread_alloc_stats();
+                let miss = match shared.engine.probe(fp, &query) {
+                    Probe::Hit(result) => {
+                        self.answer_hit(conn, &t, &result, alloc0);
+                        return;
+                    }
+                    Probe::Miss(miss) => Some(miss),
+                    Probe::Skipped => None,
+                };
                 // Coalesce before the shed check: a joiner consumes no
                 // shard slot at all.
                 if let Some(group) = self.coalesce.get_mut(&fp) {
@@ -987,6 +1016,7 @@ impl Reactor {
                         t,
                         query: Box::new(query),
                         budget,
+                        miss,
                     });
                     return;
                 }
@@ -997,6 +1027,7 @@ impl Reactor {
                     t,
                     query: Box::new(query),
                     budget,
+                    miss,
                 });
                 if admitted {
                     self.coalesce.insert(
@@ -1089,8 +1120,29 @@ impl Reactor {
         true
     }
 
-    /// Answer a request synchronously (errors, shedding, drain refusals):
-    /// finalize its record and park the response in its ordered slot.
+    /// Answer a result-cache hit on the reactor: the verdict line a shard
+    /// would have rendered, and a flight record with no shard carrying
+    /// the heap spent since `alloc0` (taken before the probe).
+    fn answer_hit(
+        &mut self,
+        conn: &mut Conn,
+        t: &JobTicket,
+        result: &QueryResult,
+        (alloc_bytes0, alloc_count0): (u64, u64),
+    ) {
+        let resp = proto::verdict_response(t.id, t.ctx.id, t.op, result, false);
+        let (alloc_bytes1, alloc_count1) = rzen_obs::profile::thread_alloc_stats();
+        let meta = RespMeta {
+            alloc_bytes: alloc_bytes1.saturating_sub(alloc_bytes0),
+            alloc_count: alloc_count1.saturating_sub(alloc_count0),
+            ..RespMeta::for_result(result)
+        };
+        self.finish_local(conn, t, meta, resp);
+    }
+
+    /// Answer a request synchronously (cache hits, errors, shedding,
+    /// drain refusals): finalize its record and park the response in its
+    /// ordered slot.
     fn finish_local(&mut self, conn: &mut Conn, t: &JobTicket, meta: RespMeta, resp: String) {
         finalize(t, &meta, 0);
         conn.pending.insert(t.seq, Some(resp));
@@ -1128,10 +1180,8 @@ impl Reactor {
                     (
                         proto::verdict_response(w.id, w.ctx.id, w.op, result, true),
                         RespMeta {
-                            verdict: result.verdict.class(),
-                            backend: result.backend_class(),
                             flags,
-                            ..RespMeta::default()
+                            ..RespMeta::for_result(result)
                         },
                     )
                 }
@@ -1342,19 +1392,24 @@ fn shard_loop(
 fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDone {
     let started = Instant::now();
     match job {
-        ShardJob::Query { t, query, budget } => {
+        ShardJob::Query {
+            t,
+            query,
+            budget,
+            miss,
+        } => {
             // An exhausted budget (the request aged out in the ring)
             // still runs: the solvers observe it at their first poll and
-            // the request degrades to `timeout` — while a cache hit can
-            // still answer it for free.
-            let result = shared.engine.run_one(&query, budget, solver, t.ctx);
-            let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
-            let meta = RespMeta {
-                verdict: result.verdict.class(),
-                backend: result.backend_class(),
-                flags: result.flight_flags(),
-                ..RespMeta::default()
+            // the request degrades to `timeout`. Without a miss ticket
+            // (the probe was skipped) a cache hit can still answer it
+            // for free.
+            let engine = &shared.engine;
+            let result = match miss {
+                Some(miss) => engine.run_missed(&query, budget, solver, t.ctx, miss),
+                None => engine.run_one(&query, budget, solver, t.ctx),
             };
+            let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
+            let meta = RespMeta::for_result(&result);
             // Only a coalesce leader's verdict is needed back in full.
             let result = t.fp.map(|_| Box::new(result));
             ShardDone {

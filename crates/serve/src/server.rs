@@ -206,6 +206,19 @@ pub(crate) struct RespMeta {
     pub(crate) alloc_count: u64,
 }
 
+impl RespMeta {
+    /// The verdict, backend and flag columns a solved or cached result
+    /// gives its flight record; the heap columns stay zero.
+    pub(crate) fn for_result(result: &rzen_engine::QueryResult) -> Self {
+        RespMeta {
+            verdict: result.verdict.class(),
+            backend: result.backend_class(),
+            flags: result.flight_flags(),
+            ..RespMeta::default()
+        }
+    }
+}
+
 impl Default for RespMeta {
     fn default() -> Self {
         RespMeta {

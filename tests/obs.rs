@@ -373,3 +373,50 @@ fn prometheus_exposition_stays_well_formed_under_concurrent_updates() {
         "label values must escape backslash, quote, and newline:\n{text}"
     );
 }
+
+/// A served query is looked up in the result cache once: the reactor's
+/// probe, whose miss ticket the shard solves with. One cold `reach`
+/// moves the miss counter by exactly one, one warm repeat the hit
+/// counter by exactly one.
+#[test]
+fn a_served_query_is_looked_up_once() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let _g = lock();
+    let spec = include_str!("../specs/fig3.net");
+    let handle = rzen_serve::start(
+        rzen_serve::ServerConfig {
+            jobs: 1,
+            ..rzen_serve::ServerConfig::default()
+        },
+        rzen_serve::Model::parse(spec).unwrap(),
+    )
+    .unwrap();
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut reach = || {
+        writer
+            .write_all(b"{\"op\":\"reach\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}\n")
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    };
+    let hits = rzen_obs::metrics::registry().counter("engine.cache.hits", "");
+    let misses = rzen_obs::metrics::registry().counter("engine.cache.misses", "");
+
+    let (h0, m0) = (hits.get(), misses.get());
+    let cold = reach();
+    assert!(cold.contains("\"cache_hit\":false"), "{cold}");
+    assert_eq!((hits.get() - h0, misses.get() - m0), (0, 1), "cold reach");
+
+    let (h0, m0) = (hits.get(), misses.get());
+    let warm = reach();
+    assert!(warm.contains("\"cache_hit\":true"), "{warm}");
+    assert_eq!((hits.get() - h0, misses.get() - m0), (1, 0), "warm reach");
+
+    handle.shutdown();
+    handle.join();
+}

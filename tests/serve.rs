@@ -317,8 +317,12 @@ fn model_hot_swap_is_atomic_and_correct() {
     let handle = start(cfg(1, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
-    let before = parse(&request(addr, REACH)).unwrap();
-    assert_eq!(field(&before, "verdict").as_str(), Some("sat"));
+    // Warm the server with a different query, so the REACH admitted
+    // below misses the cache and waits in the shard's ring across the
+    // swap (a hit would be answered by the reactor at admission).
+    let drops = "{\"op\":\"drops\",\"src\":\"u1:1\",\"dst\":\"u3:2\"}";
+    let before = parse(&request(addr, drops)).unwrap();
+    assert_eq!(field(&before, "cache_hit").as_bool(), Some(false));
     let (_, health_before) = http_get(addr, "/healthz");
     let fp_before = field(&parse(&health_before).unwrap(), "model")
         .as_str()
@@ -348,6 +352,11 @@ fn model_hot_swap_is_atomic_and_correct() {
         field(&old_resp, "verdict").as_str(),
         Some("sat"),
         "in-flight requests finish against the model they were admitted under"
+    );
+    assert_eq!(
+        field(&old_resp, "cache_hit").as_bool(),
+        Some(false),
+        "the queued request was solved by the shard, after the swap"
     );
     blocker.join().unwrap();
 
@@ -860,11 +869,14 @@ fn metrics_expose_loop_and_shard_series() {
     let handle = start(c, Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
-    let mut reach_req = 0;
-    for _ in 0..3 {
-        let r = parse(&request(addr, REACH)).unwrap();
-        reach_req = field(&r, "req").as_u64().unwrap();
-    }
+    // The first reach is solved by a shard; the repeats are cache hits,
+    // answered by the reactor.
+    let reqs: Vec<u64> = (0..3)
+        .map(|_| {
+            let r = parse(&request(addr, REACH)).unwrap();
+            field(&r, "req").as_u64().unwrap()
+        })
+        .collect();
     let (_, metrics) = http_get(addr, "/metrics");
     for series in [
         "loop_wakeups_total",
@@ -878,18 +890,81 @@ fn metrics_expose_loop_and_shard_series() {
         );
     }
 
-    // Flight records carry the shard that served each query.
+    // Flight records carry the shard that solved each query; a hit the
+    // reactor answered has none (-1).
     let (_, body) = http_get(addr, "/debug/requests");
     let Value::Arr(records) = parse(&body).unwrap() else {
         panic!("/debug/requests must be a JSON array");
     };
-    let reach = records
-        .iter()
-        .find(|r| field(r, "req").as_u64() == Some(reach_req))
-        .expect("reach queries are recorded");
-    let shard = field(reach, "shard").as_u64().expect("sharded record");
+    let record = |req: u64| {
+        records
+            .iter()
+            .find(|r| field(r, "req").as_u64() == Some(req))
+            .expect("reach queries are recorded")
+    };
+    let cold = record(reqs[0]);
+    let shard = field(cold, "shard").as_u64().expect("sharded record");
     assert!(shard < 2, "shard id must be one of the two shards: {shard}");
+    let hit = record(reqs[2]);
+    assert_eq!(field(hit, "cache_hit").as_bool(), Some(true), "{hit:?}");
+    assert!(
+        matches!(field(hit, "shard"), Value::Num(n) if *n == -1.0),
+        "a hit answered by the reactor has no shard: {hit:?}"
+    );
 
+    handle.shutdown();
+    handle.join();
+}
+
+// ------------------------------------------------ reactor cache hits --
+
+/// Warm the cache with one solved `REACH`, then hold the only shard with
+/// a 1 s sleep: returns the server and the sleeping client.
+fn warm_then_hold_the_shard(
+    backlog: usize,
+) -> (rzen_serve::ServerHandle, thread::JoinHandle<String>) {
+    let handle = start(cfg(1, backlog), Model::parse(FIG3).unwrap()).unwrap();
+    let addr = handle.addr();
+    let cold = parse(&request(addr, REACH)).unwrap();
+    assert_eq!(field(&cold, "cache_hit").as_bool(), Some(false));
+    let blocker = thread::spawn(move || request(addr, "{\"op\":\"sleep\",\"ms\":1000}"));
+    // Let the sleep be admitted before the caller's next request.
+    thread::sleep(Duration::from_millis(150));
+    (handle, blocker)
+}
+
+#[test]
+fn a_cache_hit_does_not_wait_behind_a_busy_shard() {
+    let (handle, blocker) = warm_then_hold_the_shard(16);
+    let started = Instant::now();
+    let hit = parse(&request(handle.addr(), REACH)).unwrap();
+    let took = started.elapsed();
+    assert_eq!(field(&hit, "verdict").as_str(), Some("sat"));
+    assert_eq!(field(&hit, "cache_hit").as_bool(), Some(true));
+    assert!(
+        took < Duration::from_millis(400),
+        "the hit took {took:?}: it waited behind the shard's sleep"
+    );
+    assert_eq!(
+        field(&parse(&blocker.join().unwrap()).unwrap(), "op").as_str(),
+        Some("sleep")
+    );
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_cache_hit_is_answered_when_the_shard_is_full() {
+    // Zero backlog: the sleep fills the only shard's admission cap, so a
+    // request that needed the shard would be shed.
+    let (handle, blocker) = warm_then_hold_the_shard(0);
+    let addr = handle.addr();
+    let shed = parse(&request(addr, "{\"op\":\"sleep\",\"ms\":1}")).unwrap();
+    assert_eq!(field(&shed, "error").as_str(), Some("overloaded"));
+    let hit = parse(&request(addr, REACH)).unwrap();
+    assert_eq!(field(&hit, "verdict").as_str(), Some("sat"));
+    assert_eq!(field(&hit, "cache_hit").as_bool(), Some(true));
+    blocker.join().unwrap();
     handle.shutdown();
     handle.join();
 }
