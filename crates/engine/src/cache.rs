@@ -1,16 +1,26 @@
-//! The result cache, keyed on the full [`Query`].
+//! The result cache, keyed on what a query asks: the network, kind and
+//! endpoints of a `Reach`/`Drops`, the full [`Query`] of any other kind.
 //!
 //! The fingerprint is a 64-bit FNV-1a hash — fast to compare and stable,
 //! but *not* collision-free, so it only selects a bucket. Within a bucket
-//! the stored queries are compared structurally (`Query: Eq`); a colliding
-//! fingerprint therefore costs one extra comparison instead of silently
-//! serving another query's verdict (and witness).
+//! keys are compared structurally; a colliding fingerprint therefore
+//! costs one extra comparison instead of silently serving another
+//! query's verdict (and witness).
+//!
+//! A `Reach`/`Drops` entry holds its network behind an `Arc`. Entries a
+//! served model inserts all share that model's one [`SharedNet`], so the
+//! cache holds one network per model, not one per entry, and a lookup
+//! through the same handle matches the network by pointer. Any other
+//! network (a batch query's own copy, another handle) is compared in
+//! full: a pointer match only ever saves the compare, it never replaces
+//! it with something weaker.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use rzen_net::topology::{DeltaStep, Network, Touch};
 
-use crate::query::{Query, Verdict};
+use crate::query::{NetOp, Port, Query, SharedNet, Verdict};
 
 /// How a delta sweep disposed of the cache's entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,14 +35,114 @@ pub struct DeltaCacheStats {
     pub unaffected: usize,
 }
 
-/// A `(device, interface)` endpoint, as footprints and touches name them.
-type Port = (usize, u8);
+/// What a cache entry is keyed on.
+#[derive(Clone, Debug)]
+pub(crate) enum Key {
+    /// A `Reach`/`Drops`: its network, by shared handle, and its kind and
+    /// endpoints.
+    Net {
+        net: Arc<Network>,
+        op: NetOp,
+        src: Port,
+        dst: Port,
+    },
+    /// Any other query, whole.
+    Query(Query),
+}
 
-/// Verdicts of decisive queries, keyed by full query with the structural
+/// A key to look up, borrowing its parts.
+#[derive(Clone, Copy)]
+pub(crate) enum KeyRef<'a> {
+    Net {
+        net: &'a Network,
+        op: NetOp,
+        src: Port,
+        dst: Port,
+    },
+    Query(&'a Query),
+}
+
+impl<'a> KeyRef<'a> {
+    /// The key of `query`.
+    pub(crate) fn of(query: &'a Query) -> KeyRef<'a> {
+        match query.as_net() {
+            Some((net, op, src, dst)) => KeyRef::Net { net, op, src, dst },
+            None => KeyRef::Query(query),
+        }
+    }
+
+    /// The key of a `Reach`/`Drops` over `shared`'s network.
+    pub(crate) fn shared(shared: &'a SharedNet, op: NetOp, src: Port, dst: Port) -> KeyRef<'a> {
+        KeyRef::Net {
+            net: shared.net(),
+            op,
+            src,
+            dst,
+        }
+    }
+
+    /// An owned key; a network goes behind a fresh `Arc` of its own.
+    pub(crate) fn owned(self) -> Key {
+        match self {
+            KeyRef::Net { net, op, src, dst } => Key::Net {
+                net: Arc::new(net.clone()),
+                op,
+                src,
+                dst,
+            },
+            KeyRef::Query(query) => Key::Query(query.clone()),
+        }
+    }
+}
+
+impl Key {
+    /// The key of a `Reach`/`Drops` over `shared`'s network, sharing it.
+    pub(crate) fn shared(shared: &SharedNet, op: NetOp, src: Port, dst: Port) -> Key {
+        Key::Net {
+            net: shared.net().clone(),
+            op,
+            src,
+            dst,
+        }
+    }
+
+    /// This key, borrowed.
+    fn as_ref(&self) -> KeyRef<'_> {
+        match self {
+            Key::Net { net, op, src, dst } => KeyRef::Net {
+                net,
+                op: *op,
+                src: *src,
+                dst: *dst,
+            },
+            Key::Query(query) => KeyRef::Query(query),
+        }
+    }
+
+    /// Does this entry answer `key`? Kind and endpoints must be equal,
+    /// and the network the same object or structurally equal.
+    pub(crate) fn matches(&self, key: KeyRef<'_>) -> bool {
+        match (self, key) {
+            (
+                Key::Net { net, op, src, dst },
+                KeyRef::Net {
+                    net: other,
+                    op: o,
+                    src: s,
+                    dst: d,
+                },
+            ) => (*op, *src, *dst) == (o, s, d) && (std::ptr::eq(&**net, other) || **net == *other),
+            (Key::Query(query), KeyRef::Query(other)) => query == other,
+            _ => false,
+        }
+    }
+}
+
+/// Verdicts of decisive queries by [`Key`], with the query's structural
 /// fingerprint as the hash.
 #[derive(Debug, Default)]
 pub(crate) struct ResultCache {
-    map: HashMap<u64, Vec<(Query, Verdict)>>,
+    map: HashMap<u64, Vec<(Key, Verdict)>>,
     /// Total entries across buckets, maintained incrementally so the
     /// entries gauge never needs an O(n) walk.
     count: usize,
@@ -46,14 +156,14 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// The cached verdict for `query`, if this exact query was decided
-    /// before. `fingerprint` must be `query.fingerprint()` (passed in so
-    /// callers hash once); a bucket match alone is never enough.
-    pub(crate) fn get(&self, fingerprint: u64, query: &Query) -> Option<&Verdict> {
+    /// The cached verdict for `key`, if this exact question was decided
+    /// before. `fingerprint` must be the query's [`Query::fingerprint`];
+    /// a bucket match alone is never enough.
+    pub(crate) fn get(&self, fingerprint: u64, key: KeyRef<'_>) -> Option<&Verdict> {
         self.map
             .get(&fingerprint)?
             .iter()
-            .find(|(q, _)| q == query)
+            .find(|(k, _)| k.matches(key))
             .map(|(_, v)| v)
     }
 
@@ -69,13 +179,13 @@ impl ResultCache {
         self.sweeps
     }
 
-    /// Record a verdict for `query`.
-    pub(crate) fn insert(&mut self, fingerprint: u64, query: &Query, verdict: Verdict) {
+    /// Record a verdict under `key`.
+    pub(crate) fn insert(&mut self, fingerprint: u64, key: Key, verdict: Verdict) {
         let bucket = self.map.entry(fingerprint).or_default();
-        match bucket.iter_mut().find(|(q, _)| q == query) {
+        match bucket.iter_mut().find(|(k, _)| k.matches(key.as_ref())) {
             Some(slot) => slot.1 = verdict,
             None => {
-                bucket.push((query.clone(), verdict));
+                bucket.push((key, verdict));
                 self.count += 1;
             }
         }
@@ -87,11 +197,13 @@ impl ResultCache {
     }
 
     /// The dependency-aware sweep behind [`crate::Engine::apply_delta`]:
-    /// walk every cached `Reach`/`Drops` entry keyed by `old_net`, evict
-    /// the ones whose cone of influence a delta step touched, and re-key
-    /// the survivors to `new_net` (recomputing their fingerprints) so
-    /// identical post-delta queries keep hitting them. Entries for other
-    /// query kinds or other models are left untouched.
+    /// walk every cached `Reach`/`Drops` entry over `old_net`, evict the
+    /// ones whose cone of influence a delta step touched, and re-key the
+    /// survivors to `new`'s network (sharing its handle, fingerprinted
+    /// from its saved state) so identical post-delta queries keep hitting
+    /// them. Entries for other query kinds or other models are left
+    /// untouched. Each distinct entry network is compared with `old_net`
+    /// once, and not at all when it *is* `old_net`.
     ///
     /// Affectedness is judged per step, in application order:
     ///
@@ -116,7 +228,7 @@ impl ResultCache {
     pub(crate) fn sweep_delta(
         &mut self,
         old_net: &Network,
-        new_net: &Network,
+        new: &SharedNet,
         steps: &[DeltaStep],
     ) -> DeltaCacheStats {
         let mut stats = DeltaCacheStats::default();
@@ -129,21 +241,30 @@ impl ResultCache {
             steps.iter().map(|_| HashMap::new()).collect();
         let mut coreach: Vec<HashMap<usize, HashSet<usize>>> =
             steps.iter().map(|_| HashMap::new()).collect();
+        // Which entry networks are `old_net`, by address. Taken while
+        // every entry is alive, so distinct networks have distinct
+        // addresses.
+        let mut of_old: HashMap<*const Network, bool> = HashMap::new();
+        for (key, _) in self.map.values().flatten() {
+            if let Key::Net { net, .. } = key {
+                of_old
+                    .entry(Arc::as_ptr(net))
+                    .or_insert_with(|| std::ptr::eq(&**net, old_net) || **net == *old_net);
+            }
+        }
 
-        let mut kept: HashMap<u64, Vec<(Query, Verdict)>> = HashMap::new();
+        let mut kept: HashMap<u64, Vec<(Key, Verdict)>> = HashMap::new();
         let mut count = 0usize;
         for (fp, bucket) in self.map.drain() {
-            for (q, v) in bucket {
-                let (src, dst) = match &q {
-                    Query::Reach { net, src, dst } | Query::Drops { net, src, dst }
-                        if net == old_net =>
-                    {
-                        (*src, *dst)
+            for (key, v) in bucket {
+                let (op, src, dst) = match &key {
+                    Key::Net { net, op, src, dst } if of_old[&Arc::as_ptr(net)] => {
+                        (*op, *src, *dst)
                     }
                     _ => {
                         stats.unaffected += 1;
                         count += 1;
-                        kept.entry(fp).or_default().push((q, v));
+                        kept.entry(fp).or_default().push((key, v));
                         continue;
                     }
                 };
@@ -191,24 +312,12 @@ impl ResultCache {
                 stats.retained += 1;
                 // Re-key: the surviving verdict transfers to the new
                 // network (nothing on any of its paths changed), and a
-                // post-delta query — which embeds the new network — can
+                // post-delta query — which names the new network — can
                 // only hit it under the new fingerprint.
-                let q2 = match q {
-                    Query::Reach { src, dst, .. } => Query::Reach {
-                        net: new_net.clone(),
-                        src,
-                        dst,
-                    },
-                    Query::Drops { src, dst, .. } => Query::Drops {
-                        net: new_net.clone(),
-                        src,
-                        dst,
-                    },
-                    _ => unreachable!("only Reach/Drops reach the re-key arm"),
-                };
-                let fp2 = q2.fingerprint();
                 count += 1;
-                kept.entry(fp2).or_default().push((q2, v));
+                kept.entry(new.fingerprint(op, src, dst))
+                    .or_default()
+                    .push((Key::shared(new, op, src, dst), v));
             }
         }
         self.map = kept;
@@ -239,20 +348,71 @@ mod tests {
         let colliding = 0xdead_beef_u64;
         let (a, b, c) = (acl_query(1), acl_query(2), acl_query(3));
         let mut cache = ResultCache::new();
-        cache.insert(colliding, &a, Verdict::Unsat);
+        cache.insert(colliding, key(&a), Verdict::Unsat);
         cache.insert(
             colliding,
-            &b,
+            key(&b),
             Verdict::Sat(crate::Witness::Header(rzen_net::headers::Header::new(
                 1, 2, 3, 4, 5,
             ))),
         );
 
-        assert_eq!(cache.get(colliding, &a), Some(&Verdict::Unsat));
-        assert!(matches!(cache.get(colliding, &b), Some(&Verdict::Sat(_))));
+        assert_eq!(get(&cache, colliding, &a), Some(&Verdict::Unsat));
+        assert!(matches!(get(&cache, colliding, &b), Some(&Verdict::Sat(_))));
         // The old u64-keyed cache returned *something* here; now a query
         // that merely collides must miss.
-        assert_eq!(cache.get(colliding, &c), None);
+        assert_eq!(get(&cache, colliding, &c), None);
+    }
+
+    /// The key a served probe looks up with is held to the same guard:
+    /// two different networks forced into one fingerprint never answer
+    /// for each other, nor do other kinds or pairs over one network,
+    /// while an equal network under another handle still does.
+    #[test]
+    fn forced_collision_between_networks_does_not_cross_serve_through_a_handle() {
+        let colliding = 0xdead_beef_u64;
+        let a = SharedNet::new(rzen_net::gen::spine_leaf(2, 3));
+        let b = SharedNet::new(rzen_net::gen::spine_leaf(2, 4));
+        let a_again = SharedNet::new(rzen_net::gen::spine_leaf(2, 3));
+        let (src, dst) = ((2, 99), (3, 99));
+        let sat = Verdict::Sat(crate::Witness::Header(rzen_net::headers::Header::new(
+            1, 2, 3, 4, 5,
+        )));
+        let mut cache = ResultCache::new();
+        cache.insert(
+            colliding,
+            Key::shared(&a, NetOp::Reach, src, dst),
+            Verdict::Unsat,
+        );
+        let get = |cache: &ResultCache, net, op, src, dst| {
+            cache
+                .get(colliding, KeyRef::shared(net, op, src, dst))
+                .cloned()
+        };
+
+        assert_eq!(
+            get(&cache, &a, NetOp::Reach, src, dst),
+            Some(Verdict::Unsat)
+        );
+        assert_eq!(get(&cache, &b, NetOp::Reach, src, dst), None);
+        assert_eq!(get(&cache, &a, NetOp::Drops, src, dst), None);
+        assert_eq!(get(&cache, &a, NetOp::Reach, dst, src), None);
+        assert_eq!(
+            get(&cache, &a_again, NetOp::Reach, src, dst),
+            Some(Verdict::Unsat)
+        );
+
+        cache.insert(
+            colliding,
+            Key::shared(&b, NetOp::Reach, src, dst),
+            sat.clone(),
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            get(&cache, &a, NetOp::Reach, src, dst),
+            Some(Verdict::Unsat)
+        );
+        assert_eq!(get(&cache, &b, NetOp::Reach, src, dst), Some(sat));
     }
 
     fn reach(net: &Network, src: (usize, u8), dst: (usize, u8)) -> Query {
@@ -263,8 +423,20 @@ mod tests {
         }
     }
 
+    fn key(q: &Query) -> Key {
+        KeyRef::of(q).owned()
+    }
+
+    fn get<'c>(cache: &'c ResultCache, fp: u64, q: &Query) -> Option<&'c Verdict> {
+        cache.get(fp, KeyRef::of(q))
+    }
+
+    fn hits(cache: &ResultCache, q: &Query) -> bool {
+        get(cache, q.fingerprint(), q).is_some()
+    }
+
     fn insert_q(cache: &mut ResultCache, q: &Query) {
-        cache.insert(q.fingerprint(), q, Verdict::Unsat);
+        cache.insert(q.fingerprint(), key(q), Verdict::Unsat);
     }
 
     /// The sweep evicts exactly the footprint-affected entries, re-keys
@@ -295,7 +467,7 @@ mod tests {
         insert_q(&mut cache, &foreign_kind);
         assert_eq!(cache.len(), 3);
 
-        let stats = cache.sweep_delta(&old, &new, &steps);
+        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -307,15 +479,13 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // The survivor answers under its *new* key, not its old one.
         let rekeyed = reach(&new, (l0, 99), (l2, 99));
-        assert!(cache.get(rekeyed.fingerprint(), &rekeyed).is_some());
-        assert!(cache.get(untouched.fingerprint(), &untouched).is_none());
+        assert!(hits(&cache, &rekeyed));
+        assert!(!hits(&cache, &untouched));
         // The evicted pair misses under both keys.
         let evicted_new = reach(&new, (l0, 99), (l1, 99));
-        assert!(cache.get(evicted_new.fingerprint(), &evicted_new).is_none());
+        assert!(!hits(&cache, &evicted_new));
         // The foreign-kind entry still hits.
-        assert!(cache
-            .get(foreign_kind.fingerprint(), &foreign_kind)
-            .is_some());
+        assert!(hits(&cache, &foreign_kind));
     }
 
     /// `link-up` uses pre-op reachability: a link that could splice the
@@ -356,14 +526,14 @@ mod tests {
         let ac = reach(&old, (a, 9), (c, 9));
         insert_q(&mut cache, &ab);
         insert_q(&mut cache, &ac);
-        let stats = cache.sweep_delta(&old, &new, &steps);
+        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
         // a->c: b was reachable from a and c reaches c, so the new link
         // can create a path — evict. a->b: the only splice would need c
         // to already reach b, and it did not — retain.
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.retained, 1);
         let ab_new = reach(&new, (a, 9), (b, 9));
-        assert!(cache.get(ab_new.fingerprint(), &ab_new).is_some());
+        assert!(hits(&cache, &ab_new));
     }
 
     /// Removing a device shifts indices: every entry for that model goes.
@@ -379,7 +549,7 @@ mod tests {
         let mut cache = ResultCache::new();
         insert_q(&mut cache, &reach(&old, (2, 99), (3, 99)));
         insert_q(&mut cache, &reach(&old, (2, 99), (4, 99)));
-        let stats = cache.sweep_delta(&old, &new, &steps);
+        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
         assert_eq!(stats.evicted, 2);
         assert_eq!(cache.len(), 0);
     }
@@ -389,9 +559,9 @@ mod tests {
         let q = acl_query(1);
         let fp = q.fingerprint();
         let mut cache = ResultCache::new();
-        cache.insert(fp, &q, Verdict::Unsat);
-        cache.insert(fp, &q, Verdict::Unsat);
-        assert_eq!(cache.get(fp, &q), Some(&Verdict::Unsat));
+        cache.insert(fp, key(&q), Verdict::Unsat);
+        cache.insert(fp, key(&q), Verdict::Unsat);
+        assert_eq!(get(&cache, fp, &q), Some(&Verdict::Unsat));
         assert_eq!(cache.map[&fp].len(), 1);
     }
 }

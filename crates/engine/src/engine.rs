@@ -1,6 +1,6 @@
 //! The batch engine: a worker pool over queries, persistent per-backend
 //! runner threads behind each worker (a portfolio is two of them), each
-//! solving through a solver session, and a full-query result cache. A
+//! solving through a solver session, and a structural result cache. A
 //! session lives for one query or, with `sessions`, for the runner's
 //! whole life, with fingerprint-affinity claim order.
 
@@ -13,9 +13,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use rzen::{Backend, Budget, FindOutcome, FindReport, SessionStats, SolverSession};
+use rzen_net::topology::{DeltaStep, Network};
 
-use crate::cache::{DeltaCacheStats, ResultCache};
-use crate::query::{Query, QueryBackend, Verdict};
+use crate::cache::{DeltaCacheStats, Key, KeyRef, ResultCache};
+use crate::query::{NetOp, Query, QueryBackend, SharedNet, Verdict};
 use crate::stats::{BatchReport, EngineStats, QueryResult};
 
 /// Engine configuration.
@@ -116,15 +117,36 @@ impl Engine {
     /// expression ids, so changed sub-models simply produce new ids
     /// while unchanged circuitry keeps hitting.
     ///
+    /// The survivors share one copy of `new_net`. A caller that holds
+    /// both models as [`SharedNet`]s calls
+    /// [`Engine::apply_delta_shared`] instead, so they share its handle.
+    ///
     /// The sweep runs on the calling thread and is complete on return.
     pub fn apply_delta(
         &self,
-        old_net: &rzen_net::topology::Network,
-        new_net: &rzen_net::topology::Network,
-        steps: &[rzen_net::topology::DeltaStep],
+        old_net: &Network,
+        new_net: &Network,
+        steps: &[DeltaStep],
     ) -> DeltaCacheStats {
+        self.sweep(old_net, &SharedNet::new(new_net.clone()), steps)
+    }
+
+    /// [`Engine::apply_delta`] between two shared models: entries that
+    /// `old` inserted are recognised by pointer, and the survivors share
+    /// `new`'s handle, so an identical post-delta query probed through
+    /// `new` hits them without a compare.
+    pub fn apply_delta_shared(
+        &self,
+        old: &SharedNet,
+        new: &SharedNet,
+        steps: &[DeltaStep],
+    ) -> DeltaCacheStats {
+        self.sweep(old.net(), new, steps)
+    }
+
+    fn sweep(&self, old_net: &Network, new: &SharedNet, steps: &[DeltaStep]) -> DeltaCacheStats {
         let mut cache = self.cache.lock().expect(POISONED);
-        let stats = cache.sweep_delta(old_net, new_net, steps);
+        let stats = cache.sweep_delta(old_net, new, steps);
         entries_gauge().set(cache.len() as i64);
         drop(cache);
         rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
@@ -214,28 +236,43 @@ impl Engine {
         }
         let fingerprint = query.fingerprint();
         let cache = self.cache.lock().expect(POISONED);
-        lookup(cache, fingerprint, query, index, started).map_continue(Some)
+        let key = KeyRef::of(query);
+        lookup(cache, fingerprint, key, query.kind(), index, started).map_continue(|sweeps| {
+            Some(CacheMiss {
+                fingerprint,
+                sweeps,
+                key: None,
+            })
+        })
     }
 
-    /// Probe the result cache for `query` without waiting: the serve
-    /// reactor's lookup, made before it routes a query to a shard.
-    /// `fingerprint` must be `query.fingerprint()`, so a caller that
-    /// also keys on it hashes the network once. A hit is the finished
-    /// result; a miss is the ticket [`Engine::run_missed`] solves with,
-    /// so the query is looked up once however it is answered. While
+    /// Probe the result cache, without waiting, for the `op` query from
+    /// `src` to `dst` over `net`: the serve reactor's lookup, made before
+    /// it routes a query to a shard. Nothing grows with the network: the
+    /// fingerprint resumes from `net`'s saved state, and an entry that
+    /// `net` inserted matches its network by pointer. A hit is the
+    /// finished result; a miss is the ticket [`Engine::run_missed`]
+    /// solves with, so the query is looked up once however it is
+    /// answered, and its verdict is cached under `net`'s handle. While
     /// another thread holds the cache (a clear, a delta sweep, an
     /// insert), or with caching off, nothing is looked up and
     /// [`Engine::run_one`] looks up as usual.
-    pub fn probe(&self, fingerprint: u64, query: &Query) -> Probe {
+    pub fn probe(&self, net: &SharedNet, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> Probe {
         if !self.cfg.cache {
             return Probe::Skipped;
         }
         let Ok(cache) = self.cache.try_lock() else {
             return Probe::Skipped;
         };
-        match lookup(cache, fingerprint, query, 0, Instant::now()) {
+        let fingerprint = net.fingerprint(op, src, dst);
+        let key = KeyRef::shared(net, op, src, dst);
+        match lookup(cache, fingerprint, key, op.kind(), 0, Instant::now()) {
             ControlFlow::Break(hit) => Probe::Hit(Box::new(hit)),
-            ControlFlow::Continue(miss) => Probe::Miss(miss),
+            ControlFlow::Continue(sweeps) => Probe::Miss(CacheMiss {
+                fingerprint,
+                sweeps,
+                key: Some(Key::shared(net, op, src, dst)),
+            }),
         }
     }
 
@@ -446,18 +483,23 @@ impl Engine {
         self.solve(0, query, worker, budget, ctx, None)
     }
 
-    /// [`Engine::run_one`] for a query whose [`Engine::probe`] missed:
+    /// [`Engine::run_one`] for the query whose [`Engine::probe`] missed:
+    /// build it from the probe's ticket (one clone of the network),
     /// solve it without a second lookup, and insert its verdict under
-    /// the probe's ticket.
+    /// the ticket.
     pub fn run_missed(
         &self,
-        query: &Query,
         budget: Budget,
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
         miss: CacheMiss,
     ) -> QueryResult {
-        self.solve(0, query, worker, budget, ctx, Some(miss))
+        let query = match &miss.key {
+            Some(Key::Net { net, op, src, dst }) => op.query(Network::clone(net), *src, *dst),
+            Some(Key::Query(query)) => query.clone(),
+            None => unreachable!("only a probe's misses leave the engine, and they carry a key"),
+        };
+        self.solve(0, &query, worker, budget, ctx, Some(miss))
     }
 }
 
@@ -473,31 +515,29 @@ pub enum Probe {
     Skipped,
 }
 
-/// Look `query` up in the locked cache, release the lock, and count the
+/// Look `key` up in the locked cache, release the lock, and count the
 /// hit or the miss. A hit breaks out with the finished result; a miss
-/// carries on with its insert ticket.
+/// carries on with the cache's sweep count at the lookup.
 fn lookup(
     cache: MutexGuard<'_, ResultCache>,
     fingerprint: u64,
-    query: &Query,
+    key: KeyRef<'_>,
+    kind: &'static str,
     index: usize,
     started: Instant,
-) -> ControlFlow<QueryResult, CacheMiss> {
-    let Some(verdict) = cache.get(fingerprint, query).cloned() else {
+) -> ControlFlow<QueryResult, u64> {
+    let Some(verdict) = cache.get(fingerprint, key).cloned() else {
         let sweeps = cache.sweeps();
         drop(cache);
         rzen_obs::counter!("engine.cache.misses", "cache lookups that found no entry").inc();
-        return ControlFlow::Continue(CacheMiss {
-            fingerprint,
-            sweeps,
-        });
+        return ControlFlow::Continue(sweeps);
     };
     drop(cache);
     rzen_obs::counter!("engine.cache.hits", "queries served from the result cache").inc();
     rzen_obs::trace::instant1("engine.cache.hit", "index", index as u64);
     ControlFlow::Break(QueryResult {
         index,
-        kind: query.kind(),
+        kind,
         verdict,
         latency: started.elapsed(),
         winner: None,
@@ -529,11 +569,14 @@ impl Drop for ServeWorker {
 }
 
 /// Where a cache miss's verdict goes once it is solved: the query's
-/// fingerprint and the cache's sweep count at the lookup.
-#[derive(Clone, Copy, Debug)]
+/// fingerprint, the cache's sweep count at the lookup, and — for a miss
+/// [`Engine::probe`] found — the key over the probed model's shared
+/// network.
+#[derive(Clone, Debug)]
 pub struct CacheMiss {
     fingerprint: u64,
     sweeps: u64,
+    key: Option<Key>,
 }
 
 impl CacheMiss {
@@ -544,9 +587,10 @@ impl CacheMiss {
     /// Only a lookup that came before the sweep is caught; a query
     /// holding the old model whose lookup comes after it still inserts.
     fn insert(self, cache: &Mutex<ResultCache>, query: &Query, verdict: &Verdict) {
+        let key = self.key.unwrap_or_else(|| KeyRef::of(query).owned());
         let mut cache = cache.lock().expect(POISONED);
         if cache.sweeps() == self.sweeps {
-            cache.insert(self.fingerprint, query, verdict.clone());
+            cache.insert(self.fingerprint, key, verdict.clone());
             entries_gauge().set(cache.len() as i64);
         }
     }

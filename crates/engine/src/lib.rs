@@ -27,12 +27,14 @@
 //!
 //! ## Caching
 //!
-//! Results are keyed by the full query, hashed under a stable FNV-1a
+//! Results are keyed by what the query asks, hashed under a stable FNV-1a
 //! fingerprint of its structure (the fingerprint selects the bucket; the
-//! query itself is compared structurally, so hash collisions cannot serve
-//! a wrong verdict). Only decisive verdicts are cached — a `Timeout` is a
-//! fact about the budget, not the query, and a `Verdict::Error` records a
-//! worker panic.
+//! key is compared structurally, so hash collisions cannot serve a wrong
+//! verdict). A `Reach`/`Drops` entry holds its network behind an `Arc`:
+//! queries asked of one [`SharedNet`] share it, and their lookups match
+//! it by pointer before falling back to a full compare. Only decisive
+//! verdicts are cached — a `Timeout` is a fact about the budget, not the
+//! query, and a `Verdict::Error` records a worker panic.
 //!
 //! One cache behind one mutex serves batch workers and serve shards
 //! alike. A query holds the lock only for its lookup and for its insert,
@@ -46,10 +48,12 @@
 //! until the next clear.
 //!
 //! A caller that must not wait on the lock — the serve reactor — looks up
-//! with [`Engine::probe`], which only tries it. A hit is answered there;
-//! a miss hands its ticket (fingerprint and sweep count) to
-//! [`Engine::run_missed`], which solves and inserts without a second
-//! lookup, so each query is looked up once.
+//! with [`Engine::probe`], which only tries it, through the model's
+//! [`SharedNet`]: no query is built and no network hashed or compared.
+//! A hit is answered there; a miss hands its ticket (fingerprint, sweep
+//! count and the handle's key) to [`Engine::run_missed`], which solves
+//! and inserts without a second lookup, so each query is looked up once
+//! and every served entry shares the model's one network.
 //!
 //! ## Sessions
 //!
@@ -87,5 +91,5 @@ mod stats;
 
 pub use cache::DeltaCacheStats;
 pub use engine::{CacheMiss, Engine, EngineConfig, Probe, ServeWorker};
-pub use query::{Query, QueryBackend, Verdict, Witness};
+pub use query::{NetOp, Query, QueryBackend, SharedNet, Verdict, Witness};
 pub use stats::{BatchReport, EngineStats, QueryResult};

@@ -8,6 +8,7 @@
 //! each ACL and route map once ([`rzen::SolverSession::find_model`]).
 
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use rzen::{Budget, FindOptions, FindOutcome, FindReport, SolverSession, Zen, ZenFunction};
 use rzen_net::acl::Acl;
@@ -72,6 +73,95 @@ pub enum Query {
         /// Exit (device, interface).
         dst: (usize, u8),
     },
+}
+
+/// A `(device, interface)` endpoint of a [`Query::Reach`] or
+/// [`Query::Drops`].
+pub(crate) type Port = (usize, u8);
+
+/// The two query kinds over a topology, [`Query::Reach`] and
+/// [`Query::Drops`], without their data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum NetOp {
+    /// [`Query::Reach`].
+    Reach,
+    /// [`Query::Drops`].
+    Drops,
+}
+
+impl NetOp {
+    /// The query of this kind over `net` from `src` to `dst`.
+    pub fn query(self, net: Network, src: (usize, u8), dst: (usize, u8)) -> Query {
+        match self {
+            NetOp::Reach => Query::Reach { net, src, dst },
+            NetOp::Drops => Query::Drops { net, src, dst },
+        }
+    }
+
+    /// [`Query::kind`] of this kind's queries.
+    pub fn kind(self) -> &'static str {
+        match self {
+            NetOp::Reach => "reach",
+            NetOp::Drops => "drops",
+        }
+    }
+}
+
+/// One network that many `Reach`/`Drops` queries are asked of, held once
+/// behind an `Arc`, with the fingerprint work that depends only on the
+/// network done once. A server builds one per model: probing the result
+/// cache with it costs no clone, no hash of the network, and — against
+/// entries the same handle inserted — no compare of it either.
+#[derive(Clone, Debug)]
+pub struct SharedNet {
+    net: Arc<Network>,
+    /// FNV-1a states after hashing `Query::Reach` and `Query::Drops`'s
+    /// discriminant and network: what [`Query::fingerprint`] has hashed
+    /// when only the endpoints remain.
+    reach: u64,
+    drops: u64,
+}
+
+impl SharedNet {
+    /// Share `net`, hashing it once per query kind.
+    pub fn new(net: Network) -> SharedNet {
+        let prefix = |op: NetOp| {
+            let mut h = Fnv1a::default();
+            // `Query`'s derived `Hash` writes the variant's discriminant,
+            // then the fields in declaration order: `net`, `src`, `dst`.
+            std::mem::discriminant(&op.query(Network::default(), (0, 0), (0, 0))).hash(&mut h);
+            net.hash(&mut h);
+            h.finish()
+        };
+        SharedNet {
+            reach: prefix(NetOp::Reach),
+            drops: prefix(NetOp::Drops),
+            net: Arc::new(net),
+        }
+    }
+
+    /// The shared network.
+    pub fn net(&self) -> &Arc<Network> {
+        &self.net
+    }
+
+    /// [`Query::fingerprint`] of `self.query(op, src, dst)`, without
+    /// building or hashing the query: the saved state resumed over the
+    /// endpoints.
+    pub fn fingerprint(&self, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> u64 {
+        let mut h = Fnv1a::resume(match op {
+            NetOp::Reach => self.reach,
+            NetOp::Drops => self.drops,
+        });
+        src.hash(&mut h);
+        dst.hash(&mut h);
+        h.finish()
+    }
+
+    /// The query itself, owning a clone of the network.
+    pub fn query(&self, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> Query {
+        op.query(Network::clone(&self.net), src, dst)
+    }
 }
 
 /// A satisfying witness, concrete and checkable against the reference
@@ -158,6 +248,16 @@ impl Query {
             }
         }
         h.finish()
+    }
+
+    /// The network, kind and endpoints of a `Reach`/`Drops`; `None` for
+    /// the other kinds.
+    pub(crate) fn as_net(&self) -> Option<(&Network, NetOp, Port, Port)> {
+        match self {
+            Query::Reach { net, src, dst } => Some((net, NetOp::Reach, *src, *dst)),
+            Query::Drops { net, src, dst } => Some((net, NetOp::Drops, *src, *dst)),
+            _ => None,
+        }
     }
 
     /// Solve the query through `session` on the calling thread, rebuilding

@@ -102,8 +102,20 @@ impl Default for Fnv1a {
     }
 }
 
-// `#[inline]`: the engine hashes a whole `Network` per served request,
-// and without it these calls would not inline across the crate boundary.
+impl Fnv1a {
+    /// Resume hashing from `state`, the `finish()` of an earlier hasher:
+    /// writing more bytes then gives what writing them to that hasher
+    /// would. A caller that hashes one large prefix under many suffixes
+    /// saves the prefix's state once and resumes from it per suffix.
+    #[inline]
+    pub fn resume(state: u64) -> Fnv1a {
+        Fnv1a(state)
+    }
+}
+
+// `#[inline]`: the engine hashes a whole `Network` for each batch lookup
+// and for each model a server loads, and without it these calls would
+// not inline across the crate boundary.
 impl std::hash::Hasher for Fnv1a {
     #[inline]
     fn finish(&self) -> u64 {

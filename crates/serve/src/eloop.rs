@@ -22,15 +22,16 @@
 //! session ([`rzen_engine::ServeWorker`]) outright and shares the
 //! engine's one result cache, locked only for the insert (and for the
 //! lookup when the reactor's probe was skipped). The reactor probes that
-//! cache itself and answers hits on the spot, so only misses reach a
-//! shard. It routes them by query fingerprint (which subsumes the model
-//! fingerprint, so identical queries against the same model always land
-//! on the shard holding their warm session state), hands jobs over an
-//! SPSC ring, and collects completions from a second ring after the
-//! shard rings the shared doorbell. Cache-wide transitions (hot-swap
-//! clear, delta sweep) run on the offload thread that answers the
-//! request; a shard busy in a solve holds no cache lock, so they never
-//! wait for it, and the reactor never waits for them.
+//! cache itself, in time independent of the model's size, and answers
+//! hits on the spot, so only misses reach a shard. It routes them by
+//! query fingerprint (which subsumes the model fingerprint, so identical
+//! queries against the same model always land on the shard holding
+//! their warm session state), hands jobs over an SPSC ring, and
+//! collects completions from a second ring after the shard rings the
+//! shared doorbell. Cache-wide transitions (hot-swap clear, delta sweep)
+//! run on the offload thread that answers the request; a shard busy in a
+//! solve holds no cache lock, so they never wait for it, and the reactor
+//! never waits for them.
 //!
 //! ## Admission, coalescing and shedding
 //!
@@ -48,18 +49,23 @@
 //!    ring still runs: the solvers see the spent budget at their first
 //!    poll and it degrades to a `timeout` verdict, while a result-cache
 //!    hit can still answer it for free.
-//! 3. **Probe before join and shed.** A `reach`/`drops` is fingerprinted
-//!    once and looked up in the result cache ([`Engine::probe`]). A hit
-//!    is answered here (`"cache_hit":true`, a flight record with no
-//!    shard): it takes no shard slot, so a hit is answered even while
-//!    every shard is busy or full, and is never shed. A miss carries its
-//!    fingerprint and lookup ticket to the shard, which solves without
-//!    looking up again. The probe only `try_lock`s the cache; while
-//!    another thread holds it (a sweep, a shard's insert) the request
-//!    goes on as a miss would, and its shard looks it up.
-//! 4. **Join before shed.** A `reach`/`drops` identical (same
-//!    fingerprint, structurally equal — the query embeds the model, so
-//!    different models never match) to one already in flight joins that
+//! 3. **Probe before join and shed.** A `reach`/`drops` is looked up in
+//!    the result cache with the captured model's shared network handle
+//!    ([`Engine::probe`] over [`Model::net`]): the fingerprint resumes
+//!    from the handle's saved state, and entries that handle inserted
+//!    match by pointer, so the probe costs the same on any model size
+//!    and builds no `Query`. A hit is answered here
+//!    (`"cache_hit":true`, a flight record with no shard): it takes no
+//!    shard slot, so a hit is answered even while every shard is busy
+//!    or full, and is never shed. A miss carries its lookup ticket to
+//!    the shard, which builds the `Query` (the one clone of the network
+//!    a served query makes) and solves without looking up again. The
+//!    probe only `try_lock`s the cache; while another thread holds it (a
+//!    sweep, a shard's insert) the request goes on as a miss would, and
+//!    its shard looks it up.
+//! 4. **Join before shed.** A `reach`/`drops` identical to one already
+//!    in flight (same fingerprint, op and endpoints, over the very same
+//!    network handle — different models never match) joins that
 //!    leader's group and consumes no shard slot at all, however loaded
 //!    the shards are. A joiner waits at most its *own* deadline (a timer
 //!    heap), then answers `timeout` without disturbing the leader. When
@@ -104,12 +110,13 @@ use std::time::{Duration, Instant};
 
 use rzen::Budget;
 use rzen_engine::{
-    CacheMiss, Engine, EngineConfig, Probe, Query, QueryResult, ServeWorker, Verdict,
+    CacheMiss, Engine, EngineConfig, NetOp, Probe, QueryResult, ServeWorker, Verdict,
 };
 use rzen_loop::framing::{HttpDecoder, HttpError, HttpRequest, LineDecoder, WriteBuf};
 use rzen_loop::ring::{spsc, Consumer, Producer};
 use rzen_loop::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use rzen_loop::Doorbell;
+use rzen_net::topology::Network;
 use rzen_obs::flight::{SmallStr, FLAG_CACHE_HIT, FLAG_COALESCED};
 use rzen_obs::VerdictClass;
 
@@ -213,9 +220,14 @@ struct JobTicket {
 
 /// One unit of work routed to a shard.
 enum ShardJob {
+    /// A `reach`/`drops`. Its `Query`, the one clone of the network a
+    /// served query makes, is built on the shard.
     Query {
         t: JobTicket,
-        query: Box<Query>,
+        model: Arc<Model>,
+        op: NetOp,
+        src: (usize, u8),
+        dst: (usize, u8),
         budget: Budget,
         /// The reactor's probe missed: solve without a second lookup.
         miss: Option<CacheMiss>,
@@ -279,9 +291,14 @@ struct HttpDone {
 
 /// In-flight identical queries: the leader runs, joiners wait on its
 /// verdict. Lives reactor-local (single-threaded — no locks), keyed by
-/// query fingerprint with a structural compare against collisions.
+/// query fingerprint. Against collisions a newcomer joins only with the
+/// same op and endpoints over the very network handle the leader was
+/// admitted with — so two models, even equal ones, never merge.
 struct Group {
-    query: Box<Query>,
+    net: Arc<Network>,
+    op: NetOp,
+    src: (usize, u8),
+    dst: (usize, u8),
     leader_req: u64,
     waiters: Vec<JobTicket>,
 }
@@ -966,22 +983,13 @@ impl Reactor {
 
         match &req.op {
             Op::Reach { .. } | Op::Drops { .. } => {
-                let query = if matches!(req.op, Op::Reach { .. }) {
-                    Query::Reach {
-                        net: model.spec.net.clone(),
-                        src,
-                        dst,
-                    }
+                let op = if matches!(req.op, Op::Reach { .. }) {
+                    NetOp::Reach
                 } else {
-                    Query::Drops {
-                        net: model.spec.net.clone(),
-                        src,
-                        dst,
-                    }
+                    NetOp::Drops
                 };
-                let fp = query.fingerprint();
                 let alloc0 = rzen_obs::profile::thread_alloc_stats();
-                let miss = match shared.engine.probe(fp, &query) {
+                let miss = match shared.engine.probe(&model.net, op, src, dst) {
                     Probe::Hit(result) => {
                         self.answer_hit(conn, &t, &result, alloc0);
                         return;
@@ -989,10 +997,22 @@ impl Reactor {
                     Probe::Miss(miss) => Some(miss),
                     Probe::Skipped => None,
                 };
+                let fp = model.net.fingerprint(op, src, dst);
+                let job = |t| ShardJob::Query {
+                    t,
+                    model: model.clone(),
+                    op,
+                    src,
+                    dst,
+                    budget: budget.clone(),
+                    miss,
+                };
                 // Coalesce before the shed check: a joiner consumes no
                 // shard slot at all.
                 if let Some(group) = self.coalesce.get_mut(&fp) {
-                    if *group.query == query {
+                    if Arc::ptr_eq(&group.net, model.net.net())
+                        && (group.op, group.src, group.dst) == (op, src, dst)
+                    {
                         rzen_obs::counter!(
                             "serve.coalesced",
                             "requests answered by joining an identical in-flight query"
@@ -1010,30 +1030,21 @@ impl Reactor {
                         }
                         return;
                     }
-                    // Fingerprint collision against a structurally
-                    // different query: run it alone, uncoalesced.
-                    self.route_job(conn, t, |t| ShardJob::Query {
-                        t,
-                        query: Box::new(query),
-                        budget,
-                        miss,
-                    });
+                    // Fingerprint collision, or the same question over
+                    // another model: run it alone, uncoalesced.
+                    self.route_job(conn, t, job);
                     return;
                 }
                 t.fp = Some(fp);
-                let lead = Box::new(query.clone());
                 let leader_req = ctx.id;
-                let admitted = self.route_job(conn, t, |t| ShardJob::Query {
-                    t,
-                    query: Box::new(query),
-                    budget,
-                    miss,
-                });
-                if admitted {
+                if self.route_job(conn, t, job) {
                     self.coalesce.insert(
                         fp,
                         Group {
-                            query: lead,
+                            net: model.net.net().clone(),
+                            op,
+                            src,
+                            dst,
                             leader_req,
                             waiters: Vec::new(),
                         },
@@ -1394,7 +1405,10 @@ fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDon
     match job {
         ShardJob::Query {
             t,
-            query,
+            model,
+            op,
+            src,
+            dst,
             budget,
             miss,
         } => {
@@ -1405,8 +1419,8 @@ fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDon
             // for free.
             let engine = &shared.engine;
             let result = match miss {
-                Some(miss) => engine.run_missed(&query, budget, solver, t.ctx, miss),
-                None => engine.run_one(&query, budget, solver, t.ctx),
+                Some(miss) => engine.run_missed(budget, solver, t.ctx, miss),
+                None => engine.run_one(&model.net.query(op, src, dst), budget, solver, t.ctx),
             };
             let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
             let meta = RespMeta::for_result(&result);

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rzen_engine::{Engine, QueryBackend};
+use rzen_engine::{Engine, QueryBackend, SharedNet};
 use rzen_net::spec::{self, Spec};
 
 use rzen_obs::export::chrome_trace;
@@ -127,6 +127,9 @@ pub struct Model {
     /// re-posting a reformatted spec yields the same identity, and a
     /// delta moves only the touched devices' leaf hashes.
     pub fingerprint: u64,
+    /// The spec's network as the one handle every `reach`/`drops` asked
+    /// of this model probes the result cache with and caches under.
+    pub net: SharedNet,
 }
 
 impl Model {
@@ -138,7 +141,12 @@ impl Model {
     /// Wrap an already-parsed (e.g. delta-patched) spec in a model.
     pub fn from_spec(spec: Spec) -> Model {
         let fingerprint = rzen_delta::composite_fingerprint(&spec.net);
-        Model { spec, fingerprint }
+        let net = SharedNet::new(spec.net.clone());
+        Model {
+            spec,
+            fingerprint,
+            net,
+        }
     }
 }
 
@@ -509,9 +517,10 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str) -> HttpAnswer {
     }
     let model = Arc::new(model);
     *shared.model.write().unwrap() = model.clone();
-    // Cache entries key on the full query (model included), so entries
-    // for the old model could never serve a post-swap request: the clear
-    // reclaims memory, it does not gate correctness.
+    // Cache entries key on the network (compared in full unless it is
+    // the same handle), so entries for the old model could never serve a
+    // post-swap request: the clear reclaims memory, it does not gate
+    // correctness.
     shared.engine.clear_cache();
     // Sessions rebuilt: the whole model may have changed.
     shared.session_epoch.fetch_add(1, Ordering::SeqCst);
@@ -549,11 +558,11 @@ pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
     *shared.model.write().unwrap() = model.clone();
     // The dependency-aware sweep replaces clear_cache(): only entries
     // whose cone of influence an op touched are evicted, the rest are
-    // re-keyed and stay warm. Sessions are not quiesced at all (see
-    // `Shared::session_epoch`).
+    // re-keyed onto the new model's handle and stay warm. Sessions are
+    // not quiesced at all (see `Shared::session_epoch`).
     let stats = shared
         .engine
-        .apply_delta(&current.spec.net, &model.spec.net, &applied.steps);
+        .apply_delta_shared(&current.net, &model.net, &applied.steps);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
     HttpAnswer::object(200, |w| {

@@ -9,12 +9,15 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rzen::Budget;
 use rzen_delta::composite_fingerprint;
-use rzen_engine::{DeltaCacheStats, Engine, EngineConfig, Query, QueryBackend, Verdict};
+use rzen_engine::{
+    DeltaCacheStats, Engine, EngineConfig, NetOp, Probe, Query, QueryBackend, SharedNet, Verdict,
+};
 use rzen_net::gen::spine_leaf;
 use rzen_net::spec::{self, Spec};
 use rzen_obs::json::{parse, Value};
@@ -78,6 +81,104 @@ fn fnv1a_fingerprints_are_pinned() {
     assert_eq!(query.model_fingerprint(), 0xd784_b1ae_4b22_5423);
 }
 
+/// A model's shared handle fingerprints each pair exactly as the query
+/// it stands for, so a served probe and a batch lookup of one question
+/// meet in one bucket.
+#[test]
+fn a_shared_net_fingerprints_each_pair_as_its_query() {
+    let mut specs: Vec<Spec> = std::fs::read_dir(specs_dir())
+        .expect("specs dir")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "net"))
+        .map(|p| spec::parse(&std::fs::read_to_string(&p).unwrap()).unwrap())
+        .collect();
+    assert!(!specs.is_empty(), "specs/ must hold at least one spec");
+    specs.push(Spec::from_network(spine_leaf(2, 8)).unwrap());
+    for spec in &specs {
+        let shared = SharedNet::new(spec.net.clone());
+        let queries = all_pairs(spec);
+        assert!(!queries.is_empty());
+        for q in &queries {
+            let (op, src, dst) = pair(q);
+            assert_eq!(
+                shared.fingerprint(op, src, dst),
+                q.fingerprint(),
+                "{} {src:?} -> {dst:?}",
+                q.kind()
+            );
+            assert_eq!(shared.query(op, src, dst), *q);
+        }
+    }
+}
+
+/// Served cold solves of one model cache one network between them, and
+/// a delta moves the survivors onto the new model's handle, where a
+/// probe through that handle hits them.
+#[test]
+fn served_entries_share_the_models_network_across_a_delta() {
+    let base = Spec::from_network(spine_leaf(2, 3)).unwrap();
+    let mut patched = base.clone();
+    let applied =
+        rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let old = SharedNet::new(base.net.clone());
+    let new = SharedNet::new(patched.net.clone());
+    let eng = engine(true);
+    let worker = eng.serve_worker();
+    let queries = all_pairs(&base);
+    for q in &queries {
+        let (op, src, dst) = pair(q);
+        let Probe::Miss(miss) = eng.probe(&old, op, src, dst) else {
+            panic!("a cold probe must miss");
+        };
+        let ctx = rzen_obs::RequestCtx::mint(0, 0);
+        let r = eng.run_missed(Budget::unlimited(), &worker, ctx, miss);
+        assert!(r.verdict.is_decisive());
+    }
+    // Every entry holds the model's one handle, held otherwise only here.
+    assert_eq!(eng.cache_len(), queries.len());
+    assert_eq!(Arc::strong_count(old.net()), 1 + queries.len());
+
+    let stats = eng.apply_delta_shared(&old, &new, &applied.steps);
+    assert!(stats.evicted > 0 && stats.retained > 0, "{stats:?}");
+    assert_eq!(eng.cache_len(), stats.retained);
+    assert_eq!(
+        Arc::strong_count(old.net()),
+        1,
+        "an entry kept the old network"
+    );
+    assert_eq!(Arc::strong_count(new.net()), 1 + stats.retained);
+    let hits = queries
+        .iter()
+        .filter(|q| {
+            let (op, src, dst) = pair(q);
+            matches!(eng.probe(&new, op, src, dst), Probe::Hit(_))
+        })
+        .count();
+    assert_eq!(hits, stats.retained);
+}
+
+/// A batch query's entry holds its own copy of the network; a probe
+/// through a handle on an equal network still finds it, by comparing
+/// the networks in full.
+#[test]
+fn a_batch_entry_answers_a_probe_through_another_handle() {
+    let spec = Spec::from_network(spine_leaf(2, 3)).unwrap();
+    let eng = engine(true);
+    let queries = all_pairs(&spec);
+    let report = eng.run_batch(&queries);
+    let shared = SharedNet::new(spec.net.clone());
+    for (q, batch) in queries.iter().zip(&report.results) {
+        let (op, src, dst) = pair(q);
+        let Probe::Hit(hit) = eng.probe(&shared, op, src, dst) else {
+            panic!(
+                "{} {src:?} -> {dst:?}: the batch entry was not found",
+                q.kind()
+            );
+        };
+        assert_eq!(hit.verdict, batch.verdict);
+    }
+}
+
 fn verdict_kind(v: &Verdict) -> &'static str {
     match v {
         Verdict::Sat(_) => "sat",
@@ -111,6 +212,15 @@ fn all_pairs(spec: &Spec) -> Vec<Query> {
         }
     }
     queries
+}
+
+/// The kind and endpoints of an all-pairs query.
+fn pair(q: &Query) -> (NetOp, (usize, u8), (usize, u8)) {
+    match q {
+        Query::Reach { src, dst, .. } => (NetOp::Reach, *src, *dst),
+        Query::Drops { src, dst, .. } => (NetOp::Drops, *src, *dst),
+        _ => unreachable!("all_pairs builds reach and drops only"),
+    }
 }
 
 /// The NDJSON request line that asks a server for `q` (reach/drops only).
