@@ -17,19 +17,27 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::thread;
 
+use rzen_net::headers::Packet;
 use rzen_net::topology::{DeltaStep, Network, Touch};
 
-use crate::query::{NetOp, Port, Query, SharedNet, Verdict};
+use crate::query::{witness_holds, NetOp, Port, Query, SharedNet, Verdict, Witness};
 
 /// How a delta sweep disposed of the cache's entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaCacheStats {
-    /// Entries whose cone of influence a delta op touched: dropped.
+    /// Entries whose verdict the delta may have changed: dropped. These
+    /// are the entries in a step's cone of influence, less those
+    /// `revalidated`.
     pub evicted: usize,
-    /// Entries proven unaffected: re-keyed to the new network and kept
-    /// warm (a post-delta identical query hits them without a solve).
+    /// Entries kept warm: re-keyed to the new network, so a post-delta
+    /// identical query hits them without a solve. Counts the entries
+    /// off every step's cone and the `revalidated` ones.
     pub retained: usize,
+    /// Of `retained`, the in-cone SAT entries whose witness still holds
+    /// on the new network.
+    pub revalidated: usize,
     /// Entries the sweep did not reason about (other query kinds, other
     /// models): left in place untouched.
     pub unaffected: usize,
@@ -197,13 +205,21 @@ impl ResultCache {
     }
 
     /// The dependency-aware sweep behind [`crate::Engine::apply_delta`]:
-    /// walk every cached `Reach`/`Drops` entry over `old_net`, evict the
-    /// ones whose cone of influence a delta step touched, and re-key the
-    /// survivors to `new`'s network (sharing its handle, fingerprinted
+    /// walk every cached `Reach`/`Drops` entry over `old_net`, set aside
+    /// the ones whose cone of influence a delta step touched, and re-key
+    /// the rest to `new`'s network (sharing its handle, fingerprinted
     /// from its saved state) so identical post-delta queries keep hitting
     /// them. Entries for other query kinds or other models are left
     /// untouched. Each distinct entry network is compared with `old_net`
     /// once, and not at all when it *is* `old_net`.
+    ///
+    /// Of the in-cone entries, an UNSAT verdict is evicted: nothing short
+    /// of a solve re-proves it. A SAT verdict carries its packet, which
+    /// [`Replays::replay`] folds through the new network; the caller
+    /// re-admits the packets that still witness their query with
+    /// [`ResultCache::readmit`], and the refuted ones are evicted. A
+    /// `remove-device` step shifts device indices, so then every entry
+    /// for this model is evicted and nothing is replayed.
     ///
     /// Affectedness is judged per step, in application order:
     ///
@@ -224,14 +240,15 @@ impl ResultCache {
     /// multi-op sequence: a path that exists only thanks to an earlier
     /// `link-up` is caught by *that* step's pre-op reachability test, and
     /// a footprint only shrinks when a `link-down` fired, which already
-    /// evicted the entry.
+    /// set the entry aside.
     pub(crate) fn sweep_delta(
         &mut self,
         old_net: &Network,
         new: &SharedNet,
         steps: &[DeltaStep],
-    ) -> DeltaCacheStats {
+    ) -> Replays {
         let mut stats = DeltaCacheStats::default();
+        let mut witnesses = Vec::new();
         let device_removed = steps
             .iter()
             .any(|s| matches!(s.touch, Touch::DeviceRemoved));
@@ -306,7 +323,12 @@ impl ResultCache {
                         }
                     });
                 if affected {
-                    stats.evicted += 1;
+                    match v {
+                        Verdict::Sat(Witness::Packet(p)) if !device_removed => {
+                            witnesses.push((op, src, dst, p));
+                        }
+                        _ => stats.evicted += 1,
+                    }
                     continue;
                 }
                 stats.retained += 1;
@@ -323,7 +345,91 @@ impl ResultCache {
         self.map = kept;
         self.count = count;
         self.sweeps += 1;
+        Replays {
+            new: new.clone(),
+            ticket: self.sweeps,
+            stats,
+            pending: witnesses.len(),
+            witnesses,
+        }
+    }
+
+    /// Re-admit the witnesses that survived `replays`' replay, keyed on
+    /// the new network — unless the cache was cleared or swept again
+    /// since the sweep that set them aside, in which case they are
+    /// dropped with it. Returns the sweep's final counts.
+    pub(crate) fn readmit(&mut self, replays: Replays) -> DeltaCacheStats {
+        let Replays {
+            new,
+            ticket,
+            mut stats,
+            pending,
+            witnesses,
+        } = replays;
+        if self.sweeps != ticket {
+            stats.evicted += pending;
+            return stats;
+        }
+        stats.evicted += pending - witnesses.len();
+        stats.retained += witnesses.len();
+        stats.revalidated += witnesses.len();
+        for (op, src, dst, p) in witnesses {
+            self.insert(
+                new.fingerprint(op, src, dst),
+                Key::shared(&new, op, src, dst),
+                Verdict::Sat(Witness::Packet(p)),
+            );
+        }
         stats
+    }
+}
+
+/// The in-cone SAT entries a delta sweep set aside, as the packets that
+/// witnessed them, with the sweep's counts so far. Replaying them needs
+/// no cache, so the caller holds no lock while [`Replays::replay`] runs.
+#[must_use = "set-aside witnesses return to the cache only through `ResultCache::readmit`"]
+pub(crate) struct Replays {
+    /// The network the witnesses are replayed on and re-keyed to.
+    new: SharedNet,
+    /// The cache's sweep count when the sweep finished.
+    ticket: u64,
+    /// The sweep's counts, without the set-aside entries.
+    stats: DeltaCacheStats,
+    /// Entries set aside by the sweep.
+    pending: usize,
+    /// Each set-aside entry's kind, endpoints and witness; after the
+    /// replay, only those that still hold.
+    witnesses: Vec<(NetOp, Port, Port, Packet)>,
+}
+
+impl Replays {
+    /// The sweep's final counts, if it set nothing aside (and so has
+    /// nothing to replay or re-admit).
+    pub(crate) fn settled(&self) -> Option<DeltaCacheStats> {
+        (self.pending == 0).then_some(self.stats)
+    }
+
+    /// Keep the witnesses that still hold on the new network. The folds
+    /// run on one scoped helper thread, whose `Zen` context dies with
+    /// it, so the caller's context does not grow. If that thread cannot
+    /// run or panics, nothing is kept: an eviction only costs a solve.
+    pub(crate) fn replay(mut self) -> Replays {
+        let _span = rzen_obs::span!("engine.sweep.replay", "witnesses" => self.pending as u64);
+        let (net, witnesses) = (self.new.net(), std::mem::take(&mut self.witnesses));
+        self.witnesses = thread::scope(|s| {
+            thread::Builder::new()
+                .name("rzen-replay".into())
+                .spawn_scoped(s, || {
+                    witnesses
+                        .into_iter()
+                        .filter(|(op, src, dst, p)| witness_holds(net, *op, *src, *dst, p))
+                        .collect()
+                })
+                .ok()
+                .and_then(|replay| replay.join().ok())
+                .unwrap_or_default()
+        });
+        self
     }
 }
 
@@ -439,6 +545,19 @@ mod tests {
         cache.insert(q.fingerprint(), key(q), Verdict::Unsat);
     }
 
+    /// The whole sweep, as the engine runs it.
+    fn sweep(
+        cache: &mut ResultCache,
+        old: &Network,
+        new: &SharedNet,
+        steps: &[DeltaStep],
+    ) -> DeltaCacheStats {
+        let replays = cache.sweep_delta(old, new, steps);
+        replays
+            .settled()
+            .unwrap_or_else(|| cache.readmit(replays.replay()))
+    }
+
     /// The sweep evicts exactly the footprint-affected entries, re-keys
     /// the survivors to the new network, and leaves foreign entries
     /// (other kinds, other models) alone.
@@ -467,12 +586,13 @@ mod tests {
         insert_q(&mut cache, &foreign_kind);
         assert_eq!(cache.len(), 3);
 
-        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
         assert_eq!(
             stats,
             DeltaCacheStats {
                 evicted: 1,
                 retained: 1,
+                revalidated: 0,
                 unaffected: 1,
             }
         );
@@ -526,7 +646,7 @@ mod tests {
         let ac = reach(&old, (a, 9), (c, 9));
         insert_q(&mut cache, &ab);
         insert_q(&mut cache, &ac);
-        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
         // a->c: b was reachable from a and c reaches c, so the new link
         // can create a path — evict. a->b: the only splice would need c
         // to already reach b, and it did not — retain.
@@ -549,9 +669,192 @@ mod tests {
         let mut cache = ResultCache::new();
         insert_q(&mut cache, &reach(&old, (2, 99), (3, 99)));
         insert_q(&mut cache, &reach(&old, (2, 99), (4, 99)));
-        let stats = cache.sweep_delta(&old, &SharedNet::new(new.clone()), &steps);
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
         assert_eq!(stats.evicted, 2);
         assert_eq!(cache.len(), 0);
+    }
+
+    /// A `spine_leaf(2, 3)` fabric, its leaves' host ports, and the same
+    /// fabric with `deny-dport 23 23` inbound on leaf1's host port, as
+    /// the one step of a delta.
+    fn telnet_fence() -> (Network, [Port; 3], Network, [DeltaStep; 1]) {
+        use rzen_net::acl::{Acl, AclRule};
+        let old = rzen_net::gen::spine_leaf(2, 3);
+        let hosts = [(2, 99), (3, 99), (4, 99)];
+        let mut new = old.clone();
+        new.devices[3].interfaces.last_mut().unwrap().acl_in = Some(Acl {
+            rules: vec![
+                AclRule {
+                    dst_ports: (23, 23),
+                    ..AclRule::any(false)
+                },
+                AclRule::any(true),
+            ],
+        });
+        let step = DeltaStep {
+            pre: old.clone(),
+            touch: Touch::Intf {
+                device: 3,
+                intf: 99,
+            },
+        };
+        (old, hosts, new, [step])
+    }
+
+    /// A packet from leaf1's hosts to leaf0's, to `dst_port`.
+    fn l1_to_l0(dst_port: u16) -> Packet {
+        let h = rzen_net::headers::Header::new(0x0a00_0001, 0x0a01_0001, dst_port, 1024, 6);
+        Packet::plain(h)
+    }
+
+    fn sat(p: Packet) -> Verdict {
+        Verdict::Sat(Witness::Packet(p))
+    }
+
+    /// Cache `verdict` for the `op` query between `src` and `dst` over
+    /// `net`, keyed as a batch query's entry.
+    fn insert_net(
+        cache: &mut ResultCache,
+        net: &Network,
+        op: NetOp,
+        src: Port,
+        dst: Port,
+        verdict: Verdict,
+    ) {
+        let q = op.query(net.clone(), src, dst);
+        cache.insert(q.fingerprint(), key(&q), verdict);
+    }
+
+    fn get_shared(
+        cache: &ResultCache,
+        net: &SharedNet,
+        op: NetOp,
+        src: Port,
+        dst: Port,
+    ) -> Option<Verdict> {
+        cache
+            .get(
+                net.fingerprint(op, src, dst),
+                KeyRef::shared(net, op, src, dst),
+            )
+            .cloned()
+    }
+
+    /// An UNSAT verdict has no witness to replay: in the cone, it goes.
+    #[test]
+    fn an_in_cone_unsat_entry_is_evicted() {
+        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let mut cache = ResultCache::new();
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, Verdict::Unsat);
+        let replays = cache.sweep_delta(&old, &SharedNet::new(new), &steps);
+        assert_eq!(
+            replays.settled(),
+            Some(DeltaCacheStats {
+                evicted: 1,
+                ..DeltaCacheStats::default()
+            }),
+            "nothing to replay"
+        );
+        assert_eq!(cache.len(), 0);
+    }
+
+    /// A SAT entry in the cone whose packet the delta does not stop is
+    /// kept, under the new handle's key: a probe through it hits.
+    #[test]
+    fn an_in_cone_sat_entry_whose_witness_survives_is_rekeyed_and_hit() {
+        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let new = SharedNet::new(new);
+        let web = sat(l1_to_l0(80));
+        let mut cache = ResultCache::new();
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, web.clone());
+        let stats = sweep(&mut cache, &old, &new, &steps);
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                retained: 1,
+                revalidated: 1,
+                ..DeltaCacheStats::default()
+            }
+        );
+        assert_eq!(cache.len(), 1);
+        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), Some(web));
+        assert!(!hits(&cache, &reach(&old, l1, l0)), "the old key must miss");
+        // The entry shares the new handle's network.
+        assert_eq!(Arc::strong_count(new.net()), 2);
+    }
+
+    /// A SAT entry whose packet the delta now drops is evicted.
+    #[test]
+    fn an_entry_with_a_refuted_witness_is_evicted() {
+        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let new = SharedNet::new(new);
+        let mut cache = ResultCache::new();
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(23)));
+        let stats = sweep(&mut cache, &old, &new, &steps);
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                evicted: 1,
+                ..DeltaCacheStats::default()
+            }
+        );
+        assert_eq!(cache.len(), 0);
+        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), None);
+    }
+
+    /// Removing a device shifts indices, so no entry is replayed — even
+    /// one whose witness would still fold true on the new network.
+    #[test]
+    fn remove_device_evicts_a_sat_entry_even_when_its_witness_holds() {
+        let old = rzen_net::gen::spine_leaf(2, 3);
+        let (l0, l1, l2) = ((2, 99), (3, 99), 4);
+        let mut new = old.clone();
+        new.devices.remove(l2);
+        new.links
+            .retain(|l| l.from_device != l2 && l.to_device != l2);
+        let p = l1_to_l0(80);
+        assert!(witness_holds(&new, NetOp::Reach, l1, l0, &p));
+        let steps = [DeltaStep {
+            pre: old.clone(),
+            touch: Touch::DeviceRemoved,
+        }];
+        let mut cache = ResultCache::new();
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(p));
+        let replays = cache.sweep_delta(&old, &SharedNet::new(new), &steps);
+        assert_eq!(
+            replays.settled(),
+            Some(DeltaCacheStats {
+                evicted: 1,
+                ..DeltaCacheStats::default()
+            })
+        );
+        assert_eq!(cache.len(), 0);
+    }
+
+    /// Replays run off the lock, so a clear can land before they are
+    /// re-admitted; it wins, and the witnesses it overtook stay out.
+    #[test]
+    fn a_clear_between_sweep_and_readmit_leaves_the_cache_empty() {
+        let (old, [l0, l1, l2], new, steps) = telnet_fence();
+        let new = SharedNet::new(new);
+        let mut cache = ResultCache::new();
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(80)));
+        insert_net(&mut cache, &old, NetOp::Reach, l0, l2, Verdict::Unsat);
+        let replays = cache.sweep_delta(&old, &new, &steps).replay();
+        assert_eq!(cache.len(), 1, "the off-cone entry was re-keyed at once");
+        cache.clear();
+        let stats = cache.readmit(replays);
+        assert_eq!(cache.len(), 0);
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                evicted: 1,
+                retained: 1,
+                ..DeltaCacheStats::default()
+            },
+            "the replayed entry was dropped with the clear"
+        );
+        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), None);
     }
 
     #[test]

@@ -106,14 +106,15 @@ impl Engine {
         self.cache.lock().expect(POISONED).len()
     }
 
-    /// Apply a model delta to the result cache: evict exactly the
-    /// `Reach`/`Drops` entries (keyed by `old_net`) whose cone of
-    /// influence one of `steps` touched, and re-key the survivors to
-    /// `new_net` so they keep answering post-delta queries without a
-    /// solve. See [`DeltaCacheStats`] and the sweep's own docs for the
-    /// invalidation rules. Everything else in the cache — other query
-    /// kinds, other models — is untouched, and warm solver sessions are
-    /// deliberately left alone: their caches key on hash-consed
+    /// Apply a model delta to the result cache: of the `Reach`/`Drops`
+    /// entries keyed by `old_net`, evict those whose cone of influence
+    /// one of `steps` touched — unless the entry is SAT and its witness
+    /// packet still witnesses the query on `new_net` — and re-key the
+    /// survivors to `new_net` so they keep answering post-delta queries
+    /// without a solve. See [`DeltaCacheStats`] and the sweep's own docs
+    /// for the invalidation rules. Everything else in the cache — other
+    /// query kinds, other models — is untouched, and warm solver sessions
+    /// are deliberately left alone: their caches key on hash-consed
     /// expression ids, so changed sub-models simply produce new ids
     /// while unchanged circuitry keeps hitting.
     ///
@@ -122,6 +123,10 @@ impl Engine {
     /// [`Engine::apply_delta_shared`] instead, so they share its handle.
     ///
     /// The sweep runs on the calling thread and is complete on return.
+    /// The witness replays run between two holds of the cache lock, on a
+    /// helper thread of their own, so the caller's `Zen` context is left
+    /// untouched and lookups are not held up by them. A clear or another
+    /// sweep that lands in between drops the replayed entries.
     pub fn apply_delta(
         &self,
         old_net: &Network,
@@ -144,11 +149,23 @@ impl Engine {
         self.sweep(old.net(), new, steps)
     }
 
+    /// Sweep under the lock, replay the in-cone SAT witnesses with it
+    /// released, then re-admit the survivors under the lock again.
     fn sweep(&self, old_net: &Network, new: &SharedNet, steps: &[DeltaStep]) -> DeltaCacheStats {
         let mut cache = self.cache.lock().expect(POISONED);
-        let stats = cache.sweep_delta(old_net, new, steps);
+        let replays = cache.sweep_delta(old_net, new, steps);
         entries_gauge().set(cache.len() as i64);
         drop(cache);
+        let stats = match replays.settled() {
+            Some(stats) => stats,
+            None => {
+                let replays = replays.replay();
+                let mut cache = self.cache.lock().expect(POISONED);
+                let stats = cache.readmit(replays);
+                entries_gauge().set(cache.len() as i64);
+                stats
+            }
+        };
         rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
         rzen_obs::counter!(
             "engine.cache.delta_evicted",
@@ -160,6 +177,11 @@ impl Engine {
             "cache entries kept warm (re-keyed) across delta sweeps"
         )
         .add(stats.retained as u64);
+        rzen_obs::counter!(
+            "engine.cache.delta_revalidated",
+            "in-cone SAT entries kept warm across delta sweeps: their witness still held"
+        )
+        .add(stats.revalidated as u64);
         stats
     }
 
@@ -209,7 +231,7 @@ impl Engine {
                         let start_us = rzen_obs::flight::now_us();
                         let alloc0 = rzen_obs::profile::thread_alloc_stats();
                         let budget = self.request_budget();
-                        let result = self.solve(i, &queries[i], &worker, budget, ctx, None);
+                        let result = self.solve(i, Ask::Lookup(&queries[i]), &worker, budget, ctx);
                         record_flight(&ctx, start_us, alloc0, &queries[i], &result);
                         *slots[i].lock().unwrap() = Some(result);
                     }
@@ -285,8 +307,9 @@ impl Engine {
     }
 
     /// The one way a query reaches a backend: consult the cache (unless
-    /// `probed` is the miss of an earlier lookup), hand the query to every
-    /// runner of `worker` (one per backend) under one
+    /// the query comes with the miss of an earlier lookup), hand the
+    /// query — cloned at most once, and shared — to every runner of
+    /// `worker` (one per backend) under one
     /// shared budget, stamp latency the moment a decisive reply lands and
     /// cancel the rest, then drain the losers (for their substrate stats)
     /// before moving on, so persistent sessions stay in lock-step. If no
@@ -296,22 +319,21 @@ impl Engine {
     fn solve(
         &self,
         index: usize,
-        query: &Query,
+        ask: Ask<'_>,
         worker: &ServeWorker,
         budget: Budget,
         ctx: rzen_obs::RequestCtx,
-        probed: Option<CacheMiss>,
     ) -> QueryResult {
         let started = Instant::now();
         let req = ctx.id;
         let _span = rzen_obs::span!("engine.query", "req" => req, "index" => index as u64);
         rzen_obs::counter!("engine.queries", "queries dispatched to workers").inc();
-        let miss = match probed {
-            Some(miss) => Some(miss),
-            None => match self.cache_lookup(index, query, started) {
+        let (query, miss) = match ask {
+            Ask::Lookup(query) => match self.cache_lookup(index, query, started) {
                 ControlFlow::Break(hit) => return hit,
-                ControlFlow::Continue(miss) => miss,
+                ControlFlow::Continue(miss) => (Arc::new(query.clone()), miss),
             },
+            Ask::Missed(query, miss) => (query, Some(miss)),
         };
 
         let runners = &worker.runners;
@@ -320,7 +342,7 @@ impl Engine {
         let mut error: Option<String> = None;
         for tx in runners {
             let job = Job {
-                query: query.clone(),
+                query: Arc::clone(&query),
                 budget: budget.clone(),
                 reply: reply_tx.clone(),
                 req,
@@ -371,11 +393,11 @@ impl Engine {
         if let (None, Some(msg)) = (solved.winner, error) {
             solved.outcome = Err(msg);
         }
-        let result = self.finish(index, query, solved, &budget, started);
+        let result = self.finish(index, &query, solved, &budget, started);
         // Only decisive verdicts are cached, so an `Error` (or a budget
         // artifact) can never be replayed to a later identical query.
         if let Some(miss) = miss.filter(|_| result.verdict.is_decisive()) {
-            miss.insert(&self.cache, query, &result.verdict);
+            miss.insert(&self.cache, &query, &result.verdict);
         }
         result
     }
@@ -480,13 +502,13 @@ impl Engine {
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
     ) -> QueryResult {
-        self.solve(0, query, worker, budget, ctx, None)
+        self.solve(0, Ask::Lookup(query), worker, budget, ctx)
     }
 
     /// [`Engine::run_one`] for the query whose [`Engine::probe`] missed:
-    /// build it from the probe's ticket (one clone of the network),
-    /// solve it without a second lookup, and insert its verdict under
-    /// the ticket.
+    /// build it from the probe's ticket (the one clone of the network
+    /// its solve makes), solve it without a second lookup, and insert
+    /// its verdict under the ticket.
     pub fn run_missed(
         &self,
         budget: Budget,
@@ -499,8 +521,15 @@ impl Engine {
             Some(Key::Query(query)) => query.clone(),
             None => unreachable!("only a probe's misses leave the engine, and they carry a key"),
         };
-        self.solve(0, &query, worker, budget, ctx, Some(miss))
+        self.solve(0, Ask::Missed(Arc::new(query), miss), worker, budget, ctx)
     }
+}
+
+/// How a query comes to [`Engine::solve`]: to be looked up in the
+/// result cache first, or built for the miss of an earlier lookup.
+enum Ask<'q> {
+    Lookup(&'q Query),
+    Missed(Arc<Query>, CacheMiss),
 }
 
 /// What [`Engine::probe`] found.
@@ -712,9 +741,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One query handed to a runner, with its reply channel.
+/// One query handed to a runner, with its reply channel. The runners of
+/// a portfolio share one copy of the query.
 struct Job {
-    query: Query,
+    query: Arc<Query>,
     budget: Budget,
     reply: mpsc::Sender<Reply>,
     /// Request id of the query, stamped on the runner's per-job span.

@@ -40,7 +40,19 @@
 //! alike. A query holds the lock only for its lookup and for its insert,
 //! never across a solve, so [`Engine::clear_cache`] and
 //! [`Engine::apply_delta`] run on the caller's thread and are complete
-//! when they return. Each clear or sweep bumps the cache's sweep count,
+//! when they return.
+//!
+//! A delta keeps what it cannot break. [`Engine::apply_delta`] re-keys
+//! onto the new network every entry whose cone of influence the delta
+//! missed, and every in-cone SAT entry whose witness packet still
+//! witnesses its query there: the solver's own fold over the pair's
+//! paths, evaluated on that constant packet. It evicts the rest — UNSAT
+//! entries in the cone, refuted witnesses, and everything after a
+//! `remove-device`. The replays run with the lock released, on a helper
+//! thread, and their survivors return under the sweep's own sweep count,
+//! so a clear or sweep in between drops them ([`DeltaCacheStats`]).
+//!
+//! Each clear or sweep bumps the cache's sweep count,
 //! and a miss whose lookup came before one does not insert: its verdict
 //! may have been solved against the pre-delta model. A query that still
 //! holds the old model but looks up after the sweep does insert; its

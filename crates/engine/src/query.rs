@@ -341,12 +341,10 @@ impl Query {
                 decided == *target_clause
             }
             (Query::Reach { net, src, dst }, Witness::Packet(p)) => {
-                let paths = net.paths(src.0, src.1, dst.0, dst.1);
-                holds(delivered_on_some(&paths, Zen::constant(p)))
+                witness_holds(net, NetOp::Reach, *src, *dst, p)
             }
             (Query::Drops { net, src, dst }, Witness::Packet(p)) => {
-                let paths = net.paths(src.0, src.1, dst.0, dst.1);
-                holds(dropped_on_all(&paths, Zen::constant(p)))
+                witness_holds(net, NetOp::Drops, *src, *dst, p)
             }
             _ => false,
         }
@@ -361,6 +359,21 @@ impl Query {
             Query::Drops { .. } => "drops",
         }
     }
+}
+
+/// Does `p` witness the `op` query from `src` to `dst` over `net`? The
+/// solver's own condition — delivered on some path, or dropped on every
+/// one — folded over the pair's paths with `p` as a constant, so it
+/// builds expressions in the calling thread's context. A delta sweep
+/// asks it of a cached witness on the new network: where it still holds,
+/// the cached SAT verdict is still a correct answer.
+pub(crate) fn witness_holds(net: &Network, op: NetOp, src: Port, dst: Port, p: &Packet) -> bool {
+    let paths = net.paths(src.0, src.1, dst.0, dst.1);
+    let p = Zen::constant(p);
+    holds(match op {
+        NetOp::Reach => delivered_on_some(&paths, p),
+        NetOp::Drops => dropped_on_all(&paths, p),
+    })
 }
 
 /// Some path delivers `p`.

@@ -323,7 +323,11 @@ fn delta_evicts_exactly_the_cone_of_influence() {
 
     // One ACL line on l1's host port. Its cone of influence is every
     // pair with l1 as an endpoint — transit paths through l1 enter via
-    // the spine-facing ports, never through intf 99.
+    // the spine-facing ports, never through intf 99. Of those 8 entries
+    // (4 ordered pairs x Reach+Drops), the SAT ones replay their witness
+    // on the new model: a reach out of l1 now meets the deny and is
+    // evicted; a reach into l1 leaves through intf 99, not in; every
+    // drops witness was dropped before and still is.
     let ops = rzen_delta::parse_ops(
         "{\"op\":\"set-acl\",\"device\":\"l1\",\"intf\":99,\"dir\":\"in\",\"acl\":\"deny\"}",
     )
@@ -334,28 +338,30 @@ fn delta_evicts_exactly_the_cone_of_influence() {
     assert_eq!(
         stats,
         DeltaCacheStats {
-            evicted: 8,
-            retained: 4,
+            evicted: 2,
+            retained: 10,
+            revalidated: 6,
             unaffected: 0
         },
-        "4 ordered pairs touch l1 (x Reach+Drops = 8); l0<->l2 survives"
+        "l1's 2 outbound reaches break; its 2 inbound reaches and 4 drops \
+         revalidate; l0<->l2's 4 entries are off the cone"
     );
-    assert_eq!(eng.cache_len(), 4);
+    assert_eq!(eng.cache_len(), 10);
 
     // Survivors were re-keyed to the new model: re-running the full set
-    // against the patched net hits exactly the untouched pairs, and
+    // against the patched net hits every entry whose witness held, and
     // every verdict agrees with an engine that saw only the new model.
     let queries = all_pairs(&patched);
     let rerun = eng.run_batch(&queries);
     let fresh = engine(false).run_batch(&queries);
     for (i, q) in queries.iter().enumerate() {
-        let (Query::Reach { src, dst, .. } | Query::Drops { src, dst, .. }) = q else {
+        let (Query::Reach { src, .. } | Query::Drops { src, .. }) = q else {
             unreachable!()
         };
-        let involves_l1 = src.0 == l1 || dst.0 == l1;
+        let witness_broke = matches!(q, Query::Reach { .. }) && src.0 == l1;
         assert_eq!(
-            rerun.results[i].cache_hit, !involves_l1,
-            "query {i}: pairs off the cone must stay warm, on-cone must resolve"
+            rerun.results[i].cache_hit, !witness_broke,
+            "query {i}: an entry hits unless its witness broke"
         );
         assert_eq!(
             verdict_kind(&rerun.results[i].verdict),
@@ -627,6 +633,7 @@ fn post_delta_flips_verdicts_and_advances_the_generation() {
         "engine_cache_entries",
         "engine_cache_delta_evicted_total",
         "engine_cache_delta_retained_total",
+        "engine_cache_delta_revalidated_total",
         "engine_cache_hits_total",
         "engine_cache_misses_total",
         "engine_deltas_total",
@@ -762,7 +769,10 @@ fn served_verdicts_equal_the_batch_path_at_every_shard_count() {
     let batch = engine(true);
     let warm_report = batch.run_batch(&warm);
     let swept = batch.apply_delta(&base.net, &spec.net, &applied.steps);
-    assert!(swept.evicted > 0 && swept.retained > 0, "{swept:?}");
+    assert!(
+        swept.evicted > 0 && swept.retained > swept.revalidated && swept.revalidated > 0,
+        "{swept:?}"
+    );
 
     for shards in [1, 2, 3] {
         let mut c = cfg(false);
@@ -783,9 +793,14 @@ fn served_verdicts_equal_the_batch_path_at_every_shard_count() {
         assert_eq!(
             (
                 field(&resp, "evicted").as_u64(),
-                field(&resp, "retained").as_u64()
+                field(&resp, "retained").as_u64(),
+                field(&resp, "revalidated").as_u64()
             ),
-            (Some(swept.evicted as u64), Some(swept.retained as u64)),
+            (
+                Some(swept.evicted as u64),
+                Some(swept.retained as u64),
+                Some(swept.revalidated as u64)
+            ),
             "shards={shards}: the served sweep must count what the batch sweep does"
         );
         for (q, batch) in queries.iter().zip(&report.results) {

@@ -6,7 +6,9 @@ use std::time::Duration;
 
 use rzen::{Backend, Budget, FindOptions, FindOutcome, Zen, ZenFunction};
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend, Verdict};
+use rzen_net::acl::{Acl, AclRule};
 use rzen_net::gen::{random_acl, random_route_map, spine_leaf};
+use rzen_net::topology::{DeltaStep, Touch};
 
 /// A mixed batch of seeded-random queries with a spread of Sat and Unsat
 /// answers: last-line finds (reachable), beyond-last-line finds
@@ -328,6 +330,55 @@ fn engine_does_not_disturb_the_callers_context() {
             "{mode}: the runner must survive a poisoned query"
         );
     }
+    // A delta sweep over in-cone SAT entries replays their witnesses,
+    // which builds expressions, but never in the caller's context.
+    let old = spine_leaf(2, 3);
+    let mut new = old.clone();
+    new.devices[3].interfaces.last_mut().unwrap().acl_in = Some(Acl {
+        rules: vec![
+            AclRule {
+                dst_ports: (23, 23),
+                ..AclRule::any(false)
+            },
+            AclRule::any(true),
+        ],
+    });
+    let steps = [DeltaStep {
+        pre: old.clone(),
+        touch: Touch::Intf {
+            device: 3,
+            intf: 99,
+        },
+    }];
+    let engine = Engine::new(EngineConfig::default());
+    let leaf1_pairs: Vec<Query> = [(2, 99), (4, 99)]
+        .into_iter()
+        .flat_map(|other| [((3, 99), other), (other, (3, 99))])
+        .flat_map(|(src, dst)| {
+            [
+                Query::Reach {
+                    net: old.clone(),
+                    src,
+                    dst,
+                },
+                Query::Drops {
+                    net: old.clone(),
+                    src,
+                    dst,
+                },
+            ]
+        })
+        .collect();
+    engine.run_batch(&leaf1_pairs);
+    let exprs = rzen::with_ctx(|ctx| ctx.num_exprs());
+    let stats = engine.apply_delta(&old, &new, &steps);
+    assert!(stats.revalidated > 0, "{stats:?}");
+    assert_eq!(
+        rzen::with_ctx(|ctx| ctx.num_exprs()),
+        exprs,
+        "a delta sweep grew the caller's context"
+    );
+
     // The caller's handles are still alive and solvable.
     let f = ZenFunction::new(move |_: Zen<u8>| expr);
     assert!(f.find(|_, r| r, &FindOptions::bdd()).is_some());

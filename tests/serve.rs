@@ -525,21 +525,22 @@ fn debug_trace_capture_carries_request_ids_through_the_stack() {
     let handle = start(cfg(2, 16), Model::parse(FIG3).unwrap()).unwrap();
     let addr = handle.addr();
 
-    // Keep queries flowing while the capture window is open, and never
-    // ask the same one twice: each iteration first moves the transit
-    // hop's ACL to a port range no earlier iteration used (the query
-    // embeds the model), so every request is a result-cache miss that
-    // reaches `engine.backend`, whenever the window happens to open.
+    // Keep queries flowing while the capture window is open, and make
+    // every one a result-cache miss that reaches `engine.backend`,
+    // whenever the window happens to open: each iteration first flips
+    // the transit hop's ACL between `deny` and `permit`, which refutes
+    // the cached answer either way — `deny` drops the SAT witness, and
+    // an UNSAT entry in the delta's cone is never kept.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let driver = {
         let stop = stop.clone();
         thread::spawn(move || {
-            for port in 1u32.. {
+            for acl in ["deny", "permit"].into_iter().cycle() {
                 if stop.load(std::sync::atomic::Ordering::Relaxed) {
                     break;
                 }
                 let delta = format!(
-                    "{{\"op\":\"set-acl\",\"device\":\"u2\",\"intf\":1,\"dir\":\"in\",\"acl\":\"deny-dport {port} {port}\"}}"
+                    "{{\"op\":\"set-acl\",\"device\":\"u2\",\"intf\":1,\"dir\":\"in\",\"acl\":\"{acl}\"}}"
                 );
                 let (status, body) = http(
                     addr,
