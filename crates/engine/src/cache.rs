@@ -422,7 +422,10 @@ impl Replays {
                 .spawn_scoped(s, || {
                     witnesses
                         .into_iter()
-                        .filter(|(op, src, dst, p)| witness_holds(net, *op, *src, *dst, p))
+                        .filter(|(op, src, dst, p)| {
+                            let paths = net.feasible_paths(src.0, src.1, dst.0, dst.1);
+                            witness_holds(&paths, *op, p)
+                        })
                         .collect()
                 })
                 .ok()
@@ -813,7 +816,8 @@ mod tests {
         new.links
             .retain(|l| l.from_device != l2 && l.to_device != l2);
         let p = l1_to_l0(80);
-        assert!(witness_holds(&new, NetOp::Reach, l1, l0, &p));
+        let paths = new.feasible_paths(l1.0, l1.1, l0.0, l0.1);
+        assert!(witness_holds(&paths, NetOp::Reach, &p));
         let steps = [DeltaStep {
             pre: old.clone(),
             touch: Touch::DeviceRemoved,

@@ -54,7 +54,9 @@ pub enum Query {
         list_bound: u16,
     },
     /// Find a packet delivered from `src` to `dst` along **some** simple
-    /// path of the network ((device index, interface id) pairs).
+    /// path of the network ((device index, interface id) pairs). The
+    /// solve folds over the feasible paths only, which gives the same
+    /// verdict ([`Query::run`]).
     Reach {
         /// The network.
         net: Network,
@@ -263,8 +265,15 @@ impl Query {
     /// Solve the query through `session` on the calling thread, rebuilding
     /// the model in the thread-local context the session's caches key on:
     /// an ACL or route map through the session's model memo
-    /// ([`SolverSession::find_model`]), a topology's paths through
+    /// ([`SolverSession::find_model`]), a topology through
     /// [`ZenFunction::find_in_session`]. The session's backend decides.
+    ///
+    /// `Reach` and `Drops` fold over the pair's
+    /// [`Network::feasible_paths`], not all its simple paths: a path no
+    /// packet survives is `false` in the reach fold and `true` in the
+    /// drops fold, so leaving it out changes no verdict, only the size of
+    /// the formula. A pair with no feasible path is answered without a
+    /// solve.
     pub(crate) fn run(&self, session: &mut SolverSession, budget: &Budget) -> FindReport<Witness> {
         match self {
             Query::AclFind { acl, target_line } => {
@@ -287,10 +296,10 @@ impl Query {
             }
             Query::Reach { net, src, dst } | Query::Drops { net, src, dst } => {
                 let reach = matches!(self, Query::Reach { .. });
-                let paths = net.paths(src.0, src.1, dst.0, dst.1);
+                let paths = net.feasible_paths(src.0, src.1, dst.0, dst.1);
                 if paths.is_empty() {
-                    // No path at all: nothing is delivered, and every
-                    // packet is trivially dropped.
+                    // No path any packet survives: nothing is delivered,
+                    // and every packet is dropped.
                     let h = Header::new(0, 0, 0, 0, 0);
                     return FindReport {
                         outcome: if reach {
@@ -321,6 +330,9 @@ impl Query {
     /// Check a witness against the concrete reference semantics (exact
     /// simulation — no solver involved). Used by the differential tests to
     /// validate engine output independently of the backend that found it.
+    /// A `Reach` or `Drops` witness is folded over **all** the pair's
+    /// simple paths ([`Network::paths`]), not the feasible ones the solve
+    /// used, so this also checks the pruning.
     pub fn check_witness(&self, w: &Witness) -> bool {
         match (self, w) {
             (Query::AclFind { acl, target_line }, Witness::Header(h)) => {
@@ -341,10 +353,10 @@ impl Query {
                 decided == *target_clause
             }
             (Query::Reach { net, src, dst }, Witness::Packet(p)) => {
-                witness_holds(net, NetOp::Reach, *src, *dst, p)
+                witness_holds(&net.paths(src.0, src.1, dst.0, dst.1), NetOp::Reach, p)
             }
             (Query::Drops { net, src, dst }, Witness::Packet(p)) => {
-                witness_holds(net, NetOp::Drops, *src, *dst, p)
+                witness_holds(&net.paths(src.0, src.1, dst.0, dst.1), NetOp::Drops, p)
             }
             _ => false,
         }
@@ -361,18 +373,18 @@ impl Query {
     }
 }
 
-/// Does `p` witness the `op` query from `src` to `dst` over `net`? The
-/// solver's own condition — delivered on some path, or dropped on every
-/// one — folded over the pair's paths with `p` as a constant, so it
-/// builds expressions in the calling thread's context. A delta sweep
-/// asks it of a cached witness on the new network: where it still holds,
-/// the cached SAT verdict is still a correct answer.
-pub(crate) fn witness_holds(net: &Network, op: NetOp, src: Port, dst: Port, p: &Packet) -> bool {
-    let paths = net.paths(src.0, src.1, dst.0, dst.1);
+/// Does `p` witness an `op` query whose pair has `paths`? The solver's
+/// own condition — delivered on some path, or dropped on every one —
+/// folded with `p` as a constant, so it builds expressions in the calling
+/// thread's context. [`Query::check_witness`] passes the pair's simple
+/// paths; a delta sweep passes its feasible paths on the new network, the
+/// cheaper fold with the same value: where it still holds, the cached
+/// SAT verdict is still a correct answer.
+pub(crate) fn witness_holds(paths: &[Vec<Hop<'_>>], op: NetOp, p: &Packet) -> bool {
     let p = Zen::constant(p);
     holds(match op {
-        NetOp::Reach => delivered_on_some(&paths, p),
-        NetOp::Drops => dropped_on_all(&paths, p),
+        NetOp::Reach => delivered_on_some(paths, p),
+        NetOp::Drops => dropped_on_all(paths, p),
     })
 }
 

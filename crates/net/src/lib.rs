@@ -19,6 +19,7 @@
 pub mod acl;
 pub mod analyses;
 pub mod device;
+mod dstset;
 pub mod firewall;
 pub mod fwd;
 pub mod gen;

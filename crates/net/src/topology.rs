@@ -1,10 +1,13 @@
 //! Network topology: devices, links, and path enumeration.
 //!
 //! Analyses that reason per-path (Anteater-style reachability, Fig. 7
-//! forwarding) enumerate simple paths here; set-based analyses (HSA) walk
-//! the same structure with transformers instead.
+//! forwarding) enumerate simple paths here, or only the feasible ones, the
+//! paths some packet may survive; set-based analyses (HSA) walk the same
+//! structure with transformers instead.
 
 use crate::device::{Hop, Interface};
+use crate::dstset::{routed_to, AddrSet, DstSpace};
+use rzen_bdd::FastHashMap;
 
 /// A device: a named node with numbered interfaces.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -82,65 +85,133 @@ impl Network {
         exit_intf: u8,
     ) -> Vec<Vec<Hop<'_>>> {
         let mut out = Vec::new();
-        let mut visited = vec![false; self.devices.len()];
-        let mut hops = Vec::new();
-        self.dfs(
-            src,
-            entry_intf,
-            dst,
-            exit_intf,
-            &mut visited,
-            &mut hops,
-            &mut out,
+        self.walk(
+            (src, entry_intf),
+            (dst, exit_intf),
+            (),
+            |_, _| Some(()),
+            |_, hops| out.push(hops.to_vec()),
         );
         out
     }
 
+    /// The simple paths of [`Network::paths`] that some packet may
+    /// survive, in the same order. The walk carries the destinations the
+    /// routing header may hold (`dstset::DstSpace`), from every packet of
+    /// either header shape, and cuts a branch as soon as none is left.
+    /// Each concrete packet keeps its routing destination inside the
+    /// carried space at every hop, so a path left out delivers no packet:
+    /// it is `false` in any "delivered on some path" fold and `true` in
+    /// any "dropped on every path" fold, and folding over these paths
+    /// gives the very verdicts of folding over all of them.
+    pub fn feasible_paths(
+        &self,
+        src: usize,
+        entry_intf: u8,
+        dst: usize,
+        exit_intf: u8,
+    ) -> Vec<Vec<Hop<'_>>> {
+        // The destinations each egress interface's table sends to it,
+        // computed at its first visit.
+        let mut routed: FastHashMap<*const Interface, AddrSet> = FastHashMap::default();
+        let mut out = Vec::new();
+        self.walk(
+            (src, entry_intf),
+            (dst, exit_intf),
+            DstSpace::all(),
+            |space, hop| {
+                let to = routed
+                    .entry(hop.intf_out)
+                    .or_insert_with(|| routed_to(&hop.intf_out.table, hop.intf_out.id));
+                let next = space.through(hop, to);
+                (!next.is_empty()).then_some(next)
+            },
+            |_, hops| out.push(hops.to_vec()),
+        );
+        out
+    }
+
+    /// The one depth-first walk over the simple device paths from
+    /// `(src, entry)` to `(dst, exit)`, behind [`Network::paths`],
+    /// [`Network::feasible_paths`] and [`Network::path_footprint`].
+    /// `step` carries a state across each hop and cuts the branch where
+    /// it answers `None`; `emit` sees each complete path as its devices
+    /// and its hops.
+    fn walk<'n, S>(
+        &'n self,
+        (src, entry): (usize, u8),
+        (dst, exit): (usize, u8),
+        start: S,
+        mut step: impl FnMut(&S, Hop<'n>) -> Option<S>,
+        mut emit: impl FnMut(&[usize], &[Hop<'n>]),
+    ) {
+        let mut trail = Trail {
+            visited: vec![false; self.devices.len()],
+            devs: Vec::new(),
+            hops: Vec::new(),
+        };
+        self.walk_from(
+            src,
+            entry,
+            (dst, exit),
+            &start,
+            &mut trail,
+            &mut step,
+            &mut emit,
+        );
+    }
+
     #[allow(clippy::too_many_arguments)]
-    fn dfs<'n>(
+    fn walk_from<'n, S>(
         &'n self,
         dev: usize,
         in_intf: u8,
-        dst: usize,
-        exit_intf: u8,
-        visited: &mut [bool],
-        hops: &mut Vec<Hop<'n>>,
-        out: &mut Vec<Vec<Hop<'n>>>,
+        (dst, exit): (usize, u8),
+        state: &S,
+        trail: &mut Trail<'n>,
+        step: &mut impl FnMut(&S, Hop<'n>) -> Option<S>,
+        emit: &mut impl FnMut(&[usize], &[Hop<'n>]),
     ) {
-        visited[dev] = true;
-        let Some(intf_in) = self.devices[dev].interface(in_intf) else {
-            visited[dev] = false;
+        let device = &self.devices[dev];
+        let Some(intf_in) = device.interface(in_intf) else {
             return;
         };
         if dev == dst {
-            if let Some(intf_out) = self.devices[dev].interface(exit_intf) {
-                hops.push(Hop { intf_in, intf_out });
-                out.push(hops.clone());
-                hops.pop();
+            if let Some(intf_out) = device.interface(exit) {
+                let hop = Hop { intf_in, intf_out };
+                if step(state, hop).is_some() {
+                    trail.push(dev, hop);
+                    emit(&trail.devs, &trail.hops);
+                    trail.pop();
+                }
             }
-            visited[dev] = false;
             return;
         }
+        trail.visited[dev] = true;
         for link in self.links.iter().filter(|l| l.from_device == dev) {
-            if visited[link.to_device] {
+            if trail.visited[link.to_device] {
                 continue;
             }
-            let Some(intf_out) = self.devices[dev].interface(link.from_intf) else {
+            let Some(intf_out) = device.interface(link.from_intf) else {
                 continue;
             };
-            hops.push(Hop { intf_in, intf_out });
-            self.dfs(
+            let hop = Hop { intf_in, intf_out };
+            let Some(next) = step(state, hop) else {
+                continue;
+            };
+            trail.push(dev, hop);
+            self.walk_from(
                 link.to_device,
                 link.to_intf,
-                dst,
-                exit_intf,
-                visited,
-                hops,
-                out,
+                (dst, exit),
+                &next,
+                trail,
+                step,
+                emit,
             );
-            hops.pop();
+            trail.pop();
         }
-        visited[dev] = false;
+        trail.visited[dev] = false;
     }
 
     /// Devices reachable from `dev` by following links forward (including
@@ -194,69 +265,20 @@ impl Network {
         exit_intf: u8,
     ) -> std::collections::HashSet<(usize, u8)> {
         let mut out = std::collections::HashSet::new();
-        let mut visited = vec![false; self.devices.len()];
-        let mut trail: Vec<(usize, u8)> = Vec::new();
-        self.footprint_dfs(
-            src,
-            entry_intf,
-            dst,
-            exit_intf,
-            &mut visited,
-            &mut trail,
-            &mut out,
+        self.walk(
+            (src, entry_intf),
+            (dst, exit_intf),
+            (),
+            |_, _| Some(()),
+            |devs, hops| {
+                out.extend(
+                    devs.iter()
+                        .zip(hops)
+                        .flat_map(|(&d, hop)| [(d, hop.intf_in.id), (d, hop.intf_out.id)]),
+                )
+            },
         );
         out
-    }
-
-    /// Mirrors [`Network::dfs`] exactly (same traversal, same pruning) but
-    /// records `(device, intf)` pairs instead of building hop lists.
-    #[allow(clippy::too_many_arguments)]
-    fn footprint_dfs(
-        &self,
-        dev: usize,
-        in_intf: u8,
-        dst: usize,
-        exit_intf: u8,
-        visited: &mut [bool],
-        trail: &mut Vec<(usize, u8)>,
-        out: &mut std::collections::HashSet<(usize, u8)>,
-    ) {
-        visited[dev] = true;
-        if self.devices[dev].interface(in_intf).is_none() {
-            visited[dev] = false;
-            return;
-        }
-        if dev == dst {
-            if self.devices[dev].interface(exit_intf).is_some() {
-                out.extend(trail.iter().copied());
-                out.insert((dev, in_intf));
-                out.insert((dev, exit_intf));
-            }
-            visited[dev] = false;
-            return;
-        }
-        for link in self.links.iter().filter(|l| l.from_device == dev) {
-            if visited[link.to_device] {
-                continue;
-            }
-            if self.devices[dev].interface(link.from_intf).is_none() {
-                continue;
-            }
-            trail.push((dev, in_intf));
-            trail.push((dev, link.from_intf));
-            self.footprint_dfs(
-                link.to_device,
-                link.to_intf,
-                dst,
-                exit_intf,
-                visited,
-                trail,
-                out,
-            );
-            trail.pop();
-            trail.pop();
-        }
-        visited[dev] = false;
     }
 
     /// All (device, interface-id) pairs — used by set-based analyses to
@@ -274,6 +296,26 @@ impl Network {
         self.links
             .iter()
             .find(|l| l.from_device == device && l.from_intf == intf)
+    }
+}
+
+/// The path a [`Network::walk`] is on: the devices it visits, and each
+/// one's hop.
+struct Trail<'n> {
+    visited: Vec<bool>,
+    devs: Vec<usize>,
+    hops: Vec<Hop<'n>>,
+}
+
+impl<'n> Trail<'n> {
+    fn push(&mut self, dev: usize, hop: Hop<'n>) {
+        self.devs.push(dev);
+        self.hops.push(hop);
+    }
+
+    fn pop(&mut self) {
+        self.devs.pop();
+        self.hops.pop();
     }
 }
 

@@ -12,6 +12,7 @@ use rzen_net::headers::{Header, Packet};
 use rzen_net::ip::Prefix;
 use rzen_net::nat::{Nat, NatKind, NatRule};
 use rzen_net::routing::Announcement;
+use rzen_net::topology::{Device, Network};
 
 fn prefix_strategy() -> impl Strategy<Value = Prefix> {
     (
@@ -392,6 +393,280 @@ fn check_forward_along(path: &OwnedPath, packets: &[Packet]) -> Result<(), TestC
     Ok(())
 }
 
+/// A Reach/Drops query's inputs: a network and its entry and exit
+/// ports.
+#[derive(Clone, Debug)]
+struct NetCase {
+    net: Network,
+    src: (usize, u8),
+    dst: (usize, u8),
+}
+
+/// 2–5 devices of 1–3 `interface_strategy` interfaces (ACLs, NAT and GRE
+/// on; a device keeps the first interface of each id), entered on the
+/// first device and left on the last. One-way links chain the devices in
+/// order, and up to 6 more join random pairs. In half the cases no table
+/// has a default route, and about half the DNAT rules and tunnels are
+/// aimed at some route's prefix (a retargeted DNAT rule matching every
+/// address), so that a rewrite can decide where a packet goes.
+fn net_case_strategy() -> impl Strategy<Value = NetCase> {
+    let port = || (any::<usize>(), any::<usize>());
+    (
+        prop::collection::vec(prop::collection::vec(interface_strategy(), 1..4), 2..6),
+        prop::collection::vec((port(), port()), 0..7),
+        prop::collection::vec(port(), 6),
+        prop::collection::vec(opt(any::<usize>()), 8),
+        any::<bool>(),
+    )
+        .prop_map(|(mut devices, extra, chain, retarget, narrow)| {
+            if narrow {
+                for i in devices.iter_mut().flatten() {
+                    i.table.rules.retain(|r| r.prefix.len > 0);
+                }
+            }
+            let routed: Vec<u32> = devices
+                .iter()
+                .flatten()
+                .flat_map(|i| &i.table.rules)
+                .map(|r| r.prefix.address | 1)
+                .collect();
+            let mut picks = retarget.iter().cycle();
+            let mut steer = |target: &mut u32| match (picks.next(), routed.is_empty()) {
+                (Some(Some(k)), false) => {
+                    *target = routed[k % routed.len()];
+                    true
+                }
+                _ => false,
+            };
+            for i in devices.iter_mut().flatten() {
+                for nat in i.nat_in.iter_mut().chain(i.nat_out.iter_mut()) {
+                    for r in &mut nat.rules {
+                        if steer(&mut r.rewrite_to) && r.kind == NatKind::Dnat {
+                            r.matches = Prefix::ANY;
+                        }
+                    }
+                }
+                if let Some(t) = i.gre_start.as_mut() {
+                    steer(&mut t.dst_ip);
+                }
+            }
+            let mut net = Network::default();
+            for (d, mut interfaces) in devices.into_iter().enumerate() {
+                let mut ids = Vec::new();
+                interfaces.retain(|i| {
+                    let fresh = !ids.contains(&i.id);
+                    ids.push(i.id);
+                    fresh
+                });
+                net.add_device(Device {
+                    name: format!("d{d}"),
+                    interfaces,
+                });
+            }
+            let n = net.devices.len();
+            let at = |net: &Network, (d, k): (usize, usize)| {
+                let d = d % n;
+                let intfs = &net.devices[d].interfaces;
+                (d, intfs[k % intfs.len()].id)
+            };
+            let links: Vec<_> = (0..n - 1)
+                .map(|d| ((d, chain[d].0), (d + 1, chain[d].1)))
+                .chain(extra)
+                .collect();
+            for (a, b) in links {
+                let ((a, i), (b, j)) = (at(&net, a), at(&net, b));
+                if a != b {
+                    net.add_link(a, i, b, j);
+                }
+            }
+            NetCase {
+                src: at(&net, (0, chain[4].0)),
+                dst: at(&net, (n - 1, chain[5].1)),
+                net,
+            }
+        })
+}
+
+/// Addresses where some forwarding decision of `net` can flip: every
+/// route, NAT-match and ACL-destination prefix's two ends and their
+/// outside neighbours, and every tunnel and NAT target.
+fn boundaries(net: &Network) -> Vec<u32> {
+    let ends = |p: Prefix| {
+        let lo = p.address & p.mask();
+        let hi = lo | !p.mask();
+        [lo, hi, lo.wrapping_sub(1), hi.wrapping_add(1)]
+    };
+    let mut pool = vec![0, u32::MAX];
+    for i in net.devices.iter().flat_map(|d| &d.interfaces) {
+        pool.extend(i.table.rules.iter().flat_map(|r| ends(r.prefix)));
+        for t in i.gre_start.iter().chain(&i.gre_end) {
+            pool.extend([t.src_ip, t.dst_ip]);
+        }
+        for r in i.nat_in.iter().chain(&i.nat_out).flat_map(|n| &n.rules) {
+            pool.extend(ends(r.matches));
+            pool.push(r.rewrite_to);
+        }
+        for r in i.acl_in.iter().chain(&i.acl_out).flat_map(|a| &a.rules) {
+            pool.extend(ends(r.dst));
+        }
+    }
+    pool
+}
+
+/// A drawn packet, and for its overlay and underlay destination an
+/// optional pick from a network's boundary addresses.
+type PacketDraw = (Packet, (Option<usize>, Option<usize>));
+
+/// The drawn packet with its destinations (overlay, and underlay if
+/// tunneled) taken from `pool` where the picks say so.
+fn aim((p, (pick_o, pick_u)): &PacketDraw, pool: &[u32]) -> Packet {
+    let mut p = p.clone();
+    if let Some(k) = pick_o {
+        p.overlay_header.dst_ip = pool[k % pool.len()];
+    }
+    if let (Some(u), Some(k)) = (p.underlay_header.as_mut(), pick_u) {
+        u.dst_ip = pool[k % pool.len()];
+    }
+    p
+}
+
+/// `c`'s fold over `paths` for the constant packet `p`.
+fn fold_value(paths: &[Vec<Hop>], p: &Packet, c: (bool, Combine)) -> bool {
+    let root = combine(paths, Zen::constant(p), c, true);
+    rzen::with_ctx(|ctx| ctx.eval_const(root.expr_id()).as_bool())
+}
+
+/// `feasible_paths` is sound for the engine's two folds on `case`:
+/// - it keeps a subsequence of `paths`, in order;
+/// - on every packet, reach and drops folded over it equal the folds over
+///   all simple paths;
+/// - and the SMT solver finds no packet delivered on any path it drops.
+fn check_feasible_paths(case: &NetCase, packets: &[Packet]) -> Result<(), TestCaseError> {
+    let NetCase { net, src, dst } = case;
+    let all = net.paths(src.0, src.1, dst.0, dst.1);
+    let feasible = net.feasible_paths(src.0, src.1, dst.0, dst.1);
+    let same_path = |a: &[Hop], b: &[Hop]| {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                std::ptr::eq(x.intf_in, y.intf_in) && std::ptr::eq(x.intf_out, y.intf_out)
+            })
+    };
+    let mut kept = feasible.iter().peekable();
+    let mut pruned = Vec::new();
+    for path in &all {
+        match kept.peek() {
+            Some(f) if same_path(f, path) => {
+                kept.next();
+            }
+            _ => pruned.push(path.clone()),
+        }
+    }
+    prop_assert!(
+        kept.next().is_none(),
+        "feasible paths are not a subsequence of paths"
+    );
+    rzen::reset_ctx();
+    for p in packets {
+        for c in COMBINERS {
+            prop_assert_eq!(
+                fold_value(&feasible, p, c),
+                fold_value(&all, p, c),
+                "packet {:?}",
+                p
+            );
+        }
+    }
+    if !pruned.is_empty() {
+        rzen::reset_ctx();
+        let f = ZenFunction::new(|p: Zen<Packet>| p);
+        let leak = f.find(
+            |p, _| combine(&pruned, p, COMBINERS[0], true),
+            &FindOptions::smt(),
+        );
+        prop_assert!(leak.is_none(), "a pruned path delivers {:?}", leak);
+    }
+    rzen::reset_ctx();
+    Ok(())
+}
+
+/// [`check_feasible_paths`] on a drawn case and 16 drawn packets, each
+/// destination taken from the case's boundaries half the time.
+fn check_feasible_case(case: &NetCase, draws: &[PacketDraw]) -> Result<(), TestCaseError> {
+    let pool = boundaries(&case.net);
+    let packets: Vec<Packet> = draws.iter().map(|d| aim(d, &pool)).collect();
+    check_feasible_paths(case, &packets)
+}
+
+fn packet_draws() -> impl Strategy<Value = Vec<PacketDraw>> {
+    prop::collection::vec(
+        (
+            packet_strategy(),
+            (opt(any::<usize>()), opt(any::<usize>())),
+        ),
+        16,
+    )
+}
+
+/// Every ordered pair of edge ports of `net` (`src == dst` included), as
+/// cases.
+fn pair_cases(net: &Network, edges: &[(usize, u8)]) -> Vec<NetCase> {
+    edges
+        .iter()
+        .flat_map(|&src| {
+            edges.iter().map(move |&dst| NetCase {
+                net: net.clone(),
+                src,
+                dst,
+            })
+        })
+        .collect()
+}
+
+/// [`check_feasible_paths`] on every edge-port pair of every
+/// `specs/*.net` and of `spine_leaf(s, l)` for s ≤ 3, with 32 seeded
+/// packets a pair, destinations drawn from the network's boundaries and
+/// uniformly, plain and tunneled.
+#[test]
+fn feasible_paths_agree_with_simple_paths_on_specs_and_fabrics() {
+    use rand::{Rng, SeedableRng};
+    let specs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut cases = Vec::new();
+    for entry in std::fs::read_dir(specs).expect("specs dir") {
+        let path = entry.expect("entry").path();
+        if path.extension().is_some_and(|e| e == "net") {
+            let spec = rzen_net::spec::parse(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            cases.extend(pair_cases(&spec.net, &spec.edge_ports()));
+        }
+    }
+    for (s, l) in [(1, 3), (2, 5), (3, 4)] {
+        let net = rzen_net::gen::spine_leaf(s, l);
+        let leaves: Vec<(usize, u8)> = (s..s + l).map(|d| (d, 99)).collect();
+        cases.extend(pair_cases(&net, &leaves));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+    let mut header = |pool: &[u32]| {
+        let dst = if rng.gen_bool(0.5) {
+            pool[rng.gen_range(0..pool.len())]
+        } else {
+            rng.gen()
+        };
+        Header::new(dst, rng.gen(), rng.gen(), rng.gen(), rng.gen())
+    };
+    for case in &cases {
+        let pool = boundaries(&case.net);
+        let packets: Vec<Packet> = (0..32)
+            .map(|k| Packet {
+                overlay_header: header(&pool),
+                underlay_header: (k % 2 == 1).then(|| header(&pool)),
+            })
+            .collect();
+        if let Err(e) = check_feasible_paths(case, &packets) {
+            panic!("{:?} -> {:?}: {}", case.src, case.dst, e.0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -545,6 +820,11 @@ proptest! {
     fn fold_paths_matches_per_path_fold(set in path_set_strategy()) {
         check_fold_paths(&set.0, &set.1)?;
     }
+
+    #[test]
+    fn feasible_paths_agree_with_simple_paths(case in net_case_strategy(), draws in packet_draws()) {
+        check_feasible_case(&case, &draws)?;
+    }
 }
 
 proptest! {
@@ -566,5 +846,11 @@ proptest! {
     #[ignore = "long run; CI has a step for it"]
     fn fold_paths_matches_per_path_fold_long(set in path_set_strategy()) {
         check_fold_paths(&set.0, &set.1)?;
+    }
+
+    #[test]
+    #[ignore = "long run; CI has a step for it"]
+    fn feasible_paths_agree_with_simple_paths_long(case in net_case_strategy(), draws in packet_draws()) {
+        check_feasible_case(&case, &draws)?;
     }
 }

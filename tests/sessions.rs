@@ -262,7 +262,7 @@ fn session_bdd_nodes_count_what_each_query_allocated() {
     };
     let (off, on) = (nodes(false), nodes(true));
     assert_eq!(
-        off, 44_253,
+        off, 42_782,
         "a one-query session reports a fresh manager's nodes"
     );
     assert!(on <= off, "sessions on reported {on} BDD nodes, off {off}");
