@@ -18,9 +18,10 @@
 //! {"op":"remove-device","name":"u4"}
 //! ```
 //!
-//! [`apply`] patches a parsed [`Spec`] in place and returns a
-//! [`DeltaStep`] — the pre-op network plus a [`Touch`] describing what
-//! changed — which the engine's dependency-aware cache sweep consumes.
+//! [`apply`] patches a parsed [`Spec`] in place. The engine's cache
+//! sweep needs nothing from it but the networks before and after a
+//! delta: it keeps a cached verdict exactly when its pair's feasible
+//! paths are unchanged, or when its witness still holds.
 //! ACL shorthands are exactly the spec format's
 //! ([`rzen_net::spec::parse_acl_shorthand`]), so a wire delta and a spec
 //! line can never disagree about what an ACL means.
@@ -42,7 +43,7 @@ use rzen_net::device::Interface;
 use rzen_net::fwd::FwdRule;
 use rzen_net::ip::Prefix;
 use rzen_net::spec::{self, Spec};
-use rzen_net::topology::{DeltaStep, Device, Network, Touch};
+use rzen_net::topology::{DeltaStep, Device, Network};
 use rzen_obs::json::{parse, Value, Writer};
 use rzen_obs::Fnv1a;
 
@@ -298,8 +299,8 @@ pub fn parse_ops(text: &str) -> Result<Vec<DeltaOp>, String> {
 
 /// The result of applying a delta.
 pub struct Applied {
-    /// One step per op, in application order — each carries its pre-op
-    /// network and what it touched, for the engine's cache sweep.
+    /// One field-less step per op, in application order (see
+    /// [`DeltaStep`] for why it stays).
     pub steps: Vec<DeltaStep>,
     /// Names of every device an op touched (sorted, deduplicated).
     pub touched: Vec<String>,
@@ -312,9 +313,9 @@ pub fn apply_all(spec: &mut Spec, ops: &[DeltaOp]) -> Result<Applied, String> {
     let mut steps = Vec::with_capacity(ops.len());
     let mut touched = BTreeSet::new();
     for (i, op) in ops.iter().enumerate() {
-        let step = apply(spec, op).map_err(|e| format!("op {} ({}): {e}", i + 1, op.name()))?;
+        apply(spec, op).map_err(|e| format!("op {} ({}): {e}", i + 1, op.name()))?;
         touched.extend(touched_names(op));
-        steps.push(step);
+        steps.push(DeltaStep);
     }
     Ok(Applied {
         steps,
@@ -336,11 +337,9 @@ fn touched_names(op: &DeltaOp) -> Vec<String> {
     }
 }
 
-/// Apply one op to `spec` in place, returning the pre-op network and the
-/// touch for the engine's invalidation.
-pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
-    let pre = spec.net.clone();
-    let touch = match op {
+/// Apply one op to `spec` in place.
+pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<(), String> {
+    match op {
         DeltaOp::AddDevice { name, intfs } => {
             if spec.device_index.contains_key(name) {
                 return Err(format!("device {name:?} already exists"));
@@ -360,7 +359,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
                     .collect(),
             });
             spec.device_index.insert(name.clone(), device);
-            Touch::DeviceAdded { device }
         }
         DeltaOp::RemoveDevice { name } => {
             let idx = *spec
@@ -385,7 +383,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
                     *v -= 1;
                 }
             }
-            Touch::DeviceRemoved
         }
         DeltaOp::SetAcl {
             device,
@@ -396,10 +393,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
             let parsed = spec::parse_acl_shorthand(acl)?;
             let slot = acl_slot(spec, device, *intf, *dir)?;
             *slot = Some(parsed);
-            Touch::Intf {
-                device: spec.device_index[device],
-                intf: *intf,
-            }
         }
         DeltaOp::RemoveAcl { device, intf, dir } => {
             let slot = acl_slot(spec, device, *intf, *dir)?;
@@ -410,10 +403,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
                 ));
             }
             *slot = None;
-            Touch::Intf {
-                device: spec.device_index[device],
-                intf: *intf,
-            }
         }
         DeltaOp::SetRoute {
             device,
@@ -432,7 +421,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
                     }),
                 }
             }
-            Touch::Table { device: idx }
         }
         DeltaOp::RemoveRoute { device, prefix } => {
             let idx = device_with_interfaces(spec, device)?;
@@ -443,7 +431,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
             if spec.net.devices[idx].interfaces[0].table.rules.len() == before {
                 return Err(format!("device {device:?} has no route for {prefix}"));
             }
-            Touch::Table { device: idx }
         }
         DeltaOp::LinkUp { a, b } => {
             let (ad, ap) = spec.endpoint(a)?;
@@ -454,10 +441,6 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
                 }
             }
             spec.net.add_duplex(ad, ap, bd, bp);
-            Touch::LinkUp {
-                a: (ad, ap),
-                b: (bd, bp),
-            }
         }
         DeltaOp::LinkDown { a, b } => {
             let (ad, ap) = spec.endpoint(a)?;
@@ -476,13 +459,9 @@ pub fn apply(spec: &mut Spec, op: &DeltaOp) -> Result<DeltaStep, String> {
             if spec.net.links.len() + 2 != before {
                 return Err(format!("no duplex link between {a} and {b}"));
             }
-            Touch::LinkDown {
-                a: (ad, ap),
-                b: (bd, bp),
-            }
         }
-    };
-    Ok(DeltaStep { pre, touch })
+    }
+    Ok(())
 }
 
 fn acl_slot<'s>(
@@ -651,7 +630,8 @@ link u2:2 u3:1
     #[test]
     fn set_acl_patches_the_interface() {
         let mut s = fig3();
-        let step = apply(
+        let before = s.net.clone();
+        apply(
             &mut s,
             &DeltaOp::SetAcl {
                 device: "u2".into(),
@@ -662,27 +642,13 @@ link u2:2 u3:1
         )
         .unwrap();
         let u2 = s.device_index["u2"];
-        assert_eq!(
-            step.touch,
-            Touch::Intf {
-                device: u2,
-                intf: 1
-            }
-        );
+        // "deny" is the empty rule list, and nothing else moved.
         let acl = s.net.devices[u2].interface(1).unwrap().acl_in.as_ref();
-        assert_eq!(acl.unwrap().rules.len(), 0); // "deny" = empty rule list
-                                                 // The pre-op network still has the old ACL.
-        assert_eq!(
-            step.pre.devices[u2]
-                .interface(1)
-                .unwrap()
-                .acl_in
-                .as_ref()
-                .unwrap()
-                .rules
-                .len(),
-            2
-        );
+        assert_eq!(acl.unwrap().rules.len(), 0);
+        for (i, (a, b)) in before.devices.iter().zip(&s.net.devices).enumerate() {
+            assert_eq!(i == u2, a != b, "device {i}");
+        }
+        assert_eq!(before.links, s.net.links);
     }
 
     #[test]
@@ -841,10 +807,10 @@ link u2:2 u3:1
         .unwrap();
         assert_eq!(applied.steps.len(), 2);
         assert_eq!(applied.touched, vec!["u2".to_string(), "u3".to_string()]);
-        // Step 2's pre-net already contains step 1's ACL change.
+        // Step 1's ACL change is in place ("permit" = one rule).
         let u2 = s.device_index["u2"];
         assert_eq!(
-            applied.steps[1].pre.devices[u2]
+            s.net.devices[u2]
                 .interface(1)
                 .unwrap()
                 .acl_in

@@ -14,13 +14,17 @@
 //! network (a batch query's own copy, another handle) is compared in
 //! full: a pointer match only ever saves the compare, it never replaces
 //! it with something weaker.
+//!
+//! A model delta keeps an entry's verdict exactly when the delta left
+//! the pair's feasible paths as they were ([`ResultCache::sweep_delta`]).
+//! The pairs whose paths it changed are the delta's *cone*.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
 use rzen_net::headers::Packet;
-use rzen_net::topology::{DeltaStep, Network, Touch};
+use rzen_net::topology::{FeasibleWalker, Network};
 
 use crate::query::{witness_holds, NetOp, Port, Query, SharedNet, Verdict, Witness};
 
@@ -28,12 +32,12 @@ use crate::query::{witness_holds, NetOp, Port, Query, SharedNet, Verdict, Witnes
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaCacheStats {
     /// Entries whose verdict the delta may have changed: dropped. These
-    /// are the entries in a step's cone of influence, less those
-    /// `revalidated`.
+    /// are the entries in the delta's cone (their pair's feasible paths
+    /// changed), less those `revalidated`.
     pub evicted: usize,
     /// Entries kept warm: re-keyed to the new network, so a post-delta
     /// identical query hits them without a solve. Counts the entries
-    /// off every step's cone and the `revalidated` ones.
+    /// off the cone and the `revalidated` ones.
     pub retained: usize,
     /// Of `retained`, the in-cone SAT entries whose witness still holds
     /// on the new network.
@@ -204,60 +208,35 @@ impl ResultCache {
         self.count
     }
 
-    /// The dependency-aware sweep behind [`crate::Engine::apply_delta`]:
-    /// walk every cached `Reach`/`Drops` entry over `old_net`, set aside
-    /// the ones whose cone of influence a delta step touched, and re-key
-    /// the rest to `new`'s network (sharing its handle, fingerprinted
-    /// from its saved state) so identical post-delta queries keep hitting
-    /// them. Entries for other query kinds or other models are left
-    /// untouched. Each distinct entry network is compared with `old_net`
-    /// once, and not at all when it *is* `old_net`.
+    /// The sweep behind [`crate::Engine::apply_delta`]: walk every cached
+    /// `Reach`/`Drops` entry over `old_net` and keep its verdict iff the
+    /// pair's feasible paths on `new` equal those on `old_net`, hop for
+    /// hop. A verdict is the fold over those paths, which reads nothing
+    /// but their hops' interfaces, so equal paths give an equal verdict.
+    /// The rule compares the two final networks, so it holds for any
+    /// sequence of ops, device renumbering included.
     ///
-    /// Of the in-cone entries, an UNSAT verdict is evicted: nothing short
-    /// of a solve re-proves it. A SAT verdict carries its packet, which
-    /// [`Replays::replay`] folds through the new network; the caller
-    /// re-admits the packets that still witness their query with
-    /// [`ResultCache::readmit`], and the refuted ones are evicted. A
-    /// `remove-device` step shifts device indices, so then every entry
-    /// for this model is evicted and nothing is replayed.
+    /// A kept entry is re-keyed to `new`'s network (sharing its handle,
+    /// fingerprinted from its saved state) so identical post-delta
+    /// queries keep hitting it. Of the entries whose paths changed, an
+    /// UNSAT verdict is evicted: nothing short of a solve re-proves it. A
+    /// SAT verdict carries its packet, which [`Replays::replay`] folds
+    /// through the new network; the caller re-admits the packets that
+    /// still witness their query with [`ResultCache::readmit`], and the
+    /// refuted ones are evicted. An entry whose endpoint device `new`
+    /// no longer has (a `remove-device`) is evicted outright.
     ///
-    /// Affectedness is judged per step, in application order:
-    ///
-    /// * `Intf` — the query's *path footprint* (every `(device, intf)` on
-    ///   an enumerated simple path, endpoints included) must contain the
-    ///   changed interface.
-    /// * `Table` — the footprint must visit the device at all.
-    /// * `LinkDown` — both endpoints must be in the footprint (a used
-    ///   link implies both).
-    /// * `LinkUp` — a new path can only appear if, on that step's pre-op
-    ///   graph, one endpoint was link-reachable from the source device
-    ///   and the other could reach the destination device.
-    /// * `DeviceAdded` — appended and unlinked, affects nothing.
-    /// * `DeviceRemoved` — indices shift; every entry for this model is
-    ///   evicted.
-    ///
-    /// Footprints are computed on `old_net`. That stays sound across a
-    /// multi-op sequence: a path that exists only thanks to an earlier
-    /// `link-up` is caught by *that* step's pre-op reachability test, and
-    /// a footprint only shrinks when a `link-down` fired, which already
-    /// set the entry aside.
-    pub(crate) fn sweep_delta(
-        &mut self,
-        old_net: &Network,
-        new: &SharedNet,
-        steps: &[DeltaStep],
-    ) -> Replays {
+    /// Entries for other query kinds or other models are left untouched.
+    /// Each distinct entry network is compared with `old_net` once, and
+    /// not at all when it *is* `old_net`; each pair's paths are compared
+    /// once, for its `Reach` and `Drops` alike.
+    pub(crate) fn sweep_delta(&mut self, old_net: &Network, new: &SharedNet) -> Replays {
         let mut stats = DeltaCacheStats::default();
         let mut witnesses = Vec::new();
-        let device_removed = steps
-            .iter()
-            .any(|s| matches!(s.touch, Touch::DeviceRemoved));
-        let mut footprints: HashMap<(Port, Port), HashSet<Port>> = HashMap::new();
-        // Per-step memoized link closures for the LinkUp rule.
-        let mut reach: Vec<HashMap<usize, HashSet<usize>>> =
-            steps.iter().map(|_| HashMap::new()).collect();
-        let mut coreach: Vec<HashMap<usize, HashSet<usize>>> =
-            steps.iter().map(|_| HashMap::new()).collect();
+        let devices = new.net().devices.len();
+        let (mut old_paths, mut new_paths) =
+            (FeasibleWalker::new(old_net), FeasibleWalker::new(new.net()));
+        let mut unchanged: HashMap<(Port, Port), bool> = HashMap::new();
         // Which entry networks are `old_net`, by address. Taken while
         // every entry is alive, so distinct networks have distinct
         // addresses.
@@ -285,46 +264,17 @@ impl ResultCache {
                         continue;
                     }
                 };
-                let affected = device_removed
-                    || steps.iter().enumerate().any(|(si, step)| {
-                        match step.touch {
-                            Touch::Intf { .. } | Touch::Table { .. } | Touch::LinkDown { .. } => {
-                                footprints.entry((src, dst)).or_insert_with(|| {
-                                    old_net.path_footprint(src.0, src.1, dst.0, dst.1)
-                                });
-                            }
-                            _ => {}
-                        }
-                        match step.touch {
-                            Touch::Intf { device, intf } => {
-                                footprints[&(src, dst)].contains(&(device, intf))
-                            }
-                            Touch::Table { device } => {
-                                footprints[&(src, dst)].iter().any(|&(d, _)| d == device)
-                            }
-                            Touch::LinkDown { a, b } => {
-                                let f = &footprints[&(src, dst)];
-                                f.contains(&a) && f.contains(&b)
-                            }
-                            Touch::LinkUp { a, b } => {
-                                let fwd = reach[si]
-                                    .entry(src.0)
-                                    .or_insert_with(|| step.pre.reachable_from(src.0));
-                                let can_reach_a = fwd.contains(&a.0);
-                                let can_reach_b = fwd.contains(&b.0);
-                                let rev = coreach[si]
-                                    .entry(dst.0)
-                                    .or_insert_with(|| step.pre.reaching(dst.0));
-                                (can_reach_a && rev.contains(&b.0))
-                                    || (can_reach_b && rev.contains(&a.0))
-                            }
-                            Touch::DeviceAdded { .. } => false,
-                            Touch::DeviceRemoved => true,
-                        }
+                // `Network::walk` panics on a device index out of range
+                // (a poisoned query relies on it), so check first.
+                let live = src.0 < devices && dst.0 < devices;
+                let same = live
+                    && *unchanged.entry((src, dst)).or_insert_with(|| {
+                        old_paths.paths(src.0, src.1, dst.0, dst.1)
+                            == new_paths.paths(src.0, src.1, dst.0, dst.1)
                     });
-                if affected {
+                if !same {
                     match v {
-                        Verdict::Sat(Witness::Packet(p)) if !device_removed => {
+                        Verdict::Sat(Witness::Packet(p)) if live => {
                             witnesses.push((op, src, dst, p));
                         }
                         _ => stats.evicted += 1,
@@ -332,8 +282,7 @@ impl ResultCache {
                     continue;
                 }
                 stats.retained += 1;
-                // Re-key: the surviving verdict transfers to the new
-                // network (nothing on any of its paths changed), and a
+                // Re-key: the verdict transfers to the new network, and a
                 // post-delta query — which names the new network — can
                 // only hit it under the new fingerprint.
                 count += 1;
@@ -411,8 +360,9 @@ impl Replays {
 
     /// Keep the witnesses that still hold on the new network. The folds
     /// run on one scoped helper thread, whose `Zen` context dies with
-    /// it, so the caller's context does not grow. If that thread cannot
-    /// run or panics, nothing is kept: an eviction only costs a solve.
+    /// it, so the caller's context does not grow; one walker serves all
+    /// their paths. If that thread cannot run or panics, nothing is
+    /// kept: an eviction only costs a solve.
     pub(crate) fn replay(mut self) -> Replays {
         let _span = rzen_obs::span!("engine.sweep.replay", "witnesses" => self.pending as u64);
         let (net, witnesses) = (self.new.net(), std::mem::take(&mut self.witnesses));
@@ -420,10 +370,11 @@ impl Replays {
             thread::Builder::new()
                 .name("rzen-replay".into())
                 .spawn_scoped(s, || {
+                    let mut walker = FeasibleWalker::new(net);
                     witnesses
                         .into_iter()
                         .filter(|(op, src, dst, p)| {
-                            let paths = net.feasible_paths(src.0, src.1, dst.0, dst.1);
+                            let paths = walker.paths(src.0, src.1, dst.0, dst.1);
                             witness_holds(&paths, *op, p)
                         })
                         .collect()
@@ -549,21 +500,17 @@ mod tests {
     }
 
     /// The whole sweep, as the engine runs it.
-    fn sweep(
-        cache: &mut ResultCache,
-        old: &Network,
-        new: &SharedNet,
-        steps: &[DeltaStep],
-    ) -> DeltaCacheStats {
-        let replays = cache.sweep_delta(old, new, steps);
+    fn sweep(cache: &mut ResultCache, old: &Network, new: &SharedNet) -> DeltaCacheStats {
+        let replays = cache.sweep_delta(old, new);
         replays
             .settled()
             .unwrap_or_else(|| cache.readmit(replays.replay()))
     }
 
-    /// The sweep evicts exactly the footprint-affected entries, re-keys
-    /// the survivors to the new network, and leaves foreign entries
-    /// (other kinds, other models) alone.
+    /// The sweep evicts exactly the entries whose pair's footprint, its
+    /// feasible paths, the delta changed, re-keys the survivors to the
+    /// new network, and leaves foreign entries (other kinds, other
+    /// models) alone.
     #[test]
     fn sweep_evicts_by_footprint_and_rekeys_survivors() {
         // 2 spines, 3 leaves; edge ports are (leaf, 99).
@@ -572,13 +519,6 @@ mod tests {
         let mut new = old.clone();
         // The delta: an ACL appears on l1's host port.
         new.devices[l1].interfaces.last_mut().unwrap().acl_in = Some(rzen_net::acl::Acl::default());
-        let steps = [DeltaStep {
-            pre: old.clone(),
-            touch: Touch::Intf {
-                device: l1,
-                intf: 99,
-            },
-        }];
 
         let mut cache = ResultCache::new();
         let touched = reach(&old, (l0, 99), (l1, 99));
@@ -589,7 +529,7 @@ mod tests {
         insert_q(&mut cache, &foreign_kind);
         assert_eq!(cache.len(), 3);
 
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()));
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -611,16 +551,15 @@ mod tests {
         assert!(hits(&cache, &foreign_kind));
     }
 
-    /// `link-up` uses pre-op reachability: a link that could splice the
-    /// pair's endpoints evicts, one in an unrelated component does not.
+    /// A `link-up` that gives a pair no new feasible path keeps its
+    /// entry. Here no table routes anything, so no pair has a feasible
+    /// path before or after linking c to b, and both entries stay.
     #[test]
-    fn sweep_link_up_uses_pre_op_reachability() {
+    fn sweep_keeps_the_pairs_a_link_up_gives_no_feasible_path() {
         use rzen_net::device::Interface;
         use rzen_net::topology::Device;
 
-        // a -- b, and isolated c: a->b cached. Linking b:2-c:1 cannot
-        // create an a->b path (c is not between them)... but linking
-        // c into the middle *could* matter for a->c.
+        // a -- b, and isolated c: a->b and a->c cached, then b:2 -- c:1.
         let mut old = Network::default();
         let mk = |name: &str, ports: &[u8]| Device {
             name: name.into(),
@@ -636,51 +575,55 @@ mod tests {
 
         let mut new = old.clone();
         new.add_duplex(b, 2, c, 1);
-        let steps = [DeltaStep {
-            pre: old.clone(),
-            touch: Touch::LinkUp {
-                a: (b, 2),
-                b: (c, 1),
-            },
-        }];
 
         let mut cache = ResultCache::new();
         let ab = reach(&old, (a, 9), (b, 9));
         let ac = reach(&old, (a, 9), (c, 9));
         insert_q(&mut cache, &ab);
         insert_q(&mut cache, &ac);
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
-        // a->c: b was reachable from a and c reaches c, so the new link
-        // can create a path — evict. a->b: the only splice would need c
-        // to already reach b, and it did not — retain.
-        assert_eq!(stats.evicted, 1);
-        assert_eq!(stats.retained, 1);
-        let ab_new = reach(&new, (a, 9), (b, 9));
-        assert!(hits(&cache, &ab_new));
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()));
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                retained: 2,
+                ..DeltaCacheStats::default()
+            }
+        );
+        assert!(hits(&cache, &reach(&new, (a, 9), (b, 9))));
+        assert!(hits(&cache, &reach(&new, (a, 9), (c, 9))));
     }
 
-    /// Removing a device shifts indices: every entry for that model goes.
+    /// `spine_leaf(2, 3)` as a spec, and the same spec with `device`
+    /// removed by the delta applier: its links go and the devices after
+    /// it move down one index.
+    fn without(device: &str) -> (Network, Network) {
+        let mut spec = rzen_net::spec::Spec::from_network(rzen_net::gen::spine_leaf(2, 3)).unwrap();
+        let old = spec.net.clone();
+        let op = rzen_delta::DeltaOp::RemoveDevice {
+            name: device.into(),
+        };
+        rzen_delta::apply(&mut spec, &op).unwrap();
+        (old, spec.net)
+    }
+
+    /// Removing a spine moves every leaf down one index: one cached pair
+    /// now names other leaves, whose paths differ, and the other names a
+    /// device that is gone. Both UNSAT entries go.
     #[test]
     fn sweep_device_removal_evicts_the_model() {
-        let old = rzen_net::gen::spine_leaf(2, 3);
-        let mut new = old.clone();
-        new.devices.remove(0);
-        let steps = [DeltaStep {
-            pre: old.clone(),
-            touch: Touch::DeviceRemoved,
-        }];
+        let (old, new) = without("spine0");
+        assert_eq!(new.devices.len(), 4);
         let mut cache = ResultCache::new();
         insert_q(&mut cache, &reach(&old, (2, 99), (3, 99)));
         insert_q(&mut cache, &reach(&old, (2, 99), (4, 99)));
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()), &steps);
+        let stats = sweep(&mut cache, &old, &SharedNet::new(new));
         assert_eq!(stats.evicted, 2);
         assert_eq!(cache.len(), 0);
     }
 
     /// A `spine_leaf(2, 3)` fabric, its leaves' host ports, and the same
-    /// fabric with `deny-dport 23 23` inbound on leaf1's host port, as
-    /// the one step of a delta.
-    fn telnet_fence() -> (Network, [Port; 3], Network, [DeltaStep; 1]) {
+    /// fabric with `deny-dport 23 23` inbound on leaf1's host port.
+    fn telnet_fence() -> (Network, [Port; 3], Network) {
         use rzen_net::acl::{Acl, AclRule};
         let old = rzen_net::gen::spine_leaf(2, 3);
         let hosts = [(2, 99), (3, 99), (4, 99)];
@@ -694,14 +637,7 @@ mod tests {
                 AclRule::any(true),
             ],
         });
-        let step = DeltaStep {
-            pre: old.clone(),
-            touch: Touch::Intf {
-                device: 3,
-                intf: 99,
-            },
-        };
-        (old, hosts, new, [step])
+        (old, hosts, new)
     }
 
     /// A packet from leaf1's hosts to leaf0's, to `dst_port`.
@@ -746,10 +682,10 @@ mod tests {
     /// An UNSAT verdict has no witness to replay: in the cone, it goes.
     #[test]
     fn an_in_cone_unsat_entry_is_evicted() {
-        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let (old, [l0, l1, _], new) = telnet_fence();
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, Verdict::Unsat);
-        let replays = cache.sweep_delta(&old, &SharedNet::new(new), &steps);
+        let replays = cache.sweep_delta(&old, &SharedNet::new(new));
         assert_eq!(
             replays.settled(),
             Some(DeltaCacheStats {
@@ -765,12 +701,12 @@ mod tests {
     /// kept, under the new handle's key: a probe through it hits.
     #[test]
     fn an_in_cone_sat_entry_whose_witness_survives_is_rekeyed_and_hit() {
-        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let (old, [l0, l1, _], new) = telnet_fence();
         let new = SharedNet::new(new);
         let web = sat(l1_to_l0(80));
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, web.clone());
-        let stats = sweep(&mut cache, &old, &new, &steps);
+        let stats = sweep(&mut cache, &old, &new);
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -789,11 +725,11 @@ mod tests {
     /// A SAT entry whose packet the delta now drops is evicted.
     #[test]
     fn an_entry_with_a_refuted_witness_is_evicted() {
-        let (old, [l0, l1, _], new, steps) = telnet_fence();
+        let (old, [l0, l1, _], new) = telnet_fence();
         let new = SharedNet::new(new);
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(23)));
-        let stats = sweep(&mut cache, &old, &new, &steps);
+        let stats = sweep(&mut cache, &old, &new);
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -805,46 +741,55 @@ mod tests {
         assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), None);
     }
 
-    /// Removing a device shifts indices, so no entry is replayed — even
-    /// one whose witness would still fold true on the new network.
+    /// After a `remove-device`, a pair whose devices both remain is held
+    /// to the rule like any other: leaf0's removal moves leaf1 and leaf2
+    /// onto its indices, their paths differ, and the drops entry replays
+    /// its packet, which no table routes, and keeps it. A pair naming an
+    /// index the new network lacks is evicted without a replay.
     #[test]
-    fn remove_device_evicts_a_sat_entry_even_when_its_witness_holds() {
-        let old = rzen_net::gen::spine_leaf(2, 3);
-        let (l0, l1, l2) = ((2, 99), (3, 99), 4);
-        let mut new = old.clone();
-        new.devices.remove(l2);
-        new.links
-            .retain(|l| l.from_device != l2 && l.to_device != l2);
-        let p = l1_to_l0(80);
-        let paths = new.feasible_paths(l1.0, l1.1, l0.0, l0.1);
-        assert!(witness_holds(&paths, NetOp::Reach, &p));
-        let steps = [DeltaStep {
-            pre: old.clone(),
-            touch: Touch::DeviceRemoved,
-        }];
+    fn remove_device_replays_a_live_pair_and_evicts_a_gone_one() {
+        let (old, new) = without("leaf0");
+        let (l0, l1, l2) = ((2, 99), (3, 99), (4, 99));
+        let unrouted = sat(Packet::plain(rzen_net::headers::Header::new(
+            0x0b00_0001,
+            0x0a00_0001,
+            80,
+            1024,
+            6,
+        )));
         let mut cache = ResultCache::new();
-        insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(p));
-        let replays = cache.sweep_delta(&old, &SharedNet::new(new), &steps);
-        assert_eq!(
-            replays.settled(),
-            Some(DeltaCacheStats {
-                evicted: 1,
-                ..DeltaCacheStats::default()
-            })
-        );
+        insert_net(&mut cache, &old, NetOp::Drops, l0, l1, unrouted.clone());
+        insert_net(&mut cache, &old, NetOp::Reach, l1, l2, sat(l1_to_l0(80)));
+        let new = SharedNet::new(new);
+        let replays = cache.sweep_delta(&old, &new);
+        assert_eq!(replays.settled(), None, "the live pair replays");
         assert_eq!(cache.len(), 0);
+        let stats = cache.readmit(replays.replay());
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                evicted: 1,
+                retained: 1,
+                revalidated: 1,
+                unaffected: 0,
+            }
+        );
+        assert_eq!(
+            get_shared(&cache, &new, NetOp::Drops, l0, l1),
+            Some(unrouted)
+        );
     }
 
     /// Replays run off the lock, so a clear can land before they are
     /// re-admitted; it wins, and the witnesses it overtook stay out.
     #[test]
     fn a_clear_between_sweep_and_readmit_leaves_the_cache_empty() {
-        let (old, [l0, l1, l2], new, steps) = telnet_fence();
+        let (old, [l0, l1, l2], new) = telnet_fence();
         let new = SharedNet::new(new);
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(80)));
         insert_net(&mut cache, &old, NetOp::Reach, l0, l2, Verdict::Unsat);
-        let replays = cache.sweep_delta(&old, &new, &steps).replay();
+        let replays = cache.sweep_delta(&old, &new).replay();
         assert_eq!(cache.len(), 1, "the off-cone entry was re-keyed at once");
         cache.clear();
         let stats = cache.readmit(replays);

@@ -107,16 +107,21 @@ impl Engine {
     }
 
     /// Apply a model delta to the result cache: of the `Reach`/`Drops`
-    /// entries keyed by `old_net`, evict those whose cone of influence
-    /// one of `steps` touched — unless the entry is SAT and its witness
-    /// packet still witnesses the query on `new_net` — and re-key the
-    /// survivors to `new_net` so they keep answering post-delta queries
-    /// without a solve. See [`DeltaCacheStats`] and the sweep's own docs
-    /// for the invalidation rules. Everything else in the cache — other
-    /// query kinds, other models — is untouched, and warm solver sessions
-    /// are deliberately left alone: their caches key on hash-consed
+    /// entries keyed by `old_net`, keep every one whose pair's feasible
+    /// paths the delta left unchanged, and every SAT one whose witness
+    /// packet still witnesses the query on `new_net`; evict the rest. The
+    /// kept entries are re-keyed to `new_net` so they keep answering
+    /// post-delta queries without a solve. See [`DeltaCacheStats`] for
+    /// the counts. Everything else in the cache — other query kinds,
+    /// other models — is untouched, and warm solver sessions are
+    /// deliberately left alone: their caches key on hash-consed
     /// expression ids, so changed sub-models simply produce new ids
     /// while unchanged circuitry keeps hitting.
+    ///
+    /// `steps` is not read: the sweep compares the two networks, not the
+    /// ops between them. The parameter stays because the benchmark
+    /// harness (`perfbench/src/traced.rs`, frozen) passes
+    /// `rzen_delta::Applied::steps` here.
     ///
     /// The survivors share one copy of `new_net`. A caller that holds
     /// both models as [`SharedNet`]s calls
@@ -131,29 +136,24 @@ impl Engine {
         &self,
         old_net: &Network,
         new_net: &Network,
-        steps: &[DeltaStep],
+        _steps: &[DeltaStep],
     ) -> DeltaCacheStats {
-        self.sweep(old_net, &SharedNet::new(new_net.clone()), steps)
+        self.sweep(old_net, &SharedNet::new(new_net.clone()))
     }
 
     /// [`Engine::apply_delta`] between two shared models: entries that
     /// `old` inserted are recognised by pointer, and the survivors share
     /// `new`'s handle, so an identical post-delta query probed through
     /// `new` hits them without a compare.
-    pub fn apply_delta_shared(
-        &self,
-        old: &SharedNet,
-        new: &SharedNet,
-        steps: &[DeltaStep],
-    ) -> DeltaCacheStats {
-        self.sweep(old.net(), new, steps)
+    pub fn apply_delta_shared(&self, old: &SharedNet, new: &SharedNet) -> DeltaCacheStats {
+        self.sweep(old.net(), new)
     }
 
     /// Sweep under the lock, replay the in-cone SAT witnesses with it
     /// released, then re-admit the survivors under the lock again.
-    fn sweep(&self, old_net: &Network, new: &SharedNet, steps: &[DeltaStep]) -> DeltaCacheStats {
+    fn sweep(&self, old_net: &Network, new: &SharedNet) -> DeltaCacheStats {
         let mut cache = self.cache.lock().expect(POISONED);
-        let replays = cache.sweep_delta(old_net, new, steps);
+        let replays = cache.sweep_delta(old_net, new);
         entries_gauge().set(cache.len() as i64);
         drop(cache);
         let stats = match replays.settled() {
@@ -169,7 +169,7 @@ impl Engine {
         rzen_obs::counter!("engine.deltas", "model deltas applied to the result cache").inc();
         rzen_obs::counter!(
             "engine.cache.delta_evicted",
-            "cache entries evicted by delta cone-of-influence sweeps"
+            "cache entries evicted by delta sweeps: their pair's feasible paths changed and no witness held"
         )
         .add(stats.evicted as u64);
         rzen_obs::counter!(
@@ -179,7 +179,7 @@ impl Engine {
         .add(stats.retained as u64);
         rzen_obs::counter!(
             "engine.cache.delta_revalidated",
-            "in-cone SAT entries kept warm across delta sweeps: their witness still held"
+            "SAT entries whose pair's feasible paths changed, kept warm across delta sweeps: their witness still held"
         )
         .add(stats.revalidated as u64);
         stats
@@ -804,7 +804,6 @@ fn runner(backend: Backend, sessions: bool, rx: mpsc::Receiver<Job>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rzen_net::topology::{DeltaStep, Touch};
 
     fn lookup_miss(engine: &Engine, query: &Query) -> CacheMiss {
         match engine.cache_lookup(0, query, Instant::now()) {
@@ -822,13 +821,6 @@ mod tests {
         let old = rzen_net::gen::spine_leaf(2, 3);
         let mut new = old.clone();
         new.devices[3].interfaces.last_mut().unwrap().acl_in = Some(rzen_net::acl::Acl::default());
-        let steps = [DeltaStep {
-            pre: old.clone(),
-            touch: Touch::Intf {
-                device: 3,
-                intf: 99,
-            },
-        }];
         let on = |net: &rzen_net::topology::Network| Query::Reach {
             net: net.clone(),
             src: (2, 99),
@@ -837,7 +829,7 @@ mod tests {
         let engine = Engine::new(EngineConfig::default());
 
         let in_flight = lookup_miss(&engine, &on(&old));
-        engine.apply_delta(&old, &new, &steps);
+        engine.apply_delta(&old, &new, &[DeltaStep]);
         in_flight.insert(&engine.cache, &on(&old), &Verdict::Unsat);
         assert_eq!(engine.cache_len(), 0, "a pre-delta miss was inserted");
 

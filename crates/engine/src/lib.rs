@@ -42,15 +42,18 @@
 //! [`Engine::apply_delta`] run on the caller's thread and are complete
 //! when they return.
 //!
-//! A delta keeps what it cannot break. [`Engine::apply_delta`] re-keys
-//! onto the new network every entry whose cone of influence the delta
-//! missed, and every in-cone SAT entry whose witness packet still
-//! witnesses its query there: the solver's own fold over the pair's
-//! paths, evaluated on that constant packet. It evicts the rest — UNSAT
-//! entries in the cone, refuted witnesses, and everything after a
-//! `remove-device`. The replays run with the lock released, on a helper
-//! thread, and their survivors return under the sweep's own sweep count,
-//! so a clear or sweep in between drops them ([`DeltaCacheStats`]).
+//! A delta keeps what it cannot break. A reach or drops verdict is the
+//! fold over its pair's feasible paths, which reads only their hops'
+//! interfaces, so [`Engine::apply_delta`] re-keys onto the new network
+//! every entry whose pair's feasible paths are hop-for-hop the same on
+//! both networks. Of the rest (the delta's *cone*), it keeps every SAT
+//! entry whose witness packet still witnesses its query there: the
+//! solver's own fold over the pair's paths, evaluated on that constant
+//! packet. It evicts UNSAT entries in the cone, refuted witnesses, and
+//! entries naming a device the new network lacks. The replays run with
+//! the lock released, on a helper thread, and their survivors return
+//! under the sweep's own sweep count, so a clear or sweep in between
+//! drops them ([`DeltaCacheStats`]).
 //!
 //! Each clear or sweep bumps the cache's sweep count,
 //! and a miss whose lookup came before one does not insert: its verdict

@@ -110,8 +110,10 @@ pub fn fwd_out(i: &Interface, p: Zen<Packet>) -> Zen<Option<Packet>> {
 }
 
 /// One hop of a path: the interface a packet enters and the interface it
-/// must leave through, borrowed from the network that owns them.
-#[derive(Clone, Copy, Debug)]
+/// must leave through, borrowed from the network that owns them. Two hops
+/// are equal when their interfaces are, wherever they live: a path's fold
+/// reads nothing else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Hop<'n> {
     /// Ingress interface.
     pub intf_in: &'n Interface,

@@ -104,6 +104,9 @@ impl Network {
     /// it is `false` in any "delivered on some path" fold and `true` in
     /// any "dropped on every path" fold, and folding over these paths
     /// gives the very verdicts of folding over all of them.
+    ///
+    /// The one-shot form of [`FeasibleWalker::paths`]; a caller walking
+    /// many pairs of one network keeps a walker instead.
     pub fn feasible_paths(
         &self,
         src: usize,
@@ -111,29 +114,12 @@ impl Network {
         dst: usize,
         exit_intf: u8,
     ) -> Vec<Vec<Hop<'_>>> {
-        // The destinations each egress interface's table sends to it,
-        // computed at its first visit.
-        let mut routed: FastHashMap<*const Interface, AddrSet> = FastHashMap::default();
-        let mut out = Vec::new();
-        self.walk(
-            (src, entry_intf),
-            (dst, exit_intf),
-            DstSpace::all(),
-            |space, hop| {
-                let to = routed
-                    .entry(hop.intf_out)
-                    .or_insert_with(|| routed_to(&hop.intf_out.table, hop.intf_out.id));
-                let next = space.through(hop, to);
-                (!next.is_empty()).then_some(next)
-            },
-            |_, hops| out.push(hops.to_vec()),
-        );
-        out
+        FeasibleWalker::new(self).paths(src, entry_intf, dst, exit_intf)
     }
 
     /// The one depth-first walk over the simple device paths from
     /// `(src, entry)` to `(dst, exit)`, behind [`Network::paths`],
-    /// [`Network::feasible_paths`] and [`Network::path_footprint`].
+    /// [`FeasibleWalker::paths`] and [`Network::path_footprint`].
     /// `step` carries a state across each hop and cuts the branch where
     /// it answers `None`; `emit` sees each complete path as its devices
     /// and its hops.
@@ -214,49 +200,14 @@ impl Network {
         trail.visited[dev] = false;
     }
 
-    /// Devices reachable from `dev` by following links forward (including
-    /// `dev` itself). Link-level connectivity only — tables and ACLs are
-    /// ignored, so this over-approximates forwarding reachability, which
-    /// is the safe direction for cache invalidation.
-    pub fn reachable_from(&self, dev: usize) -> std::collections::HashSet<usize> {
-        self.closure(dev, |l| (l.from_device, l.to_device))
-    }
-
-    /// Devices from which `dev` is reachable by following links forward
-    /// (including `dev` itself): the reverse closure of
-    /// [`Network::reachable_from`].
-    pub fn reaching(&self, dev: usize) -> std::collections::HashSet<usize> {
-        self.closure(dev, |l| (l.to_device, l.from_device))
-    }
-
-    fn closure(
-        &self,
-        start: usize,
-        dir: impl Fn(&Link) -> (usize, usize),
-    ) -> std::collections::HashSet<usize> {
-        let mut seen = std::collections::HashSet::new();
-        if start >= self.devices.len() {
-            return seen;
-        }
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(d) = stack.pop() {
-            for l in &self.links {
-                let (from, to) = dir(l);
-                if from == d && seen.insert(to) {
-                    stack.push(to);
-                }
-            }
-        }
-        seen
-    }
-
     /// Every `(device, interface)` pair that lies on some simple path from
     /// `(src, entry_intf)` to `(dst, exit_intf)` — both the ingress and
     /// egress interface of every hop, entry and exit ports included. This
     /// is the *path footprint* of a reachability query: a policy change on
     /// an interface outside the footprint cannot change the query's
     /// verdict, because no enumerated path evaluates that interface.
+    /// The engine does not call it; it stays because the benchmark
+    /// harness (`perfbench/src/traced.rs`, frozen) times it.
     pub fn path_footprint(
         &self,
         src: usize,
@@ -319,67 +270,58 @@ impl<'n> Trail<'n> {
     }
 }
 
-/// What one delta operation touched, at the granularity cache
-/// invalidation reasons about. Produced by the delta applier
-/// (`rzen-delta`), consumed by the engine's dependency-aware eviction —
-/// it lives here because both sides already depend on `rzen-net`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Touch {
-    /// Per-interface policy changed (ACL, tunnel, NAT): only queries whose
-    /// path footprint includes this exact `(device, intf)` can change.
-    Intf {
-        /// Device index in the *post-op* network.
-        device: usize,
-        /// Interface id on that device.
-        intf: u8,
-    },
-    /// The device's forwarding table changed: any query whose footprint
-    /// visits the device at all can change.
-    Table {
-        /// Device index in the *post-op* network.
-        device: usize,
-    },
-    /// A duplex link went down. A query is affected only if the *used*
-    /// link was on one of its paths — i.e. both endpoints are in its
-    /// footprint.
-    LinkDown {
-        /// One endpoint of the removed duplex pair.
-        a: (usize, u8),
-        /// The other endpoint.
-        b: (usize, u8),
-    },
-    /// A duplex link came up. Existing paths are untouched; new paths can
-    /// only appear for queries where one endpoint was forward-reachable
-    /// from the source and the other could reach the destination on the
-    /// pre-op graph.
-    LinkUp {
-        /// One endpoint of the added duplex pair.
-        a: (usize, u8),
-        /// The other endpoint.
-        b: (usize, u8),
-    },
-    /// A device was appended (unlinked): no existing query can change.
-    DeviceAdded {
-        /// Index of the new device.
-        device: usize,
-    },
-    /// A device was removed. Indices shift, so nothing keyed by the old
-    /// network can be salvaged: evict everything for that model.
-    DeviceRemoved,
+/// [`Network::feasible_paths`] over many pairs of one network. The
+/// destinations each egress interface's table sends to it are computed
+/// at the interface's first visit and shared by every later walk.
+pub struct FeasibleWalker<'n> {
+    net: &'n Network,
+    routed: FastHashMap<*const Interface, AddrSet>,
 }
 
-/// One applied delta operation: the network as it stood *before* the op,
-/// plus what the op touched. Multi-op deltas are invalidated one step at
-/// a time against each step's own pre-op graph — evaluating every op
-/// against the original graph would miss paths enabled by a chain of
-/// `link-up`s.
-#[derive(Clone, Debug)]
-pub struct DeltaStep {
-    /// The network before this op was applied.
-    pub pre: Network,
-    /// What the op touched.
-    pub touch: Touch,
+impl<'n> FeasibleWalker<'n> {
+    /// A walker over `net`'s feasible paths, with nothing computed yet.
+    pub fn new(net: &'n Network) -> FeasibleWalker<'n> {
+        FeasibleWalker {
+            net,
+            routed: FastHashMap::default(),
+        }
+    }
+
+    /// The feasible paths from `(src, entry_intf)` to `(dst, exit_intf)`:
+    /// see [`Network::feasible_paths`].
+    pub fn paths(
+        &mut self,
+        src: usize,
+        entry_intf: u8,
+        dst: usize,
+        exit_intf: u8,
+    ) -> Vec<Vec<Hop<'n>>> {
+        let routed = &mut self.routed;
+        let mut out = Vec::new();
+        self.net.walk(
+            (src, entry_intf),
+            (dst, exit_intf),
+            DstSpace::all(),
+            |space, hop| {
+                let to = routed
+                    .entry(hop.intf_out)
+                    .or_insert_with(|| routed_to(&hop.intf_out.table, hop.intf_out.id));
+                let next = space.through(hop, to);
+                (!next.is_empty()).then_some(next)
+            },
+            |_, hops| out.push(hops.to_vec()),
+        );
+        out
+    }
 }
+
+/// One applied delta operation. It carries nothing: the engine's cache
+/// sweep compares the networks before and after a delta, not its ops.
+/// `rzen_delta::Applied::steps` still holds one per op, because the
+/// benchmark harness (`perfbench/src/traced.rs`, frozen under
+/// `BENCHMARK.json` `paths`) passes them to `Engine::apply_delta`.
+#[derive(Clone, Copy, Debug)]
+pub struct DeltaStep;
 
 #[cfg(test)]
 mod tests {
@@ -449,26 +391,6 @@ mod tests {
     fn all_interfaces_lists_everything() {
         let n = triangle();
         assert_eq!(n.all_interfaces().len(), 8);
-    }
-
-    #[test]
-    fn closures_follow_link_direction() {
-        // a -> b -> c (one-way chain), d isolated.
-        let mut n = Network::default();
-        let a = n.add_device(dev("a", &[1]));
-        let b = n.add_device(dev("b", &[1, 2]));
-        let c = n.add_device(dev("c", &[1]));
-        let d = n.add_device(dev("d", &[1]));
-        n.add_link(a, 1, b, 1);
-        n.add_link(b, 2, c, 1);
-
-        let from_a = n.reachable_from(a);
-        assert!(from_a.contains(&a) && from_a.contains(&b) && from_a.contains(&c));
-        assert!(!from_a.contains(&d));
-        assert_eq!(n.reachable_from(c).len(), 1); // just itself
-        let to_c = n.reaching(c);
-        assert!(to_c.contains(&a) && to_c.contains(&b) && to_c.contains(&c));
-        assert_eq!(n.reaching(a).len(), 1);
     }
 
     #[test]

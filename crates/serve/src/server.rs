@@ -21,10 +21,10 @@
 //! `POST /delta` applies an NDJSON sequence of [`rzen_delta::DeltaOp`]s
 //! to a clone of the running spec and publishes the patched model with
 //! the same pointer-store atomicity — but instead of clearing the cache
-//! it runs the engine's dependency-aware sweep, which keeps every entry
-//! off the ops' cones of influence and every in-cone SAT entry whose
-//! witness still holds on the patched model, and leaves every warm
-//! session alone. Both cache transitions run on the offload thread and
+//! it runs the engine's delta sweep, which keeps every entry whose
+//! pair's feasible paths are the same on the patched model and every
+//! other SAT entry whose witness still holds there, and leaves every
+//! warm session alone. Both cache transitions run on the offload thread and
 //! are complete when the response is written: a shard holds no cache
 //! lock while it solves, so neither waits for a busy shard, and the
 //! delta response always carries the full evicted/retained/revalidated
@@ -537,12 +537,12 @@ pub(crate) fn answer_model_post(shared: &Shared, text: &str) -> HttpAnswer {
     })
 }
 
-/// `POST /delta`: patch the running model and run the dependency-aware
-/// cache sweep. The response names the new model (`model`,
-/// `generation`, `devices`) and the delta (`ops`, `touched`), and
-/// reports the sweep's counts: `evicted` entries, `retained` ones kept
-/// warm, and of those the `revalidated` in-cone SAT entries whose
-/// witness still holds on the patched model.
+/// `POST /delta`: patch the running model and run the engine's delta
+/// sweep. The response names the new model (`model`, `generation`,
+/// `devices`) and the delta (`ops`, `touched`), and reports the sweep's
+/// counts: `evicted` entries, `retained` ones kept warm, and of those
+/// the `revalidated` SAT entries whose pair's feasible paths changed but
+/// whose witness still holds on the patched model.
 pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
     let ops = match rzen_delta::parse_ops(text) {
         Ok(ops) if ops.is_empty() => return HttpAnswer::error(400, "empty delta"),
@@ -562,21 +562,19 @@ pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
     };
     let model = Arc::new(Model::from_spec(patched));
     *shared.model.write().unwrap() = model.clone();
-    // The dependency-aware sweep replaces clear_cache(): entries off
-    // every op's cone of influence, and in-cone SAT entries whose witness
-    // replays true on the new model, are re-keyed onto its handle and
-    // stay warm; the rest are evicted. Sessions are not quiesced at all
-    // (see `Shared::session_epoch`).
-    let stats = shared
-        .engine
-        .apply_delta_shared(&current.net, &model.net, &applied.steps);
+    // The delta sweep replaces clear_cache(): entries whose pair's
+    // feasible paths the delta left unchanged, and SAT entries whose
+    // witness replays true on the new model, are re-keyed onto its
+    // handle and stay warm; the rest are evicted. Sessions are not
+    // quiesced at all (see `Shared::session_epoch`).
+    let stats = shared.engine.apply_delta_shared(&current.net, &model.net);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
     HttpAnswer::object(200, |w| {
         w.field("status", "ok")
             .field("model", format!("{:016x}", model.fingerprint))
             .field("generation", generation)
-            .field("ops", applied.steps.len())
+            .field("ops", ops.len())
             .field("touched", applied.touched.join(","))
             .field("devices", model.spec.net.devices.len())
             .field("evicted", stats.evicted)

@@ -1,6 +1,7 @@
 //! Delta subsystem integration tests: differential correctness of scripted
 //! deltas against a fresh parse of the equivalent full spec (for every
-//! checked-in spec), cone-of-influence eviction precision, session-state
+//! checked-in spec), the sweep's precision (an entry is re-checked only
+//! when its pair's feasible paths changed), session-state
 //! survival across deltas, the serve layer's `POST /delta` and no-op
 //! `POST /model` behavior over real sockets, a delta answered while the
 //! only shard is busy, and served == batch verdicts and delta counts at
@@ -118,8 +119,7 @@ fn a_shared_net_fingerprints_each_pair_as_its_query() {
 fn served_entries_share_the_models_network_across_a_delta() {
     let base = Spec::from_network(spine_leaf(2, 3)).unwrap();
     let mut patched = base.clone();
-    let applied =
-        rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
     let old = SharedNet::new(base.net.clone());
     let new = SharedNet::new(patched.net.clone());
     let eng = engine(true);
@@ -138,7 +138,7 @@ fn served_entries_share_the_models_network_across_a_delta() {
     assert_eq!(eng.cache_len(), queries.len());
     assert_eq!(Arc::strong_count(old.net()), 1 + queries.len());
 
-    let stats = eng.apply_delta_shared(&old, &new, &applied.steps);
+    let stats = eng.apply_delta_shared(&old, &new);
     assert!(stats.evicted > 0 && stats.retained > 0, "{stats:?}");
     assert_eq!(eng.cache_len(), stats.retained);
     assert_eq!(
@@ -309,7 +309,7 @@ fn scripted_deltas_agree_with_fresh_parse_on_every_spec() {
 }
 
 #[test]
-fn delta_evicts_exactly_the_cone_of_influence() {
+fn delta_evicts_only_changed_pairs_whose_witness_broke() {
     let text = std::fs::read_to_string(specs_dir().join("spine_leaf.net")).unwrap();
     let base = spec::parse(&text).unwrap();
     let l1 = *base.device_index.get("l1").unwrap();
@@ -321,12 +321,12 @@ fn delta_evicts_exactly_the_cone_of_influence() {
     assert!(warm.results.iter().all(|r| r.verdict.is_decisive()));
     assert_eq!(eng.cache_len(), 12);
 
-    // One ACL line on l1's host port. Its cone of influence is every
-    // pair with l1 as an endpoint — transit paths through l1 enter via
-    // the spine-facing ports, never through intf 99. Of those 8 entries
-    // (4 ordered pairs x Reach+Drops), the SAT ones replay their witness
-    // on the new model: a reach out of l1 now meets the deny and is
-    // evicted; a reach into l1 leaves through intf 99, not in; every
+    // One ACL line on l1's host port. It changes the feasible paths of
+    // every pair with l1 as an endpoint — transit paths through l1 enter
+    // via the spine-facing ports, never through intf 99. Of those 8
+    // entries (4 ordered pairs x Reach+Drops), the SAT ones replay their
+    // witness on the new model: a reach out of l1 now meets the deny and
+    // is evicted; a reach into l1 leaves through intf 99, not in; every
     // drops witness was dropped before and still is.
     let ops = rzen_delta::parse_ops(
         "{\"op\":\"set-acl\",\"device\":\"l1\",\"intf\":99,\"dir\":\"in\",\"acl\":\"deny\"}",
@@ -344,7 +344,7 @@ fn delta_evicts_exactly_the_cone_of_influence() {
             unaffected: 0
         },
         "l1's 2 outbound reaches break; its 2 inbound reaches and 4 drops \
-         revalidate; l0<->l2's 4 entries are off the cone"
+         revalidate; l0<->l2's 4 entries keep their paths"
     );
     assert_eq!(eng.cache_len(), 10);
 
@@ -369,6 +369,59 @@ fn delta_evicts_exactly_the_cone_of_influence() {
             "query {i} ({}): a retained entry answered for the wrong model",
             q.kind()
         );
+    }
+}
+
+/// The sweep re-checks only the pairs whose feasible paths a delta
+/// changed, so a delta that touches every simple path but only a few
+/// feasible ones replays only those. On `spine_leaf(2, 8)`'s 112
+/// all-pairs entries (every one SAT): a route on leaf5 changes the paths
+/// of its 14 ordered pairs, whose 28 witnesses all still hold; a link
+/// between two host ports opens no path any packet can take.
+#[test]
+fn a_delta_replays_only_the_pairs_whose_feasible_paths_changed() {
+    let base = Spec::from_network(spine_leaf(2, 8)).unwrap();
+    for (delta, replayed) in [
+        (
+            "{\"op\":\"set-route\",\"device\":\"leaf5\",\"prefix\":\"192.168.0.0/16\",\"port\":99}",
+            28,
+        ),
+        (
+            "{\"op\":\"link-up\",\"a\":\"leaf5:99\",\"b\":\"leaf6:99\"}",
+            0,
+        ),
+    ] {
+        let eng = engine(true);
+        eng.run_batch(&all_pairs(&base));
+        assert_eq!(eng.cache_len(), 112);
+        let mut patched = base.clone();
+        let applied =
+            rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(delta).unwrap()).unwrap();
+        let stats = eng.apply_delta(&base.net, &patched.net, &applied.steps);
+        assert_eq!(
+            stats,
+            DeltaCacheStats {
+                evicted: 0,
+                retained: 112,
+                revalidated: replayed,
+                unaffected: 0
+            },
+            "{delta}"
+        );
+        // Every kept entry answers as a cold engine does on the patched
+        // model.
+        let queries = all_pairs(&patched);
+        let rerun = eng.run_batch(&queries);
+        let cold = engine(false).run_batch(&queries);
+        for (i, q) in queries.iter().enumerate() {
+            assert!(rerun.results[i].cache_hit, "{delta}: query {i} missed");
+            assert_eq!(
+                verdict_kind(&rerun.results[i].verdict),
+                verdict_kind(&cold.results[i].verdict),
+                "{delta}: query {i} ({})",
+                q.kind()
+            );
+        }
     }
 }
 

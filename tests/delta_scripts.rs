@@ -17,8 +17,12 @@ use rzen_net::gen::spine_leaf;
 use rzen_net::ip::Prefix;
 use rzen_net::spec::{self, Spec};
 
-/// Deltas per script; each holds one to three ops.
+/// Deltas per script in tier-1; each holds one to three ops. The
+/// `_long` twin runs [`LONG_DELTAS`].
 const DELTAS: usize = 8;
+
+/// Deltas per script in the `--ignored` long run.
+const LONG_DELTAS: usize = 300;
 
 /// ACLs a script installs: blanket, narrow, and prefix-scoped.
 const ACLS: [&str; 6] = [
@@ -186,6 +190,20 @@ fn class(v: &Verdict) -> &'static str {
 
 #[test]
 fn warm_answers_across_random_delta_scripts_match_a_cold_engine() {
+    warm_answers_match_a_cold_engine(DELTAS);
+}
+
+/// The same net over [`LONG_DELTAS`] deltas a script:
+/// `cargo test --release --test delta_scripts -- --ignored`.
+#[test]
+#[ignore]
+fn warm_answers_across_random_delta_scripts_match_a_cold_engine_long() {
+    warm_answers_match_a_cold_engine(LONG_DELTAS);
+}
+
+/// Run `deltas` random deltas over every spec, on both backends, and
+/// hold each warm answer to a cache-off engine's.
+fn warm_answers_match_a_cold_engine(deltas: usize) {
     let (mut hits, mut revalidated, mut evicted) = (0, 0, 0);
     let mut kinds = BTreeSet::new();
     for (s, (name, base)) in specs().into_iter().enumerate() {
@@ -204,7 +222,7 @@ fn warm_answers_across_random_delta_scripts_match_a_cold_engine() {
             let mut spec = base.clone();
             let mut added = 0;
             warm.run_batch(&all_pairs(&spec));
-            for round in 0..DELTAS {
+            for round in 0..deltas {
                 let ops = random_script(&spec, &mut rng, &mut added);
                 let script: Vec<String> = ops.iter().map(DeltaOp::to_line).collect();
                 kinds.extend(ops.iter().map(DeltaOp::name));

@@ -8,7 +8,7 @@ use rzen::{Backend, Budget, FindOptions, FindOutcome, Zen, ZenFunction};
 use rzen_engine::{Engine, EngineConfig, Query, QueryBackend, Verdict};
 use rzen_net::acl::{Acl, AclRule};
 use rzen_net::gen::{random_acl, random_route_map, spine_leaf};
-use rzen_net::topology::{DeltaStep, Touch};
+use rzen_net::topology::DeltaStep;
 
 /// A mixed batch of seeded-random queries with a spread of Sat and Unsat
 /// answers: last-line finds (reachable), beyond-last-line finds
@@ -343,13 +343,6 @@ fn engine_does_not_disturb_the_callers_context() {
             AclRule::any(true),
         ],
     });
-    let steps = [DeltaStep {
-        pre: old.clone(),
-        touch: Touch::Intf {
-            device: 3,
-            intf: 99,
-        },
-    }];
     let engine = Engine::new(EngineConfig::default());
     let leaf1_pairs: Vec<Query> = [(2, 99), (4, 99)]
         .into_iter()
@@ -371,7 +364,7 @@ fn engine_does_not_disturb_the_callers_context() {
         .collect();
     engine.run_batch(&leaf1_pairs);
     let exprs = rzen::with_ctx(|ctx| ctx.num_exprs());
-    let stats = engine.apply_delta(&old, &new, &steps);
+    let stats = engine.apply_delta(&old, &new, &[DeltaStep]);
     assert!(stats.revalidated > 0, "{stats:?}");
     assert_eq!(
         rzen::with_ctx(|ctx| ctx.num_exprs()),
