@@ -53,3 +53,6 @@ pub use cube::Cube;
 pub use hash::{FastHashMap, FastHashSet, FastHasherBuilder};
 pub use manager::{Bdd, BddManager, BddStats, BDD_FALSE, BDD_TRUE};
 pub use replace::VarMap;
+/// The workspace's stable hasher, for crates above this one that hash
+/// model data into fingerprints (`rzen_net::topology::Network::digest`).
+pub use rzen_obs::Fnv1a;

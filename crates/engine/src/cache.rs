@@ -1,32 +1,29 @@
-//! The result cache, keyed on what a query asks: the network, kind and
-//! endpoints of a `Reach`/`Drops`, the full [`Query`] of any other kind.
+//! The result cache, keyed on the query itself.
 //!
 //! The fingerprint is a 64-bit FNV-1a hash — fast to compare and stable,
 //! but *not* collision-free, so it only selects a bucket. Within a bucket
-//! keys are compared structurally; a colliding fingerprint therefore
+//! queries are compared structurally; a colliding fingerprint therefore
 //! costs one extra comparison instead of silently serving another
 //! query's verdict (and witness).
 //!
-//! A `Reach`/`Drops` entry holds its network behind an `Arc`. Entries a
-//! served model inserts all share that model's one [`SharedNet`], so the
-//! cache holds one network per model, not one per entry, and a lookup
-//! through the same handle matches the network by pointer. Any other
-//! network (a batch query's own copy, another handle) is compared in
-//! full: a pointer match only ever saves the compare, it never replaces
-//! it with something weaker.
+//! A `Reach`/`Drops` query holds its [`Network`] as a handle to one
+//! shared value, so the entries of every query asked of one network hold
+//! that network once between them, and a lookup through a handle to it
+//! matches by pointer. A network built apart is compared in full: a
+//! pointer match only ever saves the compare, it never replaces it with
+//! something weaker.
 //!
 //! A model delta keeps an entry's verdict exactly when the delta left
 //! the pair's feasible paths as they were ([`ResultCache::sweep_delta`]).
 //! The pairs whose paths it changed are the delta's *cone*.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::thread;
 
 use rzen_net::headers::Packet;
-use rzen_net::topology::{FeasibleWalker, Network};
+use rzen_net::topology::{FeasibleWalker, Network, NetworkData};
 
-use crate::query::{witness_holds, NetOp, Port, Query, SharedNet, Verdict, Witness};
+use crate::query::{witness_holds, NetOp, Port, Query, Verdict, Witness};
 
 /// How a delta sweep disposed of the cache's entries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,114 +44,11 @@ pub struct DeltaCacheStats {
     pub unaffected: usize,
 }
 
-/// What a cache entry is keyed on.
-#[derive(Clone, Debug)]
-pub(crate) enum Key {
-    /// A `Reach`/`Drops`: its network, by shared handle, and its kind and
-    /// endpoints.
-    Net {
-        net: Arc<Network>,
-        op: NetOp,
-        src: Port,
-        dst: Port,
-    },
-    /// Any other query, whole.
-    Query(Query),
-}
-
-/// A key to look up, borrowing its parts.
-#[derive(Clone, Copy)]
-pub(crate) enum KeyRef<'a> {
-    Net {
-        net: &'a Network,
-        op: NetOp,
-        src: Port,
-        dst: Port,
-    },
-    Query(&'a Query),
-}
-
-impl<'a> KeyRef<'a> {
-    /// The key of `query`.
-    pub(crate) fn of(query: &'a Query) -> KeyRef<'a> {
-        match query.as_net() {
-            Some((net, op, src, dst)) => KeyRef::Net { net, op, src, dst },
-            None => KeyRef::Query(query),
-        }
-    }
-
-    /// The key of a `Reach`/`Drops` over `shared`'s network.
-    pub(crate) fn shared(shared: &'a SharedNet, op: NetOp, src: Port, dst: Port) -> KeyRef<'a> {
-        KeyRef::Net {
-            net: shared.net(),
-            op,
-            src,
-            dst,
-        }
-    }
-
-    /// An owned key; a network goes behind a fresh `Arc` of its own.
-    pub(crate) fn owned(self) -> Key {
-        match self {
-            KeyRef::Net { net, op, src, dst } => Key::Net {
-                net: Arc::new(net.clone()),
-                op,
-                src,
-                dst,
-            },
-            KeyRef::Query(query) => Key::Query(query.clone()),
-        }
-    }
-}
-
-impl Key {
-    /// The key of a `Reach`/`Drops` over `shared`'s network, sharing it.
-    pub(crate) fn shared(shared: &SharedNet, op: NetOp, src: Port, dst: Port) -> Key {
-        Key::Net {
-            net: shared.net().clone(),
-            op,
-            src,
-            dst,
-        }
-    }
-
-    /// This key, borrowed.
-    fn as_ref(&self) -> KeyRef<'_> {
-        match self {
-            Key::Net { net, op, src, dst } => KeyRef::Net {
-                net,
-                op: *op,
-                src: *src,
-                dst: *dst,
-            },
-            Key::Query(query) => KeyRef::Query(query),
-        }
-    }
-
-    /// Does this entry answer `key`? Kind and endpoints must be equal,
-    /// and the network the same object or structurally equal.
-    pub(crate) fn matches(&self, key: KeyRef<'_>) -> bool {
-        match (self, key) {
-            (
-                Key::Net { net, op, src, dst },
-                KeyRef::Net {
-                    net: other,
-                    op: o,
-                    src: s,
-                    dst: d,
-                },
-            ) => (*op, *src, *dst) == (o, s, d) && (std::ptr::eq(&**net, other) || **net == *other),
-            (Key::Query(query), KeyRef::Query(other)) => query == other,
-            _ => false,
-        }
-    }
-}
-
-/// Verdicts of decisive queries by [`Key`], with the query's structural
+/// Verdicts of decisive queries, with the query's structural
 /// fingerprint as the hash.
 #[derive(Debug, Default)]
 pub(crate) struct ResultCache {
-    map: HashMap<u64, Vec<(Key, Verdict)>>,
+    map: HashMap<u64, Vec<(Query, Verdict)>>,
     /// Total entries across buckets, maintained incrementally so the
     /// entries gauge never needs an O(n) walk.
     count: usize,
@@ -168,14 +62,14 @@ impl ResultCache {
         ResultCache::default()
     }
 
-    /// The cached verdict for `key`, if this exact question was decided
+    /// The cached verdict for `query`, if this exact question was decided
     /// before. `fingerprint` must be the query's [`Query::fingerprint`];
     /// a bucket match alone is never enough.
-    pub(crate) fn get(&self, fingerprint: u64, key: KeyRef<'_>) -> Option<&Verdict> {
+    pub(crate) fn get(&self, fingerprint: u64, query: &Query) -> Option<&Verdict> {
         self.map
             .get(&fingerprint)?
             .iter()
-            .find(|(k, _)| k.matches(key))
+            .find(|(q, _)| q == query)
             .map(|(_, v)| v)
     }
 
@@ -191,13 +85,13 @@ impl ResultCache {
         self.sweeps
     }
 
-    /// Record a verdict under `key`.
-    pub(crate) fn insert(&mut self, fingerprint: u64, key: Key, verdict: Verdict) {
+    /// Record a verdict for `query`.
+    pub(crate) fn insert(&mut self, fingerprint: u64, query: Query, verdict: Verdict) {
         let bucket = self.map.entry(fingerprint).or_default();
-        match bucket.iter_mut().find(|(k, _)| k.matches(key.as_ref())) {
+        match bucket.iter_mut().find(|(q, _)| *q == query) {
             Some(slot) => slot.1 = verdict,
             None => {
-                bucket.push((key, verdict));
+                bucket.push((query, verdict));
                 self.count += 1;
             }
         }
@@ -212,55 +106,52 @@ impl ResultCache {
     /// `Reach`/`Drops` entry over `old_net` and keep its verdict iff the
     /// pair's feasible paths on `new` equal those on `old_net`, hop for
     /// hop. A verdict is the fold over those paths, which reads nothing
-    /// but their hops' interfaces, so equal paths give an equal verdict.
+    /// of a hop but the interface halves `Hop`'s equality compares, so
+    /// equal paths give an equal verdict.
     /// The rule compares the two final networks, so it holds for any
     /// sequence of ops, device renumbering included.
     ///
-    /// A kept entry is re-keyed to `new`'s network (sharing its handle,
-    /// fingerprinted from its saved state) so identical post-delta
-    /// queries keep hitting it. Of the entries whose paths changed, an
-    /// UNSAT verdict is evicted: nothing short of a solve re-proves it. A
-    /// SAT verdict carries its packet, which [`Replays::replay`] folds
-    /// through the new network; the caller re-admits the packets that
-    /// still witness their query with [`ResultCache::readmit`], and the
-    /// refuted ones are evicted. An entry whose endpoint device `new`
-    /// no longer has (a `remove-device`) is evicted outright.
+    /// A kept entry is re-keyed to `new` (sharing its handle) so
+    /// identical post-delta queries keep hitting it. Of the entries whose
+    /// paths changed, an UNSAT verdict is evicted: nothing short of a
+    /// solve re-proves it. A SAT verdict carries its packet, which
+    /// [`Replays::replay`] folds through the new network; the caller
+    /// re-admits the packets that still witness their query with
+    /// [`ResultCache::readmit`], and the refuted ones are evicted. An
+    /// entry whose endpoint device `new` no longer has (a
+    /// `remove-device`) is evicted outright.
     ///
     /// Entries for other query kinds or other models are left untouched.
     /// Each distinct entry network is compared with `old_net` once, and
     /// not at all when it *is* `old_net`; each pair's paths are compared
     /// once, for its `Reach` and `Drops` alike.
-    pub(crate) fn sweep_delta(&mut self, old_net: &Network, new: &SharedNet) -> Replays {
+    pub(crate) fn sweep_delta(&mut self, old_net: &Network, new: &Network) -> Replays {
         let mut stats = DeltaCacheStats::default();
         let mut witnesses = Vec::new();
-        let devices = new.net().devices.len();
+        let devices = new.devices.len();
         let (mut old_paths, mut new_paths) =
-            (FeasibleWalker::new(old_net), FeasibleWalker::new(new.net()));
+            (FeasibleWalker::new(old_net), FeasibleWalker::new(new));
         let mut unchanged: HashMap<(Port, Port), bool> = HashMap::new();
-        // Which entry networks are `old_net`, by address. Taken while
-        // every entry is alive, so distinct networks have distinct
-        // addresses.
-        let mut of_old: HashMap<*const Network, bool> = HashMap::new();
-        for (key, _) in self.map.values().flatten() {
-            if let Key::Net { net, .. } = key {
-                of_old
-                    .entry(Arc::as_ptr(net))
-                    .or_insert_with(|| std::ptr::eq(&**net, old_net) || **net == *old_net);
+        // Which entry networks are `old_net`, by the address of their
+        // shared value. Taken while every entry is alive, so distinct
+        // values have distinct addresses.
+        let mut of_old: HashMap<*const NetworkData, bool> = HashMap::new();
+        for (query, _) in self.map.values().flatten() {
+            if let Some((net, ..)) = query.as_net() {
+                of_old.entry(&**net).or_insert_with(|| net == old_net);
             }
         }
 
-        let mut kept: HashMap<u64, Vec<(Key, Verdict)>> = HashMap::new();
+        let mut kept: HashMap<u64, Vec<(Query, Verdict)>> = HashMap::new();
         let mut count = 0usize;
         for (fp, bucket) in self.map.drain() {
-            for (key, v) in bucket {
-                let (op, src, dst) = match &key {
-                    Key::Net { net, op, src, dst } if of_old[&Arc::as_ptr(net)] => {
-                        (*op, *src, *dst)
-                    }
+            for (query, v) in bucket {
+                let (op, src, dst) = match query.as_net() {
+                    Some((net, op, src, dst)) if of_old[&(&**net as *const _)] => (op, src, dst),
                     _ => {
                         stats.unaffected += 1;
                         count += 1;
-                        kept.entry(fp).or_default().push((key, v));
+                        kept.entry(fp).or_default().push((query, v));
                         continue;
                     }
                 };
@@ -286,9 +177,10 @@ impl ResultCache {
                 // post-delta query — which names the new network — can
                 // only hit it under the new fingerprint.
                 count += 1;
-                kept.entry(new.fingerprint(op, src, dst))
+                let rekeyed = op.query(new.clone(), src, dst);
+                kept.entry(rekeyed.fingerprint())
                     .or_default()
-                    .push((Key::shared(new, op, src, dst), v));
+                    .push((rekeyed, v));
             }
         }
         self.map = kept;
@@ -323,11 +215,8 @@ impl ResultCache {
         stats.retained += witnesses.len();
         stats.revalidated += witnesses.len();
         for (op, src, dst, p) in witnesses {
-            self.insert(
-                new.fingerprint(op, src, dst),
-                Key::shared(&new, op, src, dst),
-                Verdict::Sat(Witness::Packet(p)),
-            );
+            let query = op.query(new.clone(), src, dst);
+            self.insert(query.fingerprint(), query, Verdict::Sat(Witness::Packet(p)));
         }
         stats
     }
@@ -339,7 +228,7 @@ impl ResultCache {
 #[must_use = "set-aside witnesses return to the cache only through `ResultCache::readmit`"]
 pub(crate) struct Replays {
     /// The network the witnesses are replayed on and re-keyed to.
-    new: SharedNet,
+    new: Network,
     /// The cache's sweep count when the sweep finished.
     ticket: u64,
     /// The sweep's counts, without the set-aside entries.
@@ -365,7 +254,7 @@ impl Replays {
     /// kept: an eviction only costs a solve.
     pub(crate) fn replay(mut self) -> Replays {
         let _span = rzen_obs::span!("engine.sweep.replay", "witnesses" => self.pending as u64);
-        let (net, witnesses) = (self.new.net(), std::mem::take(&mut self.witnesses));
+        let (net, witnesses) = (&self.new, std::mem::take(&mut self.witnesses));
         self.witnesses = thread::scope(|s| {
             thread::Builder::new()
                 .name("rzen-replay".into())
@@ -408,10 +297,10 @@ mod tests {
         let colliding = 0xdead_beef_u64;
         let (a, b, c) = (acl_query(1), acl_query(2), acl_query(3));
         let mut cache = ResultCache::new();
-        cache.insert(colliding, key(&a), Verdict::Unsat);
+        cache.insert(colliding, a.clone(), Verdict::Unsat);
         cache.insert(
             colliding,
-            key(&b),
+            b.clone(),
             Verdict::Sat(crate::Witness::Header(rzen_net::headers::Header::new(
                 1, 2, 3, 4, 5,
             ))),
@@ -424,16 +313,17 @@ mod tests {
         assert_eq!(get(&cache, colliding, &c), None);
     }
 
-    /// The key a served probe looks up with is held to the same guard:
-    /// two different networks forced into one fingerprint never answer
-    /// for each other, nor do other kinds or pairs over one network,
-    /// while an equal network under another handle still does.
+    /// Network queries are held to the same guard: two different
+    /// networks forced into one fingerprint never answer for each other,
+    /// nor do other kinds or pairs over one network, while an equal
+    /// network built apart still does.
     #[test]
     fn forced_collision_between_networks_does_not_cross_serve_through_a_handle() {
         let colliding = 0xdead_beef_u64;
-        let a = SharedNet::new(rzen_net::gen::spine_leaf(2, 3));
-        let b = SharedNet::new(rzen_net::gen::spine_leaf(2, 4));
-        let a_again = SharedNet::new(rzen_net::gen::spine_leaf(2, 3));
+        let a = rzen_net::gen::spine_leaf(2, 3);
+        let b = rzen_net::gen::spine_leaf(2, 4);
+        let a_again = rzen_net::gen::spine_leaf(2, 3);
+        assert!(!Network::ptr_eq(&a, &a_again));
         let (src, dst) = ((2, 99), (3, 99));
         let sat = Verdict::Sat(crate::Witness::Header(rzen_net::headers::Header::new(
             1, 2, 3, 4, 5,
@@ -441,12 +331,12 @@ mod tests {
         let mut cache = ResultCache::new();
         cache.insert(
             colliding,
-            Key::shared(&a, NetOp::Reach, src, dst),
+            NetOp::Reach.query(a.clone(), src, dst),
             Verdict::Unsat,
         );
-        let get = |cache: &ResultCache, net, op, src, dst| {
+        let get = |cache: &ResultCache, net: &Network, op: NetOp, src, dst| {
             cache
-                .get(colliding, KeyRef::shared(net, op, src, dst))
+                .get(colliding, &op.query(net.clone(), src, dst))
                 .cloned()
         };
 
@@ -464,7 +354,7 @@ mod tests {
 
         cache.insert(
             colliding,
-            Key::shared(&b, NetOp::Reach, src, dst),
+            NetOp::Reach.query(b.clone(), src, dst),
             sat.clone(),
         );
         assert_eq!(cache.len(), 2);
@@ -483,12 +373,8 @@ mod tests {
         }
     }
 
-    fn key(q: &Query) -> Key {
-        KeyRef::of(q).owned()
-    }
-
     fn get<'c>(cache: &'c ResultCache, fp: u64, q: &Query) -> Option<&'c Verdict> {
-        cache.get(fp, KeyRef::of(q))
+        cache.get(fp, q)
     }
 
     fn hits(cache: &ResultCache, q: &Query) -> bool {
@@ -496,11 +382,11 @@ mod tests {
     }
 
     fn insert_q(cache: &mut ResultCache, q: &Query) {
-        cache.insert(q.fingerprint(), key(q), Verdict::Unsat);
+        cache.insert(q.fingerprint(), q.clone(), Verdict::Unsat);
     }
 
     /// The whole sweep, as the engine runs it.
-    fn sweep(cache: &mut ResultCache, old: &Network, new: &SharedNet) -> DeltaCacheStats {
+    fn sweep(cache: &mut ResultCache, old: &Network, new: &Network) -> DeltaCacheStats {
         let replays = cache.sweep_delta(old, new);
         replays
             .settled()
@@ -517,8 +403,10 @@ mod tests {
         let old = rzen_net::gen::spine_leaf(2, 3);
         let (l0, l1, l2) = (2, 3, 4);
         let mut new = old.clone();
-        // The delta: an ACL appears on l1's host port.
-        new.devices[l1].interfaces.last_mut().unwrap().acl_in = Some(rzen_net::acl::Acl::default());
+        // The delta: an outbound ACL appears on l1's host port, the port
+        // every path into l1 leaves through.
+        new.devices[l1].interfaces.last_mut().unwrap().acl_out =
+            Some(rzen_net::acl::Acl::default());
 
         let mut cache = ResultCache::new();
         let touched = reach(&old, (l0, 99), (l1, 99));
@@ -529,7 +417,7 @@ mod tests {
         insert_q(&mut cache, &foreign_kind);
         assert_eq!(cache.len(), 3);
 
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()));
+        let stats = sweep(&mut cache, &old, &new);
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -581,7 +469,7 @@ mod tests {
         let ac = reach(&old, (a, 9), (c, 9));
         insert_q(&mut cache, &ab);
         insert_q(&mut cache, &ac);
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new.clone()));
+        let stats = sweep(&mut cache, &old, &new);
         assert_eq!(
             stats,
             DeltaCacheStats {
@@ -616,7 +504,7 @@ mod tests {
         let mut cache = ResultCache::new();
         insert_q(&mut cache, &reach(&old, (2, 99), (3, 99)));
         insert_q(&mut cache, &reach(&old, (2, 99), (4, 99)));
-        let stats = sweep(&mut cache, &old, &SharedNet::new(new));
+        let stats = sweep(&mut cache, &old, &new);
         assert_eq!(stats.evicted, 2);
         assert_eq!(cache.len(), 0);
     }
@@ -651,7 +539,7 @@ mod tests {
     }
 
     /// Cache `verdict` for the `op` query between `src` and `dst` over
-    /// `net`, keyed as a batch query's entry.
+    /// `net`.
     fn insert_net(
         cache: &mut ResultCache,
         net: &Network,
@@ -661,22 +549,18 @@ mod tests {
         verdict: Verdict,
     ) {
         let q = op.query(net.clone(), src, dst);
-        cache.insert(q.fingerprint(), key(&q), verdict);
+        cache.insert(q.fingerprint(), q, verdict);
     }
 
-    fn get_shared(
+    fn get_net(
         cache: &ResultCache,
-        net: &SharedNet,
+        net: &Network,
         op: NetOp,
         src: Port,
         dst: Port,
     ) -> Option<Verdict> {
-        cache
-            .get(
-                net.fingerprint(op, src, dst),
-                KeyRef::shared(net, op, src, dst),
-            )
-            .cloned()
+        let q = op.query(net.clone(), src, dst);
+        cache.get(q.fingerprint(), &q).cloned()
     }
 
     /// An UNSAT verdict has no witness to replay: in the cone, it goes.
@@ -685,7 +569,7 @@ mod tests {
         let (old, [l0, l1, _], new) = telnet_fence();
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, Verdict::Unsat);
-        let replays = cache.sweep_delta(&old, &SharedNet::new(new));
+        let replays = cache.sweep_delta(&old, &new);
         assert_eq!(
             replays.settled(),
             Some(DeltaCacheStats {
@@ -698,11 +582,10 @@ mod tests {
     }
 
     /// A SAT entry in the cone whose packet the delta does not stop is
-    /// kept, under the new handle's key: a probe through it hits.
+    /// kept, under the new network's handle: a lookup through it hits.
     #[test]
     fn an_in_cone_sat_entry_whose_witness_survives_is_rekeyed_and_hit() {
         let (old, [l0, l1, _], new) = telnet_fence();
-        let new = SharedNet::new(new);
         let web = sat(l1_to_l0(80));
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, web.clone());
@@ -716,17 +599,17 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 1);
-        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), Some(web));
+        assert_eq!(get_net(&cache, &new, NetOp::Reach, l1, l0), Some(web));
         assert!(!hits(&cache, &reach(&old, l1, l0)), "the old key must miss");
-        // The entry shares the new handle's network.
-        assert_eq!(Arc::strong_count(new.net()), 2);
+        // The entry shares the new network's value.
+        let (entry, _) = &cache.map.values().next().unwrap()[0];
+        assert!(Network::ptr_eq(entry.as_net().unwrap().0, &new));
     }
 
     /// A SAT entry whose packet the delta now drops is evicted.
     #[test]
     fn an_entry_with_a_refuted_witness_is_evicted() {
         let (old, [l0, l1, _], new) = telnet_fence();
-        let new = SharedNet::new(new);
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(23)));
         let stats = sweep(&mut cache, &old, &new);
@@ -738,7 +621,7 @@ mod tests {
             }
         );
         assert_eq!(cache.len(), 0);
-        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), None);
+        assert_eq!(get_net(&cache, &new, NetOp::Reach, l1, l0), None);
     }
 
     /// After a `remove-device`, a pair whose devices both remain is held
@@ -760,7 +643,6 @@ mod tests {
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Drops, l0, l1, unrouted.clone());
         insert_net(&mut cache, &old, NetOp::Reach, l1, l2, sat(l1_to_l0(80)));
-        let new = SharedNet::new(new);
         let replays = cache.sweep_delta(&old, &new);
         assert_eq!(replays.settled(), None, "the live pair replays");
         assert_eq!(cache.len(), 0);
@@ -774,10 +656,7 @@ mod tests {
                 unaffected: 0,
             }
         );
-        assert_eq!(
-            get_shared(&cache, &new, NetOp::Drops, l0, l1),
-            Some(unrouted)
-        );
+        assert_eq!(get_net(&cache, &new, NetOp::Drops, l0, l1), Some(unrouted));
     }
 
     /// Replays run off the lock, so a clear can land before they are
@@ -785,7 +664,6 @@ mod tests {
     #[test]
     fn a_clear_between_sweep_and_readmit_leaves_the_cache_empty() {
         let (old, [l0, l1, l2], new) = telnet_fence();
-        let new = SharedNet::new(new);
         let mut cache = ResultCache::new();
         insert_net(&mut cache, &old, NetOp::Reach, l1, l0, sat(l1_to_l0(80)));
         insert_net(&mut cache, &old, NetOp::Reach, l0, l2, Verdict::Unsat);
@@ -803,7 +681,7 @@ mod tests {
             },
             "the replayed entry was dropped with the clear"
         );
-        assert_eq!(get_shared(&cache, &new, NetOp::Reach, l1, l0), None);
+        assert_eq!(get_net(&cache, &new, NetOp::Reach, l1, l0), None);
     }
 
     #[test]
@@ -811,8 +689,8 @@ mod tests {
         let q = acl_query(1);
         let fp = q.fingerprint();
         let mut cache = ResultCache::new();
-        cache.insert(fp, key(&q), Verdict::Unsat);
-        cache.insert(fp, key(&q), Verdict::Unsat);
+        cache.insert(fp, q.clone(), Verdict::Unsat);
+        cache.insert(fp, q.clone(), Verdict::Unsat);
         assert_eq!(get(&cache, fp, &q), Some(&Verdict::Unsat));
         assert_eq!(cache.map[&fp].len(), 1);
     }

@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use rzen::{Backend, Budget, FindOutcome, FindReport, SessionStats, SolverSession};
 use rzen_net::topology::{DeltaStep, Network};
 
-use crate::cache::{DeltaCacheStats, Key, KeyRef, ResultCache};
-use crate::query::{NetOp, Query, QueryBackend, SharedNet, Verdict};
+use crate::cache::{DeltaCacheStats, ResultCache};
+use crate::query::{Query, QueryBackend, Verdict};
 use crate::stats::{BatchReport, EngineStats, QueryResult};
 
 /// Engine configuration.
@@ -123,9 +123,9 @@ impl Engine {
     /// harness (`perfbench/src/traced.rs`, frozen) passes
     /// `rzen_delta::Applied::steps` here.
     ///
-    /// The survivors share one copy of `new_net`. A caller that holds
-    /// both models as [`SharedNet`]s calls
-    /// [`Engine::apply_delta_shared`] instead, so they share its handle.
+    /// Entries that hold `old_net`'s own value are recognised by pointer,
+    /// and the survivors share `new_net`'s, so a post-delta query over a
+    /// clone of `new_net` hits them without a compare.
     ///
     /// The sweep runs on the calling thread and is complete on return.
     /// The witness replays run between two holds of the cache lock, on a
@@ -138,22 +138,10 @@ impl Engine {
         new_net: &Network,
         _steps: &[DeltaStep],
     ) -> DeltaCacheStats {
-        self.sweep(old_net, &SharedNet::new(new_net.clone()))
-    }
-
-    /// [`Engine::apply_delta`] between two shared models: entries that
-    /// `old` inserted are recognised by pointer, and the survivors share
-    /// `new`'s handle, so an identical post-delta query probed through
-    /// `new` hits them without a compare.
-    pub fn apply_delta_shared(&self, old: &SharedNet, new: &SharedNet) -> DeltaCacheStats {
-        self.sweep(old.net(), new)
-    }
-
-    /// Sweep under the lock, replay the in-cone SAT witnesses with it
-    /// released, then re-admit the survivors under the lock again.
-    fn sweep(&self, old_net: &Network, new: &SharedNet) -> DeltaCacheStats {
+        // Sweep under the lock, replay the in-cone SAT witnesses with it
+        // released, then re-admit the survivors under the lock again.
         let mut cache = self.cache.lock().expect(POISONED);
-        let replays = cache.sweep_delta(old_net, new);
+        let replays = cache.sweep_delta(old_net, new_net);
         entries_gauge().set(cache.len() as i64);
         drop(cache);
         let stats = match replays.settled() {
@@ -258,42 +246,37 @@ impl Engine {
         }
         let fingerprint = query.fingerprint();
         let cache = self.cache.lock().expect(POISONED);
-        let key = KeyRef::of(query);
-        lookup(cache, fingerprint, key, query.kind(), index, started).map_continue(|sweeps| {
+        lookup(cache, fingerprint, query, index, started).map_continue(|sweeps| {
             Some(CacheMiss {
                 fingerprint,
                 sweeps,
-                key: None,
             })
         })
     }
 
-    /// Probe the result cache, without waiting, for the `op` query from
-    /// `src` to `dst` over `net`: the serve reactor's lookup, made before
-    /// it routes a query to a shard. Nothing grows with the network: the
-    /// fingerprint resumes from `net`'s saved state, and an entry that
-    /// `net` inserted matches its network by pointer. A hit is the
-    /// finished result; a miss is the ticket [`Engine::run_missed`]
-    /// solves with, so the query is looked up once however it is
-    /// answered, and its verdict is cached under `net`'s handle. While
-    /// another thread holds the cache (a clear, a delta sweep, an
-    /// insert), or with caching off, nothing is looked up and
-    /// [`Engine::run_one`] looks up as usual.
-    pub fn probe(&self, net: &SharedNet, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> Probe {
+    /// Probe the result cache for `query` without waiting: the serve
+    /// reactor's lookup, made before it routes a query to a shard.
+    /// Nothing grows with the network: a `Reach`/`Drops` fingerprint
+    /// hashes its network's saved digest, and an entry holding the same
+    /// network value matches it by pointer. A hit is the finished result;
+    /// a miss is the ticket [`Engine::run_missed`] solves with, so the
+    /// query is looked up once however it is answered. While another
+    /// thread holds the cache (a clear, a delta sweep, an insert), or
+    /// with caching off, nothing is looked up and [`Engine::run_one`]
+    /// looks up as usual.
+    pub fn probe(&self, query: &Query) -> Probe {
         if !self.cfg.cache {
             return Probe::Skipped;
         }
         let Ok(cache) = self.cache.try_lock() else {
             return Probe::Skipped;
         };
-        let fingerprint = net.fingerprint(op, src, dst);
-        let key = KeyRef::shared(net, op, src, dst);
-        match lookup(cache, fingerprint, key, op.kind(), 0, Instant::now()) {
+        let fingerprint = query.fingerprint();
+        match lookup(cache, fingerprint, query, 0, Instant::now()) {
             ControlFlow::Break(hit) => Probe::Hit(Box::new(hit)),
             ControlFlow::Continue(sweeps) => Probe::Miss(CacheMiss {
                 fingerprint,
                 sweeps,
-                key: Some(Key::shared(net, op, src, dst)),
             }),
         }
     }
@@ -308,7 +291,7 @@ impl Engine {
 
     /// The one way a query reaches a backend: consult the cache (unless
     /// the query comes with the miss of an earlier lookup), hand the
-    /// query — cloned at most once, and shared — to every runner of
+    /// query — cloned once, and shared — to every runner of
     /// `worker` (one per backend) under one
     /// shared budget, stamp latency the moment a decisive reply lands and
     /// cancel the rest, then drain the losers (for their substrate stats)
@@ -331,10 +314,11 @@ impl Engine {
         let (query, miss) = match ask {
             Ask::Lookup(query) => match self.cache_lookup(index, query, started) {
                 ControlFlow::Break(hit) => return hit,
-                ControlFlow::Continue(miss) => (Arc::new(query.clone()), miss),
+                ControlFlow::Continue(miss) => (query, miss),
             },
             Ask::Missed(query, miss) => (query, Some(miss)),
         };
+        let query = Arc::new(query.clone());
 
         let runners = &worker.runners;
         let _race = (runners.len() > 1).then(|| rzen_obs::span!("engine.race", "req" => req));
@@ -506,30 +490,25 @@ impl Engine {
     }
 
     /// [`Engine::run_one`] for the query whose [`Engine::probe`] missed:
-    /// build it from the probe's ticket (the one clone of the network
-    /// its solve makes), solve it without a second lookup, and insert
-    /// its verdict under the ticket.
+    /// solve it without a second lookup, and insert its verdict under the
+    /// probe's ticket.
     pub fn run_missed(
         &self,
+        query: &Query,
         budget: Budget,
         worker: &ServeWorker,
         ctx: rzen_obs::RequestCtx,
         miss: CacheMiss,
     ) -> QueryResult {
-        let query = match &miss.key {
-            Some(Key::Net { net, op, src, dst }) => op.query(Network::clone(net), *src, *dst),
-            Some(Key::Query(query)) => query.clone(),
-            None => unreachable!("only a probe's misses leave the engine, and they carry a key"),
-        };
-        self.solve(0, Ask::Missed(Arc::new(query), miss), worker, budget, ctx)
+        self.solve(0, Ask::Missed(query, miss), worker, budget, ctx)
     }
 }
 
 /// How a query comes to [`Engine::solve`]: to be looked up in the
-/// result cache first, or built for the miss of an earlier lookup.
+/// result cache first, or with the miss of an earlier lookup.
 enum Ask<'q> {
     Lookup(&'q Query),
-    Missed(Arc<Query>, CacheMiss),
+    Missed(&'q Query, CacheMiss),
 }
 
 /// What [`Engine::probe`] found.
@@ -544,18 +523,17 @@ pub enum Probe {
     Skipped,
 }
 
-/// Look `key` up in the locked cache, release the lock, and count the
+/// Look `query` up in the locked cache, release the lock, and count the
 /// hit or the miss. A hit breaks out with the finished result; a miss
 /// carries on with the cache's sweep count at the lookup.
 fn lookup(
     cache: MutexGuard<'_, ResultCache>,
     fingerprint: u64,
-    key: KeyRef<'_>,
-    kind: &'static str,
+    query: &Query,
     index: usize,
     started: Instant,
 ) -> ControlFlow<QueryResult, u64> {
-    let Some(verdict) = cache.get(fingerprint, key).cloned() else {
+    let Some(verdict) = cache.get(fingerprint, query).cloned() else {
         let sweeps = cache.sweeps();
         drop(cache);
         rzen_obs::counter!("engine.cache.misses", "cache lookups that found no entry").inc();
@@ -566,7 +544,7 @@ fn lookup(
     rzen_obs::trace::instant1("engine.cache.hit", "index", index as u64);
     ControlFlow::Break(QueryResult {
         index,
-        kind,
+        kind: query.kind(),
         verdict,
         latency: started.elapsed(),
         winner: None,
@@ -598,14 +576,11 @@ impl Drop for ServeWorker {
 }
 
 /// Where a cache miss's verdict goes once it is solved: the query's
-/// fingerprint, the cache's sweep count at the lookup, and — for a miss
-/// [`Engine::probe`] found — the key over the probed model's shared
-/// network.
+/// fingerprint and the cache's sweep count at the lookup.
 #[derive(Clone, Debug)]
 pub struct CacheMiss {
     fingerprint: u64,
     sweeps: u64,
-    key: Option<Key>,
 }
 
 impl CacheMiss {
@@ -616,10 +591,9 @@ impl CacheMiss {
     /// Only a lookup that came before the sweep is caught; a query
     /// holding the old model whose lookup comes after it still inserts.
     fn insert(self, cache: &Mutex<ResultCache>, query: &Query, verdict: &Verdict) {
-        let key = self.key.unwrap_or_else(|| KeyRef::of(query).owned());
         let mut cache = cache.lock().expect(POISONED);
         if cache.sweeps() == self.sweeps {
-            cache.insert(self.fingerprint, key, verdict.clone());
+            cache.insert(self.fingerprint, query.clone(), verdict.clone());
             entries_gauge().set(cache.len() as i64);
         }
     }

@@ -27,12 +27,14 @@
 //!
 //! ## Caching
 //!
-//! Results are keyed by what the query asks, hashed under a stable FNV-1a
+//! Results are keyed by the query, hashed under a stable FNV-1a
 //! fingerprint of its structure (the fingerprint selects the bucket; the
-//! key is compared structurally, so hash collisions cannot serve a wrong
-//! verdict). A `Reach`/`Drops` entry holds its network behind an `Arc`:
-//! queries asked of one [`SharedNet`] share it, and their lookups match
-//! it by pointer before falling back to a full compare. Only decisive
+//! query is compared structurally, so hash collisions cannot serve a wrong
+//! verdict). A `Reach`/`Drops` query holds its network as a
+//! [`rzen_net::topology::Network`] handle: the entries of every query asked
+//! of one network share its one value, its fingerprint hashes the
+//! network's saved digest, and a lookup matches the network by pointer
+//! before falling back to a full compare. Only decisive
 //! verdicts are cached — a `Timeout` is a fact about the budget, not the
 //! query, and a `Verdict::Error` records a worker panic.
 //!
@@ -43,8 +45,9 @@
 //! when they return.
 //!
 //! A delta keeps what it cannot break. A reach or drops verdict is the
-//! fold over its pair's feasible paths, which reads only their hops'
-//! interfaces, so [`Engine::apply_delta`] re-keys onto the new network
+//! fold over its pair's feasible paths, which reads only the interface
+//! halves their hops compare equal on, so [`Engine::apply_delta`] re-keys
+//! onto the new network
 //! every entry whose pair's feasible paths are hop-for-hop the same on
 //! both networks. Of the rest (the delta's *cone*), it keeps every SAT
 //! entry whose witness packet still witnesses its query there: the
@@ -63,10 +66,10 @@
 //! until the next clear.
 //!
 //! A caller that must not wait on the lock — the serve reactor — looks up
-//! with [`Engine::probe`], which only tries it, through the model's
-//! [`SharedNet`]: no query is built and no network hashed or compared.
-//! A hit is answered there; a miss hands its ticket (fingerprint, sweep
-//! count and the handle's key) to [`Engine::run_missed`], which solves
+//! with [`Engine::probe`], which only tries it. A query over a clone of
+//! the model's network costs no copy, and its lookup no hash or compare
+//! of the network. A hit is answered there; a miss hands its ticket
+//! (fingerprint and sweep count) to [`Engine::run_missed`], which solves
 //! and inserts without a second lookup, so each query is looked up once
 //! and every served entry shares the model's one network.
 //!
@@ -106,5 +109,5 @@ mod stats;
 
 pub use cache::DeltaCacheStats;
 pub use engine::{CacheMiss, Engine, EngineConfig, Probe, ServeWorker};
-pub use query::{NetOp, Query, QueryBackend, SharedNet, Verdict, Witness};
+pub use query::{NetOp, Query, QueryBackend, Verdict, Witness};
 pub use stats::{BatchReport, EngineStats, QueryResult};

@@ -2,13 +2,14 @@
 //!
 //! A [`Query`] carries only `Send + Clone + Hash` model data — ACLs, route
 //! maps, topologies — never `Zen<T>` handles, which are indices into a
-//! thread-local arena and cannot cross threads. Each worker rebuilds the
-//! symbolic model from the data in its own context, which is what makes
-//! the batch engine embarrassingly parallel; a worker's session builds
-//! each ACL and route map once ([`rzen::SolverSession::find_model`]).
+//! thread-local arena and cannot cross threads. A topology is a
+//! [`Network`] handle: the queries asked of one network share it, and
+//! hashing one costs O(1) once the network's digest is known. Each worker
+//! rebuilds the symbolic model from the data in its own context, which is
+//! what makes the batch engine embarrassingly parallel; a worker's session
+//! builds each ACL and route map once ([`rzen::SolverSession::find_model`]).
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use rzen::{Budget, FindOptions, FindOutcome, FindReport, SolverSession, Zen, ZenFunction};
 use rzen_net::acl::Acl;
@@ -55,10 +56,10 @@ pub enum Query {
     },
     /// Find a packet delivered from `src` to `dst` along **some** simple
     /// path of the network ((device index, interface id) pairs). The
-    /// solve folds over the feasible paths only, which gives the same
-    /// verdict ([`Query::run`]).
+    /// solve folds over the pair's [`Network::feasible_paths`] only,
+    /// which gives the same verdict.
     Reach {
-        /// The network.
+        /// The network: a handle, so a query costs no copy of it.
         net: Network,
         /// Entry (device, interface).
         src: (usize, u8),
@@ -106,63 +107,6 @@ impl NetOp {
             NetOp::Reach => "reach",
             NetOp::Drops => "drops",
         }
-    }
-}
-
-/// One network that many `Reach`/`Drops` queries are asked of, held once
-/// behind an `Arc`, with the fingerprint work that depends only on the
-/// network done once. A server builds one per model: probing the result
-/// cache with it costs no clone, no hash of the network, and — against
-/// entries the same handle inserted — no compare of it either.
-#[derive(Clone, Debug)]
-pub struct SharedNet {
-    net: Arc<Network>,
-    /// FNV-1a states after hashing `Query::Reach` and `Query::Drops`'s
-    /// discriminant and network: what [`Query::fingerprint`] has hashed
-    /// when only the endpoints remain.
-    reach: u64,
-    drops: u64,
-}
-
-impl SharedNet {
-    /// Share `net`, hashing it once per query kind.
-    pub fn new(net: Network) -> SharedNet {
-        let prefix = |op: NetOp| {
-            let mut h = Fnv1a::default();
-            // `Query`'s derived `Hash` writes the variant's discriminant,
-            // then the fields in declaration order: `net`, `src`, `dst`.
-            std::mem::discriminant(&op.query(Network::default(), (0, 0), (0, 0))).hash(&mut h);
-            net.hash(&mut h);
-            h.finish()
-        };
-        SharedNet {
-            reach: prefix(NetOp::Reach),
-            drops: prefix(NetOp::Drops),
-            net: Arc::new(net),
-        }
-    }
-
-    /// The shared network.
-    pub fn net(&self) -> &Arc<Network> {
-        &self.net
-    }
-
-    /// [`Query::fingerprint`] of `self.query(op, src, dst)`, without
-    /// building or hashing the query: the saved state resumed over the
-    /// endpoints.
-    pub fn fingerprint(&self, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> u64 {
-        let mut h = Fnv1a::resume(match op {
-            NetOp::Reach => self.reach,
-            NetOp::Drops => self.drops,
-        });
-        src.hash(&mut h);
-        dst.hash(&mut h);
-        h.finish()
-    }
-
-    /// The query itself, owning a clone of the network.
-    pub fn query(&self, op: NetOp, src: (usize, u8), dst: (usize, u8)) -> Query {
-        op.query(Network::clone(&self.net), src, dst)
     }
 }
 

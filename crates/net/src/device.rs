@@ -110,15 +110,34 @@ pub fn fwd_out(i: &Interface, p: Zen<Packet>) -> Zen<Option<Packet>> {
 }
 
 /// One hop of a path: the interface a packet enters and the interface it
-/// must leave through, borrowed from the network that owns them. Two hops
-/// are equal when their interfaces are, wherever they live: a path's fold
-/// reads nothing else.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// must leave through, borrowed from the network that owns them.
+///
+/// Two hops are equal, wherever they live, when the interface halves a
+/// fold reads are: the ingress interface's inbound half (its guard and
+/// rewrite read `acl_in`, `gre_end` and `nat_in`) and the egress
+/// interface's outbound half (`id`, `table`, `acl_out`, `nat_out` and
+/// `gre_start`), plus the ingress id. [`forward_along`] and [`fold_paths`] read nothing else of
+/// a hop, so two hop-for-hop equal path lists fold to the very same
+/// formula, and a delta that changes only halves no path reads (an
+/// `acl_in` on a port a pair only leaves through) changes no verdict.
+#[derive(Clone, Copy, Debug, Eq)]
 pub struct Hop<'n> {
     /// Ingress interface.
     pub intf_in: &'n Interface,
     /// Egress interface.
     pub intf_out: &'n Interface,
+}
+
+impl PartialEq for Hop<'_> {
+    fn eq(&self, other: &Hop<'_>) -> bool {
+        let (a, b) = (self.intf_in, other.intf_in);
+        let inbound =
+            (a.id, &a.acl_in, &a.gre_end, &a.nat_in) == (b.id, &b.acl_in, &b.gre_end, &b.nat_in);
+        let (a, b) = (self.intf_out, other.intf_out);
+        inbound
+            && (a.id, &a.table, &a.acl_out, &a.nat_out, &a.gre_start)
+                == (b.id, &b.table, &b.acl_out, &b.nat_out, &b.gre_start)
+    }
 }
 
 /// Forward a packet along a fixed path (paper Fig. 7 `Fwd`): apply

@@ -5,9 +5,14 @@
 //! paths some packet may survive; set-based analyses (HSA) walk the same
 //! structure with transformers instead.
 
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
+
 use crate::device::{Hop, Interface};
 use crate::dstset::{routed_to, AddrSet, DstSpace};
-use rzen_bdd::FastHashMap;
+use rzen_bdd::{FastHashMap, Fnv1a};
 
 /// A device: a named node with numbered interfaces.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
@@ -39,16 +44,96 @@ pub struct Link {
     pub to_intf: u8,
 }
 
-/// A network: devices plus links.
+/// A network: devices plus links, as a handle to one shared value.
+///
+/// Cloning a `Network` copies a pointer, not the devices, so every query,
+/// cache entry and served model asked of one network holds the same
+/// value. Fields read through `Deref` (`net.devices`). A write goes
+/// through `DerefMut`, which is copy-on-write: a value other handles
+/// share is copied first, so they never see the write, and a value this
+/// handle alone holds is written in place.
+///
+/// Equality is structural, and immediate for two handles to one value
+/// ([`Network::ptr_eq`]). `Hash` writes the value's [`Network::digest`],
+/// computed at its first use and reset by every `DerefMut`, so hashing a
+/// network is O(1) after the first time, whoever hashed it.
+#[derive(Clone, Default)]
+pub struct Network(Arc<Shared>);
+
+/// The devices and links a [`Network`] handle points to.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Network {
+pub struct NetworkData {
     /// The devices.
     pub devices: Vec<Device>,
     /// The links.
     pub links: Vec<Link>,
 }
 
+#[derive(Clone, Default)]
+struct Shared {
+    data: NetworkData,
+    /// `data`'s digest, once something asked for it.
+    digest: OnceLock<u64>,
+}
+
+impl Deref for Network {
+    type Target = NetworkData;
+
+    fn deref(&self) -> &NetworkData {
+        &self.0.data
+    }
+}
+
+impl DerefMut for Network {
+    fn deref_mut(&mut self) -> &mut NetworkData {
+        let shared = Arc::make_mut(&mut self.0);
+        shared.digest.take();
+        &mut shared.data
+    }
+}
+
+impl PartialEq for Network {
+    fn eq(&self, other: &Network) -> bool {
+        Network::ptr_eq(self, other) || self.0.data == other.0.data
+    }
+}
+
+impl Eq for Network {}
+
+impl Hash for Network {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest());
+    }
+}
+
+impl fmt::Debug for Network {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.data.fmt(f)
+    }
+}
+
 impl Network {
+    /// Do both handles point to the same value? Then they are equal;
+    /// two equal networks built apart are not the same value.
+    pub fn ptr_eq(a: &Network, b: &Network) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// How many handles share this value, this one included.
+    pub fn handles(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+
+    /// The FNV-1a hash of the devices and links (the derived `Hash` of
+    /// [`NetworkData`]), computed once per shared value.
+    pub fn digest(&self) -> u64 {
+        *self.0.digest.get_or_init(|| {
+            let mut h = Fnv1a::default();
+            self.0.data.hash(&mut h);
+            h.finish()
+        })
+    }
+
     /// Add a device, returning its index.
     pub fn add_device(&mut self, d: Device) -> usize {
         self.devices.push(d);
@@ -353,6 +438,52 @@ mod tests {
         n.add_duplex(b, 2, c, 1);
         n.add_duplex(a, 2, c, 2);
         n
+    }
+
+    /// What `impl Hash for Network` writes, through a std hasher.
+    fn hash_of(n: &Network) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        n.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_write_through_a_clone_leaves_the_original_alone() {
+        let original = triangle();
+        let digest = original.digest();
+        let mut clone = original.clone();
+        assert!(Network::ptr_eq(&original, &clone));
+        clone.add_link(0, 9, 2, 9);
+        assert!(!Network::ptr_eq(&original, &clone));
+        assert_eq!(original.links.len(), 6);
+        assert_eq!(original.digest(), digest);
+        assert_eq!(original, triangle());
+        assert_ne!(clone, original);
+        assert_ne!(clone.digest(), digest);
+    }
+
+    #[test]
+    fn a_write_through_a_lone_handle_resets_its_digest() {
+        let mut n = triangle();
+        let before = n.digest();
+        let value = &*n as *const NetworkData;
+        n.devices[1].interfaces[0].id = 7;
+        assert_eq!(&*n as *const NetworkData, value, "written in place");
+        let mut fresh = triangle();
+        fresh.devices[1].interfaces[0].id = 7;
+        assert_ne!(n.digest(), before, "a stale digest survived the write");
+        assert_eq!(n.digest(), fresh.digest());
+        assert_eq!(hash_of(&n), hash_of(&fresh));
+    }
+
+    #[test]
+    fn equal_networks_built_apart_compare_and_hash_equal() {
+        let (a, b) = (triangle(), triangle());
+        assert!(!Network::ptr_eq(&a, &b));
+        assert_eq!(a, b);
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_ne!(a.digest(), Network::default().digest());
     }
 
     #[test]

@@ -102,20 +102,8 @@ impl Default for Fnv1a {
     }
 }
 
-impl Fnv1a {
-    /// Resume hashing from `state`, the `finish()` of an earlier hasher:
-    /// writing more bytes then gives what writing them to that hasher
-    /// would. A caller that hashes one large prefix under many suffixes
-    /// saves the prefix's state once and resumes from it per suffix.
-    #[inline]
-    pub fn resume(state: u64) -> Fnv1a {
-        Fnv1a(state)
-    }
-}
-
-// `#[inline]`: the engine hashes a whole `Network` for each batch lookup
-// and for each model a server loads, and without it these calls would
-// not inline across the crate boundary.
+// `#[inline]`: a network's digest hashes every device and link through
+// these calls, which would not inline across the crate boundary without it.
 impl std::hash::Hasher for Fnv1a {
     #[inline]
     fn finish(&self) -> u64 {

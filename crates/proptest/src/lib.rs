@@ -296,7 +296,7 @@ impl_tuple_strategy!(A, B, C, D, E, F);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: an exact `usize` or a half-open
+    /// Length specification for [`vec()`]: an exact `usize` or a half-open
     /// `Range<usize>`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

@@ -918,7 +918,7 @@ impl Solver {
     ///
     /// The sweep itself is O(database) — worth it only once enough new
     /// level-0 facts accumulated, so it is skipped until the trail grew by
-    /// [`SIMPLIFY_MIN_TRAIL_DELTA`] since the last sweep. (Propagation of
+    /// `SIMPLIFY_MIN_TRAIL_DELTA` (32) since the last sweep. (Propagation of
     /// pending units always runs.) Use [`Solver::simplify_force`] to sweep
     /// unconditionally.
     pub fn simplify(&mut self) -> bool {

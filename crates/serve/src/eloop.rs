@@ -50,19 +50,18 @@
 //!    poll and it degrades to a `timeout` verdict, while a result-cache
 //!    hit can still answer it for free.
 //! 3. **Probe before join and shed.** A `reach`/`drops` is looked up in
-//!    the result cache with the captured model's shared network handle
-//!    ([`Engine::probe`] over [`Model::net`]): the fingerprint resumes
-//!    from the handle's saved state, and entries that handle inserted
-//!    match by pointer, so the probe costs the same on any model size
-//!    and builds no `Query`. A hit is answered here
-//!    (`"cache_hit":true`, a flight record with no shard): it takes no
-//!    shard slot, so a hit is answered even while every shard is busy
-//!    or full, and is never shed. A miss carries its lookup ticket to
-//!    the shard, which builds the `Query` (the one clone of the network
-//!    a served query makes) and solves without looking up again. The
-//!    probe only `try_lock`s the cache; while another thread holds it (a
-//!    sweep, a shard's insert) the request goes on as a miss would, and
-//!    its shard looks it up.
+//!    the result cache ([`Engine::probe`]) as a query over a handle to
+//!    the captured model's network: the query copies a pointer, its
+//!    fingerprint hashes the network's saved digest, and entries over
+//!    the same network match by pointer, so the probe costs the same on
+//!    any model size. A hit is answered here (`"cache_hit":true`, a
+//!    flight record with no shard): it takes no shard slot, so a hit is
+//!    answered even while every shard is busy or full, and is never
+//!    shed. A miss carries the query and its lookup ticket to the shard,
+//!    which solves without looking up again. The probe only `try_lock`s
+//!    the cache; while another thread holds it (a sweep, a shard's
+//!    insert) the request goes on as a miss would, and its shard looks
+//!    it up.
 //! 4. **Join before shed.** A `reach`/`drops` identical to one already
 //!    in flight (same fingerprint, op and endpoints, over the very same
 //!    network handle — different models never match) joins that
@@ -110,7 +109,7 @@ use std::time::{Duration, Instant};
 
 use rzen::Budget;
 use rzen_engine::{
-    CacheMiss, Engine, EngineConfig, NetOp, Probe, QueryResult, ServeWorker, Verdict,
+    CacheMiss, Engine, EngineConfig, NetOp, Probe, Query, QueryResult, ServeWorker, Verdict,
 };
 use rzen_loop::framing::{HttpDecoder, HttpError, HttpRequest, LineDecoder, WriteBuf};
 use rzen_loop::ring::{spsc, Consumer, Producer};
@@ -220,14 +219,10 @@ struct JobTicket {
 
 /// One unit of work routed to a shard.
 enum ShardJob {
-    /// A `reach`/`drops`. Its `Query`, the one clone of the network a
-    /// served query makes, is built on the shard.
+    /// A `reach`/`drops`, over a handle to the model's network.
     Query {
         t: JobTicket,
-        model: Arc<Model>,
-        op: NetOp,
-        src: (usize, u8),
-        dst: (usize, u8),
+        query: Query,
         budget: Budget,
         /// The reactor's probe missed: solve without a second lookup.
         miss: Option<CacheMiss>,
@@ -295,7 +290,7 @@ struct HttpDone {
 /// same op and endpoints over the very network handle the leader was
 /// admitted with — so two models, even equal ones, never merge.
 struct Group {
-    net: Arc<Network>,
+    net: Network,
     op: NetOp,
     src: (usize, u8),
     dst: (usize, u8),
@@ -989,7 +984,8 @@ impl Reactor {
                     NetOp::Drops
                 };
                 let alloc0 = rzen_obs::profile::thread_alloc_stats();
-                let miss = match shared.engine.probe(&model.net, op, src, dst) {
+                let query = op.query(model.spec.net.clone(), src, dst);
+                let miss = match shared.engine.probe(&query) {
                     Probe::Hit(result) => {
                         self.answer_hit(conn, &t, &result, alloc0);
                         return;
@@ -997,20 +993,17 @@ impl Reactor {
                     Probe::Miss(miss) => Some(miss),
                     Probe::Skipped => None,
                 };
-                let fp = model.net.fingerprint(op, src, dst);
+                let fp = query.fingerprint();
                 let job = |t| ShardJob::Query {
                     t,
-                    model: model.clone(),
-                    op,
-                    src,
-                    dst,
+                    query,
                     budget: budget.clone(),
                     miss,
                 };
                 // Coalesce before the shed check: a joiner consumes no
                 // shard slot at all.
                 if let Some(group) = self.coalesce.get_mut(&fp) {
-                    if Arc::ptr_eq(&group.net, model.net.net())
+                    if Network::ptr_eq(&group.net, &model.spec.net)
                         && (group.op, group.src, group.dst) == (op, src, dst)
                     {
                         rzen_obs::counter!(
@@ -1041,7 +1034,7 @@ impl Reactor {
                     self.coalesce.insert(
                         fp,
                         Group {
-                            net: model.net.net().clone(),
+                            net: model.spec.net.clone(),
                             op,
                             src,
                             dst,
@@ -1405,10 +1398,7 @@ fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDon
     match job {
         ShardJob::Query {
             t,
-            model,
-            op,
-            src,
-            dst,
+            query,
             budget,
             miss,
         } => {
@@ -1419,8 +1409,8 @@ fn execute_job(shared: &Shared, solver: &ServeWorker, job: ShardJob) -> ShardDon
             // for free.
             let engine = &shared.engine;
             let result = match miss {
-                Some(miss) => engine.run_missed(budget, solver, t.ctx, miss),
-                None => engine.run_one(&model.net.query(op, src, dst), budget, solver, t.ctx),
+                Some(miss) => engine.run_missed(&query, budget, solver, t.ctx, miss),
+                None => engine.run_one(&query, budget, solver, t.ctx),
             };
             let resp = proto::verdict_response(t.id, t.ctx.id, t.op, &result, false);
             let meta = RespMeta::for_result(&result);

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rzen_engine::{Engine, QueryBackend, SharedNet};
+use rzen_engine::{Engine, QueryBackend};
 use rzen_net::spec::{self, Spec};
 
 use rzen_obs::export::chrome_trace;
@@ -120,7 +120,9 @@ impl Default for ServerConfig {
 /// One loaded network model. Immutable once built; hot-swap replaces the
 /// whole `Arc`.
 pub struct Model {
-    /// The parsed spec.
+    /// The parsed spec. Its network is the one value every `reach` and
+    /// `drops` asked of this model holds a handle to, in its query and
+    /// in its cache entry.
     pub spec: Spec,
     /// The Merkle-style composite model fingerprint
     /// ([`rzen_delta::composite_fingerprint`]): the hash of the ordered
@@ -129,9 +131,6 @@ pub struct Model {
     /// re-posting a reformatted spec yields the same identity, and a
     /// delta moves only the touched devices' leaf hashes.
     pub fingerprint: u64,
-    /// The spec's network as the one handle every `reach`/`drops` asked
-    /// of this model probes the result cache with and caches under.
-    pub net: SharedNet,
 }
 
 impl Model {
@@ -143,12 +142,7 @@ impl Model {
     /// Wrap an already-parsed (e.g. delta-patched) spec in a model.
     pub fn from_spec(spec: Spec) -> Model {
         let fingerprint = rzen_delta::composite_fingerprint(&spec.net);
-        let net = SharedNet::new(spec.net.clone());
-        Model {
-            spec,
-            fingerprint,
-            net,
-        }
+        Model { spec, fingerprint }
     }
 }
 
@@ -567,7 +561,9 @@ pub(crate) fn answer_delta_post(shared: &Shared, text: &str) -> HttpAnswer {
     // witness replays true on the new model, are re-keyed onto its
     // handle and stay warm; the rest are evicted. Sessions are not
     // quiesced at all (see `Shared::session_epoch`).
-    let stats = shared.engine.apply_delta_shared(&current.net, &model.net);
+    let stats = shared
+        .engine
+        .apply_delta(&current.spec.net, &model.spec.net, &applied.steps);
     let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
     rzen_obs::counter!("serve.deltas", "successful POST /delta applications").inc();
     HttpAnswer::object(200, |w| {

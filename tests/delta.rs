@@ -10,17 +10,17 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use rzen::Budget;
 use rzen_delta::composite_fingerprint;
 use rzen_engine::{
-    DeltaCacheStats, Engine, EngineConfig, NetOp, Probe, Query, QueryBackend, SharedNet, Verdict,
+    DeltaCacheStats, Engine, EngineConfig, NetOp, Probe, Query, QueryBackend, Verdict,
 };
 use rzen_net::gen::spine_leaf;
 use rzen_net::spec::{self, Spec};
+use rzen_net::topology::Network;
 use rzen_obs::json::{parse, Value};
 use rzen_serve::{start, Model, ServerConfig};
 
@@ -60,9 +60,10 @@ fn scripted_delta(name: &str) -> &'static str {
 }
 
 /// The result-cache keys, the shard routing and the model identity
-/// `/healthz` reports are FNV-1a fingerprints. Pin the hash on its
-/// published test vector, and pin one model and one query fingerprint,
-/// so a change to the helper or to a hashed type's `Hash` shows up here.
+/// `/healthz` reports are FNV-1a fingerprints; a network enters a query's
+/// as its `Network::digest`. Pin the hash on its published test vector,
+/// and pin one model, one network digest and one query fingerprint, so a
+/// change to the helper or to a hashed type's `Hash` shows up here.
 #[test]
 fn fnv1a_fingerprints_are_pinned() {
     use std::hash::Hasher;
@@ -73,109 +74,126 @@ fn fnv1a_fingerprints_are_pinned() {
     let spec = spec::parse(&std::fs::read_to_string(specs_dir().join("fig3.net")).unwrap())
         .expect("fig3 parses");
     assert_eq!(composite_fingerprint(&spec.net), 0x6c61_a568_2afc_abc2);
+    assert_eq!(spec.net.digest(), 0x2008_def5_ec36_2c43);
     let query = Query::Reach {
         net: spec.net.clone(),
         src: spec.endpoint("u1:1").unwrap(),
         dst: spec.endpoint("u3:2").unwrap(),
     };
-    assert_eq!(query.fingerprint(), 0x3f99_c9b4_4631_5b44);
-    assert_eq!(query.model_fingerprint(), 0xd784_b1ae_4b22_5423);
+    assert_eq!(query.fingerprint(), 0xf220_2928_ab2e_ae28);
+    assert_eq!(query.model_fingerprint(), 0xf68f_bb42_1b6b_e3bb);
 }
 
-/// A model's shared handle fingerprints each pair exactly as the query
-/// it stands for, so a served probe and a batch lookup of one question
-/// meet in one bucket.
-#[test]
-fn a_shared_net_fingerprints_each_pair_as_its_query() {
-    let mut specs: Vec<Spec> = std::fs::read_dir(specs_dir())
+/// Every spec's network, parsed (or generated) twice: two equal values
+/// in separate allocations.
+fn specs_built_twice() -> Vec<(Spec, Network)> {
+    let mut specs: Vec<(Spec, Network)> = std::fs::read_dir(specs_dir())
         .expect("specs dir")
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "net"))
-        .map(|p| spec::parse(&std::fs::read_to_string(&p).unwrap()).unwrap())
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).unwrap();
+            (spec::parse(&text).unwrap(), spec::parse(&text).unwrap().net)
+        })
         .collect();
     assert!(!specs.is_empty(), "specs/ must hold at least one spec");
-    specs.push(Spec::from_network(spine_leaf(2, 8)).unwrap());
-    for spec in &specs {
-        let shared = SharedNet::new(spec.net.clone());
-        let queries = all_pairs(spec);
+    specs.push((
+        Spec::from_network(spine_leaf(2, 8)).unwrap(),
+        spine_leaf(2, 8),
+    ));
+    specs
+}
+
+/// A query over a handle to a model's network fingerprints and compares
+/// as the same query over an equal network built apart, so a served
+/// probe and a batch lookup of one question meet in one bucket whichever
+/// handle each holds.
+#[test]
+fn a_shared_net_fingerprints_each_pair_as_its_query() {
+    for (spec, apart) in specs_built_twice() {
+        assert!(!Network::ptr_eq(&spec.net, &apart));
+        let queries = all_pairs(&spec);
         assert!(!queries.is_empty());
         for q in &queries {
             let (op, src, dst) = pair(q);
+            let other = op.query(apart.clone(), src, dst);
             assert_eq!(
-                shared.fingerprint(op, src, dst),
+                other.fingerprint(),
                 q.fingerprint(),
                 "{} {src:?} -> {dst:?}",
                 q.kind()
             );
-            assert_eq!(shared.query(op, src, dst), *q);
+            assert_eq!(other.model_fingerprint(), q.model_fingerprint());
+            assert_eq!(other, *q);
         }
     }
 }
 
 /// Served cold solves of one model cache one network between them, and
-/// a delta moves the survivors onto the new model's handle, where a
-/// probe through that handle hits them.
+/// a delta moves the survivors onto the new model's network, where a
+/// probe through a handle to it hits them.
 #[test]
 fn served_entries_share_the_models_network_across_a_delta() {
     let base = Spec::from_network(spine_leaf(2, 3)).unwrap();
     let mut patched = base.clone();
-    rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
-    let old = SharedNet::new(base.net.clone());
-    let new = SharedNet::new(patched.net.clone());
+    let applied =
+        rzen_delta::apply_all(&mut patched, &rzen_delta::parse_ops(FENCE_LEAF1).unwrap()).unwrap();
+    let (old, new) = (&base.net, &patched.net);
+    assert_eq!((old.handles(), new.handles()), (1, 1), "the patch copied");
     let eng = engine(true);
     let worker = eng.serve_worker();
-    let queries = all_pairs(&base);
-    for q in &queries {
-        let (op, src, dst) = pair(q);
-        let Probe::Miss(miss) = eng.probe(&old, op, src, dst) else {
+    let pairs: Vec<_> = all_pairs(&base).iter().map(pair).collect();
+    for &(op, src, dst) in &pairs {
+        let query = op.query(old.clone(), src, dst);
+        let Probe::Miss(miss) = eng.probe(&query) else {
             panic!("a cold probe must miss");
         };
         let ctx = rzen_obs::RequestCtx::mint(0, 0);
-        let r = eng.run_missed(Budget::unlimited(), &worker, ctx, miss);
+        let r = eng.run_missed(&query, Budget::unlimited(), &worker, ctx, miss);
         assert!(r.verdict.is_decisive());
     }
-    // Every entry holds the model's one handle, held otherwise only here.
-    assert_eq!(eng.cache_len(), queries.len());
-    assert_eq!(Arc::strong_count(old.net()), 1 + queries.len());
+    // Every entry holds the model's one value, held otherwise only here.
+    assert_eq!(eng.cache_len(), pairs.len());
+    assert_eq!(old.handles(), 1 + pairs.len());
 
-    let stats = eng.apply_delta_shared(&old, &new);
+    let stats = eng.apply_delta(old, new, &applied.steps);
     assert!(stats.evicted > 0 && stats.retained > 0, "{stats:?}");
     assert_eq!(eng.cache_len(), stats.retained);
-    assert_eq!(
-        Arc::strong_count(old.net()),
-        1,
-        "an entry kept the old network"
-    );
-    assert_eq!(Arc::strong_count(new.net()), 1 + stats.retained);
-    let hits = queries
+    assert_eq!(old.handles(), 1, "an entry kept the old network");
+    assert_eq!(new.handles(), 1 + stats.retained);
+    let hits = pairs
         .iter()
-        .filter(|q| {
-            let (op, src, dst) = pair(q);
-            matches!(eng.probe(&new, op, src, dst), Probe::Hit(_))
+        .filter(|&&(op, src, dst)| {
+            matches!(eng.probe(&op.query(new.clone(), src, dst)), Probe::Hit(_))
         })
         .count();
     assert_eq!(hits, stats.retained);
 }
 
-/// A batch query's entry holds its own copy of the network; a probe
-/// through a handle on an equal network still finds it, by comparing
-/// the networks in full.
+/// A batch entry answers a probe through another handle to its network,
+/// by pointer, and through an equal network built apart, by comparing
+/// the networks in full; each probe's query fingerprints as the batch
+/// query did.
 #[test]
 fn a_batch_entry_answers_a_probe_through_another_handle() {
     let spec = Spec::from_network(spine_leaf(2, 3)).unwrap();
+    let apart = spine_leaf(2, 3);
     let eng = engine(true);
     let queries = all_pairs(&spec);
     let report = eng.run_batch(&queries);
-    let shared = SharedNet::new(spec.net.clone());
     for (q, batch) in queries.iter().zip(&report.results) {
         let (op, src, dst) = pair(q);
-        let Probe::Hit(hit) = eng.probe(&shared, op, src, dst) else {
-            panic!(
-                "{} {src:?} -> {dst:?}: the batch entry was not found",
-                q.kind()
-            );
-        };
-        assert_eq!(hit.verdict, batch.verdict);
+        for net in [&spec.net, &apart] {
+            let probe = op.query(net.clone(), src, dst);
+            assert_eq!(probe.fingerprint(), q.fingerprint());
+            let Probe::Hit(hit) = eng.probe(&probe) else {
+                panic!(
+                    "{} {src:?} -> {dst:?}: the batch entry was not found",
+                    q.kind()
+                );
+            };
+            assert_eq!(hit.verdict, batch.verdict);
+        }
     }
 }
 
@@ -321,13 +339,14 @@ fn delta_evicts_only_changed_pairs_whose_witness_broke() {
     assert!(warm.results.iter().all(|r| r.verdict.is_decisive()));
     assert_eq!(eng.cache_len(), 12);
 
-    // One ACL line on l1's host port. It changes the feasible paths of
-    // every pair with l1 as an endpoint — transit paths through l1 enter
-    // via the spine-facing ports, never through intf 99. Of those 8
-    // entries (4 ordered pairs x Reach+Drops), the SAT ones replay their
-    // witness on the new model: a reach out of l1 now meets the deny and
-    // is evicted; a reach into l1 leaves through intf 99, not in; every
-    // drops witness was dropped before and still is.
+    // One inbound ACL line on l1's host port. It changes the feasible
+    // paths of every pair that enters at l1 — transit paths through l1
+    // enter via the spine-facing ports, never through intf 99, and a
+    // path into l1 leaves through intf 99, whose inbound half no fold
+    // reads. Of those 4 entries (2 ordered pairs x Reach+Drops), the
+    // SAT ones replay their witness on the new model: a reach out of l1
+    // now meets the deny and is evicted; a drops witness was dropped
+    // before and still is.
     let ops = rzen_delta::parse_ops(
         "{\"op\":\"set-acl\",\"device\":\"l1\",\"intf\":99,\"dir\":\"in\",\"acl\":\"deny\"}",
     )
@@ -340,11 +359,11 @@ fn delta_evicts_only_changed_pairs_whose_witness_broke() {
         DeltaCacheStats {
             evicted: 2,
             retained: 10,
-            revalidated: 6,
+            revalidated: 2,
             unaffected: 0
         },
-        "l1's 2 outbound reaches break; its 2 inbound reaches and 4 drops \
-         revalidate; l0<->l2's 4 entries keep their paths"
+        "l1's 2 outbound reaches break and its 2 outbound drops revalidate; \
+         the 4 entries into l1 and l0<->l2's 4 keep their paths"
     );
     assert_eq!(eng.cache_len(), 10);
 
@@ -376,7 +395,9 @@ fn delta_evicts_only_changed_pairs_whose_witness_broke() {
 /// changed, so a delta that touches every simple path but only a few
 /// feasible ones replays only those. On `spine_leaf(2, 8)`'s 112
 /// all-pairs entries (every one SAT): a route on leaf5 changes the paths
-/// of its 14 ordered pairs, whose 28 witnesses all still hold; a link
+/// of its 14 ordered pairs, whose 28 witnesses all still hold; an
+/// inbound ACL on leaf5's host port changes only the 7 pairs entering
+/// there, as no path into leaf5 reads that port's inbound half; a link
 /// between two host ports opens no path any packet can take.
 #[test]
 fn a_delta_replays_only_the_pairs_whose_feasible_paths_changed() {
@@ -385,6 +406,10 @@ fn a_delta_replays_only_the_pairs_whose_feasible_paths_changed() {
         (
             "{\"op\":\"set-route\",\"device\":\"leaf5\",\"prefix\":\"192.168.0.0/16\",\"port\":99}",
             28,
+        ),
+        (
+            "{\"op\":\"set-acl\",\"device\":\"leaf5\",\"intf\":99,\"dir\":\"in\",\"acl\":\"deny-dport 23 23\"}",
+            14,
         ),
         (
             "{\"op\":\"link-up\",\"a\":\"leaf5:99\",\"b\":\"leaf6:99\"}",
